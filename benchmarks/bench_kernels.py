@@ -2,7 +2,9 @@
 
 Run as a script. The JIT is warmed up on small inputs first so the
 compile cost does not pollute the numbers; each kernel is checked for
-agreement between the two paths before timing.
+agreement between the two paths before timing.  Without numba the
+``*_nb`` variants are plain Python loops that take minutes at these
+sizes, so only the numpy fallbacks are timed.
 """
 
 import timeit
@@ -44,10 +46,21 @@ def make_inputs(rng):
     }
 
 
+def best_ms(fn, args, reps=20):
+    return min(timeit.repeat(lambda: fn(*args), number=reps, repeat=5)) / reps * 1e3
+
+
 def main():
     rng = np.random.default_rng(0)
     inputs = make_inputs(rng)
     print(f"numba enabled: {NUMBA_ENABLED}")
+    if not NUMBA_ENABLED:
+        print("numba variants skipped: without numba they run as pure-Python "
+              "loops, minutes per kernel at these sizes")
+        print(f"{'kernel':<20} {'numpy ms':>10}")
+        for name, args in inputs.items():
+            print(f"{name:<20} {best_ms(getattr(kernels, name + '_np'), args):>10.3f}")
+        return
     print(f"{'kernel':<20} {'numba ms':>10} {'numpy ms':>10} {'speedup':>8}")
     for name, args in inputs.items():
         nb = getattr(kernels, name + "_nb")
@@ -57,11 +70,9 @@ def main():
             assert np.array_equal(nb(*args), np_(*args))
         else:
             assert np.allclose(nb(*args), np_(*args), atol=1e-10)
-        reps = 20
-        t_nb = min(timeit.repeat(lambda: nb(*args), number=reps, repeat=5)) / reps
-        t_np = min(timeit.repeat(lambda: np_(*args), number=reps, repeat=5)) / reps
-        print(f"{name:<20} {t_nb * 1e3:>10.3f} {t_np * 1e3:>10.3f} "
-              f"{t_np / t_nb:>7.1f}x")
+        t_nb = best_ms(nb, args)
+        t_np = best_ms(np_, args)
+        print(f"{name:<20} {t_nb:>10.3f} {t_np:>10.3f} {t_np / t_nb:>7.1f}x")
 
 
 if __name__ == "__main__":

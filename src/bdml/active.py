@@ -9,7 +9,8 @@ the control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 from scipy.special import expit, log_expit, xlogy
@@ -22,50 +23,92 @@ STRATEGIES = ("RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR")
 MAX_ENTROPY = float(np.log(2.0))
 
 
+def _canonical(rows: np.ndarray):
+    """The order sorting the rows' (low, high) pairs, and those pairs sorted."""
+    lo = np.minimum(rows[:, 0], rows[:, 1])
+    hi = np.maximum(rows[:, 0], rows[:, 1])
+    order = np.lexsort((hi, lo))
+    return order, np.stack((lo[order], hi[order]), axis=1)
+
+
+def _repeated_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows of a lexsorted (m, 2) array equal to the row before them."""
+    return np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1)) + 1
+
+
+def _as_rows(items, width: int, what: str) -> np.ndarray:
+    a = np.asarray(items, dtype=np.int64)
+    if a.size == 0:
+        return a.reshape(0, width)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"{what} must be rows of {width} integers")
+    return a
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One structured (i, j) key per row, ordered like the rows' tuples."""
+    return np.ascontiguousarray(rows).view([("i", np.int64), ("j", np.int64)]).ravel()
+
+
 @dataclass(frozen=True)
 class PairPool:
     """Candidate pairs plus the subset already labeled by the oracle.
 
     Candidates are kept in canonical order: each pair as (low, high),
     the list sorted lexicographically.  ``labeled`` holds (i, j, y)
-    triples and must stay within the candidate set.
+    triples and must stay within the candidate set.  Both are exposed
+    as tuples; the pairs are also held as an int64 (m, 2) array with a
+    mask of the unlabeled ones, which is what scoring reads.
     """
 
     candidates: tuple
     labeled: tuple = ()
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    _open: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canon = []
-        seen = set()
-        for i, j in self.candidates:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-pair ({i}, {i}) cannot be a candidate")
-            if i < 0 or j < 0:
-                raise ValueError(f"negative index in pair ({i}, {j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate candidate pair {key}")
-            seen.add(key)
-            canon.append(key)
-        canon.sort()
-        object.__setattr__(self, "candidates", tuple(canon))
+        raw = _as_rows(self.candidates, 2, "candidates")
+        self_pairs = np.flatnonzero(raw[:, 0] == raw[:, 1])
+        if self_pairs.size:
+            i = int(raw[self_pairs[0], 0])
+            raise ValueError(f"self-pair ({i}, {i}) cannot be a candidate")
+        negative = np.flatnonzero(np.any(raw < 0, axis=1))
+        if negative.size:
+            pair = tuple(raw[negative[0]].tolist())
+            raise ValueError(f"negative index in pair {pair}")
+        _, pairs = _canonical(raw)
+        dup = _repeated_rows(pairs)
+        if dup.size:
+            pair = tuple(pairs[dup[0]].tolist())
+            raise ValueError(f"duplicate candidate pair {pair}")
 
-        lab = []
-        lab_seen = set()
-        for i, j, y in self.labeled:
-            i, j, y = int(i), int(j), int(y)
-            key = (min(i, j), max(i, j))
-            if key not in seen:
-                raise ValueError(f"labeled pair {key} is not a candidate")
-            if key in lab_seen:
-                raise ValueError(f"pair {key} labeled twice")
-            if y not in (-1, 1):
-                raise ValueError(f"label must be +1 or -1, got {y}")
-            lab_seen.add(key)
-            lab.append((key[0], key[1], y))
-        lab.sort()
-        object.__setattr__(self, "labeled", tuple(lab))
+        lab = _as_rows(self.labeled, 3, "labeled")
+        order, lab_pairs = _canonical(lab)
+        lab = np.column_stack((lab_pairs, lab[order, 2]))
+        keys, lab_keys = _row_keys(pairs), _row_keys(lab[:, :2])
+        pos = np.searchsorted(keys, lab_keys)
+        found = pos < keys.size
+        found[found] = keys[pos[found]] == lab_keys[found]
+        if not found.all():
+            pair = tuple(lab[np.flatnonzero(~found)[0], :2].tolist())
+            raise ValueError(f"labeled pair {pair} is not a candidate")
+        twice = _repeated_rows(lab[:, :2])
+        if twice.size:
+            pair = tuple(lab[twice[0], :2].tolist())
+            raise ValueError(f"pair {pair} labeled twice")
+        bad = np.flatnonzero((lab[:, 2] != 1) & (lab[:, 2] != -1))
+        if bad.size:
+            raise ValueError(f"label must be +1 or -1, got {int(lab[bad[0], 2])}")
+
+        is_open = np.ones(pairs.shape[0], dtype=bool)
+        is_open[pos] = False
+        pairs.setflags(write=False)
+        is_open.setflags(write=False)
+        # zip over columns builds the tuples about twice as fast as map(tuple)
+        object.__setattr__(self, "candidates", tuple(zip(*pairs.T.tolist())))
+        object.__setattr__(self, "labeled", tuple(zip(*lab.T.tolist())))
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_open", is_open)
 
     @property
     def labeled_pairs(self) -> tuple:
@@ -73,14 +116,15 @@ class PairPool:
 
     @property
     def unlabeled(self) -> tuple:
-        taken = {(i, j) for i, j, _ in self.labeled}
-        return tuple(p for p in self.candidates if p not in taken)
+        return tuple(compress(self.candidates, self._open.tolist()))
+
+    @property
+    def unlabeled_array(self) -> np.ndarray:
+        """The unlabeled pairs as an int64 (u, 2) array, canonical order."""
+        return self._pairs[self._open]
 
     def with_labels(self, triples) -> "PairPool":
-        return PairPool(self.candidates, self.labeled + tuple(triples))
-
-    def constraint_items(self) -> tuple:
-        return self.labeled
+        return PairPool(self._pairs, self.labeled + tuple(triples))
 
 
 @dataclass(frozen=True)
@@ -125,18 +169,6 @@ def plugin_posterior(gamma, omega) -> float:
     return float(expit(-(g @ w)))
 
 
-def q_value(mu, omega) -> float:
-    """Sigmoid curvature p(1-p) at the mean margin.
-
-    Kept for completeness: the adopted posterior approximation drops the
-    rank-one precision correction this would scale, so nothing in the
-    scoring path consumes it.
-    """
-    w = _omega_vector(omega)
-    p = expit(float(np.asarray(mu, dtype=np.float64) @ w))
-    return float(p * (1.0 - p))
-
-
 def laplace_gamma(mu, sigma, omega, sign: int) -> np.ndarray:
     """Approximate mode of the gamma integrand for one pair outcome.
 
@@ -177,6 +209,37 @@ def laplace_posterior(mu, sigma, omega) -> float:
             f"both outcome masses underflow to zero (omega.Sigma.omega = {quad:.6e})"
         )
     return float(expit(log_mass_plus - log_mass_minus))
+
+
+def laplace_posterior_batch(mu, sigma, features) -> np.ndarray:
+    """:func:`laplace_posterior` for every row of a feature matrix at once.
+
+    Each term of the scalar form is a row-wise closed form: the projected
+    variance omega.Sigma.omega, the two clamped modes and the two log
+    masses.  Agrees with the scalar function to rounding.
+    """
+    w = kernels.as_f64(features)
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma = kernels.as_f64(sigma)
+    sw = w @ sigma
+    quad = np.einsum("ij,ij->i", sw, w)
+    z = w @ mu
+    p_plus_mode = expit(z)
+    p_minus_mode = expit(-z)
+    g_plus = np.maximum(mu - p_plus_mode[:, None] * sw, 0.0)
+    g_minus = np.maximum(mu + p_minus_mode[:, None] * sw, 0.0)
+    log_mass_plus = (log_expit(-np.einsum("ij,ij->i", g_plus, w))
+                     - 0.5 * p_plus_mode**2 * quad)
+    log_mass_minus = (log_expit(np.einsum("ij,ij->i", g_minus, w))
+                      - 0.5 * p_minus_mode**2 * quad)
+    lost = np.flatnonzero(np.isneginf(log_mass_plus) & np.isneginf(log_mass_minus))
+    if lost.size:
+        r = lost[0]
+        raise ValueError(
+            f"both outcome masses underflow to zero in row {r} "
+            f"(omega.Sigma.omega = {quad[r]:.6e})"
+        )
+    return expit(log_mass_plus - log_mass_minus)
 
 
 @dataclass(frozen=True)
@@ -238,6 +301,26 @@ class Scorer:
         )
 
 
+def _score_arrays(scorer: Scorer, pairs: np.ndarray):
+    """``(p_plus, entropy)`` arrays for an int64 (m, 2) array of pairs."""
+    m = pairs.shape[0]
+    if scorer.strategy == "RANDOM":
+        return np.full(m, 0.5), np.full(m, MAX_ENTROPY)
+    w = feature_matrix(scorer.data, scorer.basis, pairs)
+    if scorer.strategy == "BAYES_VAR":
+        p_plus = laplace_posterior_batch(scorer.gamma, scorer.sigma, w)
+    else:
+        p_plus = expit(-(w @ scorer.gamma))
+    ok = (p_plus >= 0.0) & (p_plus <= 1.0)
+    if not ok.all():
+        raise ValueError(f"p_plus must lie in [0, 1], got {p_plus[~ok][0]}")
+    h = entropy(p_plus)
+    ok = (h >= -1e-12) & (h <= MAX_ENTROPY + 1e-12)
+    if not ok.all():
+        raise ValueError(f"entropy must lie in [0, log 2], got {h[~ok][0]}")
+    return p_plus, h
+
+
 def score_pairs(scorer: Scorer, pairs) -> list:
     """One PairScore per pair, in the order given.
 
@@ -245,23 +328,24 @@ def score_pairs(scorer: Scorer, pairs) -> list:
     entropy; the entropy strategies evaluate their posterior per pair.
     """
     pairs = [(int(i), int(j)) for i, j in pairs]
-    if scorer.strategy == "RANDOM":
-        return [
-            PairScore(pair=p, p_plus=0.5, entropy=MAX_ENTROPY, strategy="RANDOM")
-            for p in pairs
-        ]
-    if not pairs:
-        return []
-    w = feature_matrix(scorer.data, scorer.basis, pairs)
-    if scorer.strategy == "BAYES_VAR":
-        probs = [laplace_posterior(scorer.gamma, scorer.sigma, row) for row in w]
-    else:
-        probs = expit(-(w @ scorer.gamma))
+    p_plus, h = _score_arrays(scorer, _as_rows(pairs, 2, "pairs"))
     return [
-        PairScore(pair=p, p_plus=float(pr), entropy=entropy(float(pr)),
-                  strategy=scorer.strategy)
-        for p, pr in zip(pairs, probs)
+        PairScore(pair=p, p_plus=pr, entropy=hr, strategy=scorer.strategy)
+        for p, pr, hr in zip(pairs, p_plus.tolist(), h.tolist())
     ]
+
+
+def rank_pairs(scorer: Scorer, pairs):
+    """Score pairs and order them most uncertain first.
+
+    ``pairs`` is an (m, 2) array or a sequence of (i, j).  Returns the
+    pairs as an int64 (m, 2) array with their ``p_plus`` and entropy,
+    ordered by descending entropy, ties to the lowest (i, j).
+    """
+    pairs = _as_rows(pairs, 2, "pairs")
+    p_plus, h = _score_arrays(scorer, pairs)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], -h))
+    return pairs[order], p_plus[order], h[order]
 
 
 def select(pool: PairPool, scorer: Scorer, batch: int, rng_seed) -> list:
@@ -271,17 +355,16 @@ def select(pool: PairPool, scorer: Scorer, batch: int, rng_seed) -> list:
     (i, j); RANDOM draws uniformly without replacement, depending only
     on the seed and the canonical order of the unlabeled pairs.
     """
-    unlabeled = pool.unlabeled
-    if not unlabeled:
+    unlabeled = pool.unlabeled_array
+    if not unlabeled.shape[0]:
         raise ValueError("no unlabeled pairs left to select from")
-    if not 1 <= batch <= len(unlabeled):
+    if not 1 <= batch <= unlabeled.shape[0]:
         raise ValueError(
-            f"batch must lie in [1, {len(unlabeled)}], got {batch}"
+            f"batch must lie in [1, {unlabeled.shape[0]}], got {batch}"
         )
     if scorer.strategy == "RANDOM":
         rng = np.random.default_rng(rng_seed)
-        picks = rng.choice(len(unlabeled), size=batch, replace=False)
-        return [unlabeled[int(i)] for i in picks]
-    scores = score_pairs(scorer, unlabeled)
-    scores.sort(key=lambda s: (-s.entropy, s.pair))
-    return [s.pair for s in scores[:batch]]
+        picks = rng.choice(unlabeled.shape[0], size=batch, replace=False)
+        return list(map(tuple, unlabeled[picks].tolist()))
+    ranked, _, _ = rank_pairs(scorer, unlabeled)
+    return list(map(tuple, ranked[:batch].tolist()))

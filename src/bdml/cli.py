@@ -17,7 +17,7 @@ import numpy as np
 
 from . import harness, metric, mle, vb
 from .active import STRATEGIES as SCORER_STRATEGIES
-from .active import PairPool, Scorer, score_pairs
+from .active import PairPool, Scorer, rank_pairs
 from .harness import EXPERIMENT_STRATEGIES, ExperimentConfig, SynthSpec
 from .spectral import ConstraintSet, eigen_basis, load_csv
 
@@ -146,7 +146,7 @@ def cmd_score_pairs(args) -> int:
     basis = eigen_basis(data, k=args.k, energy=args.energy,
                         center=not args.no_center,
                         standardize=not args.no_standardize)
-    pairs = tuple((i, j) for i in range(data.n) for j in range(i + 1, data.n))
+    pairs = np.column_stack(np.triu_indices(data.n, 1))
     pool = PairPool(candidates=pairs)
     rng = np.random.default_rng(args.seed)
     if not 1 <= args.initial_pairs <= len(pairs):
@@ -154,11 +154,9 @@ def cmd_score_pairs(args) -> int:
             f"--initial-pairs must lie in [1, {len(pairs)}], got {args.initial_pairs}"
         )
     picks = rng.choice(len(pairs), size=args.initial_pairs, replace=False)
-    triples = []
-    for p in picks:
-        i, j = pairs[int(p)]
-        triples.append((i, j, harness.oracle_label(data, i, j)))
-    pool = pool.with_labels(triples)
+    pool = pool.with_labels(
+        (i, j, harness.oracle_label(data, i, j)) for i, j in pairs[picks].tolist()
+    )
     constraints = ConstraintSet(pool.labeled)
 
     model = None
@@ -177,15 +175,14 @@ def cmd_score_pairs(args) -> int:
         else:
             scorer = Scorer.bayes_act(data, basis, post)
 
-    scores = score_pairs(scorer, pool.unlabeled)
-    scores.sort(key=lambda s: (-s.entropy, s.pair))
+    ranked, p_plus, h = rank_pairs(scorer, pool.unlabeled_array)
     rows = [["i", "j", "p_plus", "entropy", "strategy"]]
-    rows += [[s.pair[0], s.pair[1], repr(s.p_plus), repr(s.entropy), s.strategy]
-             for s in scores]
+    rows += [[i, j, repr(p), repr(e), args.strategy]
+             for (i, j), p, e in zip(ranked.tolist(), p_plus.tolist(), h.tolist())]
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
-        print(f"{len(scores)} pair scores written to {args.out}")
+        print(f"{len(ranked)} pair scores written to {args.out}")
     else:
         writer = csv.writer(sys.stdout)
         writer.writerows(rows)

@@ -215,9 +215,7 @@ def build_pool(data: DataMatrix, pool_size: int, seed):
         if alloc[c]
     ]
     rows = np.sort(np.concatenate(chosen))
-    pairs = tuple(
-        (i, j) for i in range(pool_size) for j in range(i + 1, pool_size)
-    )
+    pairs = np.column_stack(np.triu_indices(pool_size, 1))
     return data.subset(rows), PairPool(candidates=pairs)
 
 

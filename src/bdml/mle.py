@@ -67,14 +67,20 @@ def mle_objective(gamma, features, labels, reg: float = DEFAULT_REG) -> float:
     term -reg*|gamma|^2/2 keeps separable constraint sets from sending the
     maximizer to infinity.  Nonpositive by construction when reg = 0.
     """
-    g, w, y = _check_inputs(gamma, features, labels, reg)
-    margins = y * (w @ g)
-    return float(-np.sum(np.logaddexp(0.0, margins)) - 0.5 * reg * (g @ g))
+    return _objective(*_check_inputs(gamma, features, labels, reg), reg)
 
 
 def mle_gradient(gamma, features, labels, reg: float = DEFAULT_REG) -> np.ndarray:
     """Analytic gradient of :func:`mle_objective` in gamma."""
-    g, w, y = _check_inputs(gamma, features, labels, reg)
+    return _gradient(*_check_inputs(gamma, features, labels, reg), reg)
+
+
+def _objective(g, w, y, reg) -> float:
+    margins = y * (w @ g)
+    return float(-np.sum(np.logaddexp(0.0, margins)) - 0.5 * reg * (g @ g))
+
+
+def _gradient(g, w, y, reg) -> np.ndarray:
     margins = y * (w @ g)
     return -w.T @ (y * expit(margins)) - reg * g
 
@@ -116,17 +122,17 @@ def mle_fit(
         raise ValueError("tol must be positive and max_iters at least 1")
     constraints.check_bounds(data.n)
     w = feature_matrix(data, basis, constraints.pairs)
-    y = constraints.labels
+    zero, w, y = _check_inputs(np.zeros(basis.k + 1), w, constraints.labels, reg)
 
-    candidates = [np.zeros(basis.k + 1), _start_point(w)]
-    values = [mle_objective(c, w, y, reg) for c in candidates]
+    candidates = [zero, _start_point(w)]
+    values = [_objective(c, w, y, reg) for c in candidates]
     best = int(np.argmax(values))
     gamma, value = candidates[best], values[best]
 
     converged = False
     iterations = 0
     while iterations < max_iters:
-        grad = mle_gradient(gamma, w, y, reg)
+        grad = _gradient(gamma, w, y, reg)
         if np.linalg.norm(_projected_gradient(gamma, grad)) < tol:
             converged = True
             break
@@ -134,7 +140,7 @@ def mle_fit(
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             trial = np.maximum(gamma + step * grad, 0.0)
-            trial_value = mle_objective(trial, w, y, reg)
+            trial_value = _objective(trial, w, y, reg)
             if trial_value >= value + ARMIJO_C1 * (grad @ (trial - gamma)):
                 gamma, value = trial, trial_value
                 accepted = True
@@ -144,7 +150,7 @@ def mle_fit(
         if not accepted:
             break
     else:
-        grad = mle_gradient(gamma, w, y, reg)
+        grad = _gradient(gamma, w, y, reg)
         converged = bool(np.linalg.norm(_projected_gradient(gamma, grad)) < tol)
 
     return MleSolution(

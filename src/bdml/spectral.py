@@ -302,11 +302,17 @@ def pair_feature(data: DataMatrix, basis: EigenBasis, i: int, j: int) -> PairFea
 
 
 def feature_matrix(data: DataMatrix, basis: EigenBasis, pairs) -> np.ndarray:
-    """Stack augmented pair features row-wise, shape (len(pairs), k+1)."""
+    """Stack augmented pair features row-wise, shape (len(pairs), k+1).
+
+    ``pairs`` is a sequence of (i, j) or an integer (m, 2) array.
+    """
     if len(pairs) == 0:
         return np.empty((0, basis.k + 1))
-    ii = kernels.as_i64([p[0] for p in pairs])
-    jj = kernels.as_i64([p[1] for p in pairs])
+    idx = kernels.as_i64(pairs)
+    if idx.ndim != 2 or idx.shape[1] != 2:
+        raise ValueError("pairs must be (i, j) rows")
+    ii = kernels.as_i64(idx[:, 0])
+    jj = kernels.as_i64(idx[:, 1])
     n = data.n
     if ii.min() < 0 or jj.min() < 0 or ii.max() >= n or jj.max() >= n:
         raise IndexError(f"pair index out of bounds for {n} rows")

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -14,8 +14,8 @@ from bdml.active import (
     entropy,
     laplace_gamma,
     laplace_posterior,
+    laplace_posterior_batch,
     plugin_posterior,
-    q_value,
     score_pairs,
     select,
 )
@@ -51,24 +51,48 @@ def test_pair_pool_canonicalizes():
     assert pool.labeled == ((0, 2, 1),)
     assert pool.labeled_pairs == ((0, 2),)
     assert pool.unlabeled == ((0, 4), (1, 3))
-    assert pool.constraint_items() == ((0, 2, 1),)
     grown = pool.with_labels(((4, 0, -1),))
     assert grown.unlabeled == ((1, 3),)
 
 
 def test_pair_pool_validation():
-    with pytest.raises(ValueError, match="self-pair"):
+    with pytest.raises(ValueError, match=r"self-pair \(1, 1\)"):
         PairPool(candidates=((1, 1),))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=r"duplicate candidate pair \(1, 2\)"):
         PairPool(candidates=((1, 2), (2, 1)))
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match=r"negative index in pair \(-1, 2\)"):
         PairPool(candidates=((-1, 2),))
-    with pytest.raises(ValueError, match="not a candidate"):
+    with pytest.raises(ValueError, match=r"labeled pair \(0, 2\) is not a candidate"):
         PairPool(candidates=((0, 1),), labeled=((0, 2, 1),))
-    with pytest.raises(ValueError, match="labeled twice"):
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) labeled twice"):
         PairPool(candidates=((0, 1),), labeled=((0, 1, 1), (1, 0, -1)))
-    with pytest.raises(ValueError, match="label"):
+    with pytest.raises(ValueError, match="label must be"):
         PairPool(candidates=((0, 1),), labeled=((0, 1, 0),))
+    with pytest.raises(ValueError, match="rows of 2"):
+        PairPool(candidates=((0, 1, 2),))
+
+
+def test_pair_pool_round_trips_a_large_pool():
+    n = 500
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    assert len(pairs) == 124_750
+    rng = np.random.default_rng(3)
+    # shuffled, half of them reversed, to exercise canonicalization
+    given_order = [pairs[p] if p % 2 else pairs[p][::-1]
+                   for p in rng.permutation(len(pairs)).tolist()]
+    picks = rng.choice(len(pairs), size=300, replace=False).tolist()
+    triples = [(pairs[p][1], pairs[p][0], 1 if p % 3 else -1) for p in picks]
+    pool = PairPool(candidates=tuple(given_order), labeled=tuple(triples))
+    assert pool.candidates == pairs
+    assert all(type(v) is int for p in pool.candidates[:5] for v in p)
+    taken = {pairs[p] for p in picks}
+    assert pool.labeled_pairs == tuple(sorted(taken))
+    assert pool.unlabeled == tuple(p for p in pairs if p not in taken)
+    assert [tuple(p) for p in pool.unlabeled_array.tolist()] == list(pool.unlabeled)
+    i, j = pool.unlabeled[0]
+    grown = pool.with_labels([(j, i, 1)])
+    assert grown.candidates == pairs
+    assert grown.unlabeled == pool.unlabeled[1:]
 
 
 def test_pair_score_validation():
@@ -118,11 +142,6 @@ def test_entropy_falls_as_the_margin_grows():
         for b in (1.0, 1.5, 2.5, 4.0, 7.0)
     ]
     assert all(a > b for a, b in zip(hs, hs[1:]))
-
-
-def test_q_value_peaks_at_even_odds():
-    assert q_value([1.0, 1.0], [-1.0, 1.0]) == 0.25
-    assert q_value([1.0, 1.0], [-1.0, 3.0]) < 0.25
 
 
 def test_laplace_gamma_limits():
@@ -214,6 +233,50 @@ def test_laplace_uncertainty_dominates_plugin_in_the_interior():
     assert checked >= 25
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma_scale=st.floats(0.05, 1.0),
+    margins=st.lists(st.floats(-400.0, 400.0), max_size=8),
+)
+def test_laplace_posterior_batch_matches_scalar(seed, sigma_scale, margins):
+    _, sigma, _ = _posterior_instance(seed, scale=sigma_scale)
+    rng = np.random.default_rng(seed)
+    # Margins in the hundreds come from large weights on moderate features;
+    # the last weight sits near 0, so its mode component clamps to 0.  A
+    # margin near 0 cancels terms in the hundreds, leaving ~1e-13 of rounding
+    # in mu.omega that omega.Sigma.omega multiplies into p_plus in both
+    # forms, so the covariance scale stays at most 1 for an atol of 1e-12.
+    mu = np.concatenate(([450.0], 100.0 + 100.0 * rng.gamma(1.5, size=2), [1e-3]))
+    rows = []
+    for margin in [-300.0, 300.0, 0.0] + margins:
+        body = 0.5 + rng.gamma(1.0, size=mu.shape[0] - 1)
+        scale = (margin + mu[0]) / (mu[1:] @ body)
+        rows.append(np.concatenate(([-1.0], scale * body)))
+    w = np.array(rows)
+    assert np.abs(w @ mu).max() >= 299.0
+    clamps = np.minimum(
+        mu - expit(w @ mu)[:, None] * (w @ sigma),
+        mu + expit(-(w @ mu))[:, None] * (w @ sigma),
+    )
+    assert np.any(clamps < 0)  # some mode leaves the orthant and clamps to 0
+    scalar = [laplace_posterior(mu, sigma, row) for row in w]
+    npt.assert_allclose(laplace_posterior_batch(mu, sigma, w), scalar,
+                        rtol=0, atol=1e-12)
+
+
+def test_laplace_posterior_batch_flags_the_underflowing_row():
+    mu = np.array([1.0, 1.0])
+    sigma = 1e308 * np.eye(2)
+    # only the middle row's omega.Sigma.omega overflows to inf
+    w = np.array([[-1.0, 0.0], [-1.0, 1.0], [-1.0, 0.1]])
+    with np.errstate(over="ignore"):
+        for r in (0, 2):
+            laplace_posterior(mu, sigma, w[r])
+        with pytest.raises(ValueError, match=r"row 1 \(omega.Sigma.omega = inf\)"):
+            laplace_posterior_batch(mu, sigma, w)
+
+
 def test_laplace_posterior_flags_total_underflow():
     mu = np.array([1.0, 1.0])
     omega = np.array([-1.0, 1.0])  # mu.omega = 0, both modes at even odds
@@ -301,6 +364,20 @@ def test_select_takes_the_entropy_top(clusters, clusters_basis, posterior):
         score_pairs(scorer, pool.unlabeled), key=lambda s: (-s.entropy, s.pair)
     )
     assert picked == [s.pair for s in ranked[:5]]
+
+
+@pytest.mark.parametrize("strategy", ["BAYES_ACT", "BAYES_VAR"])
+def test_select_matches_sorted_score_pairs(clusters, clusters_basis, posterior,
+                                           strategy):
+    candidates = tuple((i, j) for i in range(12) for j in range(i + 1, 12))
+    pool = PairPool(candidates=candidates, labeled=((0, 2, 1), (3, 9, -1)))
+    scorer = getattr(Scorer, strategy.lower())(clusters, clusters_basis, posterior)
+    ranked = sorted(
+        score_pairs(scorer, pool.unlabeled), key=lambda s: (-s.entropy, s.pair)
+    )
+    for batch in (1, 7, len(ranked)):
+        picked = select(pool, scorer, batch=batch, rng_seed=0)
+        assert picked == [s.pair for s in ranked[:batch]]
 
 
 def test_select_breaks_ties_by_pair_order():

@@ -279,6 +279,9 @@ def test_feature_matrix_matches_pair_feature(clusters, clusters_basis):
         npt.assert_allclose(
             row, pair_feature(clusters, clusters_basis, i, j).omega, atol=1e-12
         )
+    npt.assert_array_equal(
+        feature_matrix(clusters, clusters_basis, np.array(pairs)), mat
+    )
 
 
 def test_feature_matrix_edge_cases(clusters, clusters_basis):
@@ -288,6 +291,8 @@ def test_feature_matrix_edge_cases(clusters, clusters_basis):
         feature_matrix(clusters, clusters_basis, [(1, 1)])
     with pytest.raises(IndexError):
         feature_matrix(clusters, clusters_basis, [(0, 99)])
+    with pytest.raises(ValueError, match=r"\(i, j\) rows"):
+        feature_matrix(clusters, clusters_basis, [(0, 1, 2)])
 
 
 # ---------------------------------------------------------------------------
