@@ -1,10 +1,13 @@
-"""Time the numba kernels against their numpy fallbacks.
+"""Time the numeric kernels and both 1NN searches.
 
-Run as a script. The JIT is warmed up on small inputs first so the
-compile cost does not pollute the numbers; each kernel is checked for
-agreement between the two paths before timing.  Without numba the
-``*_nb`` variants are plain Python loops that take minutes at these
-sizes, so only the numpy fallbacks are timed.
+Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``.
+The first table times each public kernel at a fixed size.  The second
+times ``nn1_exhaustive`` against ``nn1_tree`` at the shapes that set
+``nn1_indices``'s size rule: the ``knn_eval`` benchmark search, a README
+``bdml run`` search, and a large training set with few queries.  The two
+searches must return identical indices at every shape; that check runs
+first, so the one-time ``scipy.spatial`` import is not timed.  Each
+number is the best of several samples.
 """
 
 import timeit
@@ -12,7 +15,6 @@ import timeit
 import numpy as np
 
 from bdml import kernels
-from bdml.accel import NUMBA_ENABLED
 
 SIZES = {
     "pair_sq_proj": dict(n=400, k=10, m=5000),
@@ -20,6 +22,13 @@ SIZES = {
     "weighted_outer_sum": dict(m=5000, k=20),
     "row_quad_forms": dict(m=5000, k=20),
 }
+
+# (label, n_train, n_query, k)
+NN1_SHAPES = (
+    ("knn_eval", 20000, 5000, 5),
+    ("readme_run", 40, 20, 2),
+    ("few queries", 1 << 16, 8, 5),
+)
 
 
 def make_inputs(rng):
@@ -46,33 +55,30 @@ def make_inputs(rng):
     }
 
 
-def best_ms(fn, args, reps=20):
-    return min(timeit.repeat(lambda: fn(*args), number=reps, repeat=5)) / reps * 1e3
+def best_ms(fn, args, number=20, repeat=5):
+    return min(timeit.repeat(lambda: fn(*args), number=number, repeat=repeat)) / number * 1e3
 
 
 def main():
     rng = np.random.default_rng(0)
-    inputs = make_inputs(rng)
-    print(f"numba enabled: {NUMBA_ENABLED}")
-    if not NUMBA_ENABLED:
-        print("numba variants skipped: without numba they run as pure-Python "
-              "loops, minutes per kernel at these sizes")
-        print(f"{'kernel':<20} {'numpy ms':>10}")
-        for name, args in inputs.items():
-            print(f"{name:<20} {best_ms(getattr(kernels, name + '_np'), args):>10.3f}")
-        return
-    print(f"{'kernel':<20} {'numba ms':>10} {'numpy ms':>10} {'speedup':>8}")
-    for name, args in inputs.items():
-        nb = getattr(kernels, name + "_nb")
-        np_ = getattr(kernels, name + "_np")
-        nb(*args)  # JIT warmup / first-call compile
-        if name == "nn1_indices":
-            assert np.array_equal(nb(*args), np_(*args))
-        else:
-            assert np.allclose(nb(*args), np_(*args), atol=1e-10)
-        t_nb = best_ms(nb, args)
-        t_np = best_ms(np_, args)
-        print(f"{name:<20} {t_nb:>10.3f} {t_np:>10.3f} {t_np / t_nb:>7.1f}x")
+    print(f"{'kernel':<20} {'ms':>10}")
+    for name, args in make_inputs(rng).items():
+        print(f"{name:<20} {best_ms(getattr(kernels, name), args):>10.3f}")
+
+    print()
+    print(f"{'nn1 shape':<32} {'exhaustive ms':>14} {'tree ms':>10} {'nn1_indices':>12}")
+    for label, n_train, n_query, k in NN1_SHAPES:
+        args = (kernels.as_f64(rng.normal(size=(n_train, k))),
+                kernels.as_f64(rng.normal(size=(n_query, k))))
+        if not np.array_equal(kernels.nn1_exhaustive(*args), kernels.nn1_tree(*args)):
+            raise SystemExit(f"{label}: exhaustive and tree searches disagree")
+        # the knn_eval exhaustive search takes seconds: time it once per sample
+        number = max(1, min(20, (1 << 22) // (n_train * n_query)))
+        t_exh = best_ms(kernels.nn1_exhaustive, args, number=number, repeat=3)
+        t_tree = best_ms(kernels.nn1_tree, args, number=number, repeat=3)
+        choice = "tree" if kernels.uses_tree(n_train, n_query, k) else "exhaustive"
+        shape = f"{label} {n_train}x{n_query}x{k}"
+        print(f"{shape:<32} {t_exh:>14.3f} {t_tree:>10.3f} {choice:>12}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ acquisition, and metrics evaluated with a 1NN harness.
 """
 
 from . import active, harness, kernels, metric, mle, spectral, vb
-from .accel import NUMBA_ENABLED
 from .active import PairPool, PairScore, Scorer, entropy, laplace_posterior, plugin_posterior, score_pairs, select
 from .harness import ExperimentConfig, ResultRecord, SynthSpec, report, run_active_loop, synth_data
 from .metric import MetricModel, accuracy, distance, euclidean_knn, from_mle, from_posterior, knn_classify
@@ -25,7 +24,6 @@ __all__ = [
     "ExperimentConfig",
     "MetricModel",
     "MleSolution",
-    "NUMBA_ENABLED",
     "PairFeature",
     "PairPool",
     "PairScore",

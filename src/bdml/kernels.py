@@ -1,90 +1,32 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels, one numpy/scipy implementation each.
 
-Each kernel has two interchangeable implementations: a loop version
-compiled with numba (``*_nb``) and a vectorized numpy version (``*_np``).
-The public names dispatch according to :data:`bdml.accel.NUMBA_ENABLED`.
-Both variants are kept importable so tests and the benchmark script can
-compare them directly.
+``nn1_indices`` is the only kernel with a choice inside: an exhaustive
+search for small or high-dimensional inputs, and an exact KD-tree search
+for large low-dimensional ones.  Both return the same indices, ties to
+the lowest training row included.
 """
 
 import numpy as np
 
-from .accel import NUMBA_ENABLED, njit
+# nn1_indices searches exhaustively below this many (train, query) pairs,
+# where the scipy.spatial import and the tree build cost more than they save
+TREE_MIN_PAIRS = 1 << 20
+# ... or below this many queries: building a tree costs as much as 10-16
+# exhaustive passes over the training rows (K = 2-16)
+TREE_MIN_QUERIES = 16
+# ... or above this many dimensions, where KD-tree pruning stops paying off
+TREE_MAX_DIM = 16
+# a tree hit is final only if the runner-up's squared distance exceeds it
+# by this relative margin, far above the ~1e-15 rounding of either search
+TIE_RTOL = 1e-9
+# squared distances below this may hold underflowed terms, whose relative
+# rounding is unbounded; such hits are rechecked exhaustively
+TIE_MIN_SQ = 1e-280
+# elements of one query-block x train x K difference tensor (8 MB)
+BLOCK_ELEMS = 1 << 20
 
 
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compiled when enabled)
-
-
-def _pair_sq_proj_loop(proj, ii, jj):
-    m = ii.shape[0]
-    k = proj.shape[1]
-    out = np.empty((m, k + 1))
-    for c in range(m):
-        out[c, 0] = -1.0
-        for l in range(k):
-            d = proj[ii[c], l] - proj[jj[c], l]
-            out[c, l + 1] = d * d
-    return out
-
-
-def _nn1_indices_loop(train, queries):
-    nq = queries.shape[0]
-    nt = train.shape[0]
-    k = train.shape[1]
-    out = np.empty(nq, dtype=np.int64)
-    for q in range(nq):
-        best = np.inf
-        best_i = 0
-        for t in range(nt):
-            acc = 0.0
-            for l in range(k):
-                d = queries[q, l] - train[t, l]
-                acc += d * d
-            if acc < best:
-                best = acc
-                best_i = t
-        out[q] = best_i
-    return out
-
-
-def _weighted_outer_sum_loop(rows, coef):
-    m, k = rows.shape
-    out = np.zeros((k, k))
-    for c in range(m):
-        w = coef[c]
-        for a in range(k):
-            va = w * rows[c, a]
-            for b in range(k):
-                out[a, b] += va * rows[c, b]
-    return out
-
-
-def _row_quad_forms_loop(rows, mat):
-    m, k = rows.shape
-    out = np.empty(m)
-    for c in range(m):
-        acc = 0.0
-        for a in range(k):
-            inner = 0.0
-            for b in range(k):
-                inner += mat[a, b] * rows[c, b]
-            acc += rows[c, a] * inner
-        out[c] = acc
-    return out
-
-
-pair_sq_proj_nb = njit(cache=True)(_pair_sq_proj_loop)
-nn1_indices_nb = njit(cache=True)(_nn1_indices_loop)
-weighted_outer_sum_nb = njit(cache=True)(_weighted_outer_sum_loop)
-row_quad_forms_nb = njit(cache=True)(_row_quad_forms_loop)
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-
-
-def pair_sq_proj_np(proj, ii, jj):
+def pair_sq_proj(proj, ii, jj):
     diff = proj[ii] - proj[jj]
     out = np.empty((diff.shape[0], diff.shape[1] + 1))
     out[:, 0] = -1.0
@@ -92,8 +34,14 @@ def pair_sq_proj_np(proj, ii, jj):
     return out
 
 
-def nn1_indices_np(train, queries, chunk=256):
+def nn1_exhaustive(train, queries):
+    """Index of each query's nearest training row, ties to the lowest index.
+
+    Compares every query with every training row, a block of queries at
+    a time so the difference tensor stays within ``BLOCK_ELEMS``.
+    """
     out = np.empty(queries.shape[0], dtype=np.int64)
+    chunk = max(1, BLOCK_ELEMS // max(1, train.shape[0] * train.shape[1]))
     for start in range(0, queries.shape[0], chunk):
         block = queries[start : start + chunk]
         d2 = ((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=-1)
@@ -101,27 +49,55 @@ def nn1_indices_np(train, queries, chunk=256):
     return out
 
 
-def weighted_outer_sum_np(rows, coef):
+def nn1_tree(train, queries):
+    """:func:`nn1_exhaustive` through a KD-tree, with the same results.
+
+    The tree's nearest row is kept when the second nearest is farther by
+    more than ``TIE_RTOL``: no rounding can then reorder the two.  Every
+    other query (a near tie, a duplicate row, a distance near underflow
+    or overflow, a one-row training set) is searched exhaustively, as is
+    the whole search when an input holds inf or nan, which the tree
+    rejects.
+    """
+    from scipy.spatial import cKDTree
+
+    if not (np.isfinite(train).all() and np.isfinite(queries).all()):
+        return nn1_exhaustive(train, queries)
+    dist, idx = cKDTree(train).query(queries, k=2)
+    d1 = dist[:, 0] * dist[:, 0]
+    d2 = dist[:, 1] * dist[:, 1]
+    sure = (d1 >= TIE_MIN_SQ) & np.isfinite(d2) & (d2 > d1 * (1.0 + TIE_RTOL))
+    out = idx[:, 0].astype(np.int64)
+    if not sure.all():
+        out[~sure] = nn1_exhaustive(train, queries[~sure])
+    return out
+
+
+def uses_tree(n_train, n_query, k) -> bool:
+    """Whether :func:`nn1_indices` searches these shapes with a KD-tree."""
+    return (
+        k <= TREE_MAX_DIM
+        and n_query >= TREE_MIN_QUERIES
+        and n_train * n_query >= TREE_MIN_PAIRS
+    )
+
+
+def nn1_indices(train, queries):
+    """Index of each query's nearest training row, ties to the lowest index.
+
+    The search strategy depends only on the input shapes.
+    """
+    if uses_tree(train.shape[0], queries.shape[0], train.shape[1]):
+        return nn1_tree(train, queries)
+    return nn1_exhaustive(train, queries)
+
+
+def weighted_outer_sum(rows, coef):
     return (rows * coef[:, None]).T @ rows
 
 
-def row_quad_forms_np(rows, mat):
+def row_quad_forms(rows, mat):
     return np.einsum("ij,jk,ik->i", rows, mat, rows)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if NUMBA_ENABLED:
-    pair_sq_proj = pair_sq_proj_nb
-    nn1_indices = nn1_indices_nb
-    weighted_outer_sum = weighted_outer_sum_nb
-    row_quad_forms = row_quad_forms_nb
-else:
-    pair_sq_proj = pair_sq_proj_np
-    nn1_indices = nn1_indices_np
-    weighted_outer_sum = weighted_outer_sum_np
-    row_quad_forms = row_quad_forms_np
 
 
 def as_f64(a):

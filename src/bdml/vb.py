@@ -184,7 +184,10 @@ def e_step(features, labels, xi, prior: PriorConfig, *, clamp: bool = True):
     downstream convention; pass ``clamp=False`` inside bound-monotonicity
     loops.
     """
-    w, y, x = _as_constraint_arrays(features, labels, xi)
+    return _e_step(*_as_constraint_arrays(features, labels, xi), prior, clamp)
+
+
+def _e_step(w, y, x, prior: PriorConfig, clamp: bool):
     dim = w.shape[1]
     precision = prior.delta * np.eye(dim)
     if w.shape[0]:
@@ -217,8 +220,10 @@ def elbo(features, labels, mu, sigma, xi, prior: PriorConfig) -> float:
     prior give exactly 0.
     """
     w, y, x = _as_constraint_arrays(features, labels, xi)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = kernels.as_f64(sigma)
+    return _elbo(w, y, np.asarray(mu, dtype=np.float64), kernels.as_f64(sigma), x, prior)
+
+
+def _elbo(w, y, mu, sigma, x, prior: PriorConfig) -> float:
     dim = mu.shape[0]
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0:
@@ -263,21 +268,26 @@ def fit(
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
     constraints.check_bounds(data.n)
-    w = feature_matrix(data, basis, constraints.pairs)
-    y = constraints.labels
+    w, y, xi = _as_constraint_arrays(
+        feature_matrix(data, basis, constraints.pairs),
+        constraints.labels,
+        np.full(len(constraints), float(xi0)),
+    )
 
     dim = basis.k + 1
     mu = np.full(dim, float(prior.gamma0))
     sigma = np.eye(dim) / prior.delta
-    xi = np.full(len(constraints), float(xi0))
-    bound = elbo(w, y, mu, sigma, xi, prior)
+    bound = _elbo(w, y, mu, sigma, xi, prior)
     trajectory = [bound]
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        mu, sigma = e_step(w, y, xi, prior, clamp=False)
-        xi = m_step(w, mu, sigma) if len(constraints) else xi
-        previous, bound = bound, elbo(w, y, mu, sigma, xi, prior)
+        mu, sigma = _e_step(w, y, xi, prior, clamp=False)
+        if len(constraints):
+            xi = m_step(w, mu, sigma)
+            if np.any(xi <= 0):
+                raise ValueError("all xi must be strictly positive")
+        previous, bound = bound, _elbo(w, y, mu, sigma, xi, prior)
         trajectory.append(bound)
         if abs(bound - previous) < tol * max(1.0, abs(previous)):
             converged = True

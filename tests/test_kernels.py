@@ -1,11 +1,15 @@
-"""The numba loops and the numpy fallbacks must be interchangeable."""
+"""The kernels must match their dense and exhaustive oracles exactly.
 
-import os
-import subprocess
-import sys
+``nn1_indices`` picks between an exhaustive search and a KD-tree by input
+shape; both branches are also driven directly and must return the same
+indices as a brute-force argmin, ties to the lowest training row.
+"""
 
 import numpy as np
 import numpy.testing as npt
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bdml import kernels
 
@@ -18,13 +22,20 @@ def _instance(seed, m=14, n=11, k=4):
     return proj, kernels.as_i64(ii), kernels.as_i64(jj)
 
 
+def _brute_nn1(train, queries):
+    """Independent oracle: one argmin per query, first minimum wins."""
+    return np.array(
+        [np.argmin(((q - train) ** 2).sum(axis=1)) for q in queries], dtype=np.int64
+    )
+
+
 def test_pair_sq_proj_variants_agree():
     proj, ii, jj = _instance(0)
-    a = kernels.pair_sq_proj_nb(kernels.as_f64(proj), ii, jj)
-    b = kernels.pair_sq_proj_np(proj, ii, jj)
-    npt.assert_allclose(a, b, rtol=0, atol=1e-14)
-    assert np.all(a[:, 0] == -1.0)
-    assert np.all(a[:, 1:] >= 0)
+    out = kernels.pair_sq_proj(kernels.as_f64(proj), ii, jj)
+    oracle = np.column_stack([-np.ones(ii.shape[0]), (proj[ii] - proj[jj]) ** 2])
+    npt.assert_array_equal(out, oracle)
+    assert np.all(out[:, 0] == -1.0)
+    assert np.all(out[:, 1:] >= 0)
 
 
 def test_pair_sq_proj_matches_direct_squares():
@@ -39,29 +50,94 @@ def test_nn1_variants_agree_with_brute_force():
     rng = np.random.default_rng(2)
     train = kernels.as_f64(rng.normal(size=(9, 3)))
     queries = kernels.as_f64(rng.normal(size=(5, 3)))
-    expected = np.array(
-        [np.argmin(((q - train) ** 2).sum(axis=1)) for q in queries]
-    )
-    npt.assert_array_equal(kernels.nn1_indices_nb(train, queries), expected)
-    npt.assert_array_equal(kernels.nn1_indices_np(train, queries), expected)
+    expected = _brute_nn1(train, queries)
+    npt.assert_array_equal(kernels.nn1_indices(train, queries), expected)
+    npt.assert_array_equal(kernels.nn1_exhaustive(train, queries), expected)
+    npt.assert_array_equal(kernels.nn1_tree(train, queries), expected)
 
 
 def test_nn1_tie_goes_to_lowest_index():
     row = np.array([1.0, 2.0])
-    train = kernels.as_f64(np.stack([row, row, row + 1.0]))
-    queries = kernels.as_f64(row[None, :])
-    assert kernels.nn1_indices_nb(train, queries)[0] == 0
-    assert kernels.nn1_indices_np(train, queries)[0] == 0
+    train = kernels.as_f64(np.stack([row + 1.0, row, row, row + 1.0]))
+    queries = kernels.as_f64(np.stack([row, row + 1.0, row + 0.5]))
+    for search in (kernels.nn1_indices, kernels.nn1_exhaustive, kernels.nn1_tree):
+        npt.assert_array_equal(search(train, queries), [1, 0, 0])
 
 
-def test_nn1_numpy_chunking_boundary():
+def test_nn1_numpy_chunking_boundary(monkeypatch):
     rng = np.random.default_rng(3)
     train = kernels.as_f64(rng.normal(size=(4, 2)))
     queries = kernels.as_f64(rng.normal(size=(7, 2)))
-    npt.assert_array_equal(
-        kernels.nn1_indices_np(train, queries, chunk=3),
-        kernels.nn1_indices_np(train, queries),
-    )
+    expected = _brute_nn1(train, queries)
+    # blocks of 3, 3 and 1 queries; then one query per block
+    for budget in (3 * 4 * 2, 1):
+        monkeypatch.setattr(kernels, "BLOCK_ELEMS", budget)
+        npt.assert_array_equal(kernels.nn1_exhaustive(train, queries), expected)
+
+
+_grid = st.integers(-2, 2).map(float)
+
+
+@st.composite
+def _tie_heavy_search(draw):
+    """Small integer-grid train and query sets, full of exact ties."""
+    k = draw(st.integers(1, 3))
+    train = draw(arrays(np.float64, st.tuples(st.integers(1, 25), st.just(k)), elements=_grid))
+    fresh = draw(arrays(np.float64, st.tuples(st.integers(0, 15), st.just(k)), elements=_grid))
+    # queries sitting on training rows, duplicates included
+    on_rows = draw(st.lists(st.integers(0, train.shape[0] - 1), max_size=6))
+    queries = np.concatenate([fresh, train[on_rows]])
+    if draw(st.booleans()):
+        train = np.concatenate([train, train[: draw(st.integers(1, 4))]])
+    # squared distances that underflow to subnormals or overflow to inf
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-160, 1e155]))
+    return kernels.as_f64(scale * train), kernels.as_f64(scale * queries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_search())
+@example((np.zeros((1, 2)), np.array([[1.0, 1.0], [0.0, 0.0]])))  # one training row
+@example((np.zeros((3, 2)), np.empty((0, 2))))  # no queries
+@example((np.ones((4, 1)), np.ones((2, 1))))  # every row a duplicate of the query
+@example((np.array([[0.0, np.inf], [1.0, 1.0]]), np.array([[1.0, 1.0], [np.nan, 0.0]])))
+def test_nn1_tree_matches_the_exhaustive_oracle_on_ties(search):
+    train, queries = search
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = kernels.nn1_tree(train, queries)
+        assert got.dtype == np.int64 and got.shape == (queries.shape[0],)
+        npt.assert_array_equal(got, _brute_nn1(train, queries))
+        npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
+
+
+def test_nn1_large_search_takes_the_tree_and_stays_exact(monkeypatch):
+    rng = np.random.default_rng(6)
+    train = rng.normal(size=(2048, 3)).round(1)
+    train[1000:1100] = train[:100]  # duplicate rows: exact ties
+    queries = np.concatenate([rng.normal(size=(448, 3)), train[rng.integers(0, 2048, 64)]])
+    assert train.shape[0] * queries.shape[0] >= kernels.TREE_MIN_PAIRS
+    calls = []
+    tree = kernels.nn1_tree
+    monkeypatch.setattr(kernels, "nn1_tree", lambda t, q: calls.append(1) or tree(t, q))
+    got = kernels.nn1_indices(kernels.as_f64(train), kernels.as_f64(queries))
+    assert calls == [1]
+    npt.assert_array_equal(got, _brute_nn1(train, queries))
+
+
+def test_nn1_size_rule_keeps_small_and_wide_searches_exhaustive(monkeypatch):
+    def no_tree(train, queries):
+        raise AssertionError("tree branch taken")
+
+    monkeypatch.setattr(kernels, "nn1_tree", no_tree)
+    rng = np.random.default_rng(7)
+    for n_train, n_query, k in (
+        (40, 20, 2),  # a README-sized search
+        (1 << 16, kernels.TREE_MIN_QUERIES - 1, 2),  # too few queries
+        (1024, 1024, kernels.TREE_MAX_DIM + 1),  # too many dimensions
+    ):
+        train = rng.normal(size=(n_train, k))
+        queries = rng.normal(size=(n_query, k))
+        got = kernels.nn1_indices(train, queries)
+        npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
 
 
 def test_weighted_outer_sum_variants_agree():
@@ -69,8 +145,7 @@ def test_weighted_outer_sum_variants_agree():
     rows = kernels.as_f64(rng.normal(size=(13, 5)))
     coef = kernels.as_f64(rng.gamma(1.0, size=13))
     oracle = sum(c * np.outer(r, r) for c, r in zip(coef, rows))
-    npt.assert_allclose(kernels.weighted_outer_sum_nb(rows, coef), oracle, atol=1e-12)
-    npt.assert_allclose(kernels.weighted_outer_sum_np(rows, coef), oracle, atol=1e-12)
+    npt.assert_allclose(kernels.weighted_outer_sum(rows, coef), oracle, atol=1e-12)
 
 
 def test_row_quad_forms_variants_agree():
@@ -79,8 +154,7 @@ def test_row_quad_forms_variants_agree():
     mat = rng.normal(size=(4, 4))
     mat = kernels.as_f64(mat + mat.T)
     oracle = np.array([r @ mat @ r for r in rows])
-    npt.assert_allclose(kernels.row_quad_forms_nb(rows, mat), oracle, atol=1e-12)
-    npt.assert_allclose(kernels.row_quad_forms_np(rows, mat), oracle, atol=1e-12)
+    npt.assert_allclose(kernels.row_quad_forms(rows, mat), oracle, atol=1e-12)
 
 
 def test_coercion_helpers():
@@ -88,31 +162,3 @@ def test_coercion_helpers():
     assert f.dtype == np.float64 and f.flags["C_CONTIGUOUS"]
     i = kernels.as_i64([1.0, 2.0])
     assert i.dtype == np.int64 and i.flags["C_CONTIGUOUS"]
-
-
-def _dispatch_flag(env_value):
-    env = dict(os.environ)
-    env.pop("BDML_DISABLE_NUMBA", None)
-    if env_value is not None:
-        env["BDML_DISABLE_NUMBA"] = env_value
-    code = (
-        "import bdml.kernels as k\n"
-        "import bdml.accel as a\n"
-        "print(a.NUMBA_ENABLED, k.pair_sq_proj is k.pair_sq_proj_np)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    enabled, is_np = out.stdout.split()
-    return enabled == "True", is_np == "True"
-
-
-def test_env_flag_selects_numpy_path():
-    enabled, is_np = _dispatch_flag("1")
-    assert not enabled and is_np
-
-
-def test_default_path_uses_numba_when_available():
-    enabled, is_np = _dispatch_flag(None)
-    assert enabled != is_np

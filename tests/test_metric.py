@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import bdml
 from bdml.metric import (
     MetricModel,
     accuracy,
@@ -224,6 +230,27 @@ def test_metric_beats_euclidean_when_one_axis_is_noise():
         knn_classify(informed, data, queries), queries.labels
     )
     assert informed_acc == 1.0
+
+
+def test_readme_sized_1nn_never_imports_scipy_spatial():
+    # scipy.spatial costs ~0.1 s and ~5 MB on import; only large searches use it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import bdml\n"
+        "data = bdml.synth_data(bdml.SynthSpec(classes=3, per_class=20, dim=10, spread=0.3), seed=0)\n"
+        "basis = bdml.eigen_basis(data, k=2, standardize=False)\n"
+        "model = bdml.MetricModel(basis=basis, weights=np.ones(2), threshold=0.5)\n"
+        "train, test = data.subset(range(40)), data.subset(range(40, 60))\n"
+        "bdml.knn_classify(model, train, test)\n"
+        "bdml.euclidean_knn(train, test)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
+    )
+    src = str(Path(bdml.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from bdml import vb
 from bdml.spectral import ConstraintSet
 from bdml.vb import (
     LAMBDA_SERIES_CUTOFF,
@@ -292,6 +293,21 @@ def test_fit_validation(clusters, clusters_basis):
         fit(ConstraintSet(()), clusters, clusters_basis, max_iters=0)
     with pytest.raises(IndexError):
         fit(ConstraintSet(((0, 999, 1),)), clusters, clusters_basis)
+
+
+def test_fit_rejects_a_nonpositive_xi_at_start_and_after_each_m_step(
+    clusters, clusters_basis, monkeypatch
+):
+    constraints = ConstraintSet(((0, 1, 1), (0, 20, -1)))
+    with pytest.raises(ValueError, match="strictly positive"):
+        fit(constraints, clusters, clusters_basis, xi0=0.0)
+    calls = []
+    monkeypatch.setattr(
+        vb, "m_step", lambda w, mu, sigma: calls.append(1) or np.zeros(w.shape[0])
+    )
+    with pytest.raises(ValueError, match="strictly positive"):
+        fit(constraints, clusters, clusters_basis)
+    assert len(calls) == 1  # raised in the first iteration, not at the end
 
 
 # ---------------------------------------------------------------------------
