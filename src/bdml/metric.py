@@ -33,6 +33,8 @@ class MetricModel:
             )
         if np.any(w < 0):
             raise ValueError("weights must be elementwise nonnegative")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if not np.isfinite(self.threshold) or self.threshold < 0:
             raise ValueError("threshold must be finite and nonnegative")
         w = np.ascontiguousarray(w)

@@ -344,34 +344,34 @@ def load_csv(path) -> DataMatrix:
                 f"{path}: header must be f0..f{d-1} with one optional "
                 f"'label' column, got {header}"
             )
-        cols = {name: idx for idx, name in enumerate(header)}
-        feat_idx = [cols[name] for name in expected]
-        label_idx = cols.get("label")
+        label_idx = header.index("label") if has_label else None
 
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
-            try:
-                vals = [float(row[c]) for c in feat_idx]
-            except ValueError:
-                raise ValueError(f"{path}: unparseable number in row {lineno}") from None
-            if not all(np.isfinite(v) for v in vals):
-                raise ValueError(f"{path}: non-finite value in row {lineno}")
-            rows.append(vals)
-            if has_label:
-                try:
-                    labels.append(int(row[label_idx]))
-                except ValueError:
+        flat, labels, lineno = [], [], 1
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise ValueError(
-                        f"{path}: unparseable label in row {lineno}"
-                    ) from None
-    if not rows:
+                        f"{path}: row {lineno} has {len(row)} fields, "
+                        f"expected {len(header)}"
+                    )
+                label = row.pop(label_idx) if has_label else None  # leaves f0..f{d-1}
+                try:
+                    flat += tuple(map(float, row))  # a failing row adds nothing
+                except ValueError:
+                    raise ValueError(f"{path}: unparseable number in row {lineno}") from None
+                if has_label:
+                    try:
+                        labels.append(int(label))
+                    except ValueError:
+                        raise ValueError(f"{path}: unparseable label in row {lineno}") from None
+        finally:  # on errors too: a non-finite value in an earlier row comes first
+            x = np.array(flat, dtype=np.float64)
+            bad_row = np.flatnonzero(~np.isfinite(x))[:1] // d + 2
+            if bad_row.size:
+                raise ValueError(f"{path}: non-finite value in row {bad_row[0]}") from None
+    if lineno == 1:
         raise ValueError(f"{path}: no data rows")
-    return DataMatrix(np.array(rows), np.array(labels) if has_label else None)
+    return DataMatrix(x.reshape(lineno - 1, d), np.array(labels) if has_label else None)
 
 
 def save_csv(data: DataMatrix, path) -> None:

@@ -75,6 +75,9 @@ def test_model_validation():
         _model(basis, np.ones(3))
     with pytest.raises(ValueError, match="nonnegative"):
         _model(basis, np.array([1.0, -0.1]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            _model(basis, np.array([bad, 1.0]))
     with pytest.raises(ValueError, match="threshold"):
         _model(basis, np.ones(2), threshold=-1.0)
     with pytest.raises(ValueError, match="threshold"):

@@ -1,6 +1,10 @@
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdml.spectral import (
     ConstraintSet,
@@ -316,6 +320,17 @@ def test_csv_round_trip_without_labels(tmp_path):
     assert back.labels is None
 
 
+def test_csv_round_trip_single_column(tmp_path):
+    data = DataMatrix(np.array([[0.5], [-1e300], [2.0**-1074]]))
+    path = tmp_path / "one.csv"
+    save_csv(data, path)
+    assert path.read_text().splitlines()[0] == "f0"
+    back = load_csv(path)
+    assert back.x.tobytes() == data.x.tobytes()
+    assert back.x.shape == (3, 1)
+    assert back.labels is None
+
+
 def test_csv_label_column_position_is_free(tmp_path):
     path = tmp_path / "mid.csv"
     path.write_text("f0,label,f1\n1.0,4,2.0\n")
@@ -334,6 +349,9 @@ def test_csv_label_column_position_is_free(tmp_path):
         ("f0,f1\n1.0\n", "row 2 has 1 fields"),
         ("f0,f1\n1.0,zonk\n", "unparseable number in row 2"),
         ("f0,f1\n1.0,2.0\ninf,0.0\n", "non-finite value in row 3"),
+        ("f0,f1\nnan,1.0\n1.0,zonk\n", "non-finite value in row 2"),
+        ("f0,f1\n1.0,2.0\ninf,zonk\n", "unparseable number in row 3"),
+        ("f0,f1\n1.0,2.0\n\n3.0,4.0\n", "row 3 has 0 fields"),
         ("f0,label\n1.0,maybe\n", "unparseable label in row 2"),
     ],
 )
@@ -342,3 +360,108 @@ def test_csv_errors_name_the_offence(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(ValueError, match=message):
         load_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# load_csv against the row-by-row parser it replaced
+
+
+def _reference_load_csv(path) -> DataMatrix:
+    """Row-by-row CSV parser, one numpy check per value: the oracle."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        has_label = "label" in header
+        feature_names = [h for h in header if h != "label"]
+        d = len(feature_names)
+        expected = [f"f{c}" for c in range(d)]
+        if feature_names != expected or header.count("label") > 1:
+            raise ValueError(
+                f"{path}: header must be f0..f{d-1} with one optional "
+                f"'label' column, got {header}"
+            )
+        cols = {name: idx for idx, name in enumerate(header)}
+        feat_idx = [cols[name] for name in expected]
+        label_idx = cols.get("label")
+
+        rows, labels = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(row)} fields, "
+                    f"expected {len(header)}"
+                )
+            try:
+                vals = [float(row[c]) for c in feat_idx]
+            except ValueError:
+                raise ValueError(f"{path}: unparseable number in row {lineno}") from None
+            if not all(np.isfinite(v) for v in vals):
+                raise ValueError(f"{path}: non-finite value in row {lineno}")
+            rows.append(vals)
+            if has_label:
+                try:
+                    labels.append(int(row[label_idx]))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: unparseable label in row {lineno}"
+                    ) from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return DataMatrix(np.array(rows), np.array(labels) if has_label else None)
+
+
+NUMBER_TOKENS = ["0", "-2.5", " 1.5 ", "1e-320", "1e400", "-1e400", "inf",
+                 "-Infinity", "nan", "NaN", "zonk", "", "1_0", "0x10", "+.5"]
+LABEL_TOKENS = ["0", "7", "-3", "+3", " 4 ", "3.0", "1_0", "maybe", "",
+                "99999999999999999999"]
+
+
+@st.composite
+def csv_bodies(draw):
+    """Header f0..f{d-1} with the label anywhere, then good and bad rows."""
+    d = draw(st.integers(1, 3))
+    names = [f"f{c}" for c in range(d)]
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, d)), "label")
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        width = len(names)
+        if kind == "ragged":
+            width += draw(st.sampled_from([-1, 1]))
+        fields = []
+        for c in range(width):
+            if c < len(names) and names[c] == "label":
+                fields.append(draw(st.sampled_from(LABEL_TOKENS)))
+            elif draw(st.integers(0, 3)):
+                fields.append(repr(draw(st.floats(allow_nan=False))))
+            else:
+                fields.append(draw(st.sampled_from(NUMBER_TOKENS)))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(loader, path):
+    try:
+        data = loader(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    labels = None
+    if data.labels is not None:
+        labels = (data.labels.dtype, data.labels.tobytes())
+    return ("data", data.x.shape, data.x.tobytes(), labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=csv_bodies())
+def test_load_csv_matches_the_row_by_row_reference(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_text(body, encoding="utf-8")
+    assert _outcome(load_csv, path) == _outcome(_reference_load_csv, path)
