@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, metric, mle, vb
+from . import harness, metric, vb
 from .active import STRATEGIES as SCORER_STRATEGIES
-from .active import PairPool, Scorer, rank_pairs
-from .harness import EXPERIMENT_STRATEGIES, ExperimentConfig, SynthSpec
+from .active import PairPool, rank_pairs
+from .harness import EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, SynthSpec
 from .spectral import ConstraintSet, eigen_basis, load_csv
 
 
@@ -140,40 +140,26 @@ def cmd_run(args) -> int:
 
 
 def cmd_score_pairs(args) -> int:
+    fit = STRATEGY_TABLE[args.strategy].fit
+    if args.save_model and fit is None:
+        raise ValueError(f"{args.strategy} fits no model, nothing to save")
+    prior = vb.PriorConfig(gamma0=args.gamma0, delta=args.delta) if fit == "vb" else None
     data = load_csv(args.data)
     if data.labels is None:
         raise ValueError("score-pairs needs a labeled CSV (oracle labels)")
+    pool = PairPool(candidates=np.column_stack(np.triu_indices(data.n, 1)))
+    if not 1 <= args.initial_pairs <= len(pool.candidates):
+        raise ValueError(
+            f"--initial-pairs must lie in [1, {len(pool.candidates)}], "
+            f"got {args.initial_pairs}"
+        )
     basis = eigen_basis(data, k=args.k, energy=args.energy,
                         center=not args.no_center,
                         standardize=not args.no_standardize)
-    pairs = np.column_stack(np.triu_indices(data.n, 1))
-    pool = PairPool(candidates=pairs)
-    rng = np.random.default_rng(args.seed)
-    if not 1 <= args.initial_pairs <= len(pairs):
-        raise ValueError(
-            f"--initial-pairs must lie in [1, {len(pairs)}], got {args.initial_pairs}"
-        )
-    picks = rng.choice(len(pairs), size=args.initial_pairs, replace=False)
-    pool = pool.with_labels(
-        (i, j, harness.oracle_label(data, i, j)) for i, j in pairs[picks].tolist()
+    pool = harness.label_initial_pairs(pool, data, args.initial_pairs, args.seed)
+    model, scorer = harness.fit_strategy(
+        args.strategy, ConstraintSet(pool.labeled), data, basis, prior, args.reg
     )
-    constraints = ConstraintSet(pool.labeled)
-
-    model = None
-    if args.strategy == "RANDOM":
-        scorer = Scorer.random()
-    elif args.strategy == "MLE_ACT":
-        sol = mle.mle_fit(constraints, data, basis, reg=args.reg)
-        scorer = Scorer.mle_act(data, basis, sol.gamma)
-        model = metric.from_mle(sol, basis)
-    else:
-        prior = vb.PriorConfig(gamma0=args.gamma0, delta=args.delta)
-        post = vb.fit(constraints, data, basis, prior)
-        model = metric.from_posterior(post, basis)
-        if args.strategy == "BAYES_VAR":
-            scorer = Scorer.bayes_var(data, basis, post)
-        else:
-            scorer = Scorer.bayes_act(data, basis, post)
 
     ranked, p_plus, h = rank_pairs(scorer, pool.unlabeled_array)
     rows = [["i", "j", "p_plus", "entropy", "strategy"]]
@@ -188,8 +174,6 @@ def cmd_score_pairs(args) -> int:
         writer.writerows(rows)
 
     if args.save_model:
-        if model is None:
-            raise ValueError("RANDOM fits no model, nothing to save")
         with open(args.save_model, "w", encoding="utf-8") as fh:
             json.dump(model.to_dict(), fh, indent=2)
             fh.write("\n")

@@ -12,7 +12,8 @@ import csv
 import json
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,27 @@ from . import metric, mle, vb
 from .active import PairPool, Scorer, select
 from .spectral import ConstraintSet, DataMatrix, EigenBasis, eigen_basis, load_csv
 
+
+class Strategy(NamedTuple):
+    """One row of the strategy table.
+
+    ``fit`` names the estimator: ``"mle"`` runs ``mle.mle_fit``, ``"vb"``
+    runs ``vb.fit`` and None fits nothing.  ``scorer`` is the ``Scorer``
+    tag of the acquisition rule, None for a strategy that never acquires.
+    """
+
+    fit: str | None
+    scorer: str | None
+
+
+STRATEGY_TABLE = {
+    "RANDOM": Strategy(None, "RANDOM"),
+    "RANDOM_MLE": Strategy("mle", "RANDOM"),
+    "MLE_ACT": Strategy("mle", "MLE_ACT"),
+    "BAYES_ACT": Strategy("vb", "BAYES_ACT"),
+    "BAYES_VAR": Strategy("vb", "BAYES_VAR"),
+    "EUCLID": Strategy(None, None),
+}
 EXPERIMENT_STRATEGIES = ("RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID")
 RESULT_COLUMNS = ("strategy", "repeat", "iteration", "n_pairs", "accuracy",
                   "runtime_ms", "seed")
@@ -34,10 +56,6 @@ def _seed_ints(*parts) -> list:
         else:
             out.append(zlib.crc32(str(p).encode("utf-8")))
     return out
-
-
-def _rng(*parts) -> np.random.Generator:
-    return np.random.default_rng(_seed_ints(*parts))
 
 
 @dataclass(frozen=True)
@@ -58,10 +76,6 @@ class SynthSpec:
             raise ValueError("dim must be at least 1")
         if not self.spread > 0:
             raise ValueError("spread must be positive")
-
-    def to_dict(self) -> dict:
-        return {"classes": self.classes, "per_class": self.per_class,
-                "dim": self.dim, "spread": self.spread}
 
 
 @dataclass(frozen=True)
@@ -110,28 +124,9 @@ class ExperimentConfig:
         if len(set(strategies)) != len(strategies):
             raise ValueError("duplicate strategies")
         object.__setattr__(self, "strategies", strategies)
-
-    def to_dict(self) -> dict:
-        return {
-            "data_csv": self.data_csv,
-            "synth": None if self.synth is None else self.synth.to_dict(),
-            "pool_size": self.pool_size,
-            "n_test": self.n_test,
-            "initial_pairs": self.initial_pairs,
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "strategies": list(self.strategies),
-            "gamma0": self.gamma0,
-            "delta": self.delta,
-            "k": self.k,
-            "energy": self.energy,
-            "center": self.center,
-            "standardize": self.standardize,
-            "reg": self.reg,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "measure_runtime": self.measure_runtime,
-        }
+        vb.PriorConfig(gamma0=self.gamma0, delta=self.delta)
+        if not self.reg >= 0:
+            raise ValueError(f"reg must be >= 0, got {self.reg}")
 
 
 @dataclass(frozen=True)
@@ -219,6 +214,39 @@ def build_pool(data: DataMatrix, pool_size: int, seed):
     return data.subset(rows), PairPool(candidates=pairs)
 
 
+def label_initial_pairs(pool: PairPool, data: DataMatrix, n: int, seed) -> PairPool:
+    """Have the oracle label ``n`` candidates of ``pool``, drawn without replacement."""
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(pool.candidates), size=n, replace=False).tolist()
+    pairs = [pool.candidates[p] for p in picks]
+    return pool.with_labels((i, j, oracle_label(data, i, j)) for i, j in pairs)
+
+
+def fit_strategy(name, constraints, data, basis, prior, reg):
+    """Run the fit of strategy ``name`` and build its scorer.
+
+    Returns ``(model, scorer)``; either is None where the strategy's
+    table row has no fit or no scorer.  ``prior`` is read by the ``vb``
+    fit only, ``reg`` by the ``mle`` fit only.  The fits are looked up
+    on their modules at call time, so a wrapped ``vb.fit`` or
+    ``mle.mle_fit`` is the one that runs.
+    """
+    fit, tag = STRATEGY_TABLE[name]
+    model = gamma = sigma = None
+    if fit == "mle":
+        sol = mle.mle_fit(constraints, data, basis, reg=reg)
+        model, gamma = metric.from_mle(sol, basis), sol.gamma
+    elif fit == "vb":
+        post = vb.fit(constraints, data, basis, prior)
+        model, gamma = metric.from_posterior(post, basis), post.mu
+        sigma = post.sigma if tag == "BAYES_VAR" else None
+    if tag is None:
+        return model, None
+    if tag == "RANDOM":
+        return model, Scorer.random()
+    return model, Scorer(tag, data, basis, gamma, sigma)
+
+
 @dataclass(frozen=True)
 class _RepeatState:
     train: DataMatrix
@@ -237,7 +265,7 @@ def _repeat_data(config: ExperimentConfig, fixed: DataMatrix | None, repeat: int
 
 def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> _RepeatState:
     n = data.n
-    rng_split = _rng(config.seed, repeat, "split")
+    rng_split = np.random.default_rng(_seed_ints(config.seed, repeat, "split"))
     test_rows = np.sort(rng_split.choice(n, size=config.n_test, replace=False))
     train_rows = np.setdiff1d(np.arange(n), test_rows)
     train = data.subset(train_rows)
@@ -249,51 +277,29 @@ def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> 
     pool_data, pool = build_pool(
         train, config.pool_size, _seed_ints(config.seed, repeat, "pool")
     )
-    rng_init = _rng(config.seed, repeat, "init")
-    picks = rng_init.choice(
-        len(pool.candidates), size=config.initial_pairs, replace=False
+    pool = label_initial_pairs(
+        pool, pool_data, config.initial_pairs, _seed_ints(config.seed, repeat, "init")
     )
-    triples = []
-    for p in picks:
-        i, j = pool.candidates[int(p)]
-        triples.append((i, j, oracle_label(pool_data, i, j)))
     return _RepeatState(
-        train=train, test=test, basis=basis, pool_data=pool_data,
-        pool=pool.with_labels(triples),
+        train=train, test=test, basis=basis, pool_data=pool_data, pool=pool
     )
 
 
-def _fit_and_classify(config, state, strategy, pool):
-    """One refit-from-scratch plus test-set prediction; returns scorer state."""
-    if strategy == "EUCLID":
-        return metric.euclidean_knn(state.train, state.test), None
-    constraints = ConstraintSet(pool.labeled)
-    if strategy in ("RANDOM_MLE", "MLE_ACT"):
-        sol = mle.mle_fit(constraints, state.pool_data, state.basis, reg=config.reg)
-        model = metric.from_mle(sol, state.basis)
-        if strategy == "MLE_ACT":
-            scorer = Scorer.mle_act(state.pool_data, state.basis, sol.gamma)
-        else:
-            scorer = Scorer.random()
-    else:
-        prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
-        post = vb.fit(constraints, state.pool_data, state.basis, prior)
-        model = metric.from_posterior(post, state.basis)
-        if strategy == "BAYES_VAR":
-            scorer = Scorer.bayes_var(state.pool_data, state.basis, post)
-        else:
-            scorer = Scorer.bayes_act(state.pool_data, state.basis, post)
-    return metric.knn_classify(model, state.train, state.test), scorer
-
-
-def _run_strategy(config, state, strategy, repeat) -> list:
+def _run_strategy(config, state, strategy, repeat, prior) -> list:
     record_seed = zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode("utf-8"))
     pool = state.pool
     records = []
     for t in range(config.iterations + 1):
         try:
             started = time.perf_counter() if config.measure_runtime else 0.0
-            predictions, scorer = _fit_and_classify(config, state, strategy, pool)
+            model, scorer = fit_strategy(
+                strategy, ConstraintSet(pool.labeled), state.pool_data,
+                state.basis, prior, config.reg,
+            )
+            if model is None:
+                predictions = metric.euclidean_knn(state.train, state.test)
+            else:
+                predictions = metric.knn_classify(model, state.train, state.test)
             acc = metric.accuracy(predictions, state.test.labels)
             elapsed = (
                 (time.perf_counter() - started) * 1000.0
@@ -311,7 +317,7 @@ def _run_strategy(config, state, strategy, repeat) -> list:
                     seed=record_seed,
                 )
             )
-            if t < config.iterations and strategy != "EUCLID":
+            if t < config.iterations and scorer is not None:
                 chosen = select(
                     pool,
                     scorer,
@@ -344,11 +350,12 @@ def run_active_loop(config: ExperimentConfig) -> list:
             f"pool_size + n_test = {config.pool_size + config.n_test} "
             f"exceeds the {n} available examples"
         )
+    prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
     records = []
     for repeat in range(config.repeats):
         state = _prepare_repeat(config, _repeat_data(config, fixed, repeat), repeat)
         for strategy in config.strategies:
-            records.extend(_run_strategy(config, state, strategy, repeat))
+            records.extend(_run_strategy(config, state, strategy, repeat, prior))
     return records
 
 
@@ -419,7 +426,7 @@ def write_summary_csv(summary, path) -> None:
 
 
 def write_results_json(records, config: ExperimentConfig, path) -> None:
-    doc = {"config": config.to_dict(), "records": [r.to_dict() for r in records]}
+    doc = {"config": asdict(config), "records": [r.to_dict() for r in records]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bdml.cli import main, parse_synth_spec
+from bdml.cli import build_parser, main, parse_synth_spec
 from bdml.harness import SynthSpec, synth_data
 from bdml.spectral import save_csv
 
@@ -106,12 +106,36 @@ def test_score_pairs_writes_files(tmp_path, data_csv, capsys):
 
 
 def test_score_pairs_random_cannot_save_a_model(tmp_path, data_csv, capsys):
+    scores = tmp_path / "scores.csv"
     code = main([
         "score-pairs", "--data", data_csv, "--strategy", "RANDOM",
         "--initial-pairs", "6", "--save-model", str(tmp_path / "m.json"),
+        "--out", str(scores),
     ])
     assert code == 1
-    assert "error: RANDOM fits no model" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert "error: RANDOM fits no model" in printed.err
+    assert printed.out == ""
+    assert not scores.exists()
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("n", [0, 24 * 23 // 2 + 1])
+def test_score_pairs_rejects_initial_pairs_out_of_range(data_csv, capsys, n):
+    code = main([
+        "score-pairs", "--data", data_csv, "--initial-pairs", str(n), "--k", "2",
+    ])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: --initial-pairs must lie in [1, 276], got {n}\n"
+    assert printed.out == ""
+
+
+def test_score_pairs_offers_exactly_the_scorer_strategies():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    strategy = next(a for a in sub.choices["score-pairs"]._actions
+                    if a.dest == "strategy")
+    assert strategy.choices == ["BAYES_ACT", "BAYES_VAR", "MLE_ACT", "RANDOM"]
 
 
 def test_eval_round_trip(tmp_path, data_csv, capsys):

@@ -5,15 +5,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bdml import harness, mle
+from bdml import harness, metric, mle, vb
+from bdml.active import Scorer, rank_pairs
 from bdml.harness import (
     EXPERIMENT_STRATEGIES,
     RESULT_COLUMNS,
+    STRATEGY_TABLE,
     ExperimentConfig,
     ResultRecord,
     SynthSpec,
     _repeat_data,
     build_pool,
+    fit_strategy,
+    label_initial_pairs,
     format_report,
     oracle_label,
     report,
@@ -23,7 +27,7 @@ from bdml.harness import (
     write_results_json,
     write_summary_csv,
 )
-from bdml.spectral import DataMatrix, save_csv
+from bdml.spectral import ConstraintSet, DataMatrix, eigen_basis, save_csv
 
 
 def _small_config(**overrides):
@@ -172,6 +176,112 @@ def test_config_validates_budget_and_strategies():
         ExperimentConfig(synth=spec, n_test=0)
     with pytest.raises(ValueError, match="repeats"):
         ExperimentConfig(synth=spec, repeats=0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            ExperimentConfig(synth=spec, delta=bad)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma0 must be finite and >= 0"):
+            ExperimentConfig(synth=spec, gamma0=bad)
+    for bad in (-1e-9, np.nan):
+        with pytest.raises(ValueError, match="reg must be >= 0"):
+            ExperimentConfig(synth=spec, reg=bad)
+    # the prior is checked whatever strategies run, before any fit
+    with pytest.raises(ValueError, match="delta"):
+        ExperimentConfig(synth=spec, strategies=("EUCLID",), delta=0.0)
+
+
+def test_config_accepts_exactly_the_experiment_strategies():
+    accepted = set()
+    for name in STRATEGY_TABLE:
+        try:
+            ExperimentConfig(synth=SynthSpec(), strategies=(name,))
+        except ValueError:
+            continue
+        accepted.add(name)
+    assert accepted == set(EXPERIMENT_STRATEGIES) == {
+        "RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID",
+    }
+
+
+# ---------------------------------------------------------------------------
+# the strategy table
+
+
+def _fit_inputs():
+    data = synth_data(SynthSpec(classes=3, per_class=6, dim=4, spread=0.3), seed=11)
+    basis = eigen_basis(data, k=2, standardize=False)
+    _, pool = build_pool(data, data.n, seed=0)
+    pool = label_initial_pairs(pool, data, 8, seed=3)
+    return data, basis, pool
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGY_TABLE))
+def test_fit_strategy_follows_the_table(name, monkeypatch):
+    data, basis, pool = _fit_inputs()
+    constraints = ConstraintSet(pool.labeled)
+    prior = vb.PriorConfig(gamma0=0.5, delta=2.0)
+    sol = mle.mle_fit(constraints, data, basis, reg=0.3)
+    post = vb.fit(constraints, data, basis, prior)
+    expected = {
+        "RANDOM": (None, Scorer.random()),
+        "RANDOM_MLE": (metric.from_mle(sol, basis), Scorer.random()),
+        "MLE_ACT": (metric.from_mle(sol, basis), Scorer.mle_act(data, basis, sol.gamma)),
+        "BAYES_ACT": (metric.from_posterior(post, basis),
+                      Scorer.bayes_act(data, basis, post)),
+        "BAYES_VAR": (metric.from_posterior(post, basis),
+                      Scorer.bayes_var(data, basis, post)),
+        "EUCLID": (None, None),
+    }
+    assert set(expected) == set(STRATEGY_TABLE)
+
+    # the fits are looked up on their modules at call time
+    calls = []
+    for module, attr in ((mle, "mle_fit"), (vb, "fit")):
+        def counted(*args, _fn=getattr(module, attr), _name=attr, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    model, scorer = fit_strategy(name, constraints, data, basis, prior, 0.3)
+    fit = STRATEGY_TABLE[name].fit
+    assert calls == ({"mle": ["mle_fit"], "vb": ["fit"]}[fit] if fit else [])
+
+    want_model, want_scorer = expected[name]
+    if want_model is None:
+        assert model is None
+    else:
+        assert model.to_dict() == want_model.to_dict()
+    if want_scorer is None:
+        assert scorer is None
+        return
+    assert scorer.strategy == want_scorer.strategy == STRATEGY_TABLE[name].scorer
+    got = rank_pairs(scorer, pool.unlabeled_array)
+    want = rank_pairs(want_scorer, pool.unlabeled_array)
+    for a, b in zip(got, want):
+        npt.assert_array_equal(a, b)
+
+
+def test_random_mle_fits_an_mle_model_and_scores_every_pair_indifferently():
+    data, basis, pool = _fit_inputs()
+    constraints = ConstraintSet(pool.labeled)
+    model, scorer = fit_strategy("RANDOM_MLE", constraints, data, basis, None, 0.3)
+    sol = mle.mle_fit(constraints, data, basis, reg=0.3)
+    assert model.to_dict() == metric.from_mle(sol, basis).to_dict()
+    pairs, p_plus, h = rank_pairs(scorer, pool.unlabeled_array)
+    assert pairs.shape[0] == len(pool.candidates) - 8
+    assert np.all(p_plus == 0.5)
+    assert np.all(h == np.log(2.0))
+
+
+def test_label_initial_pairs_draws_without_replacement_and_asks_the_oracle():
+    data = synth_data(SynthSpec(classes=3, per_class=4, dim=3, spread=0.3), seed=2)
+    _, pool = build_pool(data, data.n, seed=0)
+    labeled = label_initial_pairs(pool, data, 10, seed=[5, 6])
+    assert len(labeled.labeled) == 10
+    for i, j, y in labeled.labeled:
+        assert y == oracle_label(data, i, j)
+    picks = np.random.default_rng([5, 6]).choice(len(pool.candidates), 10, replace=False)
+    assert set(labeled.labeled_pairs) == {pool.candidates[p] for p in picks.tolist()}
+    assert label_initial_pairs(pool, data, 10, seed=[5, 6]) == labeled
 
 
 def test_result_record_validation():
