@@ -10,39 +10,19 @@ the control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 from scipy.special import expit, log_expit, xlogy
 
 from . import kernels
-from .spectral import DataMatrix, EigenBasis, PairFeature, feature_matrix
+from .spectral import (
+    ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical,
+    _repeated_rows, feature_matrix,
+)
 from .vb import VariationalPosterior
 
 STRATEGIES = ("RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR")
 MAX_ENTROPY = float(np.log(2.0))
-
-
-def _canonical(rows: np.ndarray):
-    """The order sorting the rows' (low, high) pairs, and those pairs sorted."""
-    lo = np.minimum(rows[:, 0], rows[:, 1])
-    hi = np.maximum(rows[:, 0], rows[:, 1])
-    order = np.lexsort((hi, lo))
-    return order, np.stack((lo[order], hi[order]), axis=1)
-
-
-def _repeated_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows of a lexsorted (m, 2) array equal to the row before them."""
-    return np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1)) + 1
-
-
-def _as_rows(items, width: int, what: str) -> np.ndarray:
-    a = np.asarray(items, dtype=np.int64)
-    if a.size == 0:
-        return a.reshape(0, width)
-    if a.ndim != 2 or a.shape[1] != width:
-        raise ValueError(f"{what} must be rows of {width} integers")
-    return a
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -54,16 +34,15 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 class PairPool:
     """Candidate pairs plus the subset already labeled by the oracle.
 
-    Candidates are kept in canonical order: each pair as (low, high),
-    the list sorted lexicographically.  ``labeled`` holds (i, j, y)
-    triples and must stay within the candidate set.  Both are exposed
-    as tuples; the pairs are also held as an int64 (m, 2) array with a
-    mask of the unlabeled ones, which is what scoring reads.
+    ``candidates`` is a read-only int64 (m, 2) array in canonical order:
+    each pair as (low, high), the rows sorted lexicographically.
+    ``labeled`` is given as (i, j, y) triples or a :class:`ConstraintSet`,
+    whose pairs must be candidates, and held as a ConstraintSet in the
+    same order.
     """
 
-    candidates: tuple
-    labeled: tuple = ()
-    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    candidates: np.ndarray
+    labeled: ConstraintSet = ()
     _open: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,49 +61,34 @@ class PairPool:
             pair = tuple(pairs[dup[0]].tolist())
             raise ValueError(f"duplicate candidate pair {pair}")
 
-        lab = _as_rows(self.labeled, 3, "labeled")
+        lab = self.labeled
+        lab = _as_rows(lab.items if isinstance(lab, ConstraintSet) else lab, 3, "labeled")
         order, lab_pairs = _canonical(lab)
-        lab = np.column_stack((lab_pairs, lab[order, 2]))
-        keys, lab_keys = _row_keys(pairs), _row_keys(lab[:, :2])
+        keys, lab_keys = _row_keys(pairs), _row_keys(lab_pairs)
         pos = np.searchsorted(keys, lab_keys)
         found = pos < keys.size
         found[found] = keys[pos[found]] == lab_keys[found]
         if not found.all():
-            pair = tuple(lab[np.flatnonzero(~found)[0], :2].tolist())
+            pair = tuple(lab_pairs[np.flatnonzero(~found)[0]].tolist())
             raise ValueError(f"labeled pair {pair} is not a candidate")
-        twice = _repeated_rows(lab[:, :2])
-        if twice.size:
-            pair = tuple(lab[twice[0], :2].tolist())
-            raise ValueError(f"pair {pair} labeled twice")
-        bad = np.flatnonzero((lab[:, 2] != 1) & (lab[:, 2] != -1))
-        if bad.size:
-            raise ValueError(f"label must be +1 or -1, got {int(lab[bad[0], 2])}")
+        labeled = ConstraintSet(np.column_stack((lab_pairs, lab[order, 2])))
 
         is_open = np.ones(pairs.shape[0], dtype=bool)
         is_open[pos] = False
         pairs.setflags(write=False)
         is_open.setflags(write=False)
-        # zip over columns builds the tuples about twice as fast as map(tuple)
-        object.__setattr__(self, "candidates", tuple(zip(*pairs.T.tolist())))
-        object.__setattr__(self, "labeled", tuple(zip(*lab.T.tolist())))
-        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "candidates", pairs)
+        object.__setattr__(self, "labeled", labeled)
         object.__setattr__(self, "_open", is_open)
 
     @property
-    def labeled_pairs(self) -> tuple:
-        return tuple((i, j) for i, j, _ in self.labeled)
-
-    @property
-    def unlabeled(self) -> tuple:
-        return tuple(compress(self.candidates, self._open.tolist()))
-
-    @property
-    def unlabeled_array(self) -> np.ndarray:
+    def unlabeled(self) -> np.ndarray:
         """The unlabeled pairs as an int64 (u, 2) array, canonical order."""
-        return self._pairs[self._open]
+        return self.candidates[self._open]
 
     def with_labels(self, triples) -> "PairPool":
-        return PairPool(self._pairs, self.labeled + tuple(triples))
+        new = _as_rows(list(triples), 3, "labeled")
+        return PairPool(self.candidates, np.concatenate((self.labeled.items, new)))
 
 
 @dataclass(frozen=True)
@@ -348,14 +312,14 @@ def rank_pairs(scorer: Scorer, pairs):
     return pairs[order], p_plus[order], h[order]
 
 
-def select(pool: PairPool, scorer: Scorer, batch: int, rng_seed) -> list:
-    """Pick ``batch`` unlabeled pairs for the oracle.
+def select(pool: PairPool, scorer: Scorer, batch: int, rng_seed) -> np.ndarray:
+    """Pick ``batch`` unlabeled pairs for the oracle, an int64 (batch, 2) array.
 
     Entropy strategies take the top of the pool, ties to the lowest
     (i, j); RANDOM draws uniformly without replacement, depending only
     on the seed and the canonical order of the unlabeled pairs.
     """
-    unlabeled = pool.unlabeled_array
+    unlabeled = pool.unlabeled
     if not unlabeled.shape[0]:
         raise ValueError("no unlabeled pairs left to select from")
     if not 1 <= batch <= unlabeled.shape[0]:
@@ -364,7 +328,5 @@ def select(pool: PairPool, scorer: Scorer, batch: int, rng_seed) -> list:
         )
     if scorer.strategy == "RANDOM":
         rng = np.random.default_rng(rng_seed)
-        picks = rng.choice(unlabeled.shape[0], size=batch, replace=False)
-        return list(map(tuple, unlabeled[picks].tolist()))
-    ranked, _, _ = rank_pairs(scorer, unlabeled)
-    return list(map(tuple, ranked[:batch].tolist()))
+        return unlabeled[rng.choice(unlabeled.shape[0], size=batch, replace=False)]
+    return rank_pairs(scorer, unlabeled)[0][:batch]

@@ -19,7 +19,7 @@ from . import harness, metric, vb
 from .active import STRATEGIES as SCORER_STRATEGIES
 from .active import PairPool, rank_pairs
 from .harness import EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, SynthSpec
-from .spectral import ConstraintSet, eigen_basis, load_csv
+from .spectral import eigen_basis, load_csv
 
 
 def parse_synth_spec(text: str) -> SynthSpec:
@@ -158,10 +158,10 @@ def cmd_score_pairs(args) -> int:
                         standardize=not args.no_standardize)
     pool = harness.label_initial_pairs(pool, data, args.initial_pairs, args.seed)
     model, scorer = harness.fit_strategy(
-        args.strategy, ConstraintSet(pool.labeled), data, basis, prior, args.reg
+        args.strategy, pool.labeled, data, basis, prior, args.reg
     )
 
-    ranked, p_plus, h = rank_pairs(scorer, pool.unlabeled_array)
+    ranked, p_plus, h = rank_pairs(scorer, pool.unlabeled)
     rows = [["i", "j", "p_plus", "entropy", "strategy"]]
     rows += [[i, j, repr(p), repr(e), args.strategy]
              for (i, j), p, e in zip(ranked.tolist(), p_plus.tolist(), h.tolist())]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metric, mle, vb
 from .active import PairPool, Scorer, select
-from .spectral import ConstraintSet, DataMatrix, EigenBasis, eigen_basis, load_csv
+from .spectral import DataMatrix, EigenBasis, eigen_basis, load_csv
 
 
 class Strategy(NamedTuple):
@@ -217,8 +217,8 @@ def build_pool(data: DataMatrix, pool_size: int, seed):
 def label_initial_pairs(pool: PairPool, data: DataMatrix, n: int, seed) -> PairPool:
     """Have the oracle label ``n`` candidates of ``pool``, drawn without replacement."""
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(pool.candidates), size=n, replace=False).tolist()
-    pairs = [pool.candidates[p] for p in picks]
+    picks = rng.choice(len(pool.candidates), size=n, replace=False)
+    pairs = pool.candidates[picks].tolist()
     return pool.with_labels((i, j, oracle_label(data, i, j)) for i, j in pairs)
 
 
@@ -293,13 +293,12 @@ def _run_strategy(config, state, strategy, repeat, prior) -> list:
         try:
             started = time.perf_counter() if config.measure_runtime else 0.0
             model, scorer = fit_strategy(
-                strategy, ConstraintSet(pool.labeled), state.pool_data,
-                state.basis, prior, config.reg,
+                strategy, pool.labeled, state.pool_data, state.basis, prior, config.reg
             )
-            if model is None:
-                predictions = metric.euclidean_knn(state.train, state.test)
-            else:
+            if model is not None:
                 predictions = metric.knn_classify(model, state.train, state.test)
+            elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
+                predictions = metric.euclidean_knn(state.train, state.test)
             acc = metric.accuracy(predictions, state.test.labels)
             elapsed = (
                 (time.perf_counter() - started) * 1000.0
@@ -325,7 +324,8 @@ def _run_strategy(config, state, strategy, repeat, prior) -> list:
                     _seed_ints(config.seed, strategy, repeat, "select", t),
                 )
                 pool = pool.with_labels(
-                    (i, j, oracle_label(state.pool_data, i, j)) for i, j in chosen
+                    (i, j, oracle_label(state.pool_data, i, j))
+                    for i, j in chosen.tolist()
                 )
         except Exception as exc:
             raise RuntimeError(

@@ -55,7 +55,7 @@ def _check_inputs(gamma, features, labels, reg):
         raise ValueError("features must be 2-d with one column per weight")
     if y.shape[0] != w.shape[0]:
         raise ValueError("features and labels disagree on the constraint count")
-    if reg < 0:
+    if not reg >= 0:
         raise ValueError(f"reg must be >= 0, got {reg}")
     return g, w, y
 
@@ -120,7 +120,6 @@ def mle_fit(
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
-    constraints.check_bounds(data.n)
     w = feature_matrix(data, basis, constraints.pairs)
     zero, w, y = _check_inputs(np.zeros(basis.k + 1), w, constraints.labels, reg)
 

@@ -145,54 +145,75 @@ class PairFeature:
         return self.omega.shape[0] - 1
 
 
+def _as_rows(items, width: int, what: str) -> np.ndarray:
+    a = np.asarray(items, dtype=np.int64)
+    if a.size == 0:
+        return a.reshape(0, width)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"{what} must be rows of {width} integers")
+    return a
+
+
+def _canonical(rows: np.ndarray):
+    """The order sorting the rows' (low, high) pairs, and those pairs sorted."""
+    lo = np.minimum(rows[:, 0], rows[:, 1])
+    hi = np.maximum(rows[:, 0], rows[:, 1])
+    order = np.lexsort((hi, lo))
+    return order, np.stack((lo[order], hi[order]), axis=1)
+
+
+def _repeated_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows of a lexsorted (m, 2) array equal to the row before them."""
+    return np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1)) + 1
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Labeled pairs (i, j, y): y=+1 equivalence, y=-1 inequivalence."""
+    """Labeled pairs (i, j, y): y=+1 equivalence, y=-1 inequivalence.
 
-    items: tuple
+    ``items`` is a read-only int64 (m, 3) array in the order given, each
+    pair written as (low, high).  An input with several faults reports
+    the first faulty item, and for that item a self-pair, then a negative
+    index, then a bad label, then a pair seen earlier.
+    """
+
+    items: np.ndarray
 
     def __post_init__(self):
-        norm = []
-        seen = set()
-        for item in self.items:
-            i, j, y = item
-            i, j, y = int(i), int(j), int(y)
-            if i == j:
-                raise ValueError(f"self-pair ({i}, {i}) is not a constraint")
-            if i < 0 or j < 0:
-                raise ValueError(f"negative index in pair ({i}, {j})")
-            if y not in (-1, 1):
-                raise ValueError(f"label must be +1 or -1, got {y}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate pair {key}")
-            seen.add(key)
-            norm.append((key[0], key[1], y))
-        object.__setattr__(self, "items", tuple(norm))
+        rows = _as_rows(self.items, 3, "constraints")
+        canon = np.column_stack((rows[:, :2].min(axis=1), rows[:, :2].max(axis=1),
+                                 rows[:, 2]))
+        order, pairs = _canonical(canon)
+        repeat = np.zeros(rows.shape[0], dtype=bool)
+        repeat[order[_repeated_rows(pairs)]] = True  # lexsort is stable
+        faults = np.column_stack((
+            rows[:, 0] == rows[:, 1],
+            np.any(rows[:, :2] < 0, axis=1),
+            (rows[:, 2] != 1) & (rows[:, 2] != -1),
+            repeat,
+        ))
+        faulty = np.flatnonzero(faults.any(axis=1))
+        if faulty.size:
+            i, j, y = rows[faulty[0]].tolist()
+            raise ValueError((
+                f"self-pair ({i}, {i}) is not a constraint",
+                f"negative index in pair ({i}, {j})",
+                f"label must be +1 or -1, got {y}",
+                f"duplicate pair ({min(i, j)}, {max(i, j)}) labeled twice",
+            )[int(np.argmax(faults[faulty[0]]))])
+        object.__setattr__(self, "items", _freeze(canon))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.items.shape[0]
 
     @property
-    def pairs(self) -> tuple:
-        return tuple((i, j) for i, j, _ in self.items)
+    def pairs(self) -> np.ndarray:
+        """The (low, high) pairs, an int64 (m, 2) view."""
+        return self.items[:, :2]
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array([y for _, _, y in self.items], dtype=np.float64)
-
-    @property
-    def equivalence(self) -> tuple:
-        return tuple((i, j) for i, j, y in self.items if y == 1)
-
-    @property
-    def inequivalence(self) -> tuple:
-        return tuple((i, j) for i, j, y in self.items if y == -1)
-
-    def check_bounds(self, n: int) -> None:
-        for i, j, _ in self.items:
-            if i >= n or j >= n:
-                raise IndexError(f"pair ({i}, {j}) out of bounds for {n} rows")
+        return self.items[:, 2].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +332,13 @@ def feature_matrix(data: DataMatrix, basis: EigenBasis, pairs) -> np.ndarray:
     idx = kernels.as_i64(pairs)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("pairs must be (i, j) rows")
+    n = data.n
+    outside = np.flatnonzero(np.any((idx < 0) | (idx >= n), axis=1))
+    if outside.size:
+        i, j = idx[outside[0]].tolist()
+        raise IndexError(f"pair ({i}, {j}) out of bounds for {n} rows")
     ii = kernels.as_i64(idx[:, 0])
     jj = kernels.as_i64(idx[:, 1])
-    n = data.n
-    if ii.min() < 0 or jj.min() < 0 or ii.max() >= n or jj.max() >= n:
-        raise IndexError(f"pair index out of bounds for {n} rows")
     if np.any(ii == jj):
         raise ValueError("self-pair has no constraint semantics")
     proj = kernels.as_f64(basis.project(data.x))

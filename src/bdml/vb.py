@@ -267,7 +267,6 @@ def fit(
         prior = PriorConfig()
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
-    constraints.check_bounds(data.n)
     w, y, xi = _as_constraint_arrays(
         feature_matrix(data, basis, constraints.pairs),
         constraints.labels,

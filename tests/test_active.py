@@ -47,12 +47,17 @@ def _interior(mu, sigma, omega):
 
 def test_pair_pool_canonicalizes():
     pool = PairPool(candidates=((3, 1), (0, 2), (4, 0)), labeled=((2, 0, 1),))
-    assert pool.candidates == ((0, 2), (0, 4), (1, 3))
-    assert pool.labeled == ((0, 2, 1),)
-    assert pool.labeled_pairs == ((0, 2),)
-    assert pool.unlabeled == ((0, 4), (1, 3))
+    npt.assert_array_equal(pool.candidates, [(0, 2), (0, 4), (1, 3)], strict=True)
+    assert not pool.candidates.flags.writeable
+    assert isinstance(pool.labeled, ConstraintSet)
+    npt.assert_array_equal(pool.labeled.items, [(0, 2, 1)], strict=True)
+    npt.assert_array_equal(pool.labeled.pairs, [(0, 2)], strict=True)
+    npt.assert_array_equal(pool.unlabeled, [(0, 4), (1, 3)], strict=True)
     grown = pool.with_labels(((4, 0, -1),))
-    assert grown.unlabeled == ((1, 3),)
+    npt.assert_array_equal(grown.unlabeled, [(1, 3)], strict=True)
+    again = PairPool(grown.candidates, grown.labeled)
+    npt.assert_array_equal(again.labeled.items, [(0, 2, 1), (0, 4, -1)], strict=True)
+    npt.assert_array_equal(again.unlabeled, grown.unlabeled, strict=True)
 
 
 def test_pair_pool_validation():
@@ -83,16 +88,21 @@ def test_pair_pool_round_trips_a_large_pool():
     picks = rng.choice(len(pairs), size=300, replace=False).tolist()
     triples = [(pairs[p][1], pairs[p][0], 1 if p % 3 else -1) for p in picks]
     pool = PairPool(candidates=tuple(given_order), labeled=tuple(triples))
-    assert pool.candidates == pairs
-    assert all(type(v) is int for p in pool.candidates[:5] for v in p)
+    npt.assert_array_equal(pool.candidates, pairs, strict=True)
     taken = {pairs[p] for p in picks}
-    assert pool.labeled_pairs == tuple(sorted(taken))
-    assert pool.unlabeled == tuple(p for p in pairs if p not in taken)
-    assert [tuple(p) for p in pool.unlabeled_array.tolist()] == list(pool.unlabeled)
-    i, j = pool.unlabeled[0]
+    npt.assert_array_equal(pool.labeled.pairs, sorted(taken), strict=True)
+    npt.assert_array_equal(
+        pool.labeled.items,
+        sorted((*pairs[p], 1 if p % 3 else -1) for p in picks),
+        strict=True,
+    )
+    npt.assert_array_equal(
+        pool.unlabeled, [p for p in pairs if p not in taken], strict=True
+    )
+    i, j = pool.unlabeled[0].tolist()
     grown = pool.with_labels([(j, i, 1)])
-    assert grown.candidates == pairs
-    assert grown.unlabeled == pool.unlabeled[1:]
+    npt.assert_array_equal(grown.candidates, pairs, strict=True)
+    npt.assert_array_equal(grown.unlabeled, pool.unlabeled[1:], strict=True)
 
 
 def test_pair_score_validation():
@@ -363,7 +373,7 @@ def test_select_takes_the_entropy_top(clusters, clusters_basis, posterior):
     ranked = sorted(
         score_pairs(scorer, pool.unlabeled), key=lambda s: (-s.entropy, s.pair)
     )
-    assert picked == [s.pair for s in ranked[:5]]
+    npt.assert_array_equal(picked, [s.pair for s in ranked[:5]], strict=True)
 
 
 @pytest.mark.parametrize("strategy", ["BAYES_ACT", "BAYES_VAR"])
@@ -377,7 +387,7 @@ def test_select_matches_sorted_score_pairs(clusters, clusters_basis, posterior,
     )
     for batch in (1, 7, len(ranked)):
         picked = select(pool, scorer, batch=batch, rng_seed=0)
-        assert picked == [s.pair for s in ranked[:batch]]
+        npt.assert_array_equal(picked, [s.pair for s in ranked[:batch]], strict=True)
 
 
 def test_select_breaks_ties_by_pair_order():
@@ -393,7 +403,7 @@ def test_select_breaks_ties_by_pair_order():
     scores = {s.pair: s.entropy for s in score_pairs(scorer, pool.unlabeled)}
     assert scores[(0, 2)] == scores[(1, 2)]
     picked = select(pool, scorer, batch=2, rng_seed=0)
-    assert picked == [(0, 2), (1, 2)]
+    npt.assert_array_equal(picked, [(0, 2), (1, 2)], strict=True)
 
 
 def test_select_random_is_seed_deterministic():
@@ -403,12 +413,14 @@ def test_select_random_is_seed_deterministic():
     )
     a = select(pool, Scorer.random(), batch=4, rng_seed=11)
     b = select(pool, Scorer.random(), batch=4, rng_seed=11)
-    assert a == b
-    assert len(set(a)) == 4
-    assert set(a) <= set(pool.unlabeled)
-    assert (0, 1) not in a and (2, 3) not in a
+    npt.assert_array_equal(a, b, strict=True)
+    assert a.shape == (4, 2) and a.dtype == np.int64
+    picked = set(map(tuple, a.tolist()))
+    assert len(picked) == 4
+    assert picked <= set(map(tuple, pool.unlabeled.tolist()))
+    assert (0, 1) not in picked and (2, 3) not in picked
     c = select(pool, Scorer.random(), batch=4, rng_seed=12)
-    assert set(a) != set(c)  # seeds decouple the draws
+    assert picked != set(map(tuple, c.tolist()))  # seeds decouple the draws
 
 
 def test_select_is_invariant_to_weight_rescaling(clusters, clusters_basis, posterior):
@@ -418,7 +430,7 @@ def test_select_is_invariant_to_weight_rescaling(clusters, clusters_basis, poste
                batch=6, rng_seed=0)
     b = select(pool, Scorer.mle_act(clusters, clusters_basis, 2.0 * posterior.mu),
                batch=6, rng_seed=0)
-    assert a == b
+    npt.assert_array_equal(a, b, strict=True)
 
 
 def test_select_validation(clusters, clusters_basis):

@@ -120,6 +120,17 @@ def test_score_pairs_random_cannot_save_a_model(tmp_path, data_csv, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_score_pairs_names_a_nan_reg(data_csv, capsys):
+    code = main([
+        "score-pairs", "--data", data_csv, "--strategy", "MLE_ACT",
+        "--reg", "nan", "--k", "2",
+    ])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert printed.err == "error: reg must be >= 0, got nan\n"
+    assert printed.out == ""
+
+
 @pytest.mark.parametrize("n", [0, 24 * 23 // 2 + 1])
 def test_score_pairs_rejects_initial_pairs_out_of_range(data_csv, capsys, n):
     code = main([

@@ -27,7 +27,7 @@ from bdml.harness import (
     write_results_json,
     write_summary_csv,
 )
-from bdml.spectral import ConstraintSet, DataMatrix, eigen_basis, save_csv
+from bdml.spectral import DataMatrix, eigen_basis, save_csv
 
 
 def _small_config(**overrides):
@@ -114,7 +114,9 @@ def test_build_pool_enumerates_every_pair():
     assert pool_data.n == 50
     assert len(pool.candidates) == 1225
     small_data, small = build_pool(data, pool_size=4, seed=0)
-    assert small.candidates == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    npt.assert_array_equal(
+        small.candidates, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], strict=True
+    )
 
 
 def test_build_pool_stratifies_evenly():
@@ -218,7 +220,7 @@ def _fit_inputs():
 @pytest.mark.parametrize("name", sorted(STRATEGY_TABLE))
 def test_fit_strategy_follows_the_table(name, monkeypatch):
     data, basis, pool = _fit_inputs()
-    constraints = ConstraintSet(pool.labeled)
+    constraints = pool.labeled
     prior = vb.PriorConfig(gamma0=0.5, delta=2.0)
     sol = mle.mle_fit(constraints, data, basis, reg=0.3)
     post = vb.fit(constraints, data, basis, prior)
@@ -254,19 +256,19 @@ def test_fit_strategy_follows_the_table(name, monkeypatch):
         assert scorer is None
         return
     assert scorer.strategy == want_scorer.strategy == STRATEGY_TABLE[name].scorer
-    got = rank_pairs(scorer, pool.unlabeled_array)
-    want = rank_pairs(want_scorer, pool.unlabeled_array)
+    got = rank_pairs(scorer, pool.unlabeled)
+    want = rank_pairs(want_scorer, pool.unlabeled)
     for a, b in zip(got, want):
         npt.assert_array_equal(a, b)
 
 
 def test_random_mle_fits_an_mle_model_and_scores_every_pair_indifferently():
     data, basis, pool = _fit_inputs()
-    constraints = ConstraintSet(pool.labeled)
+    constraints = pool.labeled
     model, scorer = fit_strategy("RANDOM_MLE", constraints, data, basis, None, 0.3)
     sol = mle.mle_fit(constraints, data, basis, reg=0.3)
     assert model.to_dict() == metric.from_mle(sol, basis).to_dict()
-    pairs, p_plus, h = rank_pairs(scorer, pool.unlabeled_array)
+    pairs, p_plus, h = rank_pairs(scorer, pool.unlabeled)
     assert pairs.shape[0] == len(pool.candidates) - 8
     assert np.all(p_plus == 0.5)
     assert np.all(h == np.log(2.0))
@@ -277,11 +279,13 @@ def test_label_initial_pairs_draws_without_replacement_and_asks_the_oracle():
     _, pool = build_pool(data, data.n, seed=0)
     labeled = label_initial_pairs(pool, data, 10, seed=[5, 6])
     assert len(labeled.labeled) == 10
-    for i, j, y in labeled.labeled:
+    for i, j, y in labeled.labeled.items.tolist():
         assert y == oracle_label(data, i, j)
     picks = np.random.default_rng([5, 6]).choice(len(pool.candidates), 10, replace=False)
-    assert set(labeled.labeled_pairs) == {pool.candidates[p] for p in picks.tolist()}
-    assert label_initial_pairs(pool, data, 10, seed=[5, 6]) == labeled
+    npt.assert_array_equal(labeled.labeled.pairs, pool.candidates[np.sort(picks)])
+    again = label_initial_pairs(pool, data, 10, seed=[5, 6])
+    npt.assert_array_equal(again.candidates, labeled.candidates, strict=True)
+    npt.assert_array_equal(again.labeled.items, labeled.labeled.items, strict=True)
 
 
 def test_result_record_validation():
@@ -333,6 +337,24 @@ def test_loop_pairs_strategies_at_iteration_zero():
         assert by[("RANDOM_MLE", rep, 0)] == by[("MLE_ACT", rep, 0)]
         assert by[("BAYES_ACT", rep, 0)] == by[("BAYES_VAR", rep, 0)]
         assert by[("EUCLID", rep, 0)] == by[("EUCLID", rep, 1)]
+
+
+def test_loop_classifies_euclid_once_per_repeat(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=metric.euclidean_knn, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "euclidean_knn", counted)
+    records = run_active_loop(_small_config(iterations=3, repeats=2))
+    assert len(calls) == 2
+    euclid = [r for r in records if r.strategy == "EUCLID"]
+    assert [(r.repeat, r.iteration) for r in euclid] == [
+        (rep, t) for rep in (0, 1) for t in range(4)
+    ]
+    for rep in (0, 1):
+        assert len({r.accuracy for r in euclid if r.repeat == rep}) == 1
 
 
 def test_loop_is_deterministic():

@@ -90,6 +90,8 @@ def test_input_validation():
         mle_objective(np.zeros(3), np.zeros((2, 3)), [1.0])
     with pytest.raises(ValueError, match="reg"):
         mle_objective(np.zeros(3), np.zeros((1, 3)), [1.0], reg=-0.1)
+    with pytest.raises(ValueError, match="reg must be >= 0, got nan"):
+        mle_objective(np.zeros(3), np.zeros((1, 3)), [1.0], reg=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +177,8 @@ def test_fit_validation(clusters, clusters_basis):
         mle_fit(ConstraintSet(()), clusters, clusters_basis, max_iters=0)
     with pytest.raises(IndexError):
         mle_fit(ConstraintSet(((0, 999, 1),)), clusters, clusters_basis)
+    with pytest.raises(ValueError, match="reg must be >= 0, got nan"):
+        mle_fit(ConstraintSet(((0, 1, 1),)), clusters, clusters_basis, reg=float("nan"))
 
 
 def test_solution_container_validation():

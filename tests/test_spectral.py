@@ -76,15 +76,12 @@ def test_pair_feature_validation():
 
 def test_constraint_set_canonicalizes_and_validates():
     cs = ConstraintSet(((5, 2, 1), (0, 3, -1)))
-    assert cs.items == ((2, 5, 1), (0, 3, -1))
-    assert cs.pairs == ((2, 5), (0, 3))
-    npt.assert_array_equal(cs.labels, [1.0, -1.0])
-    assert cs.equivalence == ((2, 5),)
-    assert cs.inequivalence == ((0, 3),)
+    npt.assert_array_equal(cs.items, [(2, 5, 1), (0, 3, -1)], strict=True)
+    assert not cs.items.flags.writeable
+    npt.assert_array_equal(cs.pairs, [(2, 5), (0, 3)], strict=True)
+    npt.assert_array_equal(cs.labels, [1.0, -1.0], strict=True)
     assert len(cs) == 2
-    cs.check_bounds(6)
-    with pytest.raises(IndexError, match=r"\(2, 5\)"):
-        cs.check_bounds(5)
+    assert len(ConstraintSet(())) == 0
     with pytest.raises(ValueError, match="self-pair"):
         ConstraintSet(((1, 1, 1),))
     with pytest.raises(ValueError, match="duplicate"):
@@ -293,10 +290,22 @@ def test_feature_matrix_edge_cases(clusters, clusters_basis):
     assert empty.shape == (0, clusters_basis.k + 1)
     with pytest.raises(ValueError, match="self-pair"):
         feature_matrix(clusters, clusters_basis, [(1, 1)])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"pair \(0, 99\) out of bounds for 24 rows"):
         feature_matrix(clusters, clusters_basis, [(0, 99)])
+    with pytest.raises(IndexError, match=r"pair \(-1, 2\) out of bounds"):
+        feature_matrix(clusters, clusters_basis, [(0, 1), (-1, 2), (0, 99)])
     with pytest.raises(ValueError, match=r"\(i, j\) rows"):
         feature_matrix(clusters, clusters_basis, [(0, 1, 2)])
+
+
+def test_feature_matrix_checks_constraint_pairs_against_the_rows():
+    cs = ConstraintSet(((5, 2, 1), (0, 3, -1)))
+    data = DataMatrix(np.arange(12.0).reshape(6, 2) ** 2)
+    basis = EigenBasis(vectors=np.eye(2), eigenvalues=[1.0, 1.0],
+                       center=np.zeros(2), scale=np.ones(2))
+    assert feature_matrix(data, basis, cs.pairs).shape == (2, 3)
+    with pytest.raises(IndexError, match=r"pair \(2, 5\) out of bounds for 5 rows"):
+        feature_matrix(data.subset(range(5)), basis, cs.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +474,80 @@ def test_load_csv_matches_the_row_by_row_reference(tmp_path_factory, body):
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_text(body, encoding="utf-8")
     assert _outcome(load_csv, path) == _outcome(_reference_load_csv, path)
+
+
+# ---------------------------------------------------------------------------
+# ConstraintSet against a per-item reference
+
+
+def _reference_constraint_set(items) -> tuple:
+    """The per-item validation loop: the oracle for the array version."""
+    norm = []
+    seen = set()
+    for item in items:
+        i, j, y = item
+        i, j, y = int(i), int(j), int(y)
+        if i == j:
+            raise ValueError(f"self-pair ({i}, {i}) is not a constraint")
+        if i < 0 or j < 0:
+            raise ValueError(f"negative index in pair ({i}, {j})")
+        if y not in (-1, 1):
+            raise ValueError(f"label must be +1 or -1, got {y}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"duplicate pair {key} labeled twice")
+        seen.add(key)
+        norm.append((key[0], key[1], y))
+    return tuple(norm)
+
+
+@st.composite
+def constraint_triples(draw):
+    """Valid triples, then up to four faults inserted anywhere.
+
+    The faults are self-pairs, negative indices, labels in {-2, 0, 2} and
+    repeats of pairs already in the list, either way round, some of them
+    with a bad label too.
+    """
+    index = st.integers(0, 6)
+    label = st.sampled_from([-2, -1, 0, 1, 2])
+    items = draw(st.lists(
+        st.tuples(index, index, st.sampled_from([-1, 1])).filter(lambda t: t[0] != t[1]),
+        max_size=8,
+        unique_by=lambda t: (min(t[:2]), max(t[:2])),
+    ))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["self", "negative", "label"] + ["repeat"] * 3))
+        i, j, y = draw(index), draw(index), draw(label)
+        if kind == "self":
+            fault = (i, i, y)
+        elif kind == "negative":
+            fault = draw(st.sampled_from([(-1 - i, j, y), (i, -1 - j, y)]))
+        elif kind == "label":
+            fault = (i, j, draw(st.sampled_from([-2, 0, 2])))
+        elif items:
+            a, b, _ = draw(st.sampled_from(items))
+            y = draw(st.sampled_from([-1, 1, 0]))
+            fault = draw(st.sampled_from([(b, a, y), (a, b, y)]))
+        else:
+            continue
+        items.insert(draw(st.integers(0, len(items))), fault)
+    return items
+
+
+def _constraint_outcome(build, items):
+    try:
+        return ("items", build(items))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(items=constraint_triples())
+def test_constraint_set_matches_the_per_item_reference(items):
+    def build(triples):
+        return tuple(map(tuple, ConstraintSet(triples).items.tolist()))
+
+    assert _constraint_outcome(build, items) == _constraint_outcome(
+        _reference_constraint_set, items
+    )
