@@ -18,11 +18,21 @@ thread, the script runs:
 It compares every file the commands wrote, and each command's exit
 code, standard output and standard error.  It prints one line per
 difference and exits 1 if there is any, 0 otherwise.
+
+Under the line of a CSV or JSON file that differs and exists on both
+sides, it also prints the largest absolute and relative change of its
+numbers and the values that differ.  A CSV row is matched by its fields
+that are not floats (in a score file the pair and the strategy), so rows
+that only moved in the ranking still pair up; a JSON value by its key
+path.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +52,7 @@ README_RUN = (
     "--strategies", "RANDOM_MLE,MLE_ACT,BAYES_ACT,BAYES_VAR,EUCLID",
 )
 SCORE_FLAGS = ("--initial-pairs", "10", "--k", "2", "--no-standardize")
+SHOWN = 10  # differing values listed per differing file
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -98,6 +109,81 @@ def files(work: Path) -> dict:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
+def _is_float(field: str) -> bool:
+    """True for a float field such as ``0.5`` or ``1e-06``; False for ints and text."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    try:
+        int(field)
+    except ValueError:
+        return True
+    return False
+
+
+def values(name: str, data: bytes) -> dict:
+    """Every value of a CSV or JSON file under a key that says where it sits."""
+    text = data.decode("utf-8")
+    found = {}
+    if name.endswith(".json"):
+        def walk(node, path):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    walk(value, f"{path}.{key}" if path else key)
+            elif isinstance(node, list):
+                for i, value in enumerate(node):
+                    walk(value, f"{path}[{i}]")
+            else:
+                found[path] = node
+        walk(json.loads(text), "")
+        return found
+    rows = list(csv.reader(io.StringIO(text)))
+    header, seen = rows[0], {}
+    for row in rows[1:]:
+        ident = ",".join(field for field in row if not _is_float(field))
+        seen[ident] = seen.get(ident, 0) + 1
+        if seen[ident] > 1:
+            ident += f"#{seen[ident]}"
+        for column, field in zip(header, row):
+            if _is_float(field):
+                found[f"{ident} {column}"] = float(field)
+    return found
+
+
+def number_diff(name: str, old: bytes, new: bytes):
+    """Compare the values of two versions of a CSV or JSON file.
+
+    Returns ``(max_abs, max_rel, changed)``: the largest absolute and
+    relative (to the larger magnitude) change over the numbers present
+    in both, and one ``(key, old, new)`` per value that differs, with None
+    where a key is missing on one side.
+    """
+    a, b = values(name, old), values(name, new)
+    max_abs = max_rel = 0.0
+    changed = []
+    for key in list(a) + [k for k in b if k not in a]:
+        x, y = a.get(key), b.get(key)
+        if x == y or (x != x and y != y):
+            continue
+        changed.append((key, x, y))
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        if numeric:
+            delta = abs(x - y)
+            max_abs = max(max_abs, delta)
+            max_rel = max(max_rel, delta / max(abs(x), abs(y)))
+    return max_abs, max_rel, changed
+
+
+def describe_diff(name: str, old: bytes, new: bytes) -> list:
+    max_abs, max_rel, changed = number_diff(name, old, new)
+    lines = [f"  {len(changed)} values differ, max abs {max_abs:.3g}, max rel {max_rel:.3g}"]
+    lines += [f"  {key}: {x!r} -> {y!r}" for key, x, y in changed[:SHOWN]]
+    if len(changed) > SHOWN:
+        lines.append(f"  ... and {len(changed) - SHOWN} more")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare this checkout against")
@@ -125,11 +211,17 @@ def main(argv=None) -> int:
                 differences.append(f"{what} differs: bdml {' '.join(cmd)}")
         if a[0]:
             print(f"note: exit code {a[0]} at {args.rev}: bdml {' '.join(cmd)}")
+    details = {}
     for name in sorted(old_files.keys() | new_files.keys()):
-        if old_files.get(name) != new_files.get(name):
+        a, b = old_files.get(name), new_files.get(name)
+        if a != b:
             differences.append(f"file differs: {name}")
+            if a is not None and b is not None and name.endswith((".csv", ".json")):
+                details[differences[-1]] = describe_diff(name, a, b)
     for line in differences:
         print(line)
+        for detail in details.get(line, ()):
+            print(detail)
     print(f"{len(old_files)} files and {len(cmds)} commands compared against "
           f"{args.rev} on seeds {','.join(map(str, seeds))}: "
           f"{len(differences)} differences")

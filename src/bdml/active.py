@@ -38,7 +38,8 @@ class PairPool:
     each pair as (low, high), the rows sorted lexicographically.
     ``labeled`` is given as (i, j, y) triples or a :class:`ConstraintSet`,
     whose pairs must be candidates, and held as a ConstraintSet in the
-    same order.
+    same order.  ``candidates`` may also be given as another pool, whose
+    candidates are reused without checking them again.
     """
 
     candidates: np.ndarray
@@ -46,20 +47,10 @@ class PairPool:
     _open: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        raw = _as_rows(self.candidates, 2, "candidates")
-        self_pairs = np.flatnonzero(raw[:, 0] == raw[:, 1])
-        if self_pairs.size:
-            i = int(raw[self_pairs[0], 0])
-            raise ValueError(f"self-pair ({i}, {i}) cannot be a candidate")
-        negative = np.flatnonzero(np.any(raw < 0, axis=1))
-        if negative.size:
-            pair = tuple(raw[negative[0]].tolist())
-            raise ValueError(f"negative index in pair {pair}")
-        _, pairs = _canonical(raw)
-        dup = _repeated_rows(pairs)
-        if dup.size:
-            pair = tuple(pairs[dup[0]].tolist())
-            raise ValueError(f"duplicate candidate pair {pair}")
+        if isinstance(self.candidates, PairPool):
+            pairs = self.candidates.candidates
+        else:
+            pairs = _checked_candidates(self.candidates)
 
         lab = self.labeled
         lab = _as_rows(lab.items if isinstance(lab, ConstraintSet) else lab, 3, "labeled")
@@ -75,7 +66,6 @@ class PairPool:
 
         is_open = np.ones(pairs.shape[0], dtype=bool)
         is_open[pos] = False
-        pairs.setflags(write=False)
         is_open.setflags(write=False)
         object.__setattr__(self, "candidates", pairs)
         object.__setattr__(self, "labeled", labeled)
@@ -88,7 +78,27 @@ class PairPool:
 
     def with_labels(self, triples) -> "PairPool":
         new = _as_rows(list(triples), 3, "labeled")
-        return PairPool(self.candidates, np.concatenate((self.labeled.items, new)))
+        return PairPool(self, np.concatenate((self.labeled.items, new)))
+
+
+def _checked_candidates(candidates) -> np.ndarray:
+    """Candidate pairs as a canonical int64 (m, 2) array; rejects bad pairs."""
+    raw = _as_rows(candidates, 2, "candidates")
+    self_pairs = np.flatnonzero(raw[:, 0] == raw[:, 1])
+    if self_pairs.size:
+        i = int(raw[self_pairs[0], 0])
+        raise ValueError(f"self-pair ({i}, {i}) cannot be a candidate")
+    negative = np.flatnonzero(np.any(raw < 0, axis=1))
+    if negative.size:
+        pair = tuple(raw[negative[0]].tolist())
+        raise ValueError(f"negative index in pair {pair}")
+    _, pairs = _canonical(raw)
+    dup = _repeated_rows(pairs)
+    if dup.size:
+        pair = tuple(pairs[dup[0]].tolist())
+        raise ValueError(f"duplicate candidate pair {pair}")
+    pairs.setflags(write=False)
+    return pairs
 
 
 @dataclass(frozen=True)

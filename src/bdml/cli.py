@@ -157,9 +157,12 @@ def cmd_score_pairs(args) -> int:
                         center=not args.no_center,
                         standardize=not args.no_standardize)
     pool = harness.label_initial_pairs(pool, data, args.initial_pairs, args.seed)
-    model, scorer = harness.fit_strategy(
+    model, scorer, estimate = harness.fit_strategy(
         args.strategy, pool.labeled, data, basis, prior, args.reg
     )
+    if estimate is not None and not estimate.converged:
+        print(f"warning: {fit} fit did not converge after "
+              f"{estimate.iterations} iterations", file=sys.stderr)
 
     ranked, p_plus, h = rank_pairs(scorer, pool.unlabeled)
     rows = [["i", "j", "p_plus", "entropy", "strategy"]]

@@ -225,26 +225,28 @@ def label_initial_pairs(pool: PairPool, data: DataMatrix, n: int, seed) -> PairP
 def fit_strategy(name, constraints, data, basis, prior, reg):
     """Run the fit of strategy ``name`` and build its scorer.
 
-    Returns ``(model, scorer)``; either is None where the strategy's
-    table row has no fit or no scorer.  ``prior`` is read by the ``vb``
+    Returns ``(model, scorer, estimate)``: the metric model, the scorer,
+    and the fit's own result (an ``MleSolution`` or a
+    ``VariationalPosterior``).  Each is None where the strategy's table
+    row has no fit or no scorer.  ``prior`` is read by the ``vb``
     fit only, ``reg`` by the ``mle`` fit only.  The fits are looked up
     on their modules at call time, so a wrapped ``vb.fit`` or
     ``mle.mle_fit`` is the one that runs.
     """
     fit, tag = STRATEGY_TABLE[name]
-    model = gamma = sigma = None
+    model = estimate = gamma = sigma = None
     if fit == "mle":
-        sol = mle.mle_fit(constraints, data, basis, reg=reg)
-        model, gamma = metric.from_mle(sol, basis), sol.gamma
+        estimate = mle.mle_fit(constraints, data, basis, reg=reg)
+        model, gamma = metric.from_mle(estimate, basis), estimate.gamma
     elif fit == "vb":
-        post = vb.fit(constraints, data, basis, prior)
-        model, gamma = metric.from_posterior(post, basis), post.mu
-        sigma = post.sigma if tag == "BAYES_VAR" else None
+        estimate = vb.fit(constraints, data, basis, prior)
+        model, gamma = metric.from_posterior(estimate, basis), estimate.mu
+        sigma = estimate.sigma if tag == "BAYES_VAR" else None
     if tag is None:
-        return model, None
+        return model, None, estimate
     if tag == "RANDOM":
-        return model, Scorer.random()
-    return model, Scorer(tag, data, basis, gamma, sigma)
+        return model, Scorer.random(), estimate
+    return model, Scorer(tag, data, basis, gamma, sigma), estimate
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,7 @@ def _run_strategy(config, state, strategy, repeat, prior) -> list:
     for t in range(config.iterations + 1):
         try:
             started = time.perf_counter() if config.measure_runtime else 0.0
-            model, scorer = fit_strategy(
+            model, scorer, _ = fit_strategy(
                 strategy, pool.labeled, state.pool_data, state.basis, prior, config.reg
             )
             if model is not None:

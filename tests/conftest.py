@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from bdml.harness import SynthSpec, synth_data
 from bdml.spectral import eigen_basis
 
 ACCEPTANCE_VERDICTS: list = []
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -34,3 +38,11 @@ def random_features(rng, m, k):
 
 def random_labels(rng, m):
     return rng.choice([-1.0, 1.0], size=m)
+
+
+def benchmark_module(name):
+    """Import ``benchmarks/<name>.py``; the directory is not a package."""
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -264,6 +264,10 @@ def test_laplace_posterior_batch_matches_scalar(seed, sigma_scale, margins):
         scale = (margin + mu[0]) / (mu[1:] @ body)
         rows.append(np.concatenate(([-1.0], scale * body)))
     w = np.array(rows)
+    # The margin-0 row (index 2) takes both modes at even odds, moving the
+    # last weight by -/+ (w.Sigma)_last / 2; a last weight below a quarter of
+    # that makes one of its modes clamp to 0 on every drawn instance.
+    mu[-1] = min(mu[-1], 0.25 * abs(w[2] @ sigma[:, -1]))
     assert np.abs(w @ mu).max() >= 299.0
     clamps = np.minimum(
         mu - expit(w @ mu)[:, None] * (w @ sigma),

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from bdml import mle, vb
 from bdml.cli import build_parser, main, parse_synth_spec
 from bdml.harness import SynthSpec, synth_data
 from bdml.spectral import save_csv
@@ -129,6 +131,38 @@ def test_score_pairs_names_a_nan_reg(data_csv, capsys):
     printed = capsys.readouterr()
     assert printed.err == "error: reg must be >= 0, got nan\n"
     assert printed.out == ""
+
+
+@pytest.mark.parametrize("strategy, module, attr, tag", [
+    ("MLE_ACT", mle, "mle_fit", "mle"),
+    ("BAYES_VAR", vb, "fit", "vb"),
+])
+def test_score_pairs_warns_when_the_fit_did_not_converge(
+        strategy, module, attr, tag, tmp_path, data_csv, capsys, monkeypatch):
+    def run(name):
+        code = main([
+            "score-pairs", "--data", data_csv, "--strategy", strategy,
+            "--initial-pairs", "6", "--k", "2", "--no-standardize",
+            "--out", str(tmp_path / f"{name}.csv"),
+            "--save-model", str(tmp_path / f"{name}.json"),
+        ])
+        assert code == 0
+        return capsys.readouterr()
+
+    converged = run("converged")
+    assert converged.err == ""
+
+    def stalled(*args, _fit=getattr(module, attr), **kwargs):
+        return dataclasses.replace(_fit(*args, **kwargs), converged=False, iterations=77)
+
+    monkeypatch.setattr(module, attr, stalled)
+    printed = run("stalled")
+    assert printed.err == f"warning: {tag} fit did not converge after 77 iterations\n"
+    assert printed.out == converged.out.replace(
+        str(tmp_path / "converged"), str(tmp_path / "stalled"))
+    for suffix in (".csv", ".json"):
+        assert ((tmp_path / f"stalled{suffix}").read_bytes()
+                == (tmp_path / f"converged{suffix}").read_bytes())
 
 
 @pytest.mark.parametrize("n", [0, 24 * 23 // 2 + 1])

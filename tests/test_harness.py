@@ -243,9 +243,16 @@ def test_fit_strategy_follows_the_table(name, monkeypatch):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, attr, counted)
-    model, scorer = fit_strategy(name, constraints, data, basis, prior, 0.3)
+    model, scorer, estimate = fit_strategy(name, constraints, data, basis, prior, 0.3)
     fit = STRATEGY_TABLE[name].fit
     assert calls == ({"mle": ["mle_fit"], "vb": ["fit"]}[fit] if fit else [])
+    want_estimate = {"mle": sol, "vb": post}.get(fit)
+    if want_estimate is None:
+        assert estimate is None
+    else:
+        assert type(estimate) is type(want_estimate)
+        assert estimate.iterations == want_estimate.iterations
+        assert estimate.converged == want_estimate.converged
 
     want_model, want_scorer = expected[name]
     if want_model is None:
@@ -265,7 +272,7 @@ def test_fit_strategy_follows_the_table(name, monkeypatch):
 def test_random_mle_fits_an_mle_model_and_scores_every_pair_indifferently():
     data, basis, pool = _fit_inputs()
     constraints = pool.labeled
-    model, scorer = fit_strategy("RANDOM_MLE", constraints, data, basis, None, 0.3)
+    model, scorer, _ = fit_strategy("RANDOM_MLE", constraints, data, basis, None, 0.3)
     sol = mle.mle_fit(constraints, data, basis, reg=0.3)
     assert model.to_dict() == metric.from_mle(sol, basis).to_dict()
     pairs, p_plus, h = rank_pairs(scorer, pool.unlabeled)
