@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit, xlogy
 
 from . import kernels
+from .kernels import expit, log_expit, xlogx
 from .spectral import (
     ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical,
     _repeated_rows, feature_matrix,
@@ -124,7 +124,7 @@ def entropy(p_plus):
     p = np.asarray(p_plus, dtype=np.float64)
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("probabilities must lie in [0, 1]")
-    h = -xlogy(p, p) - xlogy(1.0 - p, 1.0 - p)
+    h = -xlogx(p) - xlogx(1.0 - p)
     if h.ndim == 0:
         return float(h)
     return h

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +128,8 @@ def cmd_run(args) -> int:
         seed=args.seed,
         measure_runtime=args.measure_runtime,
     )
-    records = harness.run_active_loop(config)
+    fit_tally = Counter()
+    records = harness.run_active_loop(config, fit_tally)
     summary = harness.report(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,6 +138,8 @@ def cmd_run(args) -> int:
     harness.write_results_json(records, config, out / "results.json")
     print(harness.format_report(summary))
     print(f"results written to {out}")
+    for line in harness.convergence_warnings(fit_tally):
+        print(line, file=sys.stderr)
     return 0
 
 

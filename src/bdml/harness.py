@@ -12,6 +12,7 @@ import csv
 import json
 import time
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -287,16 +288,18 @@ def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> 
     )
 
 
-def _run_strategy(config, state, strategy, repeat, prior) -> list:
+def _run_strategy(config, state, strategy, repeat, prior, fit_tally) -> list:
     record_seed = zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode("utf-8"))
     pool = state.pool
     records = []
     for t in range(config.iterations + 1):
         try:
             started = time.perf_counter() if config.measure_runtime else 0.0
-            model, scorer, _ = fit_strategy(
+            model, scorer, estimate = fit_strategy(
                 strategy, pool.labeled, state.pool_data, state.basis, prior, config.reg
             )
+            if estimate is not None:
+                fit_tally[STRATEGY_TABLE[strategy].fit, estimate.converged] += 1
             if model is not None:
                 predictions = metric.knn_classify(model, state.train, state.test)
             elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
@@ -336,13 +339,17 @@ def _run_strategy(config, state, strategy, repeat, prior) -> list:
     return records
 
 
-def run_active_loop(config: ExperimentConfig) -> list:
+def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) -> list:
     """Run every strategy for every repeat; one record per iteration.
 
     Repeats over a CSV dataset reshuffle only the splits; repeats over a
     synthetic spec also redraw the sample, so the averages cover sampling
-    noise as well as split noise.
+    noise as well as split noise.  A ``fit_tally`` counter, if given,
+    gains one count per fit under ``(fit, converged)``, where ``fit`` is
+    the strategy table's ``"mle"`` or ``"vb"``.
     """
+    if fit_tally is None:
+        fit_tally = Counter()
     fixed = load_csv(config.data_csv) if config.data_csv is not None else None
     if fixed is not None and fixed.labels is None:
         raise ValueError("the experiment oracle needs labeled data")
@@ -357,8 +364,21 @@ def run_active_loop(config: ExperimentConfig) -> list:
     for repeat in range(config.repeats):
         state = _prepare_repeat(config, _repeat_data(config, fixed, repeat), repeat)
         for strategy in config.strategies:
-            records.extend(_run_strategy(config, state, strategy, repeat, prior))
+            records.extend(
+                _run_strategy(config, state, strategy, repeat, prior, fit_tally)
+            )
     return records
+
+
+def convergence_warnings(fit_tally: Counter) -> list:
+    """One warning per fit kind of a :func:`run_active_loop` tally that failed to converge."""
+    lines = []
+    for fit in ("mle", "vb"):
+        failed = fit_tally[fit, False]
+        if failed:
+            total = failed + fit_tally[fit, True]
+            lines.append(f"warning: {failed} of {total} {fit} fits did not converge")
+    return lines
 
 
 def report(records) -> list:

@@ -1,9 +1,10 @@
-"""Hot numeric kernels, one numpy/scipy implementation each.
+"""Hot numeric kernels, one numpy implementation each.
 
 ``nn1_indices`` is the only kernel with a choice inside: an exhaustive
 search for small or high-dimensional inputs, and an exact KD-tree search
 for large low-dimensional ones.  Both return the same indices, ties to
-the lowest training row included.
+the lowest training row included.  The tree is scipy's ``cKDTree``,
+imported on first use, so ``import bdml`` loads numpy alone.
 """
 
 import numpy as np
@@ -97,7 +98,28 @@ def weighted_outer_sum(rows, coef):
 
 
 def row_quad_forms(rows, mat):
-    return np.einsum("ij,jk,ik->i", rows, mat, rows)
+    return np.einsum("ij,ij->i", rows @ mat, rows)
+
+
+def expit(x):
+    """Logistic sigmoid 1/(1 + exp(-x)), free of overflow for either sign."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))  # at most 1, so nothing overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def log_expit(x):
+    """log expit(x), exact in the tails: -log(1 + exp(-x)).
+
+    A nan gives nan, with numpy's invalid-value warning.
+    """
+    return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
+
+
+def xlogx(p):
+    """p log p with 0 log 0 = 0, for p >= 0."""
+    p = np.asarray(p, dtype=np.float64)
+    return p * np.log(np.where(p == 0, 1.0, p))
 
 
 def as_f64(a):

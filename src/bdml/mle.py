@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import kernels
 from .spectral import ConstraintSet, DataMatrix, EigenBasis, feature_matrix
@@ -28,6 +27,10 @@ MAX_HALVINGS = 50
 # a free Hessian block whose smallest Cholesky pivot (squared) falls below
 # this fraction of its largest diagonal entry counts as singular
 SINGULAR_RTOL = 1e-12
+# an iteration that cannot raise the objective has stalled; the fit then
+# counts as converged if the full step promised at most this many units in
+# the last place of the objective, which its rounding hides
+STALL_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def _derivatives(g, w, y, reg):
     curvature weights are y^2 s (1 - s), which :func:`_negative_hessian`
     turns into the Hessian only when a Newton step needs it.
     """
-    s = expit(y * (w @ g))
+    s = kernels.expit(y * (w @ g))
     grad = -w.T @ (y * s) - reg * g
     return grad, y * y * s * (1.0 - s)
 
@@ -161,8 +164,11 @@ def mle_fit(
     the better of the scaled all-ones point and the origin, and never
     accepts a lower objective, so the reported objective never falls
     below the objective at zero.  Converged means the projected gradient
-    norm dropped under ``tol``; a failed line search or ``max_iters``
-    iterations return the last iterate with ``converged=False``.
+    norm dropped under ``tol``, or that an iteration could no longer raise
+    the objective while the full step promised a gain below its rounding
+    (``STALL_ULPS``), which happens where the curvature is large.  Any
+    other stalled or failed line search, or ``max_iters`` iterations,
+    return the last iterate with ``converged=False``.
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
@@ -196,6 +202,10 @@ def mle_fit(
                 break
             step *= BACKTRACK_FACTOR
         else:
+            trial_value = -np.inf
+        if trial_value <= value:
+            promised = 0.5 * (grad @ (np.maximum(gamma + direction, 0.0) - gamma))
+            converged = promised <= STALL_ULPS * np.spacing(abs(value))
             break
         gamma, value = trial, trial_value
 

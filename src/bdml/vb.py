@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import log_expit
 
 from . import kernels
 from .spectral import ConstraintSet, DataMatrix, EigenBasis, feature_matrix
@@ -131,7 +129,7 @@ def jj_bound(z, xi):
     """Variational lower bound on the sigmoid: tight exactly at z = +-xi."""
     z = np.asarray(z, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
-    out = np.exp(log_expit(xi) + (z - xi) / 2.0 - lambda_xi(xi) * (z * z - xi * xi))
+    out = np.exp(kernels.log_expit(xi) + (z - xi) / 2.0 - lambda_xi(xi) * (z * z - xi * xi))
     if out.ndim == 0:
         return float(out)
     return out
@@ -157,17 +155,23 @@ def _as_constraint_arrays(features, labels, xi=None):
 
 
 def _solve_spd(precision: np.ndarray) -> np.ndarray:
-    """Invert an SPD matrix, escalating diagonal jitter before giving up."""
+    """Invert an SPD matrix, escalating diagonal jitter before giving up.
+
+    One Cholesky factor L gives the inverse as inv(L)^T inv(L).
+    """
+    if not np.isfinite(precision).all():
+        raise ValueError("precision matrix holds inf or nan")
     dim = precision.shape[0]
     base = 1e-10 * np.trace(precision) / dim
     jitter = 0.0
     for _ in range(4):
         try:
-            factor = cho_factor(precision + jitter * np.eye(dim), lower=True)
+            factor = np.linalg.cholesky(precision + jitter * np.eye(dim))
         except np.linalg.LinAlgError:
             jitter = base if jitter == 0.0 else jitter * 10.0
             continue
-        cov = cho_solve(factor, np.eye(dim))
+        inv_factor = np.linalg.inv(factor)
+        cov = inv_factor.T @ inv_factor
         return (cov + cov.T) / 2.0
     raise np.linalg.LinAlgError(
         "precision matrix numerically singular after jitter escalation "
@@ -184,14 +188,16 @@ def e_step(features, labels, xi, prior: PriorConfig, *, clamp: bool = True):
     downstream convention; pass ``clamp=False`` inside bound-monotonicity
     loops.
     """
-    return _e_step(*_as_constraint_arrays(features, labels, xi), prior, clamp)
+    w, y, x = _as_constraint_arrays(features, labels, xi)
+    return _e_step(w, y, lambda_xi(x), prior, clamp)
 
 
-def _e_step(w, y, x, prior: PriorConfig, clamp: bool):
+def _e_step(w, y, lam, prior: PriorConfig, clamp: bool):
+    """:func:`e_step` on checked arrays, given ``lam = lambda_xi(xi)``."""
     dim = w.shape[1]
     precision = prior.delta * np.eye(dim)
     if w.shape[0]:
-        precision += kernels.weighted_outer_sum(w, 2.0 * lambda_xi(x))
+        precision += kernels.weighted_outer_sum(w, 2.0 * lam)
     sigma = _solve_spd(precision)
     linear = np.full(dim, prior.delta * prior.gamma0)
     if w.shape[0]:
@@ -220,10 +226,12 @@ def elbo(features, labels, mu, sigma, xi, prior: PriorConfig) -> float:
     prior give exactly 0.
     """
     w, y, x = _as_constraint_arrays(features, labels, xi)
-    return _elbo(w, y, np.asarray(mu, dtype=np.float64), kernels.as_f64(sigma), x, prior)
+    mu = np.asarray(mu, dtype=np.float64)
+    return _elbo(w, y, mu, kernels.as_f64(sigma), x, lambda_xi(x), prior)
 
 
-def _elbo(w, y, mu, sigma, x, prior: PriorConfig) -> float:
+def _elbo(w, y, mu, sigma, x, lam, prior: PriorConfig) -> float:
+    """:func:`elbo` on checked arrays, given ``lam = lambda_xi(x)``."""
     dim = mu.shape[0]
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0:
@@ -239,9 +247,8 @@ def _elbo(w, y, mu, sigma, x, prior: PriorConfig) -> float:
     if w.shape[0]:
         zm = w @ mu
         quad = kernels.row_quad_forms(w, sigma)
-        lam = lambda_xi(x)
         total += np.sum(
-            log_expit(x) - (y * zm + x) / 2.0 - lam * (quad + zm * zm - x * x)
+            kernels.log_expit(x) - (y * zm + x) / 2.0 - lam * (quad + zm * zm - x * x)
         )
     return float(total)
 
@@ -276,17 +283,19 @@ def fit(
     dim = basis.k + 1
     mu = np.full(dim, float(prior.gamma0))
     sigma = np.eye(dim) / prior.delta
-    bound = _elbo(w, y, mu, sigma, xi, prior)
+    lam = lambda_xi(xi)  # shared by each bound and the next E-step
+    bound = _elbo(w, y, mu, sigma, xi, lam, prior)
     trajectory = [bound]
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        mu, sigma = _e_step(w, y, xi, prior, clamp=False)
+        mu, sigma = _e_step(w, y, lam, prior, clamp=False)
         if len(constraints):
             xi = m_step(w, mu, sigma)
             if np.any(xi <= 0):
                 raise ValueError("all xi must be strictly positive")
-        previous, bound = bound, _elbo(w, y, mu, sigma, xi, prior)
+            lam = lambda_xi(xi)
+        previous, bound = bound, _elbo(w, y, mu, sigma, xi, lam, prior)
         trajectory.append(bound)
         if abs(bound - previous) < tol * max(1.0, abs(previous)):
             converged = True

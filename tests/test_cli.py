@@ -60,6 +60,29 @@ def test_run_is_byte_deterministic(tmp_path, data_csv):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_run_reports_non_converged_fits_on_stderr_only(tmp_path, data_csv, capsys, monkeypatch):
+    outs = [tmp_path / "plain", tmp_path / "flagged"]
+    assert main(_run_args(data_csv, outs[0])) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+
+    calls = []
+
+    def every_other_unconverged(*args, _fn=mle.mle_fit, **kwargs):
+        calls.append(1)
+        sol = _fn(*args, **kwargs)
+        return dataclasses.replace(sol, converged=len(calls) % 2 == 0 and sol.converged)
+
+    monkeypatch.setattr(mle, "mle_fit", every_other_unconverged)
+    assert main(_run_args(data_csv, outs[1])) == 0
+    flagged = capsys.readouterr()
+    assert len(calls) == 4  # RANDOM_MLE: 2 repeats x 2 iterations
+    assert flagged.err == "warning: 2 of 4 mle fits did not converge\n"
+    assert flagged.out.replace(str(outs[1]), str(outs[0])) == plain.out
+    for name in ("results.csv", "summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_run_accepts_synthetic_source(tmp_path, capsys):
     out = tmp_path / "synth_out"
     code = main([

@@ -1,5 +1,6 @@
 import json
 import zlib
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from bdml.harness import (
     SynthSpec,
     _repeat_data,
     build_pool,
+    convergence_warnings,
     fit_strategy,
     label_initial_pairs,
     format_report,
@@ -362,6 +364,21 @@ def test_loop_classifies_euclid_once_per_repeat(monkeypatch):
     ]
     for rep in (0, 1):
         assert len({r.accuracy for r in euclid if r.repeat == rep}) == 1
+
+
+def test_loop_tallies_every_fit_by_kind_and_convergence():
+    tally = Counter()
+    run_active_loop(_small_config(), tally)
+    # RANDOM_MLE and MLE_ACT fit by mle, the two BAYES strategies by vb, EUCLID not at all
+    assert tally == Counter({("mle", True): 8, ("vb", True): 8})
+    assert convergence_warnings(tally) == []
+
+
+def test_convergence_warnings_name_each_fit_kind_that_failed():
+    tally = Counter({("mle", True): 3, ("mle", False): 2, ("vb", True): 5})
+    assert convergence_warnings(tally) == ["warning: 2 of 5 mle fits did not converge"]
+    tally["vb", False] += 1
+    assert convergence_warnings(tally)[1] == "warning: 1 of 6 vb fits did not converge"
 
 
 def test_loop_is_deterministic():

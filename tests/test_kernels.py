@@ -2,16 +2,30 @@
 
 ``nn1_indices`` picks between an exhaustive search and a KD-tree by input
 shape; both branches are also driven directly and must return the same
-indices as a brute-force argmin, ties to the lowest training row.
+indices as a brute-force argmin, ties to the lowest training row.  The
+sigmoid and entropy kernels are checked against ``scipy.special``: bit
+for bit where numpy has the same formula, within a stated number of
+units in the last place (ulp) where it does not.
 """
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from bdml import kernels
+from bdml.active import entropy
+
+TINY = np.finfo(np.float64).tiny  # smallest normal double, 2.2e-308
+# every input sign and range a sigmoid meets: exp overflow starts near 709.8,
+# its result goes subnormal below -708.4 and underflows to 0 below -745.1
+EDGES = np.array([0.0, -0.0, 708.0, -708.0, 745.0, -745.0, 1e-300, -1e-300,
+                  710.0, -710.0, 1e4, -1e4, np.inf, -np.inf, np.nan])
+# p log p at its zeros 0 and 1, at subnormal, tiny and near-1 inputs, and at nan
+P_EDGES = np.array([0.0, 1.0, 5e-324, 1e-310, TINY, 1e-300, 0.5, 1.0 - 2**-53, np.nan])
 
 
 def _instance(seed, m=14, n=11, k=4):
@@ -155,6 +169,86 @@ def test_row_quad_forms_variants_agree():
     mat = kernels.as_f64(mat + mat.T)
     oracle = np.array([r @ mat @ r for r in rows])
     npt.assert_allclose(kernels.row_quad_forms(rows, mat), oracle, atol=1e-12)
+
+
+def _margins(seed):
+    """1e5 draws at four scales, then the edge cases."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.normal(scale=s, size=25_000) for s in (1.0, 10.0, 100.0, 400.0)]
+    return np.concatenate(draws + [EDGES])
+
+
+def _probabilities(seed):
+    """1e5 draws: uniform, log-uniform down to subnormals, and just below 1."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        rng.random(40_000),
+        10.0 ** rng.uniform(-323, 0, 40_000),
+        1.0 - 10.0 ** rng.uniform(-16, 0, 20_000),
+        P_EDGES,
+    ])
+
+
+def _ulps(got, want):
+    """|got - want| in units in the last place of ``want``."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_log_expit_is_bitwise_scipy():
+    x = _margins(6)
+    with np.errstate(invalid="ignore"):  # the nan edge; see the next test
+        got = kernels.log_expit(x)
+    want = special.log_expit(x)
+    npt.assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    npt.assert_array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+    assert kernels.log_expit(-1e4) == -1e4 and kernels.log_expit(1e4) == -0.0
+
+
+def test_log_expit_flags_nan_as_an_invalid_value():
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert np.isnan(kernels.log_expit(np.nan))
+
+
+def test_expit_matches_scipy_within_4_ulp_and_keeps_the_subnormal_tail():
+    x = _margins(7)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = kernels.expit(x)
+    want = special.expit(x)
+    npt.assert_array_equal(np.isnan(got), np.isnan(want))
+    normal = want >= TINY
+    assert _ulps(got[normal], want[normal]).max() <= 4
+    # below the normal range scipy's 1/(1 + exp(-x)) flushes to 0 once exp
+    # overflows; the split form keeps exp(x), so only an absolute bound holds
+    sub = (want < TINY) & ~np.isnan(want)
+    assert np.abs(got[sub] - want[sub]).max() <= TINY
+    # where 1 + exp(x) rounds to 1 the sigmoid is exp(x) to the last bit
+    tail = x[x < -40]
+    npt.assert_array_equal(kernels.expit(tail), np.exp(tail))
+    assert kernels.expit(0.0) == 0.5 and kernels.expit(-0.0) == 0.5
+    assert kernels.expit(np.inf) == 1.0 and kernels.expit(-np.inf) == 0.0
+    assert isinstance(kernels.expit(1.0), np.float64)
+
+
+def test_xlogx_matches_scipy_xlogy_within_4_ulp():
+    p = _probabilities(8)
+    got, want = kernels.xlogx(p), special.xlogy(p, p)
+    npt.assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert _ulps(got[finite], want[finite]).max() <= 4
+    assert kernels.xlogx(0.0) == 0.0 and kernels.xlogx(1.0) == 0.0
+
+
+def test_entropy_matches_scipy_within_4_ulp():
+    p = _probabilities(9)[:-1]  # entropy takes probabilities, not nan
+    want = -special.xlogy(p, p) - special.xlogy(1.0 - p, 1.0 - p)
+    assert _ulps(entropy(p), want).max() <= 4
+
+
+@pytest.mark.parametrize("kernel", [kernels.expit, kernels.log_expit, kernels.xlogx])
+def test_sigmoid_kernels_keep_shape_and_return_scalars_for_scalars(kernel):
+    assert np.shape(kernel(np.zeros((2, 3)))) == (2, 3)
+    assert np.ndim(kernel(0.5)) == 0
 
 
 def test_coercion_helpers():

@@ -256,6 +256,16 @@ def test_readme_sized_1nn_never_imports_scipy_spatial():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_bdml_loads_no_scipy():
+    # scipy.special and scipy.linalg cost ~0.45 s per process; only the KD-tree needs scipy
+    code = "import sys\nimport bdml\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    src = str(Path(bdml.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # accuracy
 

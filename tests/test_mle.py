@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -241,6 +241,11 @@ def _lbfgsb_oracle(w, y, reg):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), reg=st.sampled_from([1e-6, 0.1, 1.0, 5.0]))
+# curvature near 1e4-1e5 leaves a projected gradient above tol whose remaining
+# gain is below the objective's rounding, so the line search stalls there
+@example(seed=143, reg=1.0)
+@example(seed=1451, reg=0.1)
+@example(seed=1451, reg=1e-6)
 def test_fit_agrees_with_an_lbfgsb_oracle(seed, reg):
     # With ||pg|| < tol at the returned point and the objective reg-strongly
     # concave, |gamma - gamma*| < tol/reg and objective* - objective < tol^2/reg.

@@ -148,6 +148,13 @@ def test_solve_spd_inverts_and_rejects():
         _solve_spd(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solve_spd_rejects_a_non_finite_precision(bad):
+    # LAPACK's Cholesky would factor these into a zero or nan covariance
+    with pytest.raises(ValueError, match="inf or nan"):
+        _solve_spd(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_m_step_formula():
     w = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 4.0], [-1.0, 2.0, 2.0]])
     mu = np.array([0.5, 1.0, 2.0])
