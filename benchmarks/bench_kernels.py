@@ -1,4 +1,4 @@
-"""Time the numeric kernels and both 1NN searches.
+"""Time the numeric kernels, both 1NN searches and the stacked VB solve.
 
 Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``.
 The first table times each public kernel at a fixed size.  The second
@@ -6,15 +6,18 @@ times ``nn1_exhaustive`` against ``nn1_tree`` at the shapes that set
 ``nn1_indices``'s size rule: the ``knn_eval`` benchmark search, a README
 ``bdml run`` search, and a large training set with few queries.  The two
 searches must return identical indices at every shape; that check runs
-first, so the one-time ``scipy.spatial`` import is not timed.  Each
-number is the best of several samples.
+first, so the one-time ``scipy.spatial`` import is not timed.  The third
+times each iteration's stacked VB solve of the README ``bdml run`` (40
+problems: 20 repeats of BAYES_ACT and BAYES_VAR), ``vb.fit_many``, against
+40 ``vb.fit`` calls on the same problems, after checking that the two
+agree bit for bit.  Each number is the best of several samples.
 """
 
 import timeit
 
 import numpy as np
 
-from bdml import kernels
+from bdml import harness, kernels, vb
 
 SIZES = {
     "pair_sq_proj": dict(n=400, k=10, m=5000),
@@ -65,6 +68,30 @@ def make_inputs(rng):
     }
 
 
+README_CONFIG = harness.ExperimentConfig(
+    synth=harness.SynthSpec(classes=3, per_class=20, dim=10, spread=0.3),
+    pool_size=40, n_test=20, initial_pairs=10, batch_size=20, iterations=5,
+    repeats=20, k=2, standardize=False, reg=5.0,
+)
+
+
+def readme_vb_stacks() -> list:
+    """The problems of each stacked VB solve of one README ``bdml run``, in order."""
+    stacks = []
+    fit_many = vb.fit_many
+
+    def recorded(problems, *args, **kwargs):
+        stacks.append(list(problems))
+        return fit_many(problems, *args, **kwargs)
+
+    vb.fit_many = recorded
+    try:
+        harness.run_active_loop(README_CONFIG)
+    finally:
+        vb.fit_many = fit_many
+    return stacks
+
+
 def best_ms(fn, args, number=20, repeat=5):
     return min(timeit.repeat(lambda: fn(*args), number=number, repeat=repeat)) / number * 1e3
 
@@ -89,6 +116,23 @@ def main():
         choice = "tree" if kernels.uses_tree(n_train, n_query, k) else "exhaustive"
         shape = f"{label} {n_train}x{n_query}x{k}"
         print(f"{shape:<32} {t_exh:>14.3f} {t_tree:>10.3f} {choice:>12}")
+
+    print()
+    print(f"{'README vb stack':<32} {'fit_many ms':>14} {'n x fit ms':>10}")
+    prior = vb.PriorConfig(gamma0=README_CONFIG.gamma0, delta=README_CONFIG.delta)
+    for t, problems in enumerate(readme_vb_stacks()):
+        stacked = vb.fit_many(problems, prior)
+        for post, problem in zip(stacked, problems):
+            alone = vb.fit(*problem, prior)
+            if post.mu_raw.tobytes() != alone.mu_raw.tobytes() \
+                    or post.bound_trajectory != alone.bound_trajectory:
+                raise SystemExit(f"iteration {t}: stacked and single VB fits disagree")
+        t_stack = best_ms(vb.fit_many, (problems, prior), number=3, repeat=3)
+        t_alone = best_ms(lambda: [vb.fit(*p, prior) for p in problems], (),
+                          number=3, repeat=3)
+        m, k = len(problems[0][0]), problems[0][2].k
+        shape = f"iteration {t}: {len(problems)} x m={m}, k={k}"
+        print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -25,9 +25,24 @@ STRATEGIES = ("RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR")
 MAX_ENTROPY = float(np.log(2.0))
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One structured (i, j) key per row, ordered like the rows' tuples."""
-    return np.ascontiguousarray(rows).view([("i", np.int64), ("j", np.int64)]).ravel()
+# i * base + j stays within int64 for indices below this base
+MAX_KEY_BASE = 3_037_000_499  # floor(sqrt(2**63 - 1))
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray):
+    """One search key per (i, j) row of ``a`` and of ``b``, ordered like the rows' tuples.
+
+    The key is the int64 ``i * base + j``, with ``base`` above every index
+    of both arrays, so no two distinct pairs share a key.  Where an index
+    is negative, or too large for such a key, the keys are structured
+    (i, j) records instead.
+    """
+    lo = min(int(a.min(initial=0)), int(b.min(initial=0)))
+    base = max(int(a.max(initial=0)), int(b.max(initial=0))) + 1
+    if lo < 0 or base > MAX_KEY_BASE:
+        rec = [("i", np.int64), ("j", np.int64)]
+        return tuple(np.ascontiguousarray(x).view(rec).ravel() for x in (a, b))
+    return a[:, 0] * base + a[:, 1], b[:, 0] * base + b[:, 1]
 
 
 @dataclass(frozen=True)
@@ -55,7 +70,7 @@ class PairPool:
         lab = self.labeled
         lab = _as_rows(lab.items if isinstance(lab, ConstraintSet) else lab, 3, "labeled")
         order, lab_pairs = _canonical(lab)
-        keys, lab_keys = _row_keys(pairs), _row_keys(lab_pairs)
+        keys, lab_keys = _pair_keys(pairs, lab_pairs)
         pos = np.searchsorted(keys, lab_keys)
         found = pos < keys.size
         found[found] = keys[pos[found]] == lab_keys[found]
@@ -122,7 +137,7 @@ class PairScore:
 def entropy(p_plus):
     """Binary entropy in nats, with 0 log 0 = 0.  Scalar or array."""
     p = np.asarray(p_plus, dtype=np.float64)
-    if np.any(p < 0) or np.any(p > 1):
+    if not np.all((p >= 0) & (p <= 1)):  # nan fails both
         raise ValueError("probabilities must lie in [0, 1]")
     h = -xlogx(p) - xlogx(1.0 - p)
     if h.ndim == 0:

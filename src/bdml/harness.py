@@ -3,7 +3,9 @@
 A run compares acquisition strategies under a paired design: within a
 repeat, every strategy sees the same test split, the same candidate
 pool and the same initial labeled pairs, and differs only in which
-pairs it asks the oracle about afterwards.
+pairs it asks the oracle about afterwards.  The (repeat, strategy) runs
+advance in lockstep, so each iteration's variational fits can be solved
+as stacks (see :func:`run_active_loop`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import json
 import time
 import zlib
 from collections import Counter
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -234,20 +237,34 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     on their modules at call time, so a wrapped ``vb.fit`` or
     ``mle.mle_fit`` is the one that runs.
     """
-    fit, tag = STRATEGY_TABLE[name]
-    model = estimate = gamma = sigma = None
+    estimate = _fit_estimate(name, constraints, data, basis, prior, reg)
+    return (*_model_and_scorer(name, estimate, data, basis), estimate)
+
+
+def _fit_estimate(name, constraints, data, basis, prior, reg):
+    """The fit of strategy ``name``'s table row, or None for a row without one."""
+    fit = STRATEGY_TABLE[name].fit
     if fit == "mle":
-        estimate = mle.mle_fit(constraints, data, basis, reg=reg)
+        return mle.mle_fit(constraints, data, basis, reg=reg)
+    if fit == "vb":
+        return vb.fit(constraints, data, basis, prior)
+    return None
+
+
+def _model_and_scorer(name, estimate, data, basis):
+    """``(model, scorer)`` of strategy ``name`` given its fit's ``estimate``."""
+    fit, tag = STRATEGY_TABLE[name]
+    model = gamma = sigma = None
+    if fit == "mle":
         model, gamma = metric.from_mle(estimate, basis), estimate.gamma
     elif fit == "vb":
-        estimate = vb.fit(constraints, data, basis, prior)
         model, gamma = metric.from_posterior(estimate, basis), estimate.mu
         sigma = estimate.sigma if tag == "BAYES_VAR" else None
     if tag is None:
-        return model, None, estimate
+        return model, None
     if tag == "RANDOM":
-        return model, Scorer.random(), estimate
-    return model, Scorer(tag, data, basis, gamma, sigma), estimate
+        return model, Scorer.random()
+    return model, Scorer(tag, data, basis, gamma, sigma)
 
 
 @dataclass(frozen=True)
@@ -288,55 +305,91 @@ def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> 
     )
 
 
-def _run_strategy(config, state, strategy, repeat, prior, fit_tally) -> list:
-    record_seed = zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode("utf-8"))
-    pool = state.pool
-    records = []
-    for t in range(config.iterations + 1):
+@dataclass
+class _Run:
+    """One strategy on one repeat: its labeled pool grows, its records accrue."""
+
+    strategy: str
+    repeat: int
+    state: _RepeatState
+    pool: PairPool
+    seed: int
+    records: list = field(default_factory=list)
+    predictions: np.ndarray | None = None  # EUCLID's, kept from iteration 0
+
+    def problem(self):
+        return self.pool.labeled, self.state.pool_data, self.state.basis
+
+
+@contextmanager
+def _blamed_on(run: _Run, t: int):
+    """Re-raise any error as a RuntimeError naming the run and iteration."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(
+            f"strategy={run.strategy} repeat={run.repeat} iteration={t}: {exc}"
+        ) from exc
+
+
+def _fit_iteration(runs, t, prior, reg):
+    """Every run's fit at iteration ``t``, with its wall time in ms.
+
+    The MLE fits run one by one.  The VB fits of runs sharing the
+    constraint count and basis size run as one :func:`vb.fit_many`
+    stack, whose wall time is split evenly across its runs.
+    """
+    estimates = [None] * len(runs)
+    fit_ms = [0.0] * len(runs)
+    stacks = {}
+    for n, run in enumerate(runs):
+        if STRATEGY_TABLE[run.strategy].fit == "vb":
+            stacks.setdefault((len(run.pool.labeled), run.state.basis.k), []).append(n)
+            continue
+        started = time.perf_counter()
+        with _blamed_on(run, t):
+            estimates[n] = _fit_estimate(run.strategy, *run.problem(), prior, reg)
+        fit_ms[n] = (time.perf_counter() - started) * 1000.0
+    for members in stacks.values():
+        started = time.perf_counter()
+        stack = [runs[n] for n in members]
         try:
-            started = time.perf_counter() if config.measure_runtime else 0.0
-            model, scorer, estimate = fit_strategy(
-                strategy, pool.labeled, state.pool_data, state.basis, prior, config.reg
-            )
-            if estimate is not None:
-                fit_tally[STRATEGY_TABLE[strategy].fit, estimate.converged] += 1
-            if model is not None:
-                predictions = metric.knn_classify(model, state.train, state.test)
-            elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
-                predictions = metric.euclidean_knn(state.train, state.test)
-            acc = metric.accuracy(predictions, state.test.labels)
-            elapsed = (
-                (time.perf_counter() - started) * 1000.0
-                if config.measure_runtime
-                else 0.0
-            )
-            records.append(
-                ResultRecord(
-                    strategy=strategy,
-                    repeat=repeat,
-                    iteration=t,
-                    n_pairs=config.initial_pairs + t * config.batch_size,
-                    accuracy=acc,
-                    runtime_ms=elapsed,
-                    seed=record_seed,
-                )
-            )
-            if t < config.iterations and scorer is not None:
-                chosen = select(
-                    pool,
-                    scorer,
-                    config.batch_size,
-                    _seed_ints(config.seed, strategy, repeat, "select", t),
-                )
-                pool = pool.with_labels(
-                    (i, j, oracle_label(state.pool_data, i, j))
-                    for i, j in chosen.tolist()
-                )
-        except Exception as exc:
-            raise RuntimeError(
-                f"strategy={strategy} repeat={repeat} iteration={t}: {exc}"
-            ) from exc
-    return records
+            posteriors = vb.fit_many([run.problem() for run in stack], prior)
+        except Exception:
+            for run in stack:  # refit one by one, so the error names its run
+                with _blamed_on(run, t):
+                    vb.fit(*run.problem(), prior)
+            raise
+        share = (time.perf_counter() - started) * 1000.0 / len(members)
+        for n, post in zip(members, posteriors):
+            estimates[n], fit_ms[n] = post, share
+    return estimates, fit_ms
+
+
+def _advance(config, run: _Run, t, estimate, fit_ms, fit_tally) -> None:
+    """Record the accuracy of the run's fit at iteration ``t``, then label its next batch."""
+    started = time.perf_counter()
+    state = run.state
+    if estimate is not None:
+        fit_tally[STRATEGY_TABLE[run.strategy].fit, estimate.converged] += 1
+    model, scorer = _model_and_scorer(run.strategy, estimate, state.pool_data, state.basis)
+    if model is not None:
+        run.predictions = metric.knn_classify(model, state.train, state.test)
+    elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
+        run.predictions = metric.euclidean_knn(state.train, state.test)
+    acc = metric.accuracy(run.predictions, state.test.labels)
+    elapsed = fit_ms + (time.perf_counter() - started) * 1000.0
+    n_pairs = config.initial_pairs + t * config.batch_size
+    runtime_ms = elapsed if config.measure_runtime else 0.0
+    run.records.append(
+        ResultRecord(run.strategy, run.repeat, t, n_pairs, acc, runtime_ms, run.seed)
+    )
+    if t < config.iterations and scorer is not None:
+        seed = _seed_ints(config.seed, run.strategy, run.repeat, "select", t)
+        chosen = select(run.pool, scorer, config.batch_size, seed)
+        run.pool = run.pool.with_labels(
+            (i, j, oracle_label(state.pool_data, i, j)) for i, j in chosen.tolist()
+        )
 
 
 def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) -> list:
@@ -347,6 +400,17 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     noise as well as split noise.  A ``fit_tally`` counter, if given,
     gains one count per fit under ``(fit, converged)``, where ``fit`` is
     the strategy table's ``"mle"`` or ``"vb"``.
+
+    The runs move in lockstep: every repeat is prepared first, then all
+    (repeat, strategy) runs take iteration 0, then iteration 1, and so
+    on.  Within an iteration the VB fits that share a constraint count
+    and basis size are solved as one stack (:func:`vb.fit_many`); fits,
+    selection and 1NN otherwise run per run.  Every seed derives from
+    (seed, strategy, repeat, iteration), so the order changes no result,
+    and the records come out ordered by repeat, strategy and iteration.
+    With ``measure_runtime`` a run's ``runtime_ms`` covers its fit and
+    its 1NN evaluation; a stacked fit's wall time is split evenly across
+    its runs.
     """
     if fit_tally is None:
         fit_tally = Counter()
@@ -360,14 +424,20 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
             f"exceeds the {n} available examples"
         )
     prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
-    records = []
+    runs = []
     for repeat in range(config.repeats):
         state = _prepare_repeat(config, _repeat_data(config, fixed, repeat), repeat)
-        for strategy in config.strategies:
-            records.extend(
-                _run_strategy(config, state, strategy, repeat, prior, fit_tally)
-            )
-    return records
+        runs.extend(
+            _Run(strategy, repeat, state, state.pool,
+                 zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode("utf-8")))
+            for strategy in config.strategies
+        )
+    for t in range(config.iterations + 1):
+        estimates, fit_ms = _fit_iteration(runs, t, prior, config.reg)
+        for run, estimate, ms in zip(runs, estimates, fit_ms):
+            with _blamed_on(run, t):
+                _advance(config, run, t, estimate, ms, fit_tally)
+    return [record for run in runs for record in run.records]
 
 
 def convergence_warnings(fit_tally: Counter) -> list:

@@ -9,7 +9,7 @@ update steps alternate in closed form, never decreasing the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,28 +155,49 @@ def _as_constraint_arrays(features, labels, xi=None):
 
 
 def _solve_spd(precision: np.ndarray) -> np.ndarray:
-    """Invert an SPD matrix, escalating diagonal jitter before giving up.
+    """Invert SPD matrices, one (d, d) or a stack (r, d, d), from one Cholesky factor each.
 
-    One Cholesky factor L gives the inverse as inv(L)^T inv(L).
+    A factor L gives the inverse as inv(L)^T inv(L).  If the stack does not
+    factor, each matrix is factored on its own with escalating diagonal
+    jitter before giving up.
     """
     if not np.isfinite(precision).all():
         raise ValueError("precision matrix holds inf or nan")
+    try:
+        factor = np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError:
+        dim = precision.shape[-1]
+        singles = [_jittered_factor(p) for p in precision.reshape(-1, dim, dim)]
+        factor = np.stack(singles).reshape(precision.shape)
+    inv_factor = np.linalg.inv(factor)
+    cov = np.swapaxes(inv_factor, -1, -2) @ inv_factor
+    return (cov + np.swapaxes(cov, -1, -2)) / 2.0
+
+
+def _jittered_factor(precision: np.ndarray) -> np.ndarray:
+    """Cholesky factor of one SPD matrix, adding diagonal jitter where it fails."""
     dim = precision.shape[0]
     base = 1e-10 * np.trace(precision) / dim
     jitter = 0.0
     for _ in range(4):
         try:
-            factor = np.linalg.cholesky(precision + jitter * np.eye(dim))
+            return np.linalg.cholesky(precision + jitter * np.eye(dim))
         except np.linalg.LinAlgError:
             jitter = base if jitter == 0.0 else jitter * 10.0
-            continue
-        inv_factor = np.linalg.inv(factor)
-        cov = inv_factor.T @ inv_factor
-        return (cov + cov.T) / 2.0
     raise np.linalg.LinAlgError(
         "precision matrix numerically singular after jitter escalation "
         f"(condition estimate {np.linalg.cond(precision):.3e})"
     )
+
+
+def _mat_vec(mat, vec):
+    """``mat @ vec`` for each problem of a stack: (r, a, b) and (r, b) give (r, a)."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _row_quad_forms(w, mat):
+    """w_i . mat . w_i for each row of each problem: (r, m, d) and (r, d, d) give (r, m)."""
+    return np.einsum("rij,rij->ri", w @ mat, w)
 
 
 def e_step(features, labels, xi, prior: PriorConfig, *, clamp: bool = True):
@@ -189,32 +210,42 @@ def e_step(features, labels, xi, prior: PriorConfig, *, clamp: bool = True):
     loops.
     """
     w, y, x = _as_constraint_arrays(features, labels, xi)
-    return _e_step(w, y, lambda_xi(x), prior, clamp)
+    mu, sigma = _e_step(w[None], y[None], lambda_xi(x)[None], prior, clamp)
+    return mu[0], sigma[0]
 
 
 def _e_step(w, y, lam, prior: PriorConfig, clamp: bool):
-    """:func:`e_step` on checked arrays, given ``lam = lambda_xi(xi)``."""
-    dim = w.shape[1]
+    """:func:`e_step` on a stack of checked problems, given ``lam = lambda_xi(xi)``.
+
+    ``w`` is (r, m, d), ``y`` and ``lam`` are (r, m); returns (r, d) means
+    and (r, d, d) covariances.
+    """
+    r, m, dim = w.shape
     precision = prior.delta * np.eye(dim)
-    if w.shape[0]:
-        precision += kernels.weighted_outer_sum(w, 2.0 * lam)
-    sigma = _solve_spd(precision)
-    linear = np.full(dim, prior.delta * prior.gamma0)
-    if w.shape[0]:
-        linear -= w.T @ (y / 2.0)
-    mu = sigma @ linear
+    linear = np.full((r, dim), prior.delta * prior.gamma0)
+    if m:
+        precision = precision + np.swapaxes(w * (2.0 * lam)[..., None], -1, -2) @ w
+        linear -= _mat_vec(np.swapaxes(w, -1, -2), y / 2.0)
+    sigma = _solve_spd(np.broadcast_to(precision, (r, dim, dim)))
+    mu = _mat_vec(sigma, linear)
     if clamp:
         mu = np.maximum(mu, 0.0)
     return mu, sigma
 
 
 def m_step(features, mu, sigma) -> np.ndarray:
-    """Per-constraint optimum xi = sqrt((mu.w)^2 + w.Sigma.w)."""
+    """Per-constraint optimum xi = sqrt((mu.w)^2 + w.Sigma.w).
+
+    Takes one problem, (m, d) features with a (d,) mean and a (d, d)
+    covariance, or a stack of them along a leading axis.
+    """
     w = kernels.as_f64(features)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = kernels.as_f64(sigma)
-    mean_part = w @ mu
-    quad = np.maximum(kernels.row_quad_forms(w, sigma), 0.0)
+    if w.ndim == 2:
+        return m_step(w[None], mu[None], sigma[None])[0]
+    mean_part = _mat_vec(w, mu)
+    quad = np.maximum(_row_quad_forms(w, sigma), 0.0)
     return np.sqrt(mean_part * mean_part + quad)
 
 
@@ -227,30 +258,37 @@ def elbo(features, labels, mu, sigma, xi, prior: PriorConfig) -> float:
     """
     w, y, x = _as_constraint_arrays(features, labels, xi)
     mu = np.asarray(mu, dtype=np.float64)
-    return _elbo(w, y, mu, kernels.as_f64(sigma), x, lambda_xi(x), prior)
+    sigma = kernels.as_f64(sigma)
+    stack = (w[None], y[None], mu[None], sigma[None], x[None], lambda_xi(x)[None])
+    return float(_elbo(*stack, prior)[0])
 
 
-def _elbo(w, y, mu, sigma, x, lam, prior: PriorConfig) -> float:
-    """:func:`elbo` on checked arrays, given ``lam = lambda_xi(x)``."""
-    dim = mu.shape[0]
+def _elbo(w, y, mu, sigma, x, lam, prior: PriorConfig) -> np.ndarray:
+    """:func:`elbo` on a stack of checked problems, one bound each.
+
+    ``lam`` is ``lambda_xi(x)``.
+    """
+    dim = mu.shape[-1]
     sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise ValueError("sigma is not positive definite")
     resid = mu - prior.gamma0
     kl = 0.5 * (
-        prior.delta * (np.trace(sigma) + resid @ resid)
+        prior.delta * (np.trace(sigma, axis1=-2, axis2=-1)
+                       + (resid[:, None, :] @ resid[:, :, None])[:, 0, 0])
         - dim
         - dim * np.log(prior.delta)
         - logdet
     )
     total = -kl
-    if w.shape[0]:
-        zm = w @ mu
-        quad = kernels.row_quad_forms(w, sigma)
-        total += np.sum(
-            kernels.log_expit(x) - (y * zm + x) / 2.0 - lam * (quad + zm * zm - x * x)
+    if w.shape[1]:
+        zm = _mat_vec(w, mu)
+        quad = _row_quad_forms(w, sigma)
+        total = total + np.sum(
+            kernels.log_expit(x) - (y * zm + x) / 2.0 - lam * (quad + zm * zm - x * x),
+            axis=-1,
         )
-    return float(total)
+    return total
 
 
 def fit(
@@ -269,44 +307,81 @@ def fit(
     ascent step on the bound; the clamp is applied once, to the final
     mean.  Convergence is a relative bound change below ``tol``, with the
     denominator floored at 1 so a bound near zero cannot stall the test.
+    This is :func:`fit_many` of one problem.
+    """
+    return fit_many([(constraints, data, basis)], prior, tol, max_iters, xi0=xi0)[0]
+
+
+def fit_many(
+    problems,
+    prior: PriorConfig | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    *,
+    xi0: float = 1.0,
+) -> list:
+    """:func:`fit` of independent problems as one stacked solve, one posterior each.
+
+    ``problems`` is a sequence of ``(constraints, data, basis)`` sharing
+    the constraint count and the basis size.  Each problem keeps its own
+    stop test and is frozen once it passes, so its posterior, iteration
+    count and bound trajectory are those of fitting it alone, bit for bit.
+    An error in any problem fails the whole call.
     """
     if prior is None:
         prior = PriorConfig()
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
-    w, y, xi = _as_constraint_arrays(
-        feature_matrix(data, basis, constraints.pairs),
-        constraints.labels,
-        np.full(len(constraints), float(xi0)),
-    )
+    if not problems:
+        return []
+    shapes = {(len(c), b.k) for c, _, b in problems}
+    if len(shapes) > 1:
+        raise ValueError("stacked problems must share the constraint count "
+                         f"and basis size, got {sorted(shapes)}")
+    w = np.stack([feature_matrix(d, b, c.pairs) for c, d, b in problems])
+    y = np.stack([c.labels for c, _, _ in problems])
+    r, m, dim = w.shape
+    xi = np.full((r, m), float(xi0))
+    if np.any(xi <= 0):
+        raise ValueError("all xi must be strictly positive")
 
-    dim = basis.k + 1
-    mu = np.full(dim, float(prior.gamma0))
-    sigma = np.eye(dim) / prior.delta
+    mu = np.full((r, dim), float(prior.gamma0))
+    sigma = np.broadcast_to(np.eye(dim) / prior.delta, (r, dim, dim)).copy()
     lam = lambda_xi(xi)  # shared by each bound and the next E-step
     bound = _elbo(w, y, mu, sigma, xi, lam, prior)
-    trajectory = [bound]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        mu, sigma = _e_step(w, y, lam, prior, clamp=False)
-        if len(constraints):
-            xi = m_step(w, mu, sigma)
-            if np.any(xi <= 0):
+    trajectories = [[b] for b in bound.tolist()]
+    iterations = np.zeros(r, dtype=np.int64)
+    converged = np.zeros(r, dtype=bool)
+    live = np.arange(r)  # the problems still iterating
+    for it in range(1, max_iters + 1):
+        w_l, y_l = (w, y) if live.size == r else (w[live], y[live])
+        mu_l, sigma_l = _e_step(w_l, y_l, lam[live], prior, clamp=False)
+        if m:
+            xi_l = m_step(w_l, mu_l, sigma_l)
+            if np.any(xi_l <= 0):
                 raise ValueError("all xi must be strictly positive")
-            lam = lambda_xi(xi)
-        previous, bound = bound, _elbo(w, y, mu, sigma, xi, lam, prior)
-        trajectory.append(bound)
-        if abs(bound - previous) < tol * max(1.0, abs(previous)):
-            converged = True
+            xi[live] = xi_l
+            lam[live] = lambda_xi(xi_l)
+        previous = bound[live]
+        bound_l = _elbo(w_l, y_l, mu_l, sigma_l, xi[live], lam[live], prior)
+        mu[live], sigma[live], bound[live], iterations[live] = mu_l, sigma_l, bound_l, it
+        for n, b in zip(live.tolist(), bound_l.tolist()):
+            trajectories[n].append(b)
+        done = np.abs(bound_l - previous) < tol * np.maximum(1.0, np.abs(previous))
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
             break
-    return VariationalPosterior(
-        mu=np.maximum(mu, 0.0),
-        sigma=sigma,
-        xi=xi,
-        bound=bound,
-        iterations=iterations,
-        mu_raw=mu,
-        bound_trajectory=tuple(trajectory),
-        converged=converged,
-    )
+    return [
+        VariationalPosterior(
+            mu=np.maximum(mu[n], 0.0),
+            sigma=sigma[n],
+            xi=xi[n],
+            bound=float(bound[n]),
+            iterations=int(iterations[n]),
+            mu_raw=mu[n],
+            bound_trajectory=tuple(trajectories[n]),
+            converged=bool(converged[n]),
+        )
+        for n in range(r)
+    ]

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from bdml.active import (
     MAX_ENTROPY,
+    MAX_KEY_BASE,
     PairPool,
     PairScore,
     Scorer,
@@ -105,6 +106,31 @@ def test_pair_pool_round_trips_a_large_pool():
     npt.assert_array_equal(grown.unlabeled, pool.unlabeled[1:], strict=True)
 
 
+def test_pair_pool_keys_span_the_labeled_indices_too():
+    # with a key base from the candidates alone (indices up to 4, base 5),
+    # (0, 7) would key as 0 * 5 + 7 = 1 * 5 + 2, the key of candidate (1, 2)
+    candidates = np.column_stack(np.triu_indices(5, 1))
+    with pytest.raises(ValueError, match=r"labeled pair \(0, 7\) is not a candidate"):
+        PairPool(candidates=candidates, labeled=((0, 7, 1),))
+    with pytest.raises(ValueError, match=r"labeled pair \(0, 7\) is not a candidate"):
+        PairPool(candidates=candidates).with_labels([(1, 2, 1), (7, 0, -1)])
+
+
+@pytest.mark.parametrize("top", [MAX_KEY_BASE - 1, MAX_KEY_BASE, 2**62, 2**63 - 1])
+def test_pair_pool_matches_pairs_whose_integer_keys_would_overflow(top):
+    # i * (top + 1) + j leaves int64 once top + 1 exceeds MAX_KEY_BASE
+    candidates = ((0, top), (1, 2), (1, top), (top - 1, top))
+    pool = PairPool(candidates=candidates, labeled=((top, 1, -1), (2, 1, 1)))
+    npt.assert_array_equal(pool.labeled.items, [(1, 2, 1), (1, top, -1)], strict=True)
+    npt.assert_array_equal(pool.unlabeled, [(0, top), (top - 1, top)], strict=True)
+    grown = pool.with_labels([(top, top - 1, 1)])
+    npt.assert_array_equal(grown.unlabeled, [(0, top)], strict=True)
+    with pytest.raises(ValueError, match=rf"labeled pair \(2, {top}\) is not a candidate"):
+        pool.with_labels([(2, top, 1)])
+    with pytest.raises(ValueError, match=rf"labeled pair \(0, {top - 1}\) is not a candidate"):
+        pool.with_labels([(0, top - 1, 1)])
+
+
 def test_pair_score_validation():
     PairScore(pair=(0, 1), p_plus=0.5, entropy=MAX_ENTROPY, strategy="RANDOM")
     with pytest.raises(ValueError, match="p_plus"):
@@ -126,6 +152,12 @@ def test_entropy_known_values():
     npt.assert_allclose(entropy([0.0, 0.5]), [0.0, MAX_ENTROPY], rtol=1e-15)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         entropy(-0.01)
+
+
+@pytest.mark.parametrize("p", [np.nan, [0.5, np.nan], [[np.nan, 1.0]]])
+def test_entropy_rejects_nan(p):
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+        entropy(p)
 
 
 @given(st.floats(0.0, 1.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import zlib
 from collections import Counter
@@ -29,7 +30,7 @@ from bdml.harness import (
     write_results_json,
     write_summary_csv,
 )
-from bdml.spectral import DataMatrix, eigen_basis, save_csv
+from bdml.spectral import DataMatrix, eigen_basis, feature_matrix, save_csv
 
 
 def _small_config(**overrides):
@@ -420,6 +421,49 @@ def test_loop_wraps_failures_with_context(monkeypatch):
     monkeypatch.setattr(mle, "mle_fit", boom)
     with pytest.raises(RuntimeError, match=r"strategy=RANDOM_MLE repeat=0 iteration=0"):
         run_active_loop(_small_config(strategies=("RANDOM_MLE",), repeats=1))
+
+
+def test_loop_blames_a_failed_stacked_vb_fit_on_its_run(monkeypatch):
+    config = _small_config(strategies=("RANDOM_MLE", "BAYES_VAR"), repeats=3, iterations=2)
+    state = harness._prepare_repeat(config, _repeat_data(config, None, 1), 1)
+    marker = feature_matrix(state.pool_data, state.basis, state.pool.labeled.pairs)[0]
+    real = vb.m_step
+
+    def m_step(w, mu, sigma):  # fails repeat 1 once its first batch is labeled
+        xi = real(w, mu, sigma)
+        hit = np.all(w == marker, axis=-1).any(axis=-1) & (w.shape[-2] > 4)
+        return np.where(hit[:, None], 0.0, xi)
+
+    monkeypatch.setattr(vb, "m_step", m_step)
+    with pytest.raises(
+        RuntimeError,
+        match=r"^strategy=BAYES_VAR repeat=1 iteration=1: all xi must be strictly positive$",
+    ):
+        run_active_loop(config)
+
+
+@pytest.mark.parametrize("k", [2, None])
+def test_loop_records_of_a_strategy_do_not_depend_on_the_others(k, monkeypatch):
+    # the README synth spec and splits; with k=None its repeats select k = 8, 8, 8, 9
+    config = ExperimentConfig(
+        synth=SynthSpec(classes=3, per_class=20, dim=10, spread=0.3),
+        pool_size=40, n_test=20, initial_pairs=10, batch_size=20, iterations=2,
+        strategies=EXPERIMENT_STRATEGIES, k=k, standardize=False, reg=5.0,
+        repeats=4, seed=0,
+    )
+    stacks = []
+
+    def fit_many(problems, *args, _fn=vb.fit_many, **kwargs):
+        stacks.append(sorted({basis.k for _, _, basis in problems}))
+        return _fn(problems, *args, **kwargs)
+
+    monkeypatch.setattr(vb, "fit_many", fit_many)
+    full = run_active_loop(config)
+    # one stack per (iteration, k): the k=None run solves its two sizes apart
+    assert stacks == ([[2]] * 3 if k == 2 else [[8], [9]] * 3)
+    for strategy in config.strategies:
+        alone = run_active_loop(dataclasses.replace(config, strategies=(strategy,)))
+        assert [r for r in full if r.strategy == strategy] == alone
 
 
 # ---------------------------------------------------------------------------

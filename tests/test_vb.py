@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from bdml import vb
-from bdml.spectral import ConstraintSet
+from bdml.spectral import ConstraintSet, DataMatrix, EigenBasis
 from bdml.vb import (
     LAMBDA_SERIES_CUTOFF,
     PriorConfig,
@@ -16,6 +16,7 @@ from bdml.vb import (
     e_step,
     elbo,
     fit,
+    fit_many,
     jj_bound,
     lambda_xi,
     m_step,
@@ -146,6 +147,21 @@ def test_solve_spd_inverts_and_rejects():
     )
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         _solve_spd(np.zeros((2, 2)))
+
+
+def test_solve_spd_factors_a_stack_like_each_matrix_alone():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 2, 2))
+    spd = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(2)
+    # singular to the last bit, so only the jittered retry factors it
+    needs_jitter = np.ones((2, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(needs_jitter)
+    for stack in (spd, np.concatenate((spd[:1], needs_jitter[None], spd[1:]))):
+        got = _solve_spd(stack)
+        assert got.shape == stack.shape
+        for g, one in zip(got, stack):
+            assert g.tobytes() == _solve_spd(one).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -315,6 +331,79 @@ def test_fit_rejects_a_nonpositive_xi_at_start_and_after_each_m_step(
     with pytest.raises(ValueError, match="strictly positive"):
         fit(constraints, clusters, clusters_basis)
     assert len(calls) == 1  # raised in the first iteration, not at the end
+
+
+def _assert_bitwise_equal(a, b):
+    for name in ("mu", "mu_raw", "sigma", "xi"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.bound, a.iterations, a.converged, a.bound_trajectory) == (
+        b.bound, b.iterations, b.converged, b.bound_trajectory
+    )
+
+
+def test_fit_many_equals_fit_on_each_problem(clusters, clusters_basis):
+    rng = np.random.default_rng(31)
+    pairs = np.column_stack(np.triu_indices(clusters.n, 1))
+    problems = []
+    for _ in range(8):
+        picks = pairs[rng.choice(len(pairs), size=6, replace=False)]
+        items = tuple(
+            (i, j, 1 if clusters.labels[i] == clusters.labels[j] else -1)
+            for i, j in picks.tolist()
+        )
+        problems.append((ConstraintSet(items), clusters, clusters_basis))
+    prior = PriorConfig(gamma0=0.5, delta=2.0)
+    stacked = fit_many(problems, prior)
+    alone = [fit(*p, prior) for p in problems]
+    assert all(post.converged for post in stacked)
+    assert len({post.iterations for post in stacked}) > 1  # frozen at different times
+    for a, b in zip(stacked, alone):
+        _assert_bitwise_equal(a, b)
+
+
+def test_fit_many_equals_fit_when_one_problem_needs_jitter(monkeypatch):
+    # Four pairs with the same feature row (-1, 1, 1) at lambda = 1/8 make a
+    # precision of exactly [[1, -1, -1], [-1, 1, 1], [-1, 1, 1]]: delta = 1e-17
+    # is lost in rounding, and only the jittered Cholesky factors it.
+    rng = np.random.default_rng(3)
+    corners = [[0, 0], [1, 1], [-1, 1], [1, -1], [-1, -1]]
+    x = np.vstack((corners, rng.integers(-3, 4, size=(15, 2)))).astype(float)
+    data = DataMatrix(x, np.arange(20) % 2)
+    basis = EigenBasis(vectors=np.eye(2), eigenvalues=[2.0, 1.0],
+                       center=np.zeros(2), scale=np.ones(2))
+    problems = [(ConstraintSet(((0, 1, 1), (0, 2, -1), (0, 3, 1), (0, 4, -1))), data, basis)]
+    for items in (((5, 6, 1), (7, 9, -1), (10, 15, -1), (12, 19, 1)),
+                  ((5, 8, -1), (6, 11, 1), (13, 14, 1), (16, 18, -1))):
+        problems.append((ConstraintSet(items), data, basis))
+    prior = PriorConfig(delta=1e-17)
+    failed_alone = []
+
+    def jittered(precision, _fn=vb._jittered_factor):
+        try:
+            np.linalg.cholesky(precision)
+        except np.linalg.LinAlgError:
+            failed_alone.append(True)
+        else:
+            failed_alone.append(False)
+        return _fn(precision)
+
+    monkeypatch.setattr(vb, "_jittered_factor", jittered)
+    stacked = fit_many(problems, prior, max_iters=30, xi0=1e-10)
+    assert True in failed_alone and False in failed_alone
+    alone = [fit(*p, prior, max_iters=30, xi0=1e-10) for p in problems]
+    assert stacked[0].converged and stacked[0].iterations < 30
+    for a, b in zip(stacked, alone):
+        _assert_bitwise_equal(a, b)
+
+
+def test_fit_many_validation(clusters, clusters_basis):
+    assert fit_many([]) == []
+    one = (ConstraintSet(((0, 1, 1),)), clusters, clusters_basis)
+    two = (ConstraintSet(((0, 1, 1), (0, 20, -1))), clusters, clusters_basis)
+    with pytest.raises(ValueError, match="share the constraint count"):
+        fit_many([one, two])
+    with pytest.raises(ValueError, match="tol"):
+        fit_many([one], tol=0.0)
 
 
 # ---------------------------------------------------------------------------
