@@ -23,7 +23,6 @@ SIZES = {
     "pair_sq_proj": dict(n=400, k=10, m=5000),
     "nn1_indices": dict(n_train=2000, n_query=500, k=10),
     "weighted_outer_sum": dict(m=5000, k=20),
-    "row_quad_forms": dict(m=5000, k=20),
     # one margin or probability per pair of a 100-example pool
     "expit": dict(m=5000),
     "log_expit": dict(m=5000),
@@ -52,8 +51,6 @@ def make_inputs(rng):
     rows = kernels.as_f64(rng.normal(size=(s["weighted_outer_sum"]["m"],
                                            s["weighted_outer_sum"]["k"])))
     coef = kernels.as_f64(rng.gamma(1.0, size=rows.shape[0]))
-    mat = rng.normal(size=(rows.shape[1], rows.shape[1]))
-    mat = kernels.as_f64(mat + mat.T)
     margins = kernels.as_f64(rng.normal(scale=10.0, size=s["expit"]["m"]))
     log_margins = kernels.as_f64(rng.normal(scale=10.0, size=s["log_expit"]["m"]))
     probs = kernels.expit(rng.normal(scale=10.0, size=s["xlogx"]["m"]))
@@ -61,7 +58,6 @@ def make_inputs(rng):
         "pair_sq_proj": (proj, ii, jj),
         "nn1_indices": (train, queries),
         "weighted_outer_sum": (rows, coef),
-        "row_quad_forms": (rows, mat),
         "expit": (margins,),
         "log_expit": (log_margins,),
         "xlogx": (probs,),

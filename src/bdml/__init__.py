@@ -12,7 +12,7 @@ from .active import PairPool, PairScore, Scorer, entropy, laplace_posterior, plu
 from .harness import ExperimentConfig, ResultRecord, SynthSpec, report, run_active_loop, synth_data
 from .metric import MetricModel, accuracy, distance, euclidean_knn, from_mle, from_posterior, knn_classify
 from .mle import MleSolution, mle_fit
-from .spectral import ConstraintSet, DataMatrix, EigenBasis, PairFeature, eigen_basis, load_csv, pair_feature, pca_project, save_csv
+from .spectral import ConstraintSet, DataMatrix, EigenBasis, PairFeature, eigen_basis, load_csv, pair_feature, save_csv
 from .vb import PriorConfig, VariationalPosterior, fit
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "mle",
     "mle_fit",
     "pair_feature",
-    "pca_project",
     "plugin_posterior",
     "report",
     "run_active_loop",

@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--repeats", type=int, default=10)
     run.add_argument("--seed", type=int, default=0)
     _add_model_flags(run)
-    run.add_argument("--measure-runtime", action="store_true",
-                     help="record wall-clock per record (breaks byte-identical reruns)")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=cmd_run)
 
@@ -126,7 +124,6 @@ def cmd_run(args) -> int:
         reg=args.reg,
         repeats=args.repeats,
         seed=args.seed,
-        measure_runtime=args.measure_runtime,
     )
     fit_tally = Counter()
     records = harness.run_active_loop(config, fit_tally)

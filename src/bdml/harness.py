@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 import zlib
 from collections import Counter
 from contextlib import contextmanager
@@ -30,8 +29,9 @@ class Strategy(NamedTuple):
     """One row of the strategy table.
 
     ``fit`` names the estimator: ``"mle"`` runs ``mle.mle_fit``, ``"vb"``
-    runs ``vb.fit`` and None fits nothing.  ``scorer`` is the ``Scorer``
-    tag of the acquisition rule, None for a strategy that never acquires.
+    runs ``vb.fit_many`` and None fits nothing (see :func:`_fit_all`).
+    ``scorer`` is the ``Scorer`` tag of the acquisition rule, None for a
+    strategy that never acquires.
     """
 
     fit: str | None
@@ -101,7 +101,6 @@ class ExperimentConfig:
     reg: float = 1e-6
     repeats: int = 10
     seed: int = 0
-    measure_runtime: bool = False
 
     def __post_init__(self):
         if (self.data_csv is None) == (self.synth is None):
@@ -233,22 +232,26 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     and the fit's own result (an ``MleSolution`` or a
     ``VariationalPosterior``).  Each is None where the strategy's table
     row has no fit or no scorer.  ``prior`` is read by the ``vb``
-    fit only, ``reg`` by the ``mle`` fit only.  The fits are looked up
-    on their modules at call time, so a wrapped ``vb.fit`` or
-    ``mle.mle_fit`` is the one that runs.
+    fit only, ``reg`` by the ``mle`` fit only.
     """
-    estimate = _fit_estimate(name, constraints, data, basis, prior, reg)
+    problem = (constraints, data, basis)
+    [estimate] = _fit_all(STRATEGY_TABLE[name].fit, [problem], prior, reg)
     return (*_model_and_scorer(name, estimate, data, basis), estimate)
 
 
-def _fit_estimate(name, constraints, data, basis, prior, reg):
-    """The fit of strategy ``name``'s table row, or None for a row without one."""
-    fit = STRATEGY_TABLE[name].fit
+def _fit_all(fit, problems, prior, reg):
+    """One estimate per ``(constraints, data, basis)`` problem, by fit kind.
+
+    ``"mle"`` fits the problems one by one, ``"vb"`` as one
+    :func:`vb.fit_many` stack (so they must share the constraint count
+    and basis size), and None fits nothing.  The fits are looked up on
+    their modules at call time, so a wrapped one is the one that runs.
+    """
     if fit == "mle":
-        return mle.mle_fit(constraints, data, basis, reg=reg)
+        return [mle.mle_fit(*problem, reg=reg) for problem in problems]
     if fit == "vb":
-        return vb.fit(constraints, data, basis, prior)
-    return None
+        return vb.fit_many(problems, prior)
+    return [None] * len(problems)
 
 
 def _model_and_scorer(name, estimate, data, basis):
@@ -333,42 +336,32 @@ def _blamed_on(run: _Run, t: int):
 
 
 def _fit_iteration(runs, t, prior, reg):
-    """Every run's fit at iteration ``t``, with its wall time in ms.
+    """Every run's fit at iteration ``t``.
 
-    The MLE fits run one by one.  The VB fits of runs sharing the
-    constraint count and basis size run as one :func:`vb.fit_many`
-    stack, whose wall time is split evenly across its runs.
+    Runs sharing the fit kind, constraint count and basis size are
+    fitted by one :func:`_fit_all` call.
     """
-    estimates = [None] * len(runs)
-    fit_ms = [0.0] * len(runs)
-    stacks = {}
+    groups = {}
     for n, run in enumerate(runs):
-        if STRATEGY_TABLE[run.strategy].fit == "vb":
-            stacks.setdefault((len(run.pool.labeled), run.state.basis.k), []).append(n)
-            continue
-        started = time.perf_counter()
-        with _blamed_on(run, t):
-            estimates[n] = _fit_estimate(run.strategy, *run.problem(), prior, reg)
-        fit_ms[n] = (time.perf_counter() - started) * 1000.0
-    for members in stacks.values():
-        started = time.perf_counter()
-        stack = [runs[n] for n in members]
+        key = (STRATEGY_TABLE[run.strategy].fit, len(run.pool.labeled), run.state.basis.k)
+        groups.setdefault(key, []).append(n)
+    estimates = [None] * len(runs)
+    for (fit, _, _), members in groups.items():
+        group = [runs[n] for n in members]
         try:
-            posteriors = vb.fit_many([run.problem() for run in stack], prior)
+            fitted = _fit_all(fit, [run.problem() for run in group], prior, reg)
         except Exception:
-            for run in stack:  # refit one by one, so the error names its run
+            for run in group:  # refit one by one, so the error names its run
                 with _blamed_on(run, t):
-                    vb.fit(*run.problem(), prior)
+                    _fit_all(fit, [run.problem()], prior, reg)
             raise
-        share = (time.perf_counter() - started) * 1000.0 / len(members)
-        for n, post in zip(members, posteriors):
-            estimates[n], fit_ms[n] = post, share
-    return estimates, fit_ms
+        for n, estimate in zip(members, fitted):
+            estimates[n] = estimate
+    return estimates
 
 
-def _advance(config, run: _Run, t, estimate, fit_ms, fit_tally) -> None:
+def _advance(config, run: _Run, t, estimate, fit_tally) -> None:
     """Record the accuracy of the run's fit at iteration ``t``, then label its next batch."""
-    started = time.perf_counter()
     state = run.state
     if estimate is not None:
         fit_tally[STRATEGY_TABLE[run.strategy].fit, estimate.converged] += 1
@@ -378,11 +371,9 @@ def _advance(config, run: _Run, t, estimate, fit_ms, fit_tally) -> None:
     elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
         run.predictions = metric.euclidean_knn(state.train, state.test)
     acc = metric.accuracy(run.predictions, state.test.labels)
-    elapsed = fit_ms + (time.perf_counter() - started) * 1000.0
     n_pairs = config.initial_pairs + t * config.batch_size
-    runtime_ms = elapsed if config.measure_runtime else 0.0
     run.records.append(
-        ResultRecord(run.strategy, run.repeat, t, n_pairs, acc, runtime_ms, run.seed)
+        ResultRecord(run.strategy, run.repeat, t, n_pairs, acc, 0.0, run.seed)
     )
     if t < config.iterations and scorer is not None:
         seed = _seed_ints(config.seed, run.strategy, run.repeat, "select", t)
@@ -403,14 +394,13 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
 
     The runs move in lockstep: every repeat is prepared first, then all
     (repeat, strategy) runs take iteration 0, then iteration 1, and so
-    on.  Within an iteration the VB fits that share a constraint count
-    and basis size are solved as one stack (:func:`vb.fit_many`); fits,
-    selection and 1NN otherwise run per run.  Every seed derives from
-    (seed, strategy, repeat, iteration), so the order changes no result,
-    and the records come out ordered by repeat, strategy and iteration.
-    With ``measure_runtime`` a run's ``runtime_ms`` covers its fit and
-    its 1NN evaluation; a stacked fit's wall time is split evenly across
-    its runs.
+    on.  Within an iteration the fits of runs that share a fit kind,
+    constraint count and basis size go through one :func:`_fit_all`
+    call, so their VB fits are solved as one stack; selection and 1NN
+    run per run.  Every seed derives from (seed, strategy, repeat,
+    iteration), so the order changes no result, and the records come
+    out ordered by repeat, strategy and iteration.  ``runtime_ms`` is
+    always 0.0.
     """
     if fit_tally is None:
         fit_tally = Counter()
@@ -433,10 +423,10 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
             for strategy in config.strategies
         )
     for t in range(config.iterations + 1):
-        estimates, fit_ms = _fit_iteration(runs, t, prior, config.reg)
-        for run, estimate, ms in zip(runs, estimates, fit_ms):
+        estimates = _fit_iteration(runs, t, prior, config.reg)
+        for run, estimate in zip(runs, estimates):
             with _blamed_on(run, t):
-                _advance(config, run, t, estimate, ms, fit_tally)
+                _advance(config, run, t, estimate, fit_tally)
     return [record for run in runs for record in run.records]
 
 

@@ -97,10 +97,6 @@ def weighted_outer_sum(rows, coef):
     return (rows * coef[:, None]).T @ rows
 
 
-def row_quad_forms(rows, mat):
-    return np.einsum("ij,ij->i", rows @ mat, rows)
-
-
 def expit(x):
     """Logistic sigmoid 1/(1 + exp(-x)), free of overflow for either sign."""
     x = np.asarray(x, dtype=np.float64)

@@ -301,16 +301,6 @@ def eigen_basis(
     return EigenBasis(vectors=vectors, eigenvalues=ev, center=c, scale=s)
 
 
-def pca_project(data: DataMatrix, target_dim: int) -> DataMatrix:
-    """Project rows onto the top eigenvectors of the centered scatter.
-
-    Labels are carried through unchanged.  No column standardization is
-    applied, so with ``target_dim = rank`` pairwise distances are preserved.
-    """
-    basis = eigen_basis(data, k=target_dim, center=True, standardize=False)
-    return DataMatrix(basis.project(data.x), data.labels)
-
-
 def pair_feature(data: DataMatrix, basis: EigenBasis, i: int, j: int) -> PairFeature:
     """Augmented feature of the pair (i, j): (-1, squared projections)."""
     n = data.n

@@ -80,34 +80,6 @@ class VariationalPosterior:
     def k(self) -> int:
         return self.mu.shape[0] - 1
 
-    def to_dict(self, prior: PriorConfig | None = None) -> dict:
-        doc = {
-            "mu": self.mu.tolist(),
-            "mu_raw": self.mu_raw.tolist(),
-            "sigma": self.sigma.tolist(),
-            "xi": self.xi.tolist(),
-            "bound": float(self.bound),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "bound_trajectory": [float(b) for b in self.bound_trajectory],
-        }
-        if prior is not None:
-            doc["prior"] = {"gamma0": prior.gamma0, "delta": prior.delta}
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VariationalPosterior":
-        return cls(
-            mu=np.array(doc["mu"], dtype=np.float64),
-            sigma=np.array(doc["sigma"], dtype=np.float64),
-            xi=np.array(doc["xi"], dtype=np.float64),
-            bound=float(doc["bound"]),
-            iterations=int(doc["iterations"]),
-            mu_raw=np.array(doc["mu_raw"], dtype=np.float64),
-            bound_trajectory=tuple(doc.get("bound_trajectory", ())),
-            converged=bool(doc.get("converged", False)),
-        )
-
 
 def lambda_xi(xi):
     """tanh(xi/2)/(4 xi), extended through 0 by its series.

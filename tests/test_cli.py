@@ -158,7 +158,7 @@ def test_score_pairs_names_a_nan_reg(data_csv, capsys):
 
 @pytest.mark.parametrize("strategy, module, attr, tag", [
     ("MLE_ACT", mle, "mle_fit", "mle"),
-    ("BAYES_VAR", vb, "fit", "vb"),
+    ("BAYES_VAR", vb, "fit_many", "vb"),
 ])
 def test_score_pairs_warns_when_the_fit_did_not_converge(
         strategy, module, attr, tag, tmp_path, data_csv, capsys, monkeypatch):
@@ -176,7 +176,10 @@ def test_score_pairs_warns_when_the_fit_did_not_converge(
     assert converged.err == ""
 
     def stalled(*args, _fit=getattr(module, attr), **kwargs):
-        return dataclasses.replace(_fit(*args, **kwargs), converged=False, iterations=77)
+        fitted = _fit(*args, **kwargs)
+        if isinstance(fitted, list):  # vb.fit_many: one posterior per problem
+            return [dataclasses.replace(f, converged=False, iterations=77) for f in fitted]
+        return dataclasses.replace(fitted, converged=False, iterations=77)
 
     monkeypatch.setattr(module, attr, stalled)
     printed = run("stalled")

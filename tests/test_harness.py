@@ -241,14 +241,14 @@ def test_fit_strategy_follows_the_table(name, monkeypatch):
 
     # the fits are looked up on their modules at call time
     calls = []
-    for module, attr in ((mle, "mle_fit"), (vb, "fit")):
+    for module, attr in ((mle, "mle_fit"), (vb, "fit_many")):
         def counted(*args, _fn=getattr(module, attr), _name=attr, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, attr, counted)
     model, scorer, estimate = fit_strategy(name, constraints, data, basis, prior, 0.3)
     fit = STRATEGY_TABLE[name].fit
-    assert calls == ({"mle": ["mle_fit"], "vb": ["fit"]}[fit] if fit else [])
+    assert calls == ({"mle": ["mle_fit"], "vb": ["fit_many"]}[fit] if fit else [])
     want_estimate = {"mle": sol, "vb": post}.get(fit)
     if want_estimate is None:
         assert estimate is None
@@ -387,12 +387,6 @@ def test_loop_is_deterministic():
     assert run_active_loop(config) == run_active_loop(config)
 
 
-def test_loop_runtime_measurement_flag():
-    records = run_active_loop(_small_config(measure_runtime=True, repeats=1))
-    assert all(r.runtime_ms >= 0.0 for r in records)
-    assert any(r.runtime_ms > 0.0 for r in records)
-
-
 def test_loop_over_csv_keeps_the_sample_fixed(tmp_path):
     data = synth_data(SynthSpec(classes=3, per_class=8, dim=5, spread=0.3), seed=8)
     path = tmp_path / "data.csv"
@@ -423,21 +417,34 @@ def test_loop_wraps_failures_with_context(monkeypatch):
         run_active_loop(_small_config(strategies=("RANDOM_MLE",), repeats=1))
 
 
-def test_loop_blames_a_failed_stacked_vb_fit_on_its_run(monkeypatch):
-    config = _small_config(strategies=("RANDOM_MLE", "BAYES_VAR"), repeats=3, iterations=2)
+@pytest.mark.parametrize("strategy, partner, message", [
+    ("MLE_ACT", "BAYES_VAR", "synthetic failure"),
+    ("BAYES_VAR", "RANDOM_MLE", "all xi must be strictly positive"),
+], ids=["MLE_ACT", "BAYES_VAR"])
+def test_loop_blames_a_failed_stacked_fit_on_its_run(strategy, partner, message, monkeypatch):
+    # the partner fits by the other kind, so only the fits of ``strategy`` fail
+    config = _small_config(strategies=(partner, strategy), repeats=3, iterations=2)
     state = harness._prepare_repeat(config, _repeat_data(config, None, 1), 1)
     marker = feature_matrix(state.pool_data, state.basis, state.pool.labeled.pairs)[0]
-    real = vb.m_step
+    real_m_step, real_mle_fit = vb.m_step, mle.mle_fit
 
-    def m_step(w, mu, sigma):  # fails repeat 1 once its first batch is labeled
-        xi = real(w, mu, sigma)
-        hit = np.all(w == marker, axis=-1).any(axis=-1) & (w.shape[-2] > 4)
-        return np.where(hit[:, None], 0.0, xi)
+    def hit(w):  # repeat 1's features once its first batch is labeled
+        return np.all(w == marker, axis=-1).any(axis=-1) & (w.shape[-2] > 4)
 
-    monkeypatch.setattr(vb, "m_step", m_step)
+    def m_step(w, mu, sigma):
+        return np.where(hit(w)[:, None], 0.0, real_m_step(w, mu, sigma))
+
+    def mle_fit(constraints, data, basis, **kwargs):
+        if hit(feature_matrix(data, basis, constraints.pairs)):
+            raise ValueError(message)
+        return real_mle_fit(constraints, data, basis, **kwargs)
+
+    if STRATEGY_TABLE[strategy].fit == "vb":
+        monkeypatch.setattr(vb, "m_step", m_step)
+    else:
+        monkeypatch.setattr(mle, "mle_fit", mle_fit)
     with pytest.raises(
-        RuntimeError,
-        match=r"^strategy=BAYES_VAR repeat=1 iteration=1: all xi must be strictly positive$",
+        RuntimeError, match=rf"^strategy={strategy} repeat=1 iteration=1: {message}$"
     ):
         run_active_loop(config)
 

@@ -162,15 +162,6 @@ def test_weighted_outer_sum_variants_agree():
     npt.assert_allclose(kernels.weighted_outer_sum(rows, coef), oracle, atol=1e-12)
 
 
-def test_row_quad_forms_variants_agree():
-    rng = np.random.default_rng(5)
-    rows = kernels.as_f64(rng.normal(size=(10, 4)))
-    mat = rng.normal(size=(4, 4))
-    mat = kernels.as_f64(mat + mat.T)
-    oracle = np.array([r @ mat @ r for r in rows])
-    npt.assert_allclose(kernels.row_quad_forms(rows, mat), oracle, atol=1e-12)
-
-
 def _margins(seed):
     """1e5 draws at four scales, then the edge cases."""
     rng = np.random.default_rng(seed)

@@ -15,7 +15,6 @@ from bdml.spectral import (
     feature_matrix,
     load_csv,
     pair_feature,
-    pca_project,
     save_csv,
 )
 
@@ -192,30 +191,6 @@ def test_standardize_divides_by_column_std():
     # standardized spectrum is flat-ish, raw is dominated by the big column
     assert raw.eigenvalues[0] / raw.eigenvalues.sum() > 0.9
     assert std.eigenvalues[0] / std.eigenvalues.sum() < 0.6
-
-
-# ---------------------------------------------------------------------------
-# pca_project
-
-
-def test_pca_full_rank_preserves_distances(clusters):
-    proj = pca_project(clusters, target_dim=min(clusters.n, clusters.d))
-    for a, b in ((0, 1), (3, 17), (5, 22)):
-        npt.assert_allclose(
-            np.linalg.norm(proj.x[a] - proj.x[b]),
-            np.linalg.norm(clusters.x[a] - clusters.x[b]),
-            rtol=1e-10,
-        )
-    npt.assert_array_equal(proj.labels, clusters.labels)
-
-
-def test_pca_rank_one_data_fits_in_one_dimension():
-    t = np.linspace(-2.0, 3.0, 9)
-    direction = np.array([3.0, 0.0, 4.0]) / 5.0
-    x = 1.5 + np.outer(t, direction)
-    proj = pca_project(DataMatrix(x), target_dim=1)
-    dist = np.abs(proj.x[:, 0] - proj.x[0, 0])
-    npt.assert_allclose(dist, np.abs(t - t[0]), rtol=1e-10, atol=1e-12)
 
 
 def test_projected_column_variance_equals_eigenvalue_over_n(clusters):
