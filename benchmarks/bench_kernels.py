@@ -2,11 +2,12 @@
 
 Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``.
 The first table times each public kernel at a fixed size.  The second
-times ``nn1_exhaustive`` against ``nn1_tree`` at the shapes that set
-``nn1_indices``'s size rule: the ``knn_eval`` benchmark search, a README
-``bdml run`` search, and a large training set with few queries.  The two
-searches must return identical indices at every shape; that check runs
-first, so the one-time ``scipy.spatial`` import is not timed.  The third
+times ``nn1_exhaustive`` against ``nn1_indices``, the search pruned by kd
+leaves, at four shapes: the ``knn_eval`` benchmark search, a README
+``bdml run`` search (one leaf), a large training set with few queries,
+and raw d=20 features, as EUCLID searches them at scale, where the
+boxes prune least.  The two searches must return identical indices at
+every shape, or the script fails.  The third
 times each iteration's stacked VB solve of the README ``bdml run`` (40
 problems: 20 repeats of BAYES_ACT and BAYES_VAR), ``vb.fit_many``, against
 40 ``vb.fit`` calls on the same problems, after checking that the two
@@ -34,6 +35,7 @@ NN1_SHAPES = (
     ("knn_eval", 20000, 5000, 5),
     ("readme_run", 40, 20, 2),
     ("few queries", 1 << 16, 8, 5),
+    ("raw d=20", 20000, 1000, 20),
 )
 
 
@@ -99,19 +101,19 @@ def main():
         print(f"{name:<20} {best_ms(getattr(kernels, name), args):>10.3f}")
 
     print()
-    print(f"{'nn1 shape':<32} {'exhaustive ms':>14} {'tree ms':>10} {'nn1_indices':>12}")
+    print(f"{'nn1 shape':<32} {'exhaustive ms':>14} {'pruned ms':>10} {'leaves':>7}")
     for label, n_train, n_query, k in NN1_SHAPES:
         args = (kernels.as_f64(rng.normal(size=(n_train, k))),
                 kernels.as_f64(rng.normal(size=(n_query, k))))
-        if not np.array_equal(kernels.nn1_exhaustive(*args), kernels.nn1_tree(*args)):
-            raise SystemExit(f"{label}: exhaustive and tree searches disagree")
-        # the knn_eval exhaustive search takes seconds: time it once per sample
+        if not np.array_equal(kernels.nn1_exhaustive(*args), kernels.nn1_indices(*args)):
+            raise SystemExit(f"{label}: exhaustive and pruned searches disagree")
+        # the exhaustive knn_eval search takes seconds: time it once per sample
         number = max(1, min(20, (1 << 22) // (n_train * n_query)))
         t_exh = best_ms(kernels.nn1_exhaustive, args, number=number, repeat=3)
-        t_tree = best_ms(kernels.nn1_tree, args, number=number, repeat=3)
-        choice = "tree" if kernels.uses_tree(n_train, n_query, k) else "exhaustive"
+        t_pruned = best_ms(kernels.nn1_indices, args, number=number, repeat=3)
+        leaves = len(kernels._kd_leaves(args[0])[1]) - 1
         shape = f"{label} {n_train}x{n_query}x{k}"
-        print(f"{shape:<32} {t_exh:>14.3f} {t_tree:>10.3f} {choice:>12}")
+        print(f"{shape:<32} {t_exh:>14.3f} {t_pruned:>10.3f} {leaves:>7}")
 
     print()
     print(f"{'README vb stack':<32} {'fit_many ms':>14} {'n x fit ms':>10}")

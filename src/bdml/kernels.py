@@ -1,29 +1,20 @@
 """Hot numeric kernels, one numpy implementation each.
 
-``nn1_indices`` is the only kernel with a choice inside: an exhaustive
-search for small or high-dimensional inputs, and an exact KD-tree search
-for large low-dimensional ones.  Both return the same indices, ties to
-the lowest training row included.  The tree is scipy's ``cKDTree``,
-imported on first use, so ``import bdml`` loads numpy alone.
+``nn1_indices`` is an exact branch-and-bound search over kd leaves
+(Friedman, Bentley & Finkel, ACM TOMS 3(3), 1977) in numpy alone.  Each
+query searches the leaf with the nearest bounding box first, then every
+leaf whose box is no farther than its best row.  Box and row distances
+come from the same operations in the same coordinate order, and rounding
+is monotone, so a box is never computed farther than a row inside it:
+the search returns exactly the rows of :func:`nn1_exhaustive`, ties to
+the lowest training row included.
 """
 
 import numpy as np
 
-# nn1_indices searches exhaustively below this many (train, query) pairs,
-# where the scipy.spatial import and the tree build cost more than they save
-TREE_MIN_PAIRS = 1 << 20
-# ... or below this many queries: building a tree costs as much as 10-16
-# exhaustive passes over the training rows (K = 2-16)
-TREE_MIN_QUERIES = 16
-# ... or above this many dimensions, where KD-tree pruning stops paying off
-TREE_MAX_DIM = 16
-# a tree hit is final only if the runner-up's squared distance exceeds it
-# by this relative margin, far above the ~1e-15 rounding of either search
-TIE_RTOL = 1e-9
-# squared distances below this may hold underflowed terms, whose relative
-# rounding is unbounded; such hits are rechecked exhaustively
-TIE_MIN_SQ = 1e-280
-# elements of one query-block x train x K difference tensor (8 MB)
+# rows per kd leaf of the 1NN search; the splits stop at this many or fewer
+LEAF_ROWS = 256
+# elements of one query-block x rows x K distance computation (8 MB)
 BLOCK_ELEMS = 1 << 20
 
 
@@ -35,62 +26,90 @@ def pair_sq_proj(proj, ii, jj):
     return out
 
 
-def nn1_exhaustive(train, queries):
-    """Index of each query's nearest training row, ties to the lowest index.
+def _sq_dist(queries, rows, hi=None):
+    """Squared distances (n_query, n_rows), summed coordinate by coordinate
+    as numpy's ``sum`` does below 8 coordinates; with ``hi``, to each box of
+    corners ``rows`` and ``hi`` at its point nearest the query."""
+    out = np.zeros((queries.shape[0], rows.shape[0]))
+    for k in range(queries.shape[1]):
+        q = queries[:, k, None]
+        if hi is None:
+            diff = q - rows[:, k]
+        else:
+            diff = np.minimum(np.maximum(q, rows[:, k]), hi[:, k])
+            np.subtract(q, diff, out=diff)
+        out += np.multiply(diff, diff, out=diff)
+    return out
 
-    Compares every query with every training row, a block of queries at
-    a time so the difference tensor stays within ``BLOCK_ELEMS``.
-    """
+
+def _kd_leaves(train):
+    """Row order and leaf starts of median splits on the widest coordinate
+    down to LEAF_ROWS rows; each leaf keeps its rows in index order."""
+    n, cols = train.shape[0], np.ascontiguousarray(train.T)
+    order, starts, spans = np.arange(n), [], [(0, n)]
+    while spans:
+        lo, hi = spans.pop()
+        if hi - lo <= LEAF_ROWS:
+            order[lo:hi].sort()
+            starts.append(lo)
+            continue
+        span = cols.take(order[lo:hi], axis=1)
+        axis = np.argmax(span.max(axis=1) - span.min(axis=1))
+        mid = (hi - lo) // 2
+        order[lo:hi] = order[lo:hi][np.argpartition(span[axis], mid)]
+        spans += [(lo + mid, hi), (lo, lo + mid)]
+    return order, np.array(starts + [n])
+
+
+def _nn1_search(train, queries, order, starts):
+    """Nearest training row of each query; leaf i is ``order[starts[i]:starts[i + 1]]``."""
+    rows = train[order]
+    lo, hi = np.minimum.reduceat(rows, starts[:-1]), np.maximum.reduceat(rows, starts[:-1])
+    leaves = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
     out = np.empty(queries.shape[0], dtype=np.int64)
-    chunk = max(1, BLOCK_ELEMS // max(1, train.shape[0] * train.shape[1]))
+    chunk = max(1, BLOCK_ELEMS // (len(leaves) * train.shape[1]))
     for start in range(0, queries.shape[0], chunk):
         block = queries[start : start + chunk]
-        d2 = ((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=-1)
-        out[start : start + block.shape[0]] = d2.argmin(axis=1)
+        bound = _sq_dist(block, lo, hi)
+        first = bound.argmin(axis=1)
+        best, idx = np.empty(block.shape[0]), out[start : start + block.shape[0]]
+        for leaf, (a, b) in enumerate(leaves):  # the leaf of the nearest box first
+            sel = (first == leaf).nonzero()[0]
+            _merge(block, sel, rows[a:b], order[a:b], best, idx, assign=True)
+        for leaf, (a, b) in enumerate(leaves):  # then every box as near as the best row
+            sel = ((bound[:, leaf] <= best) & (first != leaf)).nonzero()[0]
+            _merge(block, sel, rows[a:b], order[a:b], best, idx)
     return out
 
 
-def nn1_tree(train, queries):
-    """:func:`nn1_exhaustive` through a KD-tree, with the same results.
-
-    The tree's nearest row is kept when the second nearest is farther by
-    more than ``TIE_RTOL``: no rounding can then reorder the two.  Every
-    other query (a near tie, a duplicate row, a distance near underflow
-    or overflow, a one-row training set) is searched exhaustively, as is
-    the whole search when an input holds inf or nan, which the tree
-    rejects.
-    """
-    from scipy.spatial import cKDTree
-
-    if not (np.isfinite(train).all() and np.isfinite(queries).all()):
-        return nn1_exhaustive(train, queries)
-    dist, idx = cKDTree(train).query(queries, k=2)
-    d1 = dist[:, 0] * dist[:, 0]
-    d2 = dist[:, 1] * dist[:, 1]
-    sure = (d1 >= TIE_MIN_SQ) & np.isfinite(d2) & (d2 > d1 * (1.0 + TIE_RTOL))
-    out = idx[:, 0].astype(np.int64)
-    if not sure.all():
-        out[~sure] = nn1_exhaustive(train, queries[~sure])
-    return out
+def _merge(block, sel, rows, ids, best, idx, assign=False):
+    """Replace the (best, idx) of queries ``block[sel]`` by their nearest of
+    ``rows`` (training rows ``ids``): with ``assign`` always, otherwise where
+    it is nearer, or as near and lower."""
+    chunk = max(1, BLOCK_ELEMS // rows.size)
+    for start in range(0, sel.size, chunk):
+        q = sel[start : start + chunk]
+        d2 = _sq_dist(block[q], rows)
+        j = d2.argmin(axis=1)
+        d, i = d2.min(axis=1), ids[j]
+        if not assign:
+            win = (d < best[q]) | ((d == best[q]) & (i < idx[q]))
+            q, d, i = q[win], d[win], i[win]
+        best[q], idx[q] = d, i
 
 
-def uses_tree(n_train, n_query, k) -> bool:
-    """Whether :func:`nn1_indices` searches these shapes with a KD-tree."""
-    return (
-        k <= TREE_MAX_DIM
-        and n_query >= TREE_MIN_QUERIES
-        and n_train * n_query >= TREE_MIN_PAIRS
-    )
+def nn1_exhaustive(train, queries):
+    """Index of each query's nearest training row, ties to the lowest index:
+    every query against every row, in blocks of at most ``BLOCK_ELEMS``."""
+    return _nn1_search(train, queries, np.arange(train.shape[0]), np.array([0, train.shape[0]]))
 
 
 def nn1_indices(train, queries):
-    """Index of each query's nearest training row, ties to the lowest index.
-
-    The search strategy depends only on the input shapes.
-    """
-    if uses_tree(train.shape[0], queries.shape[0], train.shape[1]):
-        return nn1_tree(train, queries)
-    return nn1_exhaustive(train, queries)
+    """:func:`nn1_exhaustive`'s rows through the kd leaves; inputs holding
+    inf or nan, which no box bounds, are searched exhaustively."""
+    if not (np.isfinite(train).all() and np.isfinite(queries).all()):
+        return nn1_exhaustive(train, queries)
+    return _nn1_search(train, queries, *_kd_leaves(train))
 
 
 def weighted_outer_sum(rows, coef):

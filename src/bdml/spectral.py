@@ -283,9 +283,16 @@ def eigen_basis(
     elif not 0 < energy <= 1:
         raise ValueError(f"energy fraction must be in (0, 1], got {energy}")
 
-    z, c, s = _preprocess(data.x, center, standardize)
-    _, sv, vt = np.linalg.svd(z, full_matrices=False)
-    eigenvalues = sv * sv
+    try:  # overflow raises here instead of warning
+        with np.errstate(over="raise"):
+            z, c, s = _preprocess(data.x, center, standardize)
+            _, sv, vt = np.linalg.svd(z, full_matrices=False)
+            eigenvalues = sv * sv
+    except FloatingPointError:
+        big = float(np.abs(data.x).max())
+        raise ValueError(
+            f"data too large: its squares overflow (largest magnitude {big:.6g})"
+        ) from None
     degenerate = n * d * np.finfo(float).eps * max(1.0, float(np.abs(data.x).max()))
     if sv[0] <= degenerate:
         raise ValueError("zero scatter: all rows are identical after preprocessing")

@@ -1,8 +1,8 @@
 """The kernels must match their dense and exhaustive oracles exactly.
 
-``nn1_indices`` picks between an exhaustive search and a KD-tree by input
-shape; both branches are also driven directly and must return the same
-indices as a brute-force argmin, ties to the lowest training row.  The
+``nn1_indices`` prunes kd leaves by their bounding boxes; with leaves of
+one to many rows it must return the same indices as ``nn1_exhaustive``
+and a brute-force argmin, ties to the lowest training row.  The
 sigmoid and entropy kernels are checked against ``scipy.special``: bit
 for bit where numpy has the same formula, within a stated number of
 units in the last place (ulp) where it does not.
@@ -37,9 +37,15 @@ def _instance(seed, m=14, n=11, k=4):
 
 
 def _brute_nn1(train, queries):
-    """Independent oracle: one argmin per query, first minimum wins."""
+    """Independent oracle: one argmin per query, first minimum wins.
+
+    Squares are added coordinate by coordinate, the order the searches
+    use; numpy's ``sum`` pairs them up differently from 8 coordinates on.
+    """
     return np.array(
-        [np.argmin(((q - train) ** 2).sum(axis=1)) for q in queries], dtype=np.int64
+        [np.argmin(sum((q[c] - train[:, c]) ** 2 for c in range(train.shape[1])))
+         for q in queries],
+        dtype=np.int64,
     )
 
 
@@ -67,15 +73,16 @@ def test_nn1_variants_agree_with_brute_force():
     expected = _brute_nn1(train, queries)
     npt.assert_array_equal(kernels.nn1_indices(train, queries), expected)
     npt.assert_array_equal(kernels.nn1_exhaustive(train, queries), expected)
-    npt.assert_array_equal(kernels.nn1_tree(train, queries), expected)
 
 
-def test_nn1_tie_goes_to_lowest_index():
+def test_nn1_tie_goes_to_lowest_index(monkeypatch):
     row = np.array([1.0, 2.0])
     train = kernels.as_f64(np.stack([row + 1.0, row, row, row + 1.0]))
     queries = kernels.as_f64(np.stack([row, row + 1.0, row + 0.5]))
-    for search in (kernels.nn1_indices, kernels.nn1_exhaustive, kernels.nn1_tree):
-        npt.assert_array_equal(search(train, queries), [1, 0, 0])
+    for leaf_rows in (256, 1):  # one leaf, then one leaf per row
+        monkeypatch.setattr(kernels, "LEAF_ROWS", leaf_rows)
+        for search in (kernels.nn1_indices, kernels.nn1_exhaustive):
+            npt.assert_array_equal(search(train, queries), [1, 0, 0])
 
 
 def test_nn1_numpy_chunking_boundary(monkeypatch):
@@ -83,44 +90,82 @@ def test_nn1_numpy_chunking_boundary(monkeypatch):
     train = kernels.as_f64(rng.normal(size=(4, 2)))
     queries = kernels.as_f64(rng.normal(size=(7, 2)))
     expected = _brute_nn1(train, queries)
+    monkeypatch.setattr(kernels, "LEAF_ROWS", 1)  # nn1_indices: four one-row leaves
     # blocks of 3, 3 and 1 queries; then one query per block
     for budget in (3 * 4 * 2, 1):
         monkeypatch.setattr(kernels, "BLOCK_ELEMS", budget)
         npt.assert_array_equal(kernels.nn1_exhaustive(train, queries), expected)
+        npt.assert_array_equal(kernels.nn1_indices(train, queries), expected)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_nn1_distances_match_numpy_sum_below_8_coordinates(k):
+    # from 8 coordinates on numpy's sum pairs the squares up in another order
+    rng = np.random.default_rng(k)
+    queries, rows = rng.normal(size=(6, k)) * 1e3, rng.normal(size=(9, k))
+    want = ((queries[:, None, :] - rows[None, :, :]) ** 2).sum(axis=-1)
+    npt.assert_array_equal(kernels._sq_dist(queries, rows), want)
 
 
 _grid = st.integers(-2, 2).map(float)
+_far = st.integers(-1000, 1000).map(float)
 
 
 @st.composite
 def _tie_heavy_search(draw):
-    """Small integer-grid train and query sets, full of exact ties."""
-    k = draw(st.integers(1, 3))
-    train = draw(arrays(np.float64, st.tuples(st.integers(1, 25), st.just(k)), elements=_grid))
+    """Integer-grid train and query sets full of exact ties, and a leaf size.
+
+    Duplicate rows and duplicate queries put exact ties in different kd
+    leaves; far queries lie outside every leaf's box; scaled grids give
+    squared distances that underflow to subnormals or overflow to inf.
+    """
+    k = draw(st.integers(1, 10))
+    train = draw(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(k)), elements=_grid))
     fresh = draw(arrays(np.float64, st.tuples(st.integers(0, 15), st.just(k)), elements=_grid))
+    far = draw(arrays(np.float64, st.tuples(st.integers(0, 3), st.just(k)), elements=_far))
     # queries sitting on training rows, duplicates included
     on_rows = draw(st.lists(st.integers(0, train.shape[0] - 1), max_size=6))
-    queries = np.concatenate([fresh, train[on_rows]])
+    queries = np.concatenate([fresh, far, train[on_rows]])
+    queries = np.concatenate([queries, queries[: draw(st.integers(0, 4))]])
     if draw(st.booleans()):
         train = np.concatenate([train, train[: draw(st.integers(1, 4))]])
-    # squared distances that underflow to subnormals or overflow to inf
-    scale = draw(st.sampled_from([1.0, 1.0, 1e-160, 1e155]))
-    return kernels.as_f64(scale * train), kernels.as_f64(scale * queries)
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-160, 1e150, 1e155]))
+    train, queries = scale * train, scale * queries
+    if draw(st.integers(0, 7)) == 0:  # one inf or nan entry
+        target = train if queries.size == 0 or draw(st.booleans()) else queries
+        target.flat[draw(st.integers(0, target.size - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+    leaf_rows = draw(st.sampled_from([1, 2, 3, 5, 8, 256]))
+    return kernels.as_f64(train), kernels.as_f64(queries), leaf_rows
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_tie_heavy_search())
-@example((np.zeros((1, 2)), np.array([[1.0, 1.0], [0.0, 0.0]])))  # one training row
-@example((np.zeros((3, 2)), np.empty((0, 2))))  # no queries
-@example((np.ones((4, 1)), np.ones((2, 1))))  # every row a duplicate of the query
-@example((np.array([[0.0, np.inf], [1.0, 1.0]]), np.array([[1.0, 1.0], [np.nan, 0.0]])))
+@example((np.zeros((1, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]), 1))  # one training row
+@example((np.zeros((3, 2)), np.empty((0, 2)), 1))  # no queries
+@example((np.ones((4, 1)), np.ones((2, 1)), 1))  # every row a duplicate of the query
+@example((np.array([[0.0, np.inf], [1.0, 1.0]]), np.array([[1.0, 1.0], [np.nan, 0.0]]), 1))
 def test_nn1_tree_matches_the_exhaustive_oracle_on_ties(search):
-    train, queries = search
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = kernels.nn1_tree(train, queries)
+    train, queries, leaf_rows = search
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(kernels, "LEAF_ROWS", leaf_rows)
+        got = kernels.nn1_indices(train, queries)
         assert got.dtype == np.int64 and got.shape == (queries.shape[0],)
         npt.assert_array_equal(got, _brute_nn1(train, queries))
         npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
+
+
+def _counting_distances(monkeypatch):
+    """Record (n_query, n_rows) of every row-distance computation."""
+    shapes, sq_dist = [], kernels._sq_dist
+
+    def counted(queries, rows, hi=None):
+        if hi is None:
+            shapes.append((queries.shape[0], rows.shape[0]))
+        return sq_dist(queries, rows, hi)
+
+    monkeypatch.setattr(kernels, "_sq_dist", counted)
+    return shapes
 
 
 def test_nn1_large_search_takes_the_tree_and_stays_exact(monkeypatch):
@@ -128,28 +173,28 @@ def test_nn1_large_search_takes_the_tree_and_stays_exact(monkeypatch):
     train = rng.normal(size=(2048, 3)).round(1)
     train[1000:1100] = train[:100]  # duplicate rows: exact ties
     queries = np.concatenate([rng.normal(size=(448, 3)), train[rng.integers(0, 2048, 64)]])
-    assert train.shape[0] * queries.shape[0] >= kernels.TREE_MIN_PAIRS
-    calls = []
-    tree = kernels.nn1_tree
-    monkeypatch.setattr(kernels, "nn1_tree", lambda t, q: calls.append(1) or tree(t, q))
+    order, starts = kernels._kd_leaves(kernels.as_f64(train))
+    assert len(starts) - 1 == 8 and np.diff(starts).max() <= kernels.LEAF_ROWS
+    npt.assert_array_equal(np.sort(order), np.arange(2048))
+    shapes = _counting_distances(monkeypatch)
     got = kernels.nn1_indices(kernels.as_f64(train), kernels.as_f64(queries))
-    assert calls == [1]
     npt.assert_array_equal(got, _brute_nn1(train, queries))
+    # the boxes prune: far fewer distances than the exhaustive 2048 per query
+    assert sum(q * r for q, r in shapes) < train.shape[0] * queries.shape[0] / 2
 
 
-def test_nn1_size_rule_keeps_small_and_wide_searches_exhaustive(monkeypatch):
-    def no_tree(train, queries):
-        raise AssertionError("tree branch taken")
-
-    monkeypatch.setattr(kernels, "nn1_tree", no_tree)
+def test_nn1_small_few_query_and_wide_searches_match_the_exhaustive_search():
     rng = np.random.default_rng(7)
     for n_train, n_query, k in (
-        (40, 20, 2),  # a README-sized search
-        (1 << 16, kernels.TREE_MIN_QUERIES - 1, 2),  # too few queries
-        (1024, 1024, kernels.TREE_MAX_DIM + 1),  # too many dimensions
+        (40, 20, 2),  # a README-sized search: one leaf
+        (1 << 16, 15, 2),  # few queries
+        (1024, 1024, 17),  # many dimensions
+        (4096, 64, 20),  # raw d=20 features, as EUCLID searches them
     ):
         train = rng.normal(size=(n_train, k))
         queries = rng.normal(size=(n_query, k))
+        leaves = len(kernels._kd_leaves(train)[1]) - 1
+        assert (leaves == 1) == (n_train <= kernels.LEAF_ROWS)
         got = kernels.nn1_indices(train, queries)
         npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import bdml
+from bdml import kernels
 from bdml.metric import (
     MetricModel,
     accuracy,
@@ -235,29 +237,38 @@ def test_metric_beats_euclidean_when_one_axis_is_noise():
     assert informed_acc == 1.0
 
 
-def test_readme_sized_1nn_never_imports_scipy_spatial():
-    # scipy.spatial costs ~0.1 s and ~5 MB on import; only large searches use it
+def test_eval_runs_without_scipy_and_matches_the_exhaustive_search(tmp_path):
+    # a multi-leaf search: eval must run with every scipy import failing
+    train, test = (bdml.synth_data(bdml.SynthSpec(classes=5, per_class=n, dim=10, spread=0.6),
+                                   seed=seed) for n, seed in ((800, 0), (200, 1)))
+    basis = eigen_basis(train, k=5, standardize=False)
+    model = _model(basis, np.random.default_rng(58).gamma(1.0, size=5))
+    (tmp_path / "model.json").write_text(json.dumps(model.to_dict()), encoding="utf-8")
+    bdml.save_csv(train, tmp_path / "train.csv")
+    bdml.save_csv(test, tmp_path / "test.csv")
+    root = np.sqrt(model.weights)
+    t = kernels.as_f64(basis.project(train.x) * root)
+    q = kernels.as_f64(basis.project(test.x) * root)
+    assert len(kernels._kd_leaves(t)[1]) - 1 > 1
+    want = accuracy(train.labels[kernels.nn1_exhaustive(t, q)], test.labels)
+    assert 0.5 < want < 1.0  # wrong rows would show in the accuracy
     code = (
         "import sys\n"
-        "import numpy as np\n"
-        "import bdml\n"
-        "data = bdml.synth_data(bdml.SynthSpec(classes=3, per_class=20, dim=10, spread=0.3), seed=0)\n"
-        "basis = bdml.eigen_basis(data, k=2, standardize=False)\n"
-        "model = bdml.MetricModel(basis=basis, weights=np.ones(2), threshold=0.5)\n"
-        "train, test = data.subset(range(40)), data.subset(range(40, 60))\n"
-        "bdml.knn_classify(model, train, test)\n"
-        "bdml.euclidean_knn(train, test)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
+        "sys.modules['scipy'] = None\n"
+        "from bdml.cli import main\n"
+        "sys.exit(main(['eval', '--model', 'model.json', '--train', 'train.csv',"
+        " '--test', 'test.csv']))\n"
     )
     src = str(Path(bdml.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert out.stdout == f"accuracy: {want:.4f} (n=1000)\n"
 
 
 def test_import_bdml_loads_no_scipy():
-    # scipy.special and scipy.linalg cost ~0.45 s per process; only the KD-tree needs scipy
+    # scipy.special and scipy.linalg cost ~0.45 s per process; bdml needs neither
     code = "import sys\nimport bdml\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     src = str(Path(bdml.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bdml.spectral import (
     ConstraintSet,
@@ -191,6 +192,37 @@ def test_standardize_divides_by_column_std():
     # standardized spectrum is flat-ish, raw is dominated by the big column
     assert raw.eigenvalues[0] / raw.eigenvalues.sum() > 0.9
     assert std.eigenvalues[0] / std.eigenvalues.sum() < 0.6
+
+
+SQRT_MAX = np.sqrt(np.finfo(np.float64).max)  # 1.34e154: larger values square to inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 5)),
+             elements=st.floats(-1.0, 1.0)),
+    exponent=st.sampled_from([0, 140, 150, 152, 153, 154, 155, 160, 300]),
+    standardize=st.booleans(),
+)
+@example(x=np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), exponent=154, standardize=True)
+@example(x=np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), exponent=154, standardize=False)
+def test_eigen_basis_rejects_overflowing_data_before_numpy_warns(x, exponent, standardize):
+    # any numpy RuntimeWarning fails this test (see pyproject.toml)
+    data = DataMatrix(x * 10.0**exponent)
+    spread = np.abs(data.x - data.x.mean(axis=0)).max()
+    try:
+        basis = eigen_basis(data, k=1, standardize=standardize)
+    except ValueError as exc:
+        if "squares overflow" not in str(exc):
+            assert "zero scatter" in str(exc)
+            return
+        assert f"largest magnitude {np.abs(data.x).max():.6g}" in str(exc)
+        # the summed squares of at most n x d deviations overflowed
+        assert spread > SQRT_MAX / np.sqrt(x.size)
+    else:
+        assert np.isfinite(basis.eigenvalues).all()
+        # one deviation past SQRT_MAX squares to inf, in the std or the scatter
+        assert spread <= SQRT_MAX
 
 
 def test_projected_column_variance_equals_eigenvalue_over_n(clusters):
