@@ -4,14 +4,16 @@ Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``.
 The first table times each public kernel at a fixed size.  The second
 times ``nn1_exhaustive`` against ``nn1_indices``, the search pruned by kd
 leaves, at four shapes: the ``knn_eval`` benchmark search, a README
-``bdml run`` search (one leaf), a large training set with few queries,
-and raw d=20 features, as EUCLID searches them at scale, where the
-boxes prune least.  The two searches must return identical indices at
-every shape, or the script fails.  The third
-times each iteration's stacked VB solve of the README ``bdml run`` (40
-problems: 20 repeats of BAYES_ACT and BAYES_VAR), ``vb.fit_many``, against
-40 ``vb.fit`` calls on the same problems, after checking that the two
-agree bit for bit.  Each number is the best of several samples.
+``bdml run`` search (40 training rows, at most ``LEAF_ROWS``, so
+``nn1_indices`` hands it to ``nn1_exhaustive`` and the leaves column
+reads 0), a large training set with few queries, and raw d=20
+features, as EUCLID searches them at scale, where the boxes prune
+least.  The two searches must return identical indices at every shape,
+or the script fails.  The third times each iteration's stacked VB solve
+of the README ``bdml run`` (40 problems: 20 repeats of BAYES_ACT and
+BAYES_VAR), one ``vb.fit_many`` call, against 40 ``vb.fit_many`` calls
+of one problem each, after checking that the two agree bit for bit, or
+the script fails.  Each number is the best of several samples.
 """
 
 import timeit
@@ -74,13 +76,13 @@ README_CONFIG = harness.ExperimentConfig(
 
 
 def readme_vb_stacks() -> list:
-    """The problems of each stacked VB solve of one README ``bdml run``, in order."""
+    """The (features, labels) stacks of each VB solve of one README ``bdml run``, in order."""
     stacks = []
     fit_many = vb.fit_many
 
-    def recorded(problems, *args, **kwargs):
-        stacks.append(list(problems))
-        return fit_many(problems, *args, **kwargs)
+    def recorded(features, labels, *args, **kwargs):
+        stacks.append((features, labels))
+        return fit_many(features, labels, *args, **kwargs)
 
     vb.fit_many = recorded
     try:
@@ -111,25 +113,26 @@ def main():
         number = max(1, min(20, (1 << 22) // (n_train * n_query)))
         t_exh = best_ms(kernels.nn1_exhaustive, args, number=number, repeat=3)
         t_pruned = best_ms(kernels.nn1_indices, args, number=number, repeat=3)
-        leaves = len(kernels._kd_leaves(args[0])[1]) - 1
+        leaves = len(kernels._kd_leaves(args[0])[1]) - 1 if n_train > kernels.LEAF_ROWS else 0
         shape = f"{label} {n_train}x{n_query}x{k}"
         print(f"{shape:<32} {t_exh:>14.3f} {t_pruned:>10.3f} {leaves:>7}")
 
     print()
     print(f"{'README vb stack':<32} {'fit_many ms':>14} {'n x fit ms':>10}")
     prior = vb.PriorConfig(gamma0=README_CONFIG.gamma0, delta=README_CONFIG.delta)
-    for t, problems in enumerate(readme_vb_stacks()):
-        stacked = vb.fit_many(problems, prior)
-        for post, problem in zip(stacked, problems):
-            alone = vb.fit(*problem, prior)
+    for t, (w, y) in enumerate(readme_vb_stacks()):
+        singles = [(w[n : n + 1], y[n : n + 1]) for n in range(len(w))]
+        stacked = vb.fit_many(w, y, prior)
+        for post, single in zip(stacked, singles):
+            [alone] = vb.fit_many(*single, prior)
             if post.mu_raw.tobytes() != alone.mu_raw.tobytes() \
                     or post.bound_trajectory != alone.bound_trajectory:
                 raise SystemExit(f"iteration {t}: stacked and single VB fits disagree")
-        t_stack = best_ms(vb.fit_many, (problems, prior), number=3, repeat=3)
-        t_alone = best_ms(lambda: [vb.fit(*p, prior) for p in problems], (),
+        t_stack = best_ms(vb.fit_many, (w, y, prior), number=3, repeat=3)
+        t_alone = best_ms(lambda: [vb.fit_many(*s, prior) for s in singles], (),
                           number=3, repeat=3)
-        m, k = len(problems[0][0]), problems[0][2].k
-        shape = f"iteration {t}: {len(problems)} x m={m}, k={k}"
+        r, m, dim = w.shape
+        shape = f"iteration {t}: {r} x m={m}, k={dim - 1}"
         print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
 
 

@@ -9,14 +9,15 @@ the control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .kernels import expit, log_expit, xlogx
 from .spectral import (
-    ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical,
+    ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical, _freeze,
     _repeated_rows, feature_matrix,
 )
 from .vb import VariationalPosterior
@@ -25,75 +26,75 @@ STRATEGIES = ("RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR")
 MAX_ENTROPY = float(np.log(2.0))
 
 
-# i * base + j stays within int64 for indices below this base
-MAX_KEY_BASE = 3_037_000_499  # floor(sqrt(2**63 - 1))
-
-
-def _pair_keys(a: np.ndarray, b: np.ndarray):
-    """One search key per (i, j) row of ``a`` and of ``b``, ordered like the rows' tuples.
-
-    The key is the int64 ``i * base + j``, with ``base`` above every index
-    of both arrays, so no two distinct pairs share a key.  Where an index
-    is negative, or too large for such a key, the keys are structured
-    (i, j) records instead.
-    """
-    lo = min(int(a.min(initial=0)), int(b.min(initial=0)))
-    base = max(int(a.max(initial=0)), int(b.max(initial=0))) + 1
-    if lo < 0 or base > MAX_KEY_BASE:
-        rec = [("i", np.int64), ("j", np.int64)]
-        return tuple(np.ascontiguousarray(x).view(rec).ravel() for x in (a, b))
-    return a[:, 0] * base + a[:, 1], b[:, 0] * base + b[:, 1]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PairPool:
-    """Candidate pairs plus the subset already labeled by the oracle.
+    """Candidate pairs plus one oracle label per candidate.
 
     ``candidates`` is a read-only int64 (m, 2) array in canonical order:
     each pair as (low, high), the rows sorted lexicographically.
-    ``labeled`` is given as (i, j, y) triples or a :class:`ConstraintSet`,
-    whose pairs must be candidates, and held as a ConstraintSet in the
-    same order.  ``candidates`` may also be given as another pool, whose
-    candidates are reused without checking them again.
+    ``labels`` is a read-only int8 (m,) array, 0 for an open candidate
+    and the oracle's +1 or -1 for a labeled one.  ``labeled`` may be
+    given as (i, j, y) triples or a :class:`ConstraintSet` whose pairs
+    are candidates.
     """
 
     candidates: np.ndarray
-    labeled: ConstraintSet = ()
-    _open: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray
 
-    def __post_init__(self):
-        if isinstance(self.candidates, PairPool):
-            pairs = self.candidates.candidates
-        else:
-            pairs = _checked_candidates(self.candidates)
+    def __init__(self, candidates, labeled=()):
+        object.__setattr__(self, "candidates", _checked_candidates(candidates))
+        object.__setattr__(self, "labels", _freeze(np.zeros(len(self.candidates), np.int8)))
+        lab = labeled.items if isinstance(labeled, ConstraintSet) else labeled
+        object.__setattr__(self, "labels", self.with_labels(lab).labels)
 
-        lab = self.labeled
-        lab = _as_rows(lab.items if isinstance(lab, ConstraintSet) else lab, 3, "labeled")
-        order, lab_pairs = _canonical(lab)
-        keys, lab_keys = _pair_keys(pairs, lab_pairs)
-        pos = np.searchsorted(keys, lab_keys)
-        found = pos < keys.size
-        found[found] = keys[pos[found]] == lab_keys[found]
-        if not found.all():
-            pair = tuple(lab_pairs[np.flatnonzero(~found)[0]].tolist())
-            raise ValueError(f"labeled pair {pair} is not a candidate")
-        labeled = ConstraintSet(np.column_stack((lab_pairs, lab[order, 2])))
-
-        is_open = np.ones(pairs.shape[0], dtype=bool)
-        is_open[pos] = False
-        is_open.setflags(write=False)
-        object.__setattr__(self, "candidates", pairs)
-        object.__setattr__(self, "labeled", labeled)
-        object.__setattr__(self, "_open", is_open)
+    @property
+    def labeled(self) -> ConstraintSet:
+        """The labeled candidates and their labels, in candidate order."""
+        at = self.labels != 0
+        return ConstraintSet(np.column_stack((self.candidates[at], self.labels[at])))
 
     @property
     def unlabeled(self) -> np.ndarray:
         """The unlabeled pairs as an int64 (u, 2) array, canonical order."""
-        return self.candidates[self._open]
+        return self.candidates[self.labels == 0]
 
     def with_labels(self, triples) -> "PairPool":
-        new = _as_rows(list(triples), 3, "labeled")
-        return PairPool(self, np.concatenate((self.labeled.items, new)))
+        """A new pool with the (i, j, y) ``triples`` labeled; the one place
+        pairs are matched to candidates."""
+        rows = _as_rows(list(triples), 3, "labeled")
+        order, pairs = _canonical(rows)
+        rec = [("i", np.int64), ("j", np.int64)]  # orders like the rows' tuples
+        keys, wanted = (np.ascontiguousarray(a).view(rec).ravel()
+                        for a in (self.candidates, pairs))
+        pos = np.searchsorted(keys, wanted)
+        found = pos < keys.size
+        found[found] = keys[pos[found]] == wanted[found]
+        if not found.all():
+            pair = tuple(pairs[np.flatnonzero(~found)[0]].tolist())
+            raise ValueError(f"labeled pair {pair} is not a candidate")
+        return self.with_labels_at(pos, rows[order, 2])
+
+    def with_labels_at(self, positions, labels) -> "PairPool":
+        """A new pool with the open candidates at ``positions`` labeled ``labels`` (±1)."""
+        pos, y = np.asarray(positions, dtype=np.int64).ravel(), np.asarray(labels).ravel()
+        if pos.shape != y.shape:
+            raise ValueError(f"{pos.size} positions but {y.size} labels")
+        outside = pos[(pos < 0) | (pos >= self.labels.size)]
+        if outside.size:
+            raise ValueError(f"position {outside[0]} is not a candidate of {self.labels.size}")
+        once = np.zeros(pos.size, dtype=bool)
+        once[np.unique(pos, return_index=True)[1]] = True
+        faults = np.column_stack(((y != 1) & (y != -1), ~once | (self.labels[pos] != 0)))
+        if faults.any():
+            r = np.flatnonzero(faults.any(axis=1))[0]
+            pair = tuple(self.candidates[pos[r]].tolist())
+            raise ValueError(f"label must be +1 or -1, got {y[r]}" if faults[r, 0]
+                             else f"duplicate pair {pair} labeled twice")
+        labels = self.labels.copy()
+        labels[pos] = y
+        pool = copy.copy(self)  # shares the read-only candidates
+        object.__setattr__(pool, "labels", _freeze(labels))
+        return pool
 
 
 def _checked_candidates(candidates) -> np.ndarray:
@@ -112,8 +113,7 @@ def _checked_candidates(candidates) -> np.ndarray:
     if dup.size:
         pair = tuple(pairs[dup[0]].tolist())
         raise ValueError(f"duplicate candidate pair {pair}")
-    pairs.setflags(write=False)
-    return pairs
+    return _freeze(pairs)
 
 
 @dataclass(frozen=True)
@@ -338,20 +338,20 @@ def rank_pairs(scorer: Scorer, pairs):
 
 
 def select(pool: PairPool, scorer: Scorer, batch: int, rng_seed) -> np.ndarray:
-    """Pick ``batch`` unlabeled pairs for the oracle, an int64 (batch, 2) array.
+    """Pick ``batch`` unlabeled pairs for the oracle: their int64 positions in ``pool.candidates``.
 
     Entropy strategies take the top of the pool, ties to the lowest
     (i, j); RANDOM draws uniformly without replacement, depending only
     on the seed and the canonical order of the unlabeled pairs.
     """
-    unlabeled = pool.unlabeled
-    if not unlabeled.shape[0]:
+    open_at = np.flatnonzero(pool.labels == 0)
+    if not open_at.size:
         raise ValueError("no unlabeled pairs left to select from")
-    if not 1 <= batch <= unlabeled.shape[0]:
-        raise ValueError(
-            f"batch must lie in [1, {unlabeled.shape[0]}], got {batch}"
-        )
+    if not 1 <= batch <= open_at.size:
+        raise ValueError(f"batch must lie in [1, {open_at.size}], got {batch}")
     if scorer.strategy == "RANDOM":
         rng = np.random.default_rng(rng_seed)
-        return unlabeled[rng.choice(unlabeled.shape[0], size=batch, replace=False)]
-    return rank_pairs(scorer, unlabeled)[0][:batch]
+        return open_at[rng.choice(open_at.size, size=batch, replace=False)]
+    # the open pairs are in canonical order, so a stable sort breaks ties by (i, j)
+    h = _score_arrays(scorer, pool.candidates[open_at])[1]
+    return open_at[np.argsort(-h, kind="stable")[:batch]]

@@ -22,14 +22,14 @@ import numpy as np
 
 from . import metric, mle, vb
 from .active import PairPool, Scorer, select
-from .spectral import DataMatrix, EigenBasis, eigen_basis, load_csv
+from .spectral import DataMatrix, EigenBasis, _freeze, eigen_basis, feature_matrix, load_csv
 
 
 class Strategy(NamedTuple):
     """One row of the strategy table.
 
-    ``fit`` names the estimator: ``"mle"`` runs ``mle.mle_fit``, ``"vb"``
-    runs ``vb.fit_many`` and None fits nothing (see :func:`_fit_all`).
+    ``fit`` names the estimator: ``"mle"`` runs ``mle.fit_features``,
+    ``"vb"`` runs ``vb.fit_many`` and None fits nothing (see :func:`_fit_all`).
     ``scorer`` is the ``Scorer`` tag of the acquisition rule, None for a
     strategy that never acquires.
     """
@@ -168,16 +168,19 @@ def synth_data(spec: SynthSpec, seed) -> DataMatrix:
     return DataMatrix(x, labels)
 
 
-def oracle_label(data: DataMatrix, i: int, j: int) -> int:
-    """Ground-truth pair label: +1 same class, -1 different."""
+def oracle_label(data: DataMatrix, i, j):
+    """Ground-truth pair label: +1 same class, -1 different; for index arrays, one per pair."""
     if data.labels is None:
         raise ValueError("oracle needs labeled data")
-    n = data.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"pair ({i}, {j}) out of bounds for {n} rows")
-    if i == j:
+    i, j = np.broadcast_arrays(i, j)
+    outside = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= data.n))
+    if outside.size:
+        a, b = i.flat[outside[0]], j.flat[outside[0]]
+        raise IndexError(f"pair ({a}, {b}) out of bounds for {data.n} rows")
+    if np.any(i == j):
         raise ValueError("self-pair has no oracle label")
-    return 1 if data.labels[i] == data.labels[j] else -1
+    y = np.where(data.labels[i] == data.labels[j], 1, -1)
+    return int(y) if y.ndim == 0 else y
 
 
 def build_pool(data: DataMatrix, pool_size: int, seed):
@@ -219,10 +222,8 @@ def build_pool(data: DataMatrix, pool_size: int, seed):
 
 def label_initial_pairs(pool: PairPool, data: DataMatrix, n: int, seed) -> PairPool:
     """Have the oracle label ``n`` candidates of ``pool``, drawn without replacement."""
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(pool.candidates), size=n, replace=False)
-    pairs = pool.candidates[picks].tolist()
-    return pool.with_labels((i, j, oracle_label(data, i, j)) for i, j in pairs)
+    picks = np.random.default_rng(seed).choice(len(pool.candidates), size=n, replace=False)
+    return pool.with_labels_at(picks, oracle_label(data, *pool.candidates[picks].T))
 
 
 def fit_strategy(name, constraints, data, basis, prior, reg):
@@ -234,23 +235,23 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     row has no fit or no scorer.  ``prior`` is read by the ``vb``
     fit only, ``reg`` by the ``mle`` fit only.
     """
-    problem = (constraints, data, basis)
+    problem = (feature_matrix(data, basis, constraints.pairs), constraints.labels)
     [estimate] = _fit_all(STRATEGY_TABLE[name].fit, [problem], prior, reg)
     return (*_model_and_scorer(name, estimate, data, basis), estimate)
 
 
 def _fit_all(fit, problems, prior, reg):
-    """One estimate per ``(constraints, data, basis)`` problem, by fit kind.
+    """One estimate per ``(features, labels)`` problem, by fit kind.
 
-    ``"mle"`` fits the problems one by one, ``"vb"`` as one
-    :func:`vb.fit_many` stack (so they must share the constraint count
-    and basis size), and None fits nothing.  The fits are looked up on
-    their modules at call time, so a wrapped one is the one that runs.
+    ``"mle"`` fits the problems one by one through :func:`mle.fit_features`,
+    ``"vb"`` as one :func:`vb.fit_many` stack (so they must share their
+    shape), and None fits nothing.  The fits are looked up on their
+    modules at call time, so a wrapped one is the one that runs.
     """
     if fit == "mle":
-        return [mle.mle_fit(*problem, reg=reg) for problem in problems]
+        return [mle.fit_features(w, y, reg=reg) for w, y in problems]
     if fit == "vb":
-        return vb.fit_many(problems, prior)
+        return vb.fit_many(*(np.stack(a) for a in zip(*problems)), prior)
     return [None] * len(problems)
 
 
@@ -272,11 +273,14 @@ def _model_and_scorer(name, estimate, data, basis):
 
 @dataclass(frozen=True)
 class _RepeatState:
+    """One repeat's split, basis, initial pool and the feature table of its candidates."""
+
     train: DataMatrix
     test: DataMatrix
     basis: EigenBasis
     pool_data: DataMatrix
     pool: PairPool
+    features: np.ndarray
 
 
 def _repeat_data(config: ExperimentConfig, fixed: DataMatrix | None, repeat: int) -> DataMatrix:
@@ -303,9 +307,8 @@ def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> 
     pool = label_initial_pairs(
         pool, pool_data, config.initial_pairs, _seed_ints(config.seed, repeat, "init")
     )
-    return _RepeatState(
-        train=train, test=test, basis=basis, pool_data=pool_data, pool=pool
-    )
+    features = _freeze(feature_matrix(pool_data, basis, pool.candidates))
+    return _RepeatState(train, test, basis, pool_data, pool, features)
 
 
 @dataclass
@@ -321,7 +324,9 @@ class _Run:
     predictions: np.ndarray | None = None  # EUCLID's, kept from iteration 0
 
     def problem(self):
-        return self.pool.labeled, self.state.pool_data, self.state.basis
+        """The run's labeled rows of the feature table and their labels, in candidate order."""
+        at = self.pool.labels != 0
+        return self.state.features[at], self.pool.labels[at].astype(np.float64)
 
 
 @contextmanager
@@ -338,22 +343,21 @@ def _blamed_on(run: _Run, t: int):
 def _fit_iteration(runs, t, prior, reg):
     """Every run's fit at iteration ``t``.
 
-    Runs sharing the fit kind, constraint count and basis size are
-    fitted by one :func:`_fit_all` call.
+    Runs sharing the fit kind and the shape of their problem (constraint
+    count, basis size) are fitted by one :func:`_fit_all` call.
     """
+    problems = [run.problem() for run in runs]
     groups = {}
-    for n, run in enumerate(runs):
-        key = (STRATEGY_TABLE[run.strategy].fit, len(run.pool.labeled), run.state.basis.k)
-        groups.setdefault(key, []).append(n)
+    for n, (run, (w, _)) in enumerate(zip(runs, problems)):
+        groups.setdefault((STRATEGY_TABLE[run.strategy].fit, w.shape), []).append(n)
     estimates = [None] * len(runs)
-    for (fit, _, _), members in groups.items():
-        group = [runs[n] for n in members]
+    for (fit, _), members in groups.items():
         try:
-            fitted = _fit_all(fit, [run.problem() for run in group], prior, reg)
+            fitted = _fit_all(fit, [problems[n] for n in members], prior, reg)
         except Exception:
-            for run in group:  # refit one by one, so the error names its run
-                with _blamed_on(run, t):
-                    _fit_all(fit, [run.problem()], prior, reg)
+            for n in members:  # refit one by one, so the error names its run
+                with _blamed_on(runs[n], t):
+                    _fit_all(fit, [problems[n]], prior, reg)
             raise
         for n, estimate in zip(members, fitted):
             estimates[n] = estimate
@@ -378,9 +382,8 @@ def _advance(config, run: _Run, t, estimate, fit_tally) -> None:
     if t < config.iterations and scorer is not None:
         seed = _seed_ints(config.seed, run.strategy, run.repeat, "select", t)
         chosen = select(run.pool, scorer, config.batch_size, seed)
-        run.pool = run.pool.with_labels(
-            (i, j, oracle_label(state.pool_data, i, j)) for i, j in chosen.tolist()
-        )
+        answers = oracle_label(state.pool_data, *run.pool.candidates[chosen].T)
+        run.pool = run.pool.with_labels_at(chosen, answers)
 
 
 def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) -> list:

@@ -101,15 +101,19 @@ def _merge(block, sel, rows, ids, best, idx, assign=False):
 def nn1_exhaustive(train, queries):
     """Index of each query's nearest training row, ties to the lowest index:
     every query against every row, in blocks of at most ``BLOCK_ELEMS``."""
-    return _nn1_search(train, queries, np.arange(train.shape[0]), np.array([0, train.shape[0]]))
+    out = np.empty(queries.shape[0], dtype=np.int64)
+    chunk = max(1, BLOCK_ELEMS // train.size)
+    for start in range(0, queries.shape[0], chunk):
+        out[start : start + chunk] = _sq_dist(queries[start : start + chunk], train).argmin(axis=1)
+    return out
 
 
 def nn1_indices(train, queries):
-    """:func:`nn1_exhaustive`'s rows through the kd leaves; inputs holding
-    inf or nan, which no box bounds, are searched exhaustively."""
-    if not (np.isfinite(train).all() and np.isfinite(queries).all()):
-        return nn1_exhaustive(train, queries)
-    return _nn1_search(train, queries, *_kd_leaves(train))
+    """:func:`nn1_exhaustive`'s rows through the kd leaves.  Up to ``LEAF_ROWS``
+    training rows (one leaf), and inf or nan, which no box bounds, go to it."""
+    if train.shape[0] > LEAF_ROWS and np.isfinite(train).all() and np.isfinite(queries).all():
+        return _nn1_search(train, queries, *_kd_leaves(train))
+    return nn1_exhaustive(train, queries)
 
 
 def weighted_outer_sum(rows, coef):

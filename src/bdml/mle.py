@@ -147,33 +147,36 @@ def _start_point(w: np.ndarray) -> np.ndarray:
     return ones
 
 
-def mle_fit(
-    constraints: ConstraintSet,
-    data: DataMatrix,
-    basis: EigenBasis,
-    reg: float = DEFAULT_REG,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> MleSolution:
+def mle_fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
+            reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,
+            max_iters: int = DEFAULT_MAX_ITERS) -> MleSolution:
+    """:func:`fit_features` of the labeled pairs' feature rows and labels."""
+    w = feature_matrix(data, basis, constraints.pairs)
+    return fit_features(w, constraints.labels, reg, tol, max_iters)
+
+
+def fit_features(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,
+                 max_iters: int = DEFAULT_MAX_ITERS) -> MleSolution:
     """Maximize the penalized likelihood over the nonnegative orthant.
 
-    Projected Newton ascent: zero coordinates whose gradient points
-    outward take a gradient step, the others a Newton step (the gradient
-    if their Hessian block is singular), followed by Armijo backtracking
-    along the projection arc max(gamma + t*d, 0) from t = 1.  Starts from
-    the better of the scaled all-ones point and the origin, and never
-    accepts a lower objective, so the reported objective never falls
-    below the objective at zero.  Converged means the projected gradient
-    norm dropped under ``tol``, or that an iteration could no longer raise
-    the objective while the full step promised a gain below its rounding
-    (``STALL_ULPS``), which happens where the curvature is large.  Any
-    other stalled or failed line search, or ``max_iters`` iterations,
-    return the last iterate with ``converged=False``.
+    ``features`` holds one (k+1) feature row per constraint and
+    ``labels`` its ±1 label.  Projected Newton ascent: zero coordinates
+    whose gradient points outward take a gradient step, the others a
+    Newton step (the gradient if their Hessian block is singular),
+    followed by Armijo backtracking along the projection arc
+    max(gamma + t*d, 0) from t = 1.  Starts from the better of the scaled
+    all-ones point and the origin, and never accepts a lower objective,
+    so the reported objective never falls below the objective at zero.
+    Converged means the projected gradient norm dropped under ``tol``, or
+    that an iteration could no longer raise the objective while the full
+    step promised a gain below its rounding (``STALL_ULPS``), which
+    happens where the curvature is large.  Any other stalled or failed
+    line search, or ``max_iters`` iterations, return the last iterate
+    with ``converged=False``.
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
-    w = feature_matrix(data, basis, constraints.pairs)
-    zero, w, y = _check_inputs(np.zeros(basis.k + 1), w, constraints.labels, reg)
+    zero, w, y = _check_inputs(np.zeros(np.shape(features)[-1]), features, labels, reg)
 
     candidates = [zero, _start_point(w)]
     values = [_objective(c, w, y, reg) for c in candidates]

@@ -250,8 +250,12 @@ def _preprocess(x: np.ndarray, center: bool, standardize: bool):
     n, d = x.shape
     c = x.mean(axis=0) if center else np.zeros(d)
     if standardize:
-        s = x.std(axis=0)
-        s = np.where(s <= 1e-12, 1.0, s)
+        # columns below 1 are scaled up by an exact power of two, so no variance underflows;
+        # a spread within rounding of its magnitude is constant; scaled by that, its noise is eps
+        top = np.abs(x).max(axis=0)
+        unit = np.ldexp(1.0, np.minimum(np.frexp(top)[1], 0))
+        s = (x / unit).std(axis=0) * unit
+        s = np.where(s <= n * np.finfo(float).eps * top, np.where(top > 0, top, 1.0), s)
     else:
         s = np.ones(d)
     return (x - c) / s, c, s
@@ -293,7 +297,8 @@ def eigen_basis(
         raise ValueError(
             f"data too large: its squares overflow (largest magnitude {big:.6g})"
         ) from None
-    degenerate = n * d * np.finfo(float).eps * max(1.0, float(np.abs(data.x).max()))
+    # the centering rounds relative to the scaled data, so that sets the floor
+    degenerate = n * d * np.finfo(float).eps * max(1.0, (np.abs(data.x).max(axis=0) / s).max())
     if sv[0] <= degenerate:
         raise ValueError("zero scatter: all rows are identical after preprocessing")
 

@@ -107,7 +107,7 @@ def jj_bound(z, xi):
     return out
 
 
-def _as_constraint_arrays(features, labels, xi=None):
+def _as_constraint_arrays(features, labels, xi):
     w = kernels.as_f64(features)
     if w.ndim != 2:
         raise ValueError("features must be a 2-d array, one row per constraint")
@@ -116,8 +116,6 @@ def _as_constraint_arrays(features, labels, xi=None):
         raise ValueError("features and labels disagree on the constraint count")
     if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    if xi is None:
-        return w, y
     x = np.asarray(xi, dtype=np.float64).reshape(-1)
     if x.shape[0] != w.shape[0]:
         raise ValueError("xi must have one entry per constraint")
@@ -263,55 +261,41 @@ def _elbo(w, y, mu, sigma, x, lam, prior: PriorConfig) -> np.ndarray:
     return total
 
 
-def fit(
-    constraints: ConstraintSet,
-    data: DataMatrix,
-    basis: EigenBasis,
-    prior: PriorConfig | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    *,
-    xi0: float = 1.0,
-) -> VariationalPosterior:
+def fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
+        prior: PriorConfig | None = None, tol: float = DEFAULT_TOL,
+        max_iters: int = DEFAULT_MAX_ITERS, *, xi0: float = 1.0) -> VariationalPosterior:
     """Alternate the two closed-form updates until the bound settles.
 
     Iterations run on the unclamped mean so each one is a coordinate
     ascent step on the bound; the clamp is applied once, to the final
     mean.  Convergence is a relative bound change below ``tol``, with the
     denominator floored at 1 so a bound near zero cannot stall the test.
-    This is :func:`fit_many` of one problem.
+    This is :func:`fit_many` of one problem, the pairs' feature rows.
     """
-    return fit_many([(constraints, data, basis)], prior, tol, max_iters, xi0=xi0)[0]
+    w = feature_matrix(data, basis, constraints.pairs)
+    return fit_many(w[None], constraints.labels[None], prior, tol, max_iters, xi0=xi0)[0]
 
 
-def fit_many(
-    problems,
-    prior: PriorConfig | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    *,
-    xi0: float = 1.0,
-) -> list:
+def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DEFAULT_TOL,
+             max_iters: int = DEFAULT_MAX_ITERS, *, xi0: float = 1.0) -> list:
     """:func:`fit` of independent problems as one stacked solve, one posterior each.
 
-    ``problems`` is a sequence of ``(constraints, data, basis)`` sharing
-    the constraint count and the basis size.  Each problem keeps its own
-    stop test and is frozen once it passes, so its posterior, iteration
-    count and bound trajectory are those of fitting it alone, bit for bit.
-    An error in any problem fails the whole call.
+    ``features`` is an (r, m, k+1) stack of r problems' constraint feature
+    rows and ``labels`` the (r, m) stack of their ±1 labels.  Each problem
+    keeps its own stop test and is frozen once it passes, so its
+    posterior, iteration count and bound trajectory are those of fitting
+    it alone, bit for bit.  An error in any problem fails the whole call.
     """
     if prior is None:
         prior = PriorConfig()
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
-    if not problems:
-        return []
-    shapes = {(len(c), b.k) for c, _, b in problems}
-    if len(shapes) > 1:
-        raise ValueError("stacked problems must share the constraint count "
-                         f"and basis size, got {sorted(shapes)}")
-    w = np.stack([feature_matrix(d, b, c.pairs) for c, d, b in problems])
-    y = np.stack([c.labels for c, _, _ in problems])
+    w, y = kernels.as_f64(features), np.asarray(labels, dtype=np.float64)
+    if w.ndim != 3 or y.shape != w.shape[:2]:
+        raise ValueError("need (r, m, k+1) features and (r, m) labels, "
+                         f"got {w.shape} and {y.shape}")
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("labels must be +1 or -1")
     r, m, dim = w.shape
     xi = np.full((r, m), float(xi0))
     if np.any(xi <= 0):

@@ -8,7 +8,6 @@ from scipy.special import expit
 
 from bdml.active import (
     MAX_ENTROPY,
-    MAX_KEY_BASE,
     PairPool,
     PairScore,
     Scorer,
@@ -116,9 +115,9 @@ def test_pair_pool_keys_span_the_labeled_indices_too():
         PairPool(candidates=candidates).with_labels([(1, 2, 1), (7, 0, -1)])
 
 
-@pytest.mark.parametrize("top", [MAX_KEY_BASE - 1, MAX_KEY_BASE, 2**62, 2**63 - 1])
+@pytest.mark.parametrize("top", [3_037_000_498, 3_037_000_499, 2**62, 2**63 - 1])
 def test_pair_pool_matches_pairs_whose_integer_keys_would_overflow(top):
-    # i * (top + 1) + j leaves int64 once top + 1 exceeds MAX_KEY_BASE
+    # i * (top + 1) + j leaves int64 once top + 1 exceeds floor(sqrt(2**63 - 1))
     candidates = ((0, top), (1, 2), (1, top), (top - 1, top))
     pool = PairPool(candidates=candidates, labeled=((top, 1, -1), (2, 1, 1)))
     npt.assert_array_equal(pool.labeled.items, [(1, 2, 1), (1, top, -1)], strict=True)
@@ -129,6 +128,78 @@ def test_pair_pool_matches_pairs_whose_integer_keys_would_overflow(top):
         pool.with_labels([(2, top, 1)])
     with pytest.raises(ValueError, match=rf"labeled pair \(0, {top - 1}\) is not a candidate"):
         pool.with_labels([(0, top - 1, 1)])
+
+
+def test_pair_pool_labels_are_an_int8_vector_in_candidate_order():
+    pool = PairPool(candidates=((3, 1), (0, 2), (4, 0)), labeled=((4, 0, -1), (2, 0, 1)))
+    npt.assert_array_equal(pool.labels, np.array([1, -1, 0], dtype=np.int8), strict=True)
+    assert not pool.labels.flags.writeable
+    grown = pool.with_labels_at(np.array([2]), np.array([1]))
+    npt.assert_array_equal(grown.labels, np.array([1, -1, 1], dtype=np.int8), strict=True)
+    npt.assert_array_equal(pool.labels, np.array([1, -1, 0], dtype=np.int8), strict=True)
+    assert grown.candidates is pool.candidates
+    npt.assert_array_equal(grown.labeled.items, [(0, 2, 1), (0, 4, -1), (1, 3, 1)],
+                           strict=True)
+    assert grown.unlabeled.shape == (0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 8), data=st.data())
+def test_labeling_by_position_equals_labeling_by_triples(n, data):
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    m = len(pairs)
+    pool = PairPool(candidates=pairs)
+    order = data.draw(st.permutations(range(m)))
+    first = data.draw(st.integers(0, m))
+    taken = order[: data.draw(st.integers(first, m))]
+    y = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(taken),
+                           max_size=len(taken)))
+    flip = data.draw(st.lists(st.booleans(), min_size=len(taken), max_size=len(taken)))
+    triples = [(*(pairs[p][::-1] if f else pairs[p]).tolist(), label)
+               for p, label, f in zip(taken, y, flip)]
+    by_position = pool.with_labels_at(taken[:first], y[:first])
+    by_position = by_position.with_labels_at(taken[first:], y[first:])
+    by_triples = pool.with_labels(triples[:first]).with_labels(triples[first:])
+    given_at_once = PairPool(candidates=pairs, labeled=triples)
+    for other in (by_triples, given_at_once):
+        npt.assert_array_equal(other.labels, by_position.labels, strict=True)
+        npt.assert_array_equal(other.labeled.items, by_position.labeled.items, strict=True)
+        npt.assert_array_equal(other.unlabeled, by_position.unlabeled, strict=True)
+    want = np.zeros(m, dtype=np.int8)
+    want[taken] = y
+    npt.assert_array_equal(by_position.labels, want, strict=True)
+
+
+@pytest.mark.parametrize("route", ["triples", "positions"])
+def test_pair_pool_errors_through_both_routes(route):
+    pool = PairPool(candidates=((0, 1), (0, 2), (1, 2)), labeled=((1, 0, 1),))
+
+    def label(triples):
+        if route == "triples":
+            return pool.with_labels(triples)
+        at = {(0, 1): 0, (0, 2): 1, (1, 2): 2, (0, 3): 3}
+        return pool.with_labels_at([at[min(i, j), max(i, j)] for i, j, _ in triples],
+                                   [y for _, _, y in triples])
+
+    not_a_candidate = (r"labeled pair \(0, 3\)" if route == "triples"
+                       else "position 3") + " is not a candidate"
+    with pytest.raises(ValueError, match=not_a_candidate):
+        label([(0, 2, 1), (3, 0, 1)])
+    with pytest.raises(ValueError, match=r"^duplicate pair \(0, 1\) labeled twice$"):
+        label([(0, 1, -1)])
+    with pytest.raises(ValueError, match=r"^duplicate pair \(0, 2\) labeled twice$"):
+        label([(0, 2, 1), (2, 0, 1)])
+    with pytest.raises(ValueError, match=r"^label must be \+1 or -1, got 0$"):
+        label([(1, 2, 0)])
+    npt.assert_array_equal(pool.labels, np.array([1, 0, 0], dtype=np.int8), strict=True)
+
+
+def test_labeling_by_position_validation():
+    pool = PairPool(candidates=((0, 1), (0, 2)))
+    with pytest.raises(ValueError, match="position -1 is not a candidate of 2"):
+        pool.with_labels_at([-1], [1])
+    with pytest.raises(ValueError, match="2 positions but 1 labels"):
+        pool.with_labels_at([0, 1], [1])
 
 
 def test_pair_score_validation():
@@ -406,10 +477,12 @@ def test_select_takes_the_entropy_top(clusters, clusters_basis, posterior):
     pool = PairPool(candidates=tuple(candidates))
     scorer = Scorer.mle_act(clusters, clusters_basis, posterior.mu)
     picked = select(pool, scorer, batch=5, rng_seed=0)
+    assert picked.dtype == np.int64
     ranked = sorted(
         score_pairs(scorer, pool.unlabeled), key=lambda s: (-s.entropy, s.pair)
     )
-    npt.assert_array_equal(picked, [s.pair for s in ranked[:5]], strict=True)
+    npt.assert_array_equal(pool.candidates[picked], [s.pair for s in ranked[:5]],
+                           strict=True)
 
 
 @pytest.mark.parametrize("strategy", ["BAYES_ACT", "BAYES_VAR"])
@@ -423,7 +496,8 @@ def test_select_matches_sorted_score_pairs(clusters, clusters_basis, posterior,
     )
     for batch in (1, 7, len(ranked)):
         picked = select(pool, scorer, batch=batch, rng_seed=0)
-        npt.assert_array_equal(picked, [s.pair for s in ranked[:batch]], strict=True)
+        npt.assert_array_equal(pool.candidates[picked], [s.pair for s in ranked[:batch]],
+                               strict=True)
 
 
 def test_select_breaks_ties_by_pair_order():
@@ -439,7 +513,7 @@ def test_select_breaks_ties_by_pair_order():
     scores = {s.pair: s.entropy for s in score_pairs(scorer, pool.unlabeled)}
     assert scores[(0, 2)] == scores[(1, 2)]
     picked = select(pool, scorer, batch=2, rng_seed=0)
-    npt.assert_array_equal(picked, [(0, 2), (1, 2)], strict=True)
+    npt.assert_array_equal(pool.candidates[picked], [(0, 2), (1, 2)], strict=True)
 
 
 def test_select_random_is_seed_deterministic():
@@ -450,13 +524,13 @@ def test_select_random_is_seed_deterministic():
     a = select(pool, Scorer.random(), batch=4, rng_seed=11)
     b = select(pool, Scorer.random(), batch=4, rng_seed=11)
     npt.assert_array_equal(a, b, strict=True)
-    assert a.shape == (4, 2) and a.dtype == np.int64
-    picked = set(map(tuple, a.tolist()))
+    assert a.shape == (4,) and a.dtype == np.int64
+    picked = set(map(tuple, pool.candidates[a].tolist()))
     assert len(picked) == 4
     assert picked <= set(map(tuple, pool.unlabeled.tolist()))
     assert (0, 1) not in picked and (2, 3) not in picked
     c = select(pool, Scorer.random(), batch=4, rng_seed=12)
-    assert picked != set(map(tuple, c.tolist()))  # seeds decouple the draws
+    assert set(a.tolist()) != set(c.tolist())  # seeds decouple the draws
 
 
 def test_select_is_invariant_to_weight_rescaling(clusters, clusters_basis, posterior):

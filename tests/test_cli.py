@@ -68,12 +68,12 @@ def test_run_reports_non_converged_fits_on_stderr_only(tmp_path, data_csv, capsy
 
     calls = []
 
-    def every_other_unconverged(*args, _fn=mle.mle_fit, **kwargs):
+    def every_other_unconverged(*args, _fn=mle.fit_features, **kwargs):
         calls.append(1)
         sol = _fn(*args, **kwargs)
         return dataclasses.replace(sol, converged=len(calls) % 2 == 0 and sol.converged)
 
-    monkeypatch.setattr(mle, "mle_fit", every_other_unconverged)
+    monkeypatch.setattr(mle, "fit_features", every_other_unconverged)
     assert main(_run_args(data_csv, outs[1])) == 0
     flagged = capsys.readouterr()
     assert len(calls) == 4  # RANDOM_MLE: 2 repeats x 2 iterations
@@ -157,7 +157,7 @@ def test_score_pairs_names_a_nan_reg(data_csv, capsys):
 
 
 @pytest.mark.parametrize("strategy, module, attr, tag", [
-    ("MLE_ACT", mle, "mle_fit", "mle"),
+    ("MLE_ACT", mle, "fit_features", "mle"),
     ("BAYES_VAR", vb, "fit_many", "vb"),
 ])
 def test_score_pairs_warns_when_the_fit_did_not_converge(

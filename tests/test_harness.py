@@ -107,6 +107,18 @@ def test_oracle_label():
         oracle_label(DataMatrix(np.zeros((4, 2))), 0, 1)
 
 
+def test_oracle_label_answers_index_arrays_by_the_same_rule():
+    data = DataMatrix(np.zeros((4, 2)), labels=[0, 0, 1, 1])
+    i, j = np.array([0, 1, 3, 2]), np.array([1, 2, 2, 0])
+    got = oracle_label(data, i, j)
+    npt.assert_array_equal(got, [oracle_label(data, a, b) for a, b in zip(i, j)])
+    npt.assert_array_equal(got, [1, -1, 1, -1])
+    with pytest.raises(ValueError, match="self-pair"):
+        oracle_label(data, i, np.array([1, 2, 3, 2]))
+    with pytest.raises(IndexError, match=r"pair \(3, 4\) out of bounds for 4 rows"):
+        oracle_label(data, i, np.array([1, 2, 4, 0]))
+
+
 # ---------------------------------------------------------------------------
 # pool construction
 
@@ -241,14 +253,14 @@ def test_fit_strategy_follows_the_table(name, monkeypatch):
 
     # the fits are looked up on their modules at call time
     calls = []
-    for module, attr in ((mle, "mle_fit"), (vb, "fit_many")):
+    for module, attr in ((mle, "fit_features"), (vb, "fit_many")):
         def counted(*args, _fn=getattr(module, attr), _name=attr, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, attr, counted)
     model, scorer, estimate = fit_strategy(name, constraints, data, basis, prior, 0.3)
     fit = STRATEGY_TABLE[name].fit
-    assert calls == ({"mle": ["mle_fit"], "vb": ["fit_many"]}[fit] if fit else [])
+    assert calls == ({"mle": ["fit_features"], "vb": ["fit_many"]}[fit] if fit else [])
     want_estimate = {"mle": sol, "vb": post}.get(fit)
     if want_estimate is None:
         assert estimate is None
@@ -408,11 +420,39 @@ def test_loop_rejects_oversized_splits():
         run_active_loop(_small_config(pool_size=20, n_test=12))
 
 
+def test_loop_fits_gather_the_rows_feature_matrix_gives(monkeypatch):
+    # every fit gets, bit for bit, the feature rows and labels of its run's labeled pairs
+    want, got = [], []
+
+    def fit_iteration(runs, *args, _fn=harness._fit_iteration):
+        for run in runs:
+            if STRATEGY_TABLE[run.strategy].fit:
+                labeled = run.pool.labeled
+                w = feature_matrix(run.state.pool_data, run.state.basis, labeled.pairs)
+                want.append(w.tobytes() + labeled.labels.tobytes())
+        return _fn(runs, *args)
+
+    def fit_features(w, y, *args, _fn=mle.fit_features, **kwargs):
+        got.append(w.tobytes() + y.tobytes())
+        return _fn(w, y, *args, **kwargs)
+
+    def fit_many(w, y, *args, _fn=vb.fit_many, **kwargs):
+        got.extend(a.tobytes() + b.tobytes() for a, b in zip(w, y))
+        return _fn(w, y, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_fit_iteration", fit_iteration)
+    monkeypatch.setattr(mle, "fit_features", fit_features)
+    monkeypatch.setattr(vb, "fit_many", fit_many)
+    run_active_loop(_small_config(iterations=2, repeats=2))
+    assert len(want) == 2 * 4 * 3  # repeats x fitting strategies x (iterations+1)
+    assert sorted(got) == sorted(want)
+
+
 def test_loop_wraps_failures_with_context(monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("synthetic failure")
 
-    monkeypatch.setattr(mle, "mle_fit", boom)
+    monkeypatch.setattr(mle, "fit_features", boom)
     with pytest.raises(RuntimeError, match=r"strategy=RANDOM_MLE repeat=0 iteration=0"):
         run_active_loop(_small_config(strategies=("RANDOM_MLE",), repeats=1))
 
@@ -426,7 +466,7 @@ def test_loop_blames_a_failed_stacked_fit_on_its_run(strategy, partner, message,
     config = _small_config(strategies=(partner, strategy), repeats=3, iterations=2)
     state = harness._prepare_repeat(config, _repeat_data(config, None, 1), 1)
     marker = feature_matrix(state.pool_data, state.basis, state.pool.labeled.pairs)[0]
-    real_m_step, real_mle_fit = vb.m_step, mle.mle_fit
+    real_m_step, real_fit_features = vb.m_step, mle.fit_features
 
     def hit(w):  # repeat 1's features once its first batch is labeled
         return np.all(w == marker, axis=-1).any(axis=-1) & (w.shape[-2] > 4)
@@ -434,15 +474,15 @@ def test_loop_blames_a_failed_stacked_fit_on_its_run(strategy, partner, message,
     def m_step(w, mu, sigma):
         return np.where(hit(w)[:, None], 0.0, real_m_step(w, mu, sigma))
 
-    def mle_fit(constraints, data, basis, **kwargs):
-        if hit(feature_matrix(data, basis, constraints.pairs)):
+    def fit_features(w, y, **kwargs):
+        if hit(w):
             raise ValueError(message)
-        return real_mle_fit(constraints, data, basis, **kwargs)
+        return real_fit_features(w, y, **kwargs)
 
     if STRATEGY_TABLE[strategy].fit == "vb":
         monkeypatch.setattr(vb, "m_step", m_step)
     else:
-        monkeypatch.setattr(mle, "mle_fit", mle_fit)
+        monkeypatch.setattr(mle, "fit_features", fit_features)
     with pytest.raises(
         RuntimeError, match=rf"^strategy={strategy} repeat=1 iteration=1: {message}$"
     ):
@@ -460,9 +500,9 @@ def test_loop_records_of_a_strategy_do_not_depend_on_the_others(k, monkeypatch):
     )
     stacks = []
 
-    def fit_many(problems, *args, _fn=vb.fit_many, **kwargs):
-        stacks.append(sorted({basis.k for _, _, basis in problems}))
-        return _fn(problems, *args, **kwargs)
+    def fit_many(features, *args, _fn=vb.fit_many, **kwargs):
+        stacks.append([features.shape[-1] - 1])  # the stack's basis size k
+        return _fn(features, *args, **kwargs)
 
     monkeypatch.setattr(vb, "fit_many", fit_many)
     full = run_active_loop(config)

@@ -183,6 +183,20 @@ def test_nn1_large_search_takes_the_tree_and_stays_exact(monkeypatch):
     assert sum(q * r for q, r in shapes) < train.shape[0] * queries.shape[0] / 2
 
 
+def test_nn1_searches_of_one_leaf_go_to_the_exhaustive_search(monkeypatch):
+    def no_leaves(train):
+        raise AssertionError("kd leaves built")
+
+    monkeypatch.setattr(kernels, "_kd_leaves", no_leaves)
+    rng = np.random.default_rng(8)
+    train = rng.normal(size=(kernels.LEAF_ROWS + 1, 2))
+    queries = rng.normal(size=(5, 2))
+    npt.assert_array_equal(kernels.nn1_indices(train[:-1], queries),
+                           _brute_nn1(train[:-1], queries))
+    with pytest.raises(AssertionError, match="kd leaves built"):
+        kernels.nn1_indices(train, queries)
+
+
 def test_nn1_small_few_query_and_wide_searches_match_the_exhaustive_search():
     rng = np.random.default_rng(7)
     for n_train, n_query, k in (

@@ -194,6 +194,32 @@ def test_standardize_divides_by_column_std():
     assert std.eigenvalues[0] / std.eigenvalues.sum() < 0.6
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e-100, 1e-10, 1e10, 1e14, 1e100,
+                               1e150, 1e153])
+def test_standardized_basis_does_not_depend_on_the_data_scale(c):
+    # the README synth data; with an absolute constant-column guard and a
+    # threshold from the raw data, 1e14 and up, and 1e-100 and below, were
+    # rejected as "zero scatter"; below 1e-154 the column variances underflow
+    from bdml.harness import SynthSpec, synth_data
+
+    x = synth_data(SynthSpec(classes=3, per_class=20, dim=10, spread=0.3), seed=0).x
+    want = eigen_basis(DataMatrix(x), k=2, standardize=True)
+    got = eigen_basis(DataMatrix(x * c), k=2, standardize=True)
+    npt.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-13)
+    npt.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-13)
+    npt.assert_allclose(got.scale, want.scale * c, rtol=1e-13)
+
+
+@pytest.mark.parametrize("v", [0.0, 1.0 / 3.0, 1e100 / 3.0])
+def test_standardize_scales_a_constant_column_by_its_magnitude(v):
+    # scaled by 1, the constant column's magnitude set the zero-scatter
+    # threshold, and 1e100 / 3 hid the spread of the other column
+    x = np.column_stack((np.random.default_rng(2).normal(size=8), np.full(8, v)))
+    basis = eigen_basis(DataMatrix(x), k=1, standardize=True)
+    assert basis.scale[1] == (abs(v) or 1.0)
+    npt.assert_allclose(basis.vectors, [[1.0, 0.0]], rtol=0, atol=1e-15)
+
+
 SQRT_MAX = np.sqrt(np.finfo(np.float64).max)  # 1.34e154: larger values square to inf
 
 

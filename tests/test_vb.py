@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from bdml import vb
-from bdml.spectral import ConstraintSet, DataMatrix, EigenBasis
+from bdml.spectral import ConstraintSet, DataMatrix, EigenBasis, feature_matrix
 from bdml.vb import (
     LAMBDA_SERIES_CUTOFF,
     PriorConfig,
@@ -342,6 +342,12 @@ def _assert_bitwise_equal(a, b):
     )
 
 
+def _stacked(problems):
+    """The (features, labels) stacks of ``(constraints, data, basis)`` problems."""
+    w = np.stack([feature_matrix(d, b, c.pairs) for c, d, b in problems])
+    return w, np.stack([c.labels for c, _, _ in problems])
+
+
 def test_fit_many_equals_fit_on_each_problem(clusters, clusters_basis):
     rng = np.random.default_rng(31)
     pairs = np.column_stack(np.triu_indices(clusters.n, 1))
@@ -354,7 +360,7 @@ def test_fit_many_equals_fit_on_each_problem(clusters, clusters_basis):
         )
         problems.append((ConstraintSet(items), clusters, clusters_basis))
     prior = PriorConfig(gamma0=0.5, delta=2.0)
-    stacked = fit_many(problems, prior)
+    stacked = fit_many(*_stacked(problems), prior)
     alone = [fit(*p, prior) for p in problems]
     assert all(post.converged for post in stacked)
     assert len({post.iterations for post in stacked}) > 1  # frozen at different times
@@ -389,7 +395,7 @@ def test_fit_many_equals_fit_when_one_problem_needs_jitter(monkeypatch):
         return _fn(precision)
 
     monkeypatch.setattr(vb, "_jittered_factor", jittered)
-    stacked = fit_many(problems, prior, max_iters=30, xi0=1e-10)
+    stacked = fit_many(*_stacked(problems), prior, max_iters=30, xi0=1e-10)
     assert True in failed_alone and False in failed_alone
     alone = [fit(*p, prior, max_iters=30, xi0=1e-10) for p in problems]
     assert stacked[0].converged and stacked[0].iterations < 30
@@ -398,13 +404,17 @@ def test_fit_many_equals_fit_when_one_problem_needs_jitter(monkeypatch):
 
 
 def test_fit_many_validation(clusters, clusters_basis):
-    assert fit_many([]) == []
-    one = (ConstraintSet(((0, 1, 1),)), clusters, clusters_basis)
-    two = (ConstraintSet(((0, 1, 1), (0, 20, -1))), clusters, clusters_basis)
-    with pytest.raises(ValueError, match="share the constraint count"):
-        fit_many([one, two])
+    w = feature_matrix(clusters, clusters_basis, ((0, 1), (0, 20)))[None]
+    assert fit_many(w[:0], np.ones((0, 2))) == []
+    # a stack shares the constraint count and the basis size by its shape
+    with pytest.raises(ValueError, match=r"\(r, m, k\+1\) features and \(r, m\) labels"):
+        fit_many(w[0], np.ones(2))
+    with pytest.raises(ValueError, match=r"got \(1, 2, 4\) and \(1, 3\)"):
+        fit_many(w, np.ones((1, 3)))
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        fit_many(w, [[1.0, 0.0]])
     with pytest.raises(ValueError, match="tol"):
-        fit_many([one], tol=0.0)
+        fit_many(w, np.ones((1, 2)), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
