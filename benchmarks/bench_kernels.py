@@ -1,4 +1,4 @@
-"""Time the numeric kernels, both 1NN searches and the stacked VB solve.
+"""Time the numeric kernels, both 1NN searches and the stacked VB and MLE fits.
 
 Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``.
 The first table times each public kernel at a fixed size.  The second
@@ -9,10 +9,12 @@ leaves, at four shapes: the ``knn_eval`` benchmark search, a README
 reads 0), a large training set with few queries, and raw d=20
 features, as EUCLID searches them at scale, where the boxes prune
 least.  The two searches must return identical indices at every shape,
-or the script fails.  The third times each iteration's stacked VB solve
-of the README ``bdml run`` (40 problems: 20 repeats of BAYES_ACT and
-BAYES_VAR), one ``vb.fit_many`` call, against 40 ``vb.fit_many`` calls
-of one problem each, after checking that the two agree bit for bit, or
+or the script fails.  The third and fourth time each iteration's stacked
+fits of the README ``bdml run``, one ``fit_many`` call against 40
+``fit_many`` calls of one problem each: the VB stack (20 repeats of
+BAYES_ACT and BAYES_VAR) through ``vb.fit_many`` and the MLE stack (20
+repeats of RANDOM_MLE and MLE_ACT) through ``mle.fit_many``.  Each
+stacked fit must give every problem its one-problem fit bit for bit, or
 the script fails.  Each number is the best of several samples.
 """
 
@@ -20,12 +22,13 @@ import timeit
 
 import numpy as np
 
-from bdml import harness, kernels, vb
+from bdml import harness, kernels, mle, vb
 
 SIZES = {
     "pair_sq_proj": dict(n=400, k=10, m=5000),
     "nn1_indices": dict(n_train=2000, n_query=500, k=10),
-    "weighted_outer_sum": dict(m=5000, k=20),
+    # the margins of a README MLE stack: 40 problems of 110 constraints
+    "mat_vec": dict(r=40, m=110, k=3),
     # one margin or probability per pair of a 100-example pool
     "expit": dict(m=5000),
     "log_expit": dict(m=5000),
@@ -52,16 +55,16 @@ def make_inputs(rng):
                                             s["nn1_indices"]["k"])))
     queries = kernels.as_f64(rng.normal(size=(s["nn1_indices"]["n_query"],
                                               s["nn1_indices"]["k"])))
-    rows = kernels.as_f64(rng.normal(size=(s["weighted_outer_sum"]["m"],
-                                           s["weighted_outer_sum"]["k"])))
-    coef = kernels.as_f64(rng.gamma(1.0, size=rows.shape[0]))
+    r, m, k = (s["mat_vec"][key] for key in ("r", "m", "k"))
+    stack = kernels.as_f64(rng.normal(size=(r, m, k)))
+    vectors = kernels.as_f64(rng.normal(size=(r, k)))
     margins = kernels.as_f64(rng.normal(scale=10.0, size=s["expit"]["m"]))
     log_margins = kernels.as_f64(rng.normal(scale=10.0, size=s["log_expit"]["m"]))
     probs = kernels.expit(rng.normal(scale=10.0, size=s["xlogx"]["m"]))
     return {
         "pair_sq_proj": (proj, ii, jj),
         "nn1_indices": (train, queries),
-        "weighted_outer_sum": (rows, coef),
+        "mat_vec": (stack, vectors),
         "expit": (margins,),
         "log_expit": (log_margins,),
         "xlogx": (probs,),
@@ -75,20 +78,25 @@ README_CONFIG = harness.ExperimentConfig(
 )
 
 
-def readme_vb_stacks() -> list:
-    """The (features, labels) stacks of each VB solve of one README ``bdml run``, in order."""
-    stacks = []
-    fit_many = vb.fit_many
+def readme_stacks() -> dict:
+    """The (features, labels) stacks of each ``fit_many`` call of one README
+    ``bdml run``, in order, by fitting module."""
+    stacks = {vb: [], mle: []}
+    originals = {module: module.fit_many for module in stacks}
 
-    def recorded(features, labels, *args, **kwargs):
-        stacks.append((features, labels))
-        return fit_many(features, labels, *args, **kwargs)
+    def recorder(module):
+        def recorded(features, labels, *args, **kwargs):
+            stacks[module].append((features, labels))
+            return originals[module](features, labels, *args, **kwargs)
+        return recorded
 
-    vb.fit_many = recorded
+    for module in stacks:
+        module.fit_many = recorder(module)
     try:
         harness.run_active_loop(README_CONFIG)
     finally:
-        vb.fit_many = fit_many
+        for module, fit_many in originals.items():
+            module.fit_many = fit_many
     return stacks
 
 
@@ -117,23 +125,29 @@ def main():
         shape = f"{label} {n_train}x{n_query}x{k}"
         print(f"{shape:<32} {t_exh:>14.3f} {t_pruned:>10.3f} {leaves:>7}")
 
-    print()
-    print(f"{'README vb stack':<32} {'fit_many ms':>14} {'n x fit ms':>10}")
     prior = vb.PriorConfig(gamma0=README_CONFIG.gamma0, delta=README_CONFIG.delta)
-    for t, (w, y) in enumerate(readme_vb_stacks()):
-        singles = [(w[n : n + 1], y[n : n + 1]) for n in range(len(w))]
-        stacked = vb.fit_many(w, y, prior)
-        for post, single in zip(stacked, singles):
-            [alone] = vb.fit_many(*single, prior)
-            if post.mu_raw.tobytes() != alone.mu_raw.tobytes() \
-                    or post.bound_trajectory != alone.bound_trajectory:
-                raise SystemExit(f"iteration {t}: stacked and single VB fits disagree")
-        t_stack = best_ms(vb.fit_many, (w, y, prior), number=3, repeat=3)
-        t_alone = best_ms(lambda: [vb.fit_many(*s, prior) for s in singles], (),
-                          number=3, repeat=3)
-        r, m, dim = w.shape
-        shape = f"iteration {t}: {r} x m={m}, k={dim - 1}"
-        print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
+    # each fit kind: its fit of a stack, and what must agree bit for bit
+    fits = {
+        vb: (lambda w, y: vb.fit_many(w, y, prior),
+             lambda a: (a.mu_raw.tobytes(), a.bound_trajectory)),
+        mle: (lambda w, y: mle.fit_many(w, y, reg=README_CONFIG.reg),
+              lambda a: (a.gamma.tobytes(), a.objective, a.iterations, a.converged)),
+    }
+    for module, stacks in readme_stacks().items():
+        fit, bits = fits[module]
+        kind = module.__name__.rsplit(".", 1)[-1]
+        print()
+        print(f"{'README ' + kind + ' stack':<32} {'fit_many ms':>14} {'n x fit ms':>10}")
+        for t, (w, y) in enumerate(stacks):
+            singles = [(w[n : n + 1], y[n : n + 1]) for n in range(len(w))]
+            for stacked, single in zip(fit(w, y), singles):
+                if bits(stacked) != bits(fit(*single)[0]):
+                    raise SystemExit(f"iteration {t}: stacked and single {kind} fits disagree")
+            t_stack = best_ms(fit, (w, y), number=3, repeat=3)
+            t_alone = best_ms(lambda: [fit(*s) for s in singles], (), number=3, repeat=3)
+            r, m, dim = w.shape
+            shape = f"iteration {t}: {r} x m={m}, k={dim - 1}"
+            print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
 
 
 if __name__ == "__main__":

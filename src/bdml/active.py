@@ -292,10 +292,14 @@ class Scorer:
 
 def _score_arrays(scorer: Scorer, pairs: np.ndarray):
     """``(p_plus, entropy)`` arrays for an int64 (m, 2) array of pairs."""
-    m = pairs.shape[0]
     if scorer.strategy == "RANDOM":
+        m = pairs.shape[0]
         return np.full(m, 0.5), np.full(m, MAX_ENTROPY)
-    w = feature_matrix(scorer.data, scorer.basis, pairs)
+    return _score_rows(scorer, feature_matrix(scorer.data, scorer.basis, pairs))
+
+
+def _score_rows(scorer: Scorer, w: np.ndarray):
+    """``(p_plus, entropy)`` arrays of an entropy strategy for pair feature rows ``w``."""
     if scorer.strategy == "BAYES_VAR":
         p_plus = laplace_posterior_batch(scorer.gamma, scorer.sigma, w)
     else:
@@ -337,12 +341,15 @@ def rank_pairs(scorer: Scorer, pairs):
     return pairs[order], p_plus[order], h[order]
 
 
-def select(pool: PairPool, scorer: Scorer, batch: int, rng_seed) -> np.ndarray:
+def select(pool: PairPool, features, scorer: Scorer, batch: int, rng_seed) -> np.ndarray:
     """Pick ``batch`` unlabeled pairs for the oracle: their int64 positions in ``pool.candidates``.
 
-    Entropy strategies take the top of the pool, ties to the lowest
-    (i, j); RANDOM draws uniformly without replacement, depending only
-    on the seed and the canonical order of the unlabeled pairs.
+    ``features`` is the (m, k+1) feature table of ``pool.candidates``, the
+    rows :func:`feature_matrix` gives them.  Entropy strategies score its
+    open rows and take the top of the pool, ties to the lowest (i, j);
+    RANDOM reads no features (None will do) and draws uniformly without
+    replacement, depending only on the seed and the canonical order of
+    the unlabeled pairs.
     """
     open_at = np.flatnonzero(pool.labels == 0)
     if not open_at.size:
@@ -352,6 +359,10 @@ def select(pool: PairPool, scorer: Scorer, batch: int, rng_seed) -> np.ndarray:
     if scorer.strategy == "RANDOM":
         rng = np.random.default_rng(rng_seed)
         return open_at[rng.choice(open_at.size, size=batch, replace=False)]
+    w = kernels.as_f64(features)
+    if w.shape != (pool.labels.size, scorer.gamma.size):
+        raise ValueError(f"features must hold one row of {scorer.gamma.size} per candidate, "
+                         f"got shape {w.shape}")
     # the open pairs are in canonical order, so a stable sort breaks ties by (i, j)
-    h = _score_arrays(scorer, pool.candidates[open_at])[1]
+    h = _score_rows(scorer, w[open_at])[1]
     return open_at[np.argsort(-h, kind="stable")[:batch]]

@@ -4,8 +4,8 @@ A run compares acquisition strategies under a paired design: within a
 repeat, every strategy sees the same test split, the same candidate
 pool and the same initial labeled pairs, and differs only in which
 pairs it asks the oracle about afterwards.  The (repeat, strategy) runs
-advance in lockstep, so each iteration's variational fits can be solved
-as stacks (see :func:`run_active_loop`).
+advance in lockstep, so each iteration's variational and MLE fits can be
+solved as stacks (see :func:`run_active_loop`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .spectral import DataMatrix, EigenBasis, _freeze, eigen_basis, feature_matr
 class Strategy(NamedTuple):
     """One row of the strategy table.
 
-    ``fit`` names the estimator: ``"mle"`` runs ``mle.fit_features``,
+    ``fit`` names the estimator: ``"mle"`` runs ``mle.fit_many``,
     ``"vb"`` runs ``vb.fit_many`` and None fits nothing (see :func:`_fit_all`).
     ``scorer`` is the ``Scorer`` tag of the acquisition rule, None for a
     strategy that never acquires.
@@ -243,16 +243,17 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
 def _fit_all(fit, problems, prior, reg):
     """One estimate per ``(features, labels)`` problem, by fit kind.
 
-    ``"mle"`` fits the problems one by one through :func:`mle.fit_features`,
-    ``"vb"`` as one :func:`vb.fit_many` stack (so they must share their
-    shape), and None fits nothing.  The fits are looked up on their
-    modules at call time, so a wrapped one is the one that runs.
+    ``"mle"`` fits the problems as one :func:`mle.fit_many` stack, ``"vb"``
+    as one :func:`vb.fit_many` stack (so they must share their shape), and
+    None fits nothing.  The fits are looked up on their modules at call
+    time, so a wrapped one is the one that runs.
     """
+    if fit is None:
+        return [None] * len(problems)
+    stacks = (np.stack(a) for a in zip(*problems))
     if fit == "mle":
-        return [mle.fit_features(w, y, reg=reg) for w, y in problems]
-    if fit == "vb":
-        return vb.fit_many(*(np.stack(a) for a in zip(*problems)), prior)
-    return [None] * len(problems)
+        return mle.fit_many(*stacks, reg=reg)
+    return vb.fit_many(*stacks, prior)
 
 
 def _model_and_scorer(name, estimate, data, basis):
@@ -381,7 +382,7 @@ def _advance(config, run: _Run, t, estimate, fit_tally) -> None:
     )
     if t < config.iterations and scorer is not None:
         seed = _seed_ints(config.seed, run.strategy, run.repeat, "select", t)
-        chosen = select(run.pool, scorer, config.batch_size, seed)
+        chosen = select(run.pool, state.features, scorer, config.batch_size, seed)
         answers = oracle_label(state.pool_data, *run.pool.candidates[chosen].T)
         run.pool = run.pool.with_labels_at(chosen, answers)
 
@@ -399,8 +400,9 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     (repeat, strategy) runs take iteration 0, then iteration 1, and so
     on.  Within an iteration the fits of runs that share a fit kind,
     constraint count and basis size go through one :func:`_fit_all`
-    call, so their VB fits are solved as one stack; selection and 1NN
-    run per run.  Every seed derives from (seed, strategy, repeat,
+    call, which solves them as one ``vb.fit_many`` or ``mle.fit_many``
+    stack; selection (from the repeat's feature table) and 1NN run per
+    run.  Every seed derives from (seed, strategy, repeat,
     iteration), so the order changes no result, and the records come
     out ordered by repeat, strategy and iteration.  ``runtime_ms`` is
     always 0.0.

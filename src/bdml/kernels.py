@@ -116,8 +116,18 @@ def nn1_indices(train, queries):
     return nn1_exhaustive(train, queries)
 
 
-def weighted_outer_sum(rows, coef):
-    return (rows * coef[:, None]).T @ rows
+def weighted_gram(rows, coef, ridge):
+    """rows^T diag(coef) rows + ridge*I for one problem or each of a stack:
+    (..., m, d) rows and (..., m) coefficients give (..., d, d)."""
+    gram = np.swapaxes(rows * coef[..., None], -1, -2) @ rows
+    diag = np.arange(rows.shape[-1])
+    gram[..., diag, diag] += ridge
+    return gram
+
+
+def mat_vec(mat, vec):
+    """``mat @ vec`` for one problem or each of a stack: (..., a, b) and (..., b) give (..., a)."""
+    return (mat @ vec[..., None])[..., 0]
 
 
 def expit(x):

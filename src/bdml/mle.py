@@ -6,7 +6,9 @@ instead of a posterior.  The fit is a projected Newton method (D. P.
 Bertsekas, "Projected Newton methods for optimization problems with simple
 constraints", SIAM J. Control Optim. 20(2), 1982): the objective is concave
 and its negative Hessian is at most 51x51, so every iteration can afford a
-Newton solve.
+Newton solve.  :func:`fit_many` runs the method on a stack of same-shape
+problems in lockstep, as ``vb.fit_many`` does for the variational fits;
+the objective and its derivatives take one problem or a stack.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def mle_objective(gamma, features, labels, reg: float = DEFAULT_REG) -> float:
     term -reg*|gamma|^2/2 keeps separable constraint sets from sending the
     maximizer to infinity.  Nonpositive by construction when reg = 0.
     """
-    return _objective(*_check_inputs(gamma, features, labels, reg), reg)
+    return float(_objective(*_check_inputs(gamma, features, labels, reg), reg))
 
 
 def mle_gradient(gamma, features, labels, reg: float = DEFAULT_REG) -> np.ndarray:
@@ -85,28 +87,27 @@ def mle_gradient(gamma, features, labels, reg: float = DEFAULT_REG) -> np.ndarra
     return _derivatives(*_check_inputs(gamma, features, labels, reg), reg)[0]
 
 
-def _objective(g, w, y, reg) -> float:
-    margins = y * (w @ g)
-    return float(-np.sum(np.logaddexp(0.0, margins)) - 0.5 * reg * (g @ g))
+def _dot(a, b):
+    """Dot products over the last axis: (..., d) and (..., d) give (...)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _objective(g, w, y, reg):
+    margins = y * kernels.mat_vec(w, g)
+    return -np.sum(np.logaddexp(0.0, margins), axis=-1) - 0.5 * reg * _dot(g, g)
 
 
 def _derivatives(g, w, y, reg):
     """Gradient of the objective and the curvature weights of its negative Hessian.
 
     Both come from one pass over the margins: with s = sigma(margins) the
-    curvature weights are y^2 s (1 - s), which :func:`_negative_hessian`
-    turns into the Hessian only when a Newton step needs it.
+    curvature weights c are y^2 s (1 - s).  The negative Hessian is then
+    W^T diag(c) W + reg*I, positive semidefinite and definite when
+    reg > 0, formed only when a Newton step needs it.
     """
-    s = kernels.expit(y * (w @ g))
-    grad = -w.T @ (y * s) - reg * g
+    s = kernels.expit(y * kernels.mat_vec(w, g))
+    grad = kernels.mat_vec(-np.swapaxes(w, -1, -2), y * s) - reg * g
     return grad, y * y * s * (1.0 - s)
-
-
-def _negative_hessian(w, curvature, reg) -> np.ndarray:
-    """W^T diag(curvature) W + reg*I: positive semidefinite, definite when reg > 0."""
-    neg_hess = kernels.weighted_outer_sum(w, curvature)
-    neg_hess.flat[:: w.shape[1] + 1] += reg
-    return neg_hess
 
 
 def _projected_gradient(gamma, grad):
@@ -115,36 +116,80 @@ def _projected_gradient(gamma, grad):
 
 
 def _newton_direction(gamma, grad, neg_hess) -> np.ndarray:
-    """Ascent direction of one projected Newton iteration.
+    """Ascent direction of one projected Newton iteration for each problem of an (r, k+1) stack.
 
     Coordinates held at the bound (zero, with the gradient pointing outward)
     take the gradient, which the projection leaves at zero.  The free ones
     take the Newton step on their block of the negative Hessian, or the
     gradient if that block is singular (possible at reg = 0 with fewer
-    constraints than weights).
+    constraints than weights).  Problems with the same free coordinates
+    are factored and solved as one stack; only a stack that does not
+    factor has its blocks factored one at a time.
     """
     direction = grad.copy()
     free = (gamma > 0) | (grad > 0)
-    block = neg_hess[free][:, free]
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(block))
-    except np.linalg.LinAlgError:
-        return direction
-    if pivots.min() ** 2 > SINGULAR_RTOL * block.diagonal().max():
-        direction[free] = np.linalg.solve(block, grad[free])
+    todo = np.arange(free.shape[0])
+    while todo.size:
+        same = (free[todo] == free[todo[0]]).all(axis=-1)
+        members, todo = todo[same], todo[~same]
+        at = np.flatnonzero(free[members[0]])
+        block = neg_hess[members[:, None, None], at[:, None], at]
+        try:
+            factors = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            factors = np.stack([_factor(b) for b in block])
+        pivots = np.diagonal(factors, axis1=-2, axis2=-1)
+        nonsingular = (pivots.min(axis=-1) ** 2
+                       > SINGULAR_RTOL * np.diagonal(block, axis1=-2, axis2=-1).max(axis=-1))
+        if nonsingular.any():
+            solved = members[nonsingular][:, None], at
+            steps = np.linalg.solve(block[nonsingular], grad[solved][..., None])
+            direction[solved] = steps[..., 0]
     return direction
 
 
+def _factor(block):
+    """Cholesky factor of one block; zero, so it counts as singular, where it does not factor."""
+    try:
+        return np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return np.zeros_like(block)
+
+
 def _start_point(w: np.ndarray) -> np.ndarray:
-    """All-ones start, rescaled so the median margin magnitude is 1."""
-    dim = w.shape[1]
-    ones = np.ones(dim)
-    if w.shape[0] == 0:
-        return np.zeros(dim)
-    scale = np.median(np.abs(w @ ones))
-    if scale > 1e-12:
-        ones = ones / scale
-    return ones
+    """All-ones start of each (r, m, k+1) problem, rescaled so its median margin magnitude is 1."""
+    r, m, dim = w.shape
+    if m == 0:
+        return np.zeros((r, dim))
+    scale = np.median(np.abs(w @ np.ones(dim)), axis=-1)
+    return np.ones((r, dim)) / np.where(scale > 1e-12, scale, 1.0)[:, None]
+
+
+def _line_search(gamma, value, grad, direction, w, y, reg):
+    """Armijo backtracking of each problem along its projection arc
+    max(gamma + t*d, 0) from t = 1, all problems halving t together.
+
+    Returns each problem's last trial point and its objective, -inf where
+    no step was accepted.
+    """
+    trial, trial_value = np.empty_like(gamma), np.full(value.shape, -np.inf)
+    searching = np.arange(gamma.shape[0])
+    step = 1.0
+    for _ in range(MAX_HALVINGS + 1):
+        g = gamma[searching]
+        t = np.maximum(g + step * direction[searching], 0.0)
+        t_value = _objective(t, w[searching], y[searching], reg)
+        # a clipped Newton step can point against the gradient, so the
+        # Armijo term is floored at 0: no step may lower the objective
+        gain = ARMIJO_C1 * _dot(grad[searching], t - g)
+        accepted = t_value >= value[searching] + np.maximum(gain, 0.0)
+        trial[searching] = t
+        trial_value[searching[accepted]] = t_value[accepted]
+        searching = searching[~accepted]
+        if not searching.size:
+            break
+        step *= BACKTRACK_FACTOR
+    return trial, trial_value
 
 
 def mle_fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
@@ -157,61 +202,83 @@ def mle_fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
 
 def fit_features(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,
                  max_iters: int = DEFAULT_MAX_ITERS) -> MleSolution:
-    """Maximize the penalized likelihood over the nonnegative orthant.
+    """:func:`fit_many` of one problem: ``features`` holds one (k+1) feature
+    row per constraint and ``labels`` its ±1 label."""
+    _, w, y = _check_inputs(np.zeros(np.shape(features)[-1]), features, labels, reg)
+    return fit_many(w[None], y[None], reg, tol, max_iters)[0]
 
-    ``features`` holds one (k+1) feature row per constraint and
-    ``labels`` its ±1 label.  Projected Newton ascent: zero coordinates
-    whose gradient points outward take a gradient step, the others a
-    Newton step (the gradient if their Hessian block is singular),
-    followed by Armijo backtracking along the projection arc
-    max(gamma + t*d, 0) from t = 1.  Starts from the better of the scaled
-    all-ones point and the origin, and never accepts a lower objective,
-    so the reported objective never falls below the objective at zero.
-    Converged means the projected gradient norm dropped under ``tol``, or
-    that an iteration could no longer raise the objective while the full
-    step promised a gain below its rounding (``STALL_ULPS``), which
-    happens where the curvature is large.  Any other stalled or failed
-    line search, or ``max_iters`` iterations, return the last iterate
-    with ``converged=False``.
+
+def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,
+             max_iters: int = DEFAULT_MAX_ITERS) -> list:
+    """Maximize the penalized likelihood over the nonnegative orthant, one solution per problem.
+
+    ``features`` is an (r, m, k+1) stack of r problems' constraint feature
+    rows and ``labels`` the (r, m) stack of their labels.  Projected Newton
+    ascent: zero coordinates whose gradient points outward take a
+    gradient step, the others a Newton step (the gradient if their
+    Hessian block is singular), followed by Armijo backtracking along the
+    projection arc max(gamma + t*d, 0) from t = 1.  Starts from the better
+    of the scaled all-ones point and the origin, and never accepts a lower
+    objective, so the reported objective never falls below the objective
+    at zero.  Converged means the projected gradient norm dropped under
+    ``tol``, or that an iteration could no longer raise the objective
+    while the full step promised a gain below its rounding
+    (``STALL_ULPS``), which happens where the curvature is large.  Any
+    other stalled or failed line search, or ``max_iters`` iterations,
+    return the last iterate with ``converged=False``.
+
+    The problems advance in lockstep.  Each keeps its own start point,
+    stop test, iteration cap and line search and is frozen once it stops,
+    so its solution is that of fitting it alone, bit for bit.  An error
+    in any problem fails the whole call.
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
-    zero, w, y = _check_inputs(np.zeros(np.shape(features)[-1]), features, labels, reg)
+    if not reg >= 0:
+        raise ValueError(f"reg must be >= 0, got {reg}")
+    w, y = kernels.as_f64(features), np.asarray(labels, dtype=np.float64)
+    if w.ndim != 3 or y.shape != w.shape[:2]:
+        raise ValueError("need (r, m, k+1) features and (r, m) labels, "
+                         f"got {w.shape} and {y.shape}")
+    if not (np.isfinite(w).all() and np.isfinite(y).all()):
+        raise ValueError("features and labels must be finite")
+    r, _, dim = w.shape
 
-    candidates = [zero, _start_point(w)]
-    values = [_objective(c, w, y, reg) for c in candidates]
-    best = int(np.argmax(values))
-    gamma, value = candidates[best], values[best]
+    starts = np.stack([np.zeros((r, dim)), _start_point(w)])
+    values = np.stack([_objective(c, w, y, reg) for c in starts])
+    best = np.argmax(values, axis=0)
+    gamma, value = starts[best, np.arange(r)], values[best, np.arange(r)]
 
-    converged = False
-    iterations = 0
-    while True:
-        grad, curvature = _derivatives(gamma, w, y, reg)
-        if np.linalg.norm(_projected_gradient(gamma, grad)) < tol:
-            converged = True
-            break
-        if iterations == max_iters:
-            break
-        iterations += 1
-        direction = _newton_direction(gamma, grad, _negative_hessian(w, curvature, reg))
-        step = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            trial = np.maximum(gamma + step * direction, 0.0)
-            trial_value = _objective(trial, w, y, reg)
-            # a clipped Newton step can point against the gradient, so the
-            # Armijo term is floored at 0: no step may lower the objective
-            gain = ARMIJO_C1 * (grad @ (trial - gamma))
-            if trial_value >= value + max(gain, 0.0):
+    iterations = np.zeros(r, dtype=np.int64)
+    converged = np.zeros(r, dtype=bool)
+    live = np.arange(r)  # the problems still iterating
+    while live.size:
+        w_l, y_l = (w, y) if live.size == r else (w[live], y[live])
+        g_l, v_l = gamma[live], value[live]
+        grad, curvature = _derivatives(g_l, w_l, y_l, reg)
+        pg = _projected_gradient(g_l, grad)
+        done = np.sqrt(_dot(pg, pg)) < tol
+        converged[live[done]] = True
+        going = ~done & (iterations[live] < max_iters)
+        if not going.all():
+            live, w_l, y_l, g_l, v_l, grad, curvature = (
+                a[going] for a in (live, w_l, y_l, g_l, v_l, grad, curvature))
+            if not live.size:
                 break
-            step *= BACKTRACK_FACTOR
-        else:
-            trial_value = -np.inf
-        if trial_value <= value:
-            promised = 0.5 * (grad @ (np.maximum(gamma + direction, 0.0) - gamma))
-            converged = promised <= STALL_ULPS * np.spacing(abs(value))
-            break
-        gamma, value = trial, trial_value
+        iterations[live] += 1
+        direction = _newton_direction(g_l, grad, kernels.weighted_gram(w_l, curvature, reg))
+        trial, trial_value = _line_search(g_l, v_l, grad, direction, w_l, y_l, reg)
+        stalled = trial_value <= v_l
+        if stalled.any():
+            g_s = g_l[stalled]
+            promised = 0.5 * _dot(grad[stalled], np.maximum(g_s + direction[stalled], 0.0) - g_s)
+            converged[live[stalled]] = promised <= STALL_ULPS * np.spacing(np.abs(v_l[stalled]))
+        moved = ~stalled
+        gamma[live[moved]], value[live[moved]] = trial[moved], trial_value[moved]
+        live = live[moved]
 
-    return MleSolution(
-        gamma=gamma, objective=value, converged=converged, iterations=iterations
-    )
+    return [
+        MleSolution(gamma=gamma[n], objective=float(value[n]),
+                    converged=bool(converged[n]), iterations=int(iterations[n]))
+        for n in range(r)
+    ]

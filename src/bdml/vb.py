@@ -160,11 +160,6 @@ def _jittered_factor(precision: np.ndarray) -> np.ndarray:
     )
 
 
-def _mat_vec(mat, vec):
-    """``mat @ vec`` for each problem of a stack: (r, a, b) and (r, b) give (r, a)."""
-    return (mat @ vec[..., None])[..., 0]
-
-
 def _row_quad_forms(w, mat):
     """w_i . mat . w_i for each row of each problem: (r, m, d) and (r, d, d) give (r, m)."""
     return np.einsum("rij,rij->ri", w @ mat, w)
@@ -190,14 +185,10 @@ def _e_step(w, y, lam, prior: PriorConfig, clamp: bool):
     ``w`` is (r, m, d), ``y`` and ``lam`` are (r, m); returns (r, d) means
     and (r, d, d) covariances.
     """
-    r, m, dim = w.shape
-    precision = prior.delta * np.eye(dim)
-    linear = np.full((r, dim), prior.delta * prior.gamma0)
-    if m:
-        precision = precision + np.swapaxes(w * (2.0 * lam)[..., None], -1, -2) @ w
-        linear -= _mat_vec(np.swapaxes(w, -1, -2), y / 2.0)
-    sigma = _solve_spd(np.broadcast_to(precision, (r, dim, dim)))
-    mu = _mat_vec(sigma, linear)
+    precision = kernels.weighted_gram(w, 2.0 * lam, prior.delta)
+    linear = prior.delta * prior.gamma0 - kernels.mat_vec(np.swapaxes(w, -1, -2), y / 2.0)
+    sigma = _solve_spd(precision)
+    mu = kernels.mat_vec(sigma, linear)
     if clamp:
         mu = np.maximum(mu, 0.0)
     return mu, sigma
@@ -214,7 +205,7 @@ def m_step(features, mu, sigma) -> np.ndarray:
     sigma = kernels.as_f64(sigma)
     if w.ndim == 2:
         return m_step(w[None], mu[None], sigma[None])[0]
-    mean_part = _mat_vec(w, mu)
+    mean_part = kernels.mat_vec(w, mu)
     quad = np.maximum(_row_quad_forms(w, sigma), 0.0)
     return np.sqrt(mean_part * mean_part + quad)
 
@@ -252,7 +243,7 @@ def _elbo(w, y, mu, sigma, x, lam, prior: PriorConfig) -> np.ndarray:
     )
     total = -kl
     if w.shape[1]:
-        zm = _mat_vec(w, mu)
+        zm = kernels.mat_vec(w, mu)
         quad = _row_quad_forms(w, sigma)
         total = total + np.sum(
             kernels.log_expit(x) - (y * zm + x) / 2.0 - lam * (quad + zm * zm - x * x),

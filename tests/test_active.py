@@ -19,7 +19,7 @@ from bdml.active import (
     score_pairs,
     select,
 )
-from bdml.spectral import ConstraintSet, DataMatrix, EigenBasis
+from bdml.spectral import ConstraintSet, DataMatrix, EigenBasis, feature_matrix
 from bdml.vb import PriorConfig, fit
 
 
@@ -472,11 +472,16 @@ def test_score_pairs_bayes_var_uses_laplace(clusters, clusters_basis, posterior)
 # selection
 
 
+def _table(data, basis, pool):
+    """The feature table of the pool's candidates."""
+    return feature_matrix(data, basis, pool.candidates)
+
+
 def test_select_takes_the_entropy_top(clusters, clusters_basis, posterior):
     candidates = [(i, j) for i in range(8) for j in range(i + 1, 8)]
     pool = PairPool(candidates=tuple(candidates))
     scorer = Scorer.mle_act(clusters, clusters_basis, posterior.mu)
-    picked = select(pool, scorer, batch=5, rng_seed=0)
+    picked = select(pool, _table(clusters, clusters_basis, pool), scorer, batch=5, rng_seed=0)
     assert picked.dtype == np.int64
     ranked = sorted(
         score_pairs(scorer, pool.unlabeled), key=lambda s: (-s.entropy, s.pair)
@@ -494,8 +499,9 @@ def test_select_matches_sorted_score_pairs(clusters, clusters_basis, posterior,
     ranked = sorted(
         score_pairs(scorer, pool.unlabeled), key=lambda s: (-s.entropy, s.pair)
     )
+    table = _table(clusters, clusters_basis, pool)
     for batch in (1, 7, len(ranked)):
-        picked = select(pool, scorer, batch=batch, rng_seed=0)
+        picked = select(pool, table, scorer, batch=batch, rng_seed=0)
         npt.assert_array_equal(pool.candidates[picked], [s.pair for s in ranked[:batch]],
                                strict=True)
 
@@ -512,7 +518,7 @@ def test_select_breaks_ties_by_pair_order():
     scorer = Scorer.mle_act(data, basis, np.array([1.0, 0.1, 0.1]))
     scores = {s.pair: s.entropy for s in score_pairs(scorer, pool.unlabeled)}
     assert scores[(0, 2)] == scores[(1, 2)]
-    picked = select(pool, scorer, batch=2, rng_seed=0)
+    picked = select(pool, _table(data, basis, pool), scorer, batch=2, rng_seed=0)
     npt.assert_array_equal(pool.candidates[picked], [(0, 2), (1, 2)], strict=True)
 
 
@@ -521,24 +527,25 @@ def test_select_random_is_seed_deterministic():
         candidates=tuple((i, j) for i in range(6) for j in range(i + 1, 6)),
         labeled=((0, 1, 1), (2, 3, -1)),
     )
-    a = select(pool, Scorer.random(), batch=4, rng_seed=11)
-    b = select(pool, Scorer.random(), batch=4, rng_seed=11)
+    a = select(pool, None, Scorer.random(), batch=4, rng_seed=11)
+    b = select(pool, None, Scorer.random(), batch=4, rng_seed=11)
     npt.assert_array_equal(a, b, strict=True)
     assert a.shape == (4,) and a.dtype == np.int64
     picked = set(map(tuple, pool.candidates[a].tolist()))
     assert len(picked) == 4
     assert picked <= set(map(tuple, pool.unlabeled.tolist()))
     assert (0, 1) not in picked and (2, 3) not in picked
-    c = select(pool, Scorer.random(), batch=4, rng_seed=12)
+    c = select(pool, None, Scorer.random(), batch=4, rng_seed=12)
     assert set(a.tolist()) != set(c.tolist())  # seeds decouple the draws
 
 
 def test_select_is_invariant_to_weight_rescaling(clusters, clusters_basis, posterior):
     pool = PairPool(candidates=tuple(
         (i, j) for i in range(10) for j in range(i + 1, 10)))
-    a = select(pool, Scorer.mle_act(clusters, clusters_basis, posterior.mu),
+    table = _table(clusters, clusters_basis, pool)
+    a = select(pool, table, Scorer.mle_act(clusters, clusters_basis, posterior.mu),
                batch=6, rng_seed=0)
-    b = select(pool, Scorer.mle_act(clusters, clusters_basis, 2.0 * posterior.mu),
+    b = select(pool, table, Scorer.mle_act(clusters, clusters_basis, 2.0 * posterior.mu),
                batch=6, rng_seed=0)
     npt.assert_array_equal(a, b, strict=True)
 
@@ -546,9 +553,15 @@ def test_select_is_invariant_to_weight_rescaling(clusters, clusters_basis, poste
 def test_select_validation(clusters, clusters_basis):
     pool = PairPool(candidates=((0, 1), (0, 2)), labeled=((0, 1, 1), (0, 2, 1)))
     with pytest.raises(ValueError, match="no unlabeled"):
-        select(pool, Scorer.random(), batch=1, rng_seed=0)
+        select(pool, None, Scorer.random(), batch=1, rng_seed=0)
     open_pool = PairPool(candidates=((0, 1), (0, 2)))
     with pytest.raises(ValueError, match=r"batch must lie in \[1, 2\]"):
-        select(open_pool, Scorer.random(), batch=3, rng_seed=0)
+        select(open_pool, None, Scorer.random(), batch=3, rng_seed=0)
     with pytest.raises(ValueError, match="batch"):
-        select(open_pool, Scorer.random(), batch=0, rng_seed=0)
+        select(open_pool, None, Scorer.random(), batch=0, rng_seed=0)
+    scorer = Scorer.mle_act(clusters, clusters_basis, np.ones(clusters_basis.k + 1))
+    table = _table(clusters, clusters_basis, open_pool)
+    with pytest.raises(ValueError, match=r"one row of 4 per candidate, got shape \(1, 4\)"):
+        select(open_pool, table[:1], scorer, batch=1, rng_seed=0)
+    with pytest.raises(ValueError, match=r"one row of 4 per candidate, got shape \(2, 3\)"):
+        select(open_pool, table[:, :3], scorer, batch=1, rng_seed=0)

@@ -68,12 +68,14 @@ def test_run_reports_non_converged_fits_on_stderr_only(tmp_path, data_csv, capsy
 
     calls = []
 
-    def every_other_unconverged(*args, _fn=mle.fit_features, **kwargs):
-        calls.append(1)
-        sol = _fn(*args, **kwargs)
-        return dataclasses.replace(sol, converged=len(calls) % 2 == 0 and sol.converged)
+    def every_other_unconverged(*args, _fn=mle.fit_many, **kwargs):
+        sols = []
+        for sol in _fn(*args, **kwargs):
+            calls.append(1)
+            sols.append(dataclasses.replace(sol, converged=len(calls) % 2 == 0 and sol.converged))
+        return sols
 
-    monkeypatch.setattr(mle, "fit_features", every_other_unconverged)
+    monkeypatch.setattr(mle, "fit_many", every_other_unconverged)
     assert main(_run_args(data_csv, outs[1])) == 0
     flagged = capsys.readouterr()
     assert len(calls) == 4  # RANDOM_MLE: 2 repeats x 2 iterations
@@ -157,7 +159,7 @@ def test_score_pairs_names_a_nan_reg(data_csv, capsys):
 
 
 @pytest.mark.parametrize("strategy, module, attr, tag", [
-    ("MLE_ACT", mle, "fit_features", "mle"),
+    ("MLE_ACT", mle, "fit_many", "mle"),
     ("BAYES_VAR", vb, "fit_many", "vb"),
 ])
 def test_score_pairs_warns_when_the_fit_did_not_converge(
@@ -177,9 +179,7 @@ def test_score_pairs_warns_when_the_fit_did_not_converge(
 
     def stalled(*args, _fit=getattr(module, attr), **kwargs):
         fitted = _fit(*args, **kwargs)
-        if isinstance(fitted, list):  # vb.fit_many: one posterior per problem
-            return [dataclasses.replace(f, converged=False, iterations=77) for f in fitted]
-        return dataclasses.replace(fitted, converged=False, iterations=77)
+        return [dataclasses.replace(f, converged=False, iterations=77) for f in fitted]
 
     monkeypatch.setattr(module, attr, stalled)
     printed = run("stalled")

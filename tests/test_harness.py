@@ -253,14 +253,14 @@ def test_fit_strategy_follows_the_table(name, monkeypatch):
 
     # the fits are looked up on their modules at call time
     calls = []
-    for module, attr in ((mle, "fit_features"), (vb, "fit_many")):
-        def counted(*args, _fn=getattr(module, attr), _name=attr, **kwargs):
+    for module in (mle, vb):
+        def counted(*args, _fn=module.fit_many, _name=module.__name__, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, attr, counted)
+        monkeypatch.setattr(module, "fit_many", counted)
     model, scorer, estimate = fit_strategy(name, constraints, data, basis, prior, 0.3)
     fit = STRATEGY_TABLE[name].fit
-    assert calls == ({"mle": ["fit_features"], "vb": ["fit_many"]}[fit] if fit else [])
+    assert calls == ([f"bdml.{fit}"] if fit else [])
     want_estimate = {"mle": sol, "vb": post}.get(fit)
     if want_estimate is None:
         assert estimate is None
@@ -432,17 +432,13 @@ def test_loop_fits_gather_the_rows_feature_matrix_gives(monkeypatch):
                 want.append(w.tobytes() + labeled.labels.tobytes())
         return _fn(runs, *args)
 
-    def fit_features(w, y, *args, _fn=mle.fit_features, **kwargs):
-        got.append(w.tobytes() + y.tobytes())
-        return _fn(w, y, *args, **kwargs)
-
-    def fit_many(w, y, *args, _fn=vb.fit_many, **kwargs):
-        got.extend(a.tobytes() + b.tobytes() for a, b in zip(w, y))
-        return _fn(w, y, *args, **kwargs)
+    for module in (mle, vb):
+        def fit_many(w, y, *args, _fn=module.fit_many, **kwargs):
+            got.extend(a.tobytes() + b.tobytes() for a, b in zip(w, y))
+            return _fn(w, y, *args, **kwargs)
+        monkeypatch.setattr(module, "fit_many", fit_many)
 
     monkeypatch.setattr(harness, "_fit_iteration", fit_iteration)
-    monkeypatch.setattr(mle, "fit_features", fit_features)
-    monkeypatch.setattr(vb, "fit_many", fit_many)
     run_active_loop(_small_config(iterations=2, repeats=2))
     assert len(want) == 2 * 4 * 3  # repeats x fitting strategies x (iterations+1)
     assert sorted(got) == sorted(want)
@@ -452,7 +448,7 @@ def test_loop_wraps_failures_with_context(monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("synthetic failure")
 
-    monkeypatch.setattr(mle, "fit_features", boom)
+    monkeypatch.setattr(mle, "fit_many", boom)
     with pytest.raises(RuntimeError, match=r"strategy=RANDOM_MLE repeat=0 iteration=0"):
         run_active_loop(_small_config(strategies=("RANDOM_MLE",), repeats=1))
 
@@ -466,7 +462,7 @@ def test_loop_blames_a_failed_stacked_fit_on_its_run(strategy, partner, message,
     config = _small_config(strategies=(partner, strategy), repeats=3, iterations=2)
     state = harness._prepare_repeat(config, _repeat_data(config, None, 1), 1)
     marker = feature_matrix(state.pool_data, state.basis, state.pool.labeled.pairs)[0]
-    real_m_step, real_fit_features = vb.m_step, mle.fit_features
+    real_m_step, real_fit_many = vb.m_step, mle.fit_many
 
     def hit(w):  # repeat 1's features once its first batch is labeled
         return np.all(w == marker, axis=-1).any(axis=-1) & (w.shape[-2] > 4)
@@ -474,15 +470,15 @@ def test_loop_blames_a_failed_stacked_fit_on_its_run(strategy, partner, message,
     def m_step(w, mu, sigma):
         return np.where(hit(w)[:, None], 0.0, real_m_step(w, mu, sigma))
 
-    def fit_features(w, y, **kwargs):
-        if hit(w):
+    def fit_many(w, y, **kwargs):
+        if hit(w).any():
             raise ValueError(message)
-        return real_fit_features(w, y, **kwargs)
+        return real_fit_many(w, y, **kwargs)
 
     if STRATEGY_TABLE[strategy].fit == "vb":
         monkeypatch.setattr(vb, "m_step", m_step)
     else:
-        monkeypatch.setattr(mle, "fit_features", fit_features)
+        monkeypatch.setattr(mle, "fit_many", fit_many)
     with pytest.raises(
         RuntimeError, match=rf"^strategy={strategy} repeat=1 iteration=1: {message}$"
     ):
@@ -511,6 +507,26 @@ def test_loop_records_of_a_strategy_do_not_depend_on_the_others(k, monkeypatch):
     for strategy in config.strategies:
         alone = run_active_loop(dataclasses.replace(config, strategies=(strategy,)))
         assert [r for r in full if r.strategy == strategy] == alone
+
+
+def test_loop_fits_each_iterations_mle_runs_as_one_stack(monkeypatch):
+    # the README bdml run: each iteration's 20 repeats x (RANDOM_MLE, MLE_ACT)
+    # reach mle.fit_many as one call of 40 problems
+    config = ExperimentConfig(
+        synth=SynthSpec(classes=3, per_class=20, dim=10, spread=0.3),
+        pool_size=40, n_test=20, initial_pairs=10, batch_size=20, iterations=2,
+        strategies=EXPERIMENT_STRATEGIES, k=2, standardize=False, reg=5.0,
+        repeats=20, seed=0,
+    )
+    stacks = []
+
+    def fit_many(features, labels, *args, _fn=mle.fit_many, **kwargs):
+        stacks.append((features.shape, labels.shape, kwargs.get("reg")))
+        return _fn(features, labels, *args, **kwargs)
+
+    monkeypatch.setattr(mle, "fit_many", fit_many)
+    run_active_loop(config)
+    assert stacks == [((40, m, 3), (40, m), 5.0) for m in (10, 30, 50)]
 
 
 # ---------------------------------------------------------------------------

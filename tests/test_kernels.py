@@ -213,12 +213,18 @@ def test_nn1_small_few_query_and_wide_searches_match_the_exhaustive_search():
         npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
 
 
-def test_weighted_outer_sum_variants_agree():
+def test_weighted_gram_matches_the_outer_product_sum():
     rng = np.random.default_rng(4)
     rows = kernels.as_f64(rng.normal(size=(13, 5)))
     coef = kernels.as_f64(rng.gamma(1.0, size=13))
-    oracle = sum(c * np.outer(r, r) for c, r in zip(coef, rows))
-    npt.assert_allclose(kernels.weighted_outer_sum(rows, coef), oracle, atol=1e-12)
+    oracle = sum(c * np.outer(r, r) for c, r in zip(coef, rows)) + 0.3 * np.eye(5)
+    gram = kernels.weighted_gram(rows, coef, 0.3)
+    npt.assert_allclose(gram, oracle, atol=1e-12)
+    # each problem of a stack gets its own matrix bit for bit; no rows give ridge*I
+    stacked = kernels.weighted_gram(np.stack([rows, 2.0 * rows]), np.stack([coef, coef]), 0.3)
+    npt.assert_array_equal(stacked[0], gram)
+    npt.assert_array_equal(stacked[1], kernels.weighted_gram(2.0 * rows, coef, 0.3))
+    npt.assert_array_equal(kernels.weighted_gram(rows[:0], coef[:0], 0.3), 0.3 * np.eye(5))
 
 
 def _margins(seed):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from bdml import kernels
 from bdml.active import PairPool
 from bdml.harness import label_initial_pairs
 from bdml.mle import (
@@ -16,8 +17,9 @@ from bdml.mle import (
     DEFAULT_TOL,
     MleSolution,
     _derivatives,
-    _negative_hessian,
     _newton_direction,
+    fit_features,
+    fit_many,
     mle_fit,
     mle_gradient,
     mle_objective,
@@ -104,7 +106,7 @@ def test_negative_hessian_matches_finite_differences_of_the_gradient(seed):
     gamma = rng.gamma(1.0, size=5)
     reg = 0.1
     grad, curvature = _derivatives(gamma, w, y, reg)
-    neg_hess = _negative_hessian(w, curvature, reg)
+    neg_hess = kernels.weighted_gram(w, curvature, reg)
     npt.assert_array_equal(grad, mle_gradient(gamma, w, y, reg))
     npt.assert_allclose(neg_hess, neg_hess.T, rtol=1e-14, atol=0)
     h = 1e-5
@@ -120,13 +122,21 @@ def test_newton_direction_falls_back_to_the_gradient_on_a_singular_block():
     grad = np.array([0.5, -1.0, 2.0])
     v = np.array([1.0, 2.0, 3.0])
     for singular in (np.zeros((3, 3)), np.outer(v, v)):
-        npt.assert_array_equal(_newton_direction(gamma, grad, singular), grad)
+        npt.assert_array_equal(_newton_direction(gamma[None], grad[None], singular[None]),
+                               grad[None])
     # a held coordinate (zero, gradient pointing outward) keeps its gradient
     hess = np.diag([2.0, 4.0, 8.0]) + 0.1
-    gamma[2], grad[2] = 0.0, -2.0
-    d = _newton_direction(gamma, grad, hess)
+    held_gamma, held_grad = gamma.copy(), grad.copy()
+    held_gamma[2], held_grad[2] = 0.0, -2.0
+    [d] = _newton_direction(held_gamma[None], held_grad[None], hess[None])
     assert d[2] == -2.0
-    npt.assert_allclose(d[:2], np.linalg.solve(hess[:2, :2], grad[:2]), rtol=1e-14)
+    npt.assert_allclose(d[:2], np.linalg.solve(hess[:2, :2], held_grad[:2]), rtol=1e-14)
+    # in one stack: the singular block keeps its gradient, the other two
+    # problems share their free set and are solved together
+    stacked = _newton_direction(np.stack([gamma, held_gamma, held_gamma]),
+                                np.stack([grad, held_grad, held_grad]),
+                                np.stack([np.outer(v, v), hess, hess]))
+    npt.assert_array_equal(stacked, [grad, d, d])
 
 
 def test_input_validation():
@@ -230,13 +240,24 @@ def _oracle_instance(seed):
 
 
 def _lbfgsb_oracle(w, y, reg):
-    res = minimize(
-        lambda g: -mle_objective(g, w, y, reg), np.zeros(w.shape[1]),
-        jac=lambda g: -mle_gradient(g, w, y, reg), method="L-BFGS-B",
-        bounds=[(0.0, None)] * w.shape[1],
-        options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20000},
-    )
-    return res.x, -res.fun
+    # L-BFGS-B can stop on its ftol test short of the maximizer (3.6e-7 away
+    # at seed=18373862, reg=5.0), so it restarts from its own result with
+    # ftol=0 until its projected gradient is negligible against tol, or a
+    # restart no longer moves it (the gradient's rounding floor)
+    x, ftol = np.zeros(w.shape[1]), 1e-15
+    for _ in range(10):
+        res = minimize(
+            lambda g: -mle_objective(g, w, y, reg), x,
+            jac=lambda g: -mle_gradient(g, w, y, reg), method="L-BFGS-B",
+            bounds=[(0.0, None)] * w.shape[1],
+            options={"ftol": ftol, "gtol": 1e-12, "maxiter": 20000},
+        )
+        moved, x, ftol = not np.array_equal(res.x, x), res.x, 0.0
+        grad = mle_gradient(x, w, y, reg)
+        pg = np.where(x > 0, grad, np.maximum(grad, 0.0))
+        if not moved or np.linalg.norm(pg) < 1e-3 * DEFAULT_TOL:
+            break
+    return x, -res.fun
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,6 +267,8 @@ def _lbfgsb_oracle(w, y, reg):
 @example(seed=143, reg=1.0)
 @example(seed=1451, reg=0.1)
 @example(seed=1451, reg=1e-6)
+# L-BFGS-B's first run stops 3.6e-7 short of the maximizer here
+@example(seed=18373862, reg=5.0)
 def test_fit_agrees_with_an_lbfgsb_oracle(seed, reg):
     # With ||pg|| < tol at the returned point and the objective reg-strongly
     # concave, |gamma - gamma*| < tol/reg and objective* - objective < tol^2/reg.
@@ -313,6 +336,72 @@ def test_fit_validation(clusters, clusters_basis):
         mle_fit(ConstraintSet(((0, 999, 1),)), clusters, clusters_basis)
     with pytest.raises(ValueError, match="reg must be >= 0, got nan"):
         mle_fit(ConstraintSet(((0, 1, 1),)), clusters, clusters_basis, reg=float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# the stacked fitter
+
+
+def _stack(seed, r, m, k):
+    """r problems of m pair-like constraints; each problem's body has its own
+    scale, 1e-2 to 1e3, so curvatures (and stalled line searches) vary."""
+    rng = np.random.default_rng(seed)
+    body = rng.gamma(1.5, size=(r, m, k)) * 10.0 ** rng.uniform(-2, 3, size=(r, 1, 1))
+    return (np.concatenate([-np.ones((r, m, 1)), body], axis=-1),
+            rng.choice([-1.0, 1.0], size=(r, m)))
+
+
+def _same_solution(a, b):
+    return (a.gamma.tobytes() == b.gamma.tobytes() and a.objective == b.objective
+            and a.iterations == b.iterations and a.converged == b.converged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6),
+       m=st.sampled_from([0, 1, 2, 3, 8, 20]), k=st.integers(1, 4),
+       reg=st.sampled_from([0.0, 1e-6, 0.1, 5.0]), max_iters=st.sampled_from([1, 3, 60]))
+# a stalled line search that counts as converged, in a stack of mixed free sets
+@example(seed=946168879, r=4, m=2, k=4, reg=0.1, max_iters=60)
+# reg = 0 with fewer constraints than weights: singular blocks, so the
+# stacked factorization fails and every problem runs on gradient steps
+# to max_iters
+@example(seed=4082534881, r=5, m=2, k=4, reg=0.0, max_iters=60)
+@example(seed=0, r=3, m=0, k=2, reg=1.0, max_iters=60)
+def test_fit_many_gives_every_problem_its_alone_fit_bit_for_bit(seed, r, m, k, reg, max_iters):
+    w, y = _stack(seed, r, m, k)
+    stacked = fit_many(w, y, reg=reg, max_iters=max_iters)
+    assert len(stacked) == r
+    for n, sol in enumerate(stacked):
+        assert _same_solution(sol, fit_features(w[n], y[n], reg=reg, max_iters=max_iters)), n
+
+
+def test_fit_many_fails_whole_on_an_error_in_any_problem():
+    w, y = _stack(5, 3, 8, 2)
+    y[1, 4] = np.nan
+    for n in (0, 2):
+        fit_features(w[n], y[n])
+    for args in ((w, y), (w[1:2], y[1:2])):
+        with pytest.raises(ValueError, match="features and labels must be finite"):
+            fit_many(*args)
+    w, y = _stack(5, 3, 8, 2)
+    w[2, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="features and labels must be finite"):
+        fit_many(w, y)
+
+
+def test_fit_many_validation():
+    w, y = _stack(6, 2, 3, 2)
+    assert fit_many(w[:0], y[:0]) == []
+    with pytest.raises(ValueError, match=r"need \(r, m, k\+1\) features and \(r, m\) labels"):
+        fit_many(w[0], y[0])
+    with pytest.raises(ValueError, match=r"got \(2, 3, 3\) and \(2, 2\)"):
+        fit_many(w, y[:, :2])
+    with pytest.raises(ValueError, match="tol"):
+        fit_many(w, y, tol=0.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        fit_many(w, y, max_iters=0)
+    with pytest.raises(ValueError, match="reg must be >= 0, got -1.0"):
+        fit_many(w, y, reg=-1.0)
 
 
 def test_solution_container_validation():
