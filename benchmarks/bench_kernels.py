@@ -1,4 +1,5 @@
-"""Time the numeric kernels, both 1NN searches and the stacked VB and MLE fits.
+"""Time the numeric kernels, both 1NN searches, the stacked VB and MLE fits
+and the stacked iteration step.
 
 Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``.
 The first table times each public kernel at a fixed size.  The second
@@ -15,14 +16,20 @@ fits of the README ``bdml run``, one ``fit_many`` call against 40
 BAYES_ACT and BAYES_VAR) through ``vb.fit_many`` and the MLE stack (20
 repeats of RANDOM_MLE and MLE_ACT) through ``mle.fit_many``.  Each
 stacked fit must give every problem its one-problem fit bit for bit, or
-the script fails.  Each number is the best of several samples.
+the script fails.  The last table times the stacks of the same run's
+iteration steps, the 1NN searches (``kernels.nn1_many``) and the pair
+scorings (``active._score_rows``), against the same work run by run:
+each search must give every run the indices of ``nn1_exhaustive``, each
+Laplace scoring the probabilities of ``laplace_posterior_batch`` and
+each plug-in scoring those of ``expit(-(w @ g))``, bit for bit, or the
+script fails.  Each number is the best of several samples.
 """
 
 import timeit
 
 import numpy as np
 
-from bdml import harness, kernels, mle, vb
+from bdml import active, harness, kernels, mle, vb
 
 SIZES = {
     "pair_sq_proj": dict(n=400, k=10, m=5000),
@@ -79,25 +86,67 @@ README_CONFIG = harness.ExperimentConfig(
 
 
 def readme_stacks() -> dict:
-    """The (features, labels) stacks of each ``fit_many`` call of one README
-    ``bdml run``, in order, by fitting module."""
-    stacks = {vb: [], mle: []}
-    originals = {module: module.fit_many for module in stacks}
+    """The arguments of each call of one README ``bdml run`` to the stacked
+    fits and to the stacked search and scoring of its iteration steps, in
+    order, by recorded function."""
+    sites = (vb, "fit_many"), (mle, "fit_many"), (kernels, "nn1_many"), (active, "_score_rows")
+    stacks = {site: [] for site in sites}
 
-    def recorder(module):
-        def recorded(features, labels, *args, **kwargs):
-            stacks[module].append((features, labels))
-            return originals[module](features, labels, *args, **kwargs)
+    def recorder(site, fn):
+        def recorded(*args, **kwargs):
+            stacks[site].append(args)
+            return fn(*args, **kwargs)
         return recorded
 
-    for module in stacks:
-        module.fit_many = recorder(module)
+    originals = {site: getattr(*site) for site in sites}
+    for site, fn in originals.items():
+        setattr(*site, recorder(site, fn))
     try:
         harness.run_active_loop(README_CONFIG)
     finally:
-        for module, fit_many in originals.items():
-            module.fit_many = fit_many
+        for site, fn in originals.items():
+            setattr(*site, fn)
     return stacks
+
+
+def _score(*args):
+    return active._score_rows(*args)[0]
+
+
+# (label, recorded site, which of its calls, the stacked call, one run's call)
+STEP_SITES = (
+    ("1NN", (kernels, "nn1_many"), lambda args: True,
+     kernels.nn1_many, kernels.nn1_exhaustive),
+    ("Laplace scoring", (active, "_score_rows"), lambda args: args[0] == "BAYES_VAR",
+     _score, lambda tag, g, sigma, w: active.laplace_posterior_batch(g, sigma, w)),
+    ("plug-in scoring", (active, "_score_rows"), lambda args: args[0] != "BAYES_VAR",
+     _score, lambda tag, g, sigma, w: kernels.expit(-(w @ g))),
+)
+
+
+def _runs(args):
+    """Each run's arguments of a stacked call: its slice of every array."""
+    count = next(len(a) for a in args if isinstance(a, np.ndarray))
+    return [[a[n] if isinstance(a, np.ndarray) else a for a in args] for n in range(count)]
+
+
+def step_table(stacks):
+    """Check and time the stacked searches and scorings of the README run's
+    iteration steps against the same work one run at a time."""
+    print()
+    print(f"{'README step stacks':<32} {'stacked ms':>14} {'per run ms':>10}")
+    for label, site, keep, stacked, alone in STEP_SITES:
+        calls = [args for args in stacks[site] if keep(args)]
+        for args in calls:
+            for got, one in zip(stacked(*args), _runs(args)):
+                if got.tobytes() != alone(*one).tobytes():
+                    raise SystemExit(f"{label}: a stacked run differs from the run alone")
+        t_stack = sum(best_ms(stacked, args, number=3, repeat=3) for args in calls)
+        t_alone = sum(best_ms(lambda: [alone(*one) for one in runs], (), number=3, repeat=3)
+                      for runs in map(_runs, calls))
+        runs = sum(len(_runs(args)) for args in calls)
+        shape = f"{label}: {runs} runs, {len(calls)} stacks"
+        print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
 
 
 def best_ms(fn, args, number=20, repeat=5):
@@ -133,12 +182,13 @@ def main():
         mle: (lambda w, y: mle.fit_many(w, y, reg=README_CONFIG.reg),
               lambda a: (a.gamma.tobytes(), a.objective, a.iterations, a.converged)),
     }
-    for module, stacks in readme_stacks().items():
+    stacks = readme_stacks()
+    for module in (vb, mle):
         fit, bits = fits[module]
         kind = module.__name__.rsplit(".", 1)[-1]
         print()
         print(f"{'README ' + kind + ' stack':<32} {'fit_many ms':>14} {'n x fit ms':>10}")
-        for t, (w, y) in enumerate(stacks):
+        for t, (w, y, *_) in enumerate(stacks[module, "fit_many"]):
             singles = [(w[n : n + 1], y[n : n + 1]) for n in range(len(w))]
             for stacked, single in zip(fit(w, y), singles):
                 if bits(stacked) != bits(fit(*single)[0]):
@@ -148,6 +198,7 @@ def main():
             r, m, dim = w.shape
             shape = f"iteration {t}: {r} x m={m}, k={dim - 1}"
             print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
+    step_table(stacks)
 
 
 if __name__ == "__main__":

@@ -79,22 +79,39 @@ class PairPool:
         pos, y = np.asarray(positions, dtype=np.int64).ravel(), np.asarray(labels).ravel()
         if pos.shape != y.shape:
             raise ValueError(f"{pos.size} positions but {y.size} labels")
-        outside = pos[(pos < 0) | (pos >= self.labels.size)]
-        if outside.size:
-            raise ValueError(f"position {outside[0]} is not a candidate of {self.labels.size}")
-        once = np.zeros(pos.size, dtype=bool)
-        once[np.unique(pos, return_index=True)[1]] = True
-        faults = np.column_stack(((y != 1) & (y != -1), ~once | (self.labels[pos] != 0)))
-        if faults.any():
-            r = np.flatnonzero(faults.any(axis=1))[0]
-            pair = tuple(self.candidates[pos[r]].tolist())
-            raise ValueError(f"label must be +1 or -1, got {y[r]}" if faults[r, 0]
-                             else f"duplicate pair {pair} labeled twice")
         labels = self.labels.copy()
-        labels[pos] = y
+        label_many(labels[None], pos[None], y[None], self.candidates)
         pool = copy.copy(self)  # shares the read-only candidates
         object.__setattr__(pool, "labels", _freeze(labels))
         return pool
+
+
+def label_many(labels, positions, y, candidates) -> None:
+    """:meth:`PairPool.with_labels_at` for each row of a stack, in place.
+
+    ``labels`` is an int8 (r, m) stack of label vectors over the same
+    ``candidates``; row n takes the ±1 labels ``y[n]`` at its open
+    candidates ``positions[n]``, both (r, b).  Nothing is written unless
+    every row passes: positions within the candidates, then, for the
+    first faulty entry in row order, a label of +1 or -1 and a position
+    neither labeled already nor repeated.
+    """
+    m = labels.shape[-1]
+    outside = positions[(positions < 0) | (positions >= m)]
+    if outside.size:
+        raise ValueError(f"position {outside[0]} is not a candidate of {m}")
+    order = np.argsort(positions, axis=-1, kind="stable")  # a repeat sorts after its first
+    repeat = np.zeros(positions.shape, dtype=bool)
+    np.put_along_axis(repeat, order[:, 1:],
+                      np.diff(np.take_along_axis(positions, order, -1)) == 0, -1)
+    rows = np.arange(labels.shape[0])[:, None]
+    faults = np.stack(((y != 1) & (y != -1), repeat | (labels[rows, positions] != 0)), -1)
+    if faults.any():
+        n, c = np.argwhere(faults.any(axis=-1))[0]
+        pair = tuple(candidates[positions[n, c]].tolist())
+        raise ValueError(f"label must be +1 or -1, got {y[n, c]}" if faults[n, c, 0]
+                         else f"duplicate pair {pair} labeled twice")
+    labels[rows, positions] = y
 
 
 def _checked_candidates(candidates) -> np.ndarray:
@@ -205,28 +222,32 @@ def laplace_posterior_batch(mu, sigma, features) -> np.ndarray:
 
     Each term of the scalar form is a row-wise closed form: the projected
     variance omega.Sigma.omega, the two clamped modes and the two log
-    masses.  Agrees with the scalar function to rounding.
+    masses.  Agrees with the scalar function to rounding.  Takes one
+    posterior or a stack: (..., m, k+1) features with (..., k+1) means and
+    (..., k+1, k+1) covariances give (..., m), each problem's probabilities
+    bit for bit as alone.
     """
     w = kernels.as_f64(features)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = kernels.as_f64(sigma)
     sw = w @ sigma
-    quad = np.einsum("ij,ij->i", sw, w)
-    z = w @ mu
+    quad = np.einsum("...ij,...ij->...i", sw, w)
+    z = kernels.mat_vec(w, mu)
     p_plus_mode = expit(z)
     p_minus_mode = expit(-z)
-    g_plus = np.maximum(mu - p_plus_mode[:, None] * sw, 0.0)
-    g_minus = np.maximum(mu + p_minus_mode[:, None] * sw, 0.0)
-    log_mass_plus = (log_expit(-np.einsum("ij,ij->i", g_plus, w))
+    mu = mu[..., None, :]
+    g_plus = np.maximum(mu - p_plus_mode[..., None] * sw, 0.0)
+    g_minus = np.maximum(mu + p_minus_mode[..., None] * sw, 0.0)
+    log_mass_plus = (log_expit(-np.einsum("...ij,...ij->...i", g_plus, w))
                      - 0.5 * p_plus_mode**2 * quad)
-    log_mass_minus = (log_expit(np.einsum("ij,ij->i", g_minus, w))
+    log_mass_minus = (log_expit(np.einsum("...ij,...ij->...i", g_minus, w))
                       - 0.5 * p_minus_mode**2 * quad)
-    lost = np.flatnonzero(np.isneginf(log_mass_plus) & np.isneginf(log_mass_minus))
+    lost = np.argwhere(np.isneginf(log_mass_plus) & np.isneginf(log_mass_minus))
     if lost.size:
-        r = lost[0]
+        at = tuple(lost[0])
         raise ValueError(
-            f"both outcome masses underflow to zero in row {r} "
-            f"(omega.Sigma.omega = {quad[r]:.6e})"
+            f"both outcome masses underflow to zero in row {at[-1]} "
+            f"(omega.Sigma.omega = {quad[at]:.6e})"
         )
     return expit(log_mass_plus - log_mass_minus)
 
@@ -295,15 +316,21 @@ def _score_arrays(scorer: Scorer, pairs: np.ndarray):
     if scorer.strategy == "RANDOM":
         m = pairs.shape[0]
         return np.full(m, 0.5), np.full(m, MAX_ENTROPY)
-    return _score_rows(scorer, feature_matrix(scorer.data, scorer.basis, pairs))
+    w = feature_matrix(scorer.data, scorer.basis, pairs)
+    return _score_rows(scorer.strategy, scorer.gamma, scorer.sigma, w)
 
 
-def _score_rows(scorer: Scorer, w: np.ndarray):
-    """``(p_plus, entropy)`` arrays of an entropy strategy for pair feature rows ``w``."""
-    if scorer.strategy == "BAYES_VAR":
-        p_plus = laplace_posterior_batch(scorer.gamma, scorer.sigma, w)
+def _score_rows(strategy, gamma, sigma, w):
+    """``(p_plus, entropy)`` arrays of an entropy strategy for pair feature rows.
+
+    Takes one problem or a stack: (..., m, k+1) rows ``w`` with (..., k+1)
+    weights ``gamma`` and, for BAYES_VAR, (..., k+1, k+1) covariances
+    ``sigma`` give (..., m) arrays.
+    """
+    if strategy == "BAYES_VAR":
+        p_plus = laplace_posterior_batch(gamma, sigma, w)
     else:
-        p_plus = expit(-(w @ scorer.gamma))
+        p_plus = expit(-kernels.mat_vec(w, gamma))
     ok = (p_plus >= 0.0) & (p_plus <= 1.0)
     if not ok.all():
         raise ValueError(f"p_plus must lie in [0, 1], got {p_plus[~ok][0]}")
@@ -351,18 +378,47 @@ def select(pool: PairPool, features, scorer: Scorer, batch: int, rng_seed) -> np
     replacement, depending only on the seed and the canonical order of
     the unlabeled pairs.
     """
-    open_at = np.flatnonzero(pool.labels == 0)
-    if not open_at.size:
+    open_at = np.flatnonzero(pool.labels == 0)[None]
+    rows = sigma = gamma = None
+    if scorer.strategy != "RANDOM":
+        w = kernels.as_f64(features)
+        if w.shape != (pool.labels.size, scorer.gamma.size):
+            raise ValueError(f"features must hold one row of {scorer.gamma.size} per candidate, "
+                             f"got shape {w.shape}")
+        rows, gamma = w[open_at], scorer.gamma[None]
+        sigma = None if scorer.sigma is None else scorer.sigma[None]
+    return select_many(scorer.strategy, open_at, rows, gamma, sigma, batch, [rng_seed])[0]
+
+
+def select_many(strategy, open_at, rows, gamma, sigma, batch, seeds) -> np.ndarray:
+    """:func:`select` for each of a stack of r pools with u open candidates each.
+
+    ``open_at`` holds the int64 (r, u) positions of each pool's open
+    candidates in canonical order.  An entropy strategy scores their
+    (r, u, k+1) feature ``rows`` under the (r, k+1) weights ``gamma``
+    and, for BAYES_VAR, the (r, k+1, k+1) covariances ``sigma``; RANDOM
+    reads none of them and draws pool n's batch from ``seeds[n]``.
+    Returns the (r, batch) positions picked, each row in pick order.
+    """
+    u = open_at.shape[-1]
+    if not u:
         raise ValueError("no unlabeled pairs left to select from")
-    if not 1 <= batch <= open_at.size:
-        raise ValueError(f"batch must lie in [1, {open_at.size}], got {batch}")
-    if scorer.strategy == "RANDOM":
-        rng = np.random.default_rng(rng_seed)
-        return open_at[rng.choice(open_at.size, size=batch, replace=False)]
-    w = kernels.as_f64(features)
-    if w.shape != (pool.labels.size, scorer.gamma.size):
-        raise ValueError(f"features must hold one row of {scorer.gamma.size} per candidate, "
-                         f"got shape {w.shape}")
-    # the open pairs are in canonical order, so a stable sort breaks ties by (i, j)
-    h = _score_rows(scorer, w[open_at])[1]
-    return open_at[np.argsort(-h, kind="stable")[:batch]]
+    if not 1 <= batch <= u:
+        raise ValueError(f"batch must lie in [1, {u}], got {batch}")
+    if strategy == "RANDOM":
+        draws = [np.random.default_rng(s).choice(u, size=batch, replace=False) for s in seeds]
+        return np.take_along_axis(open_at, np.stack(draws), -1)
+    return np.take_along_axis(open_at, _top(_score_rows(strategy, gamma, sigma, rows)[1], batch), -1)
+
+
+def _top(h, batch):
+    """Columns of the ``batch`` largest entries of each row of ``h`` (r, u),
+    largest first, ties to the lowest column: the first ``batch`` of a stable
+    argsort of -h.  A partition finds each row's ``batch``-th largest; only
+    the entries at least as large, ties with it included, are sorted."""
+    neg = -h
+    kth = np.partition(neg, batch - 1, axis=-1)[:, batch - 1, None]
+    rows, cols = np.nonzero(neg <= kth)  # row by row, each row's columns ascending
+    order = np.lexsort((neg[rows, cols], rows))  # stable, so ties keep column order
+    first = np.searchsorted(rows, np.arange(h.shape[0]))
+    return cols[order][first[:, None] + np.arange(batch)]

@@ -4,8 +4,8 @@ A run compares acquisition strategies under a paired design: within a
 repeat, every strategy sees the same test split, the same candidate
 pool and the same initial labeled pairs, and differs only in which
 pairs it asks the oracle about afterwards.  The (repeat, strategy) runs
-advance in lockstep, so each iteration's variational and MLE fits can be
-solved as stacks (see :func:`run_active_loop`).
+advance in lockstep: each iteration fits, evaluates, selects and labels
+for all of them as stacks (see :func:`run_active_loop`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metric, mle, vb
-from .active import PairPool, Scorer, select
+from .active import PairPool, Scorer, label_many, select_many
 from .spectral import DataMatrix, EigenBasis, _freeze, eigen_basis, feature_matrix, load_csv
 
 
@@ -172,15 +172,25 @@ def oracle_label(data: DataMatrix, i, j):
     """Ground-truth pair label: +1 same class, -1 different; for index arrays, one per pair."""
     if data.labels is None:
         raise ValueError("oracle needs labeled data")
+    y = _oracle(data.labels, i, j)
+    return int(y) if y.ndim == 0 else y
+
+
+def _oracle(classes, i, j) -> np.ndarray:
+    """:func:`oracle_label` over the class labels of one dataset, (n,), or of
+    each of a stack, (r, n), with i and j of shape (r, b)."""
     i, j = np.broadcast_arrays(i, j)
-    outside = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= data.n))
+    n = classes.shape[-1]
+    outside = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
     if outside.size:
         a, b = i.flat[outside[0]], j.flat[outside[0]]
-        raise IndexError(f"pair ({a}, {b}) out of bounds for {data.n} rows")
+        raise IndexError(f"pair ({a}, {b}) out of bounds for {n} rows")
     if np.any(i == j):
         raise ValueError("self-pair has no oracle label")
-    y = np.where(data.labels[i] == data.labels[j], 1, -1)
-    return int(y) if y.ndim == 0 else y
+    at = classes.shape[:-1] + (-1,)
+    same = (np.take_along_axis(classes, i.reshape(at), -1)
+            == np.take_along_axis(classes, j.reshape(at), -1))
+    return np.where(same, 1, -1).reshape(i.shape)
 
 
 def build_pool(data: DataMatrix, pool_size: int, seed):
@@ -196,7 +206,8 @@ def build_pool(data: DataMatrix, pool_size: int, seed):
     if not 2 <= pool_size <= data.n:
         raise ValueError(f"pool_size must lie in [2, {data.n}], got {pool_size}")
     rng = np.random.default_rng(seed)
-    classes = np.unique(data.labels)
+    ordered = np.sort(data.labels)
+    classes = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
     rows_by_class = {int(c): np.flatnonzero(data.labels == c) for c in classes}
     alloc = {int(c): 0 for c in classes}
     remaining = pool_size
@@ -259,11 +270,10 @@ def _fit_all(fit, problems, prior, reg):
 def _model_and_scorer(name, estimate, data, basis):
     """``(model, scorer)`` of strategy ``name`` given its fit's ``estimate``."""
     fit, tag = STRATEGY_TABLE[name]
-    model = gamma = sigma = None
-    if fit == "mle":
-        model, gamma = metric.from_mle(estimate, basis), estimate.gamma
-    elif fit == "vb":
-        model, gamma = metric.from_posterior(estimate, basis), estimate.mu
+    model = sigma = None
+    gamma = _weights(fit, estimate)
+    if gamma is not None:
+        model = metric.from_augmented(gamma, basis)
         sigma = estimate.sigma if tag == "BAYES_VAR" else None
     if tag is None:
         return model, None
@@ -272,9 +282,17 @@ def _model_and_scorer(name, estimate, data, basis):
     return model, Scorer(tag, data, basis, gamma, sigma)
 
 
+def _weights(fit, estimate):
+    """The augmented weight vector of a fit's ``estimate``, None for no fit."""
+    if fit == "mle":
+        return estimate.gamma
+    return estimate.mu if fit == "vb" else None
+
+
 @dataclass(frozen=True)
 class _RepeatState:
-    """One repeat's split, basis, initial pool and the feature table of its candidates."""
+    """One repeat's split, basis and initial pool, the feature table of its
+    candidates and the basis projections of its train and test rows."""
 
     train: DataMatrix
     test: DataMatrix
@@ -282,6 +300,8 @@ class _RepeatState:
     pool_data: DataMatrix
     pool: PairPool
     features: np.ndarray
+    train_proj: np.ndarray
+    test_proj: np.ndarray
 
 
 def _repeat_data(config: ExperimentConfig, fixed: DataMatrix | None, repeat: int) -> DataMatrix:
@@ -295,7 +315,9 @@ def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> 
     n = data.n
     rng_split = np.random.default_rng(_seed_ints(config.seed, repeat, "split"))
     test_rows = np.sort(rng_split.choice(n, size=config.n_test, replace=False))
-    train_rows = np.setdiff1d(np.arange(n), test_rows)
+    in_train = np.ones(n, dtype=bool)
+    in_train[test_rows] = False
+    train_rows = np.flatnonzero(in_train)
     train = data.subset(train_rows)
     test = data.subset(test_rows)
     basis = eigen_basis(
@@ -309,25 +331,31 @@ def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> 
         pool, pool_data, config.initial_pairs, _seed_ints(config.seed, repeat, "init")
     )
     features = _freeze(feature_matrix(pool_data, basis, pool.candidates))
-    return _RepeatState(train, test, basis, pool_data, pool, features)
+    return _RepeatState(train, test, basis, pool_data, pool, features,
+                        _freeze(basis.project(train.x)), _freeze(basis.project(test.x)))
 
 
 @dataclass
 class _Run:
-    """One strategy on one repeat: its labeled pool grows, its records accrue."""
+    """One strategy on one repeat: its labeled pool grows, its records accrue.
+
+    ``labels`` is the run's row of the loop's int8 (runs, m) label matrix:
+    0 for an open candidate of its repeat's pool, the oracle's ±1 for a
+    labeled one.
+    """
 
     strategy: str
     repeat: int
     state: _RepeatState
-    pool: PairPool
     seed: int
+    labels: np.ndarray | None = None
     records: list = field(default_factory=list)
     predictions: np.ndarray | None = None  # EUCLID's, kept from iteration 0
 
     def problem(self):
         """The run's labeled rows of the feature table and their labels, in candidate order."""
-        at = self.pool.labels != 0
-        return self.state.features[at], self.pool.labels[at].astype(np.float64)
+        at = self.labels != 0
+        return self.state.features[at], self.labels[at].astype(np.float64)
 
 
 @contextmanager
@@ -365,26 +393,93 @@ def _fit_iteration(runs, t, prior, reg):
     return estimates
 
 
-def _advance(config, run: _Run, t, estimate, fit_tally) -> None:
-    """Record the accuracy of the run's fit at iteration ``t``, then label its next batch."""
-    state = run.state
-    if estimate is not None:
-        fit_tally[STRATEGY_TABLE[run.strategy].fit, estimate.converged] += 1
-    model, scorer = _model_and_scorer(run.strategy, estimate, state.pool_data, state.basis)
-    if model is not None:
-        run.predictions = metric.knn_classify(model, state.train, state.test)
-    elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
-        run.predictions = metric.euclidean_knn(state.train, state.test)
-    acc = metric.accuracy(run.predictions, state.test.labels)
-    n_pairs = config.initial_pairs + t * config.batch_size
-    run.records.append(
-        ResultRecord(run.strategy, run.repeat, t, n_pairs, acc, 0.0, run.seed)
-    )
-    if t < config.iterations and scorer is not None:
-        seed = _seed_ints(config.seed, run.strategy, run.repeat, "select", t)
-        chosen = select(run.pool, state.features, scorer, config.batch_size, seed)
-        answers = oracle_label(state.pool_data, *run.pool.candidates[chosen].T)
-        run.pool = run.pool.with_labels_at(chosen, answers)
+# elements of one stacked temporary of an iteration step (runs x rows x columns), 128 kB
+STACK_ELEMS = 1 << 14
+
+
+def _stacks(members, per_run):
+    """``members`` cut into consecutive stacks of at most ``STACK_ELEMS``
+    elements, at ``per_run`` elements a run and one run at least."""
+    size = max(1, STACK_ELEMS // max(1, per_run))
+    return [members[a : a + size] for a in range(0, len(members), size)]
+
+
+def _step(config, runs, labels, t, estimates):
+    """Iteration ``t`` of ``runs``, whose pool labels are the rows of ``labels``.
+
+    Returns every run's 1NN predictions, the positions in ``labels`` of
+    the runs that acquire, and their rows with the batch each selects
+    labeled by the oracle (none after the last iteration).  Nothing is
+    written.
+    """
+    weights = [_weights(STRATEGY_TABLE[run.strategy].fit, e) for run, e in zip(runs, estimates)]
+    predictions = _predict(runs, t, weights)
+    at, picks = _select(config, runs, labels, t, weights, estimates)
+    relabeled = labels[at]
+    if at:
+        candidates = runs[0].state.pool.candidates  # every repeat's pool has all pool_size pairs
+        picks = np.concatenate(picks)
+        classes = np.stack([runs[n].state.pool_data.labels for n in at])
+        answers = _oracle(classes, candidates[picks, 0], candidates[picks, 1])
+        label_many(relabeled, picks, answers, candidates)
+    return predictions, at, relabeled
+
+
+def _predict(runs, t, weights):
+    """Every run's 1NN predictions at iteration ``t``: under the metric of its
+    fitted ``weights``, or, for a run without a fit, EUCLID's raw 1NN of
+    iteration 0.  Runs with the same train and test shapes search as one
+    stack."""
+    predictions = [run.predictions for run in runs]
+    groups = {}
+    for n, (run, w) in enumerate(zip(runs, weights)):
+        if w is not None:
+            groups.setdefault((run.state.train.n, run.state.test_proj.shape), []).append(n)
+        elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
+            predictions[n] = metric.euclidean_knn(run.state.train, run.state.test)
+    for (n_train, (n_test, _)), members in groups.items():
+        for stack in _stacks(members, n_train * n_test):
+            aug = np.stack([weights[n] for n in stack])
+            metric.check_weights(aug[:, 1:], aug[:, 0])
+            states = [runs[n].state for n in stack]
+            predicted = metric.knn_many(aug[:, 1:], np.stack([s.train_proj for s in states]),
+                                        np.stack([s.test_proj for s in states]),
+                                        np.stack([s.train.labels for s in states]))
+            for n, p in zip(stack, predicted):
+                predictions[n] = p
+    return predictions
+
+
+def _select(config, runs, labels, t, weights, estimates):
+    """The batch each acquiring run selects at iteration ``t``, none after the last.
+
+    Returns the runs' positions and a list of (stack, batch) arrays of
+    their picks, in that order.  Runs with the same acquisition rule,
+    basis size and number of open candidates select as one stack.
+    """
+    groups = {}
+    if t < config.iterations:
+        n_open = np.count_nonzero(labels == 0, axis=1).tolist()
+        for n, run in enumerate(runs):
+            tag = STRATEGY_TABLE[run.strategy].scorer
+            if tag is not None:
+                groups.setdefault((tag, run.state.features.shape[1], n_open[n]), []).append(n)
+    at, picks = [], []
+    for (tag, width, u), members in groups.items():
+        for stack in _stacks(members, u * width):
+            open_at = np.nonzero(labels[stack] == 0)[1].reshape(len(stack), u)
+            rows = gamma = sigma = seeds = None
+            if tag == "RANDOM":
+                seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat, "select", t)
+                         for n in stack]
+            else:
+                rows = np.stack([runs[n].state.features[o] for n, o in zip(stack, open_at)])
+                gamma = np.stack([weights[n] for n in stack])
+            if tag == "BAYES_VAR":
+                sigma = np.stack([estimates[n].sigma for n in stack])
+            picks.append(select_many(tag, open_at, rows, gamma, sigma, config.batch_size, seeds))
+            at.extend(stack)
+    return at, picks
 
 
 def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) -> list:
@@ -398,14 +493,20 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
 
     The runs move in lockstep: every repeat is prepared first, then all
     (repeat, strategy) runs take iteration 0, then iteration 1, and so
-    on.  Within an iteration the fits of runs that share a fit kind,
-    constraint count and basis size go through one :func:`_fit_all`
-    call, which solves them as one ``vb.fit_many`` or ``mle.fit_many``
-    stack; selection (from the repeat's feature table) and 1NN run per
-    run.  Every seed derives from (seed, strategy, repeat,
-    iteration), so the order changes no result, and the records come
-    out ordered by repeat, strategy and iteration.  ``runtime_ms`` is
-    always 0.0.
+    on.  Every repeat projects its train and test rows once, and the
+    runs keep their pool labels as one int8 (runs, m) matrix.  Within an
+    iteration the fits of runs that share a fit kind, constraint count
+    and basis size go through one :func:`_fit_all` call, which solves
+    them as one ``vb.fit_many`` or ``mle.fit_many`` stack.  The 1NN
+    evaluations of runs with the same basis size run as one stacked
+    search, and the selections of runs with the same acquisition rule as
+    one stacked scoring and ordering; then the oracle answers and the
+    labels are written for all runs at once.  Stacks hold at most
+    ``STACK_ELEMS`` elements, so large ones are cut.  Every seed derives
+    from (seed, strategy, repeat, iteration), so the order changes no
+    result, and the records come out ordered by repeat, strategy and
+    iteration.  An error names the first run, in run order, that fails
+    on its own.  ``runtime_ms`` is always 0.0.
     """
     if fit_tally is None:
         fit_tally = Counter()
@@ -423,15 +524,33 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     for repeat in range(config.repeats):
         state = _prepare_repeat(config, _repeat_data(config, fixed, repeat), repeat)
         runs.extend(
-            _Run(strategy, repeat, state, state.pool,
+            _Run(strategy, repeat, state,
                  zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode("utf-8")))
             for strategy in config.strategies
         )
+    labels = np.stack([run.state.pool.labels for run in runs])
+    for run, row in zip(runs, labels):
+        run.labels = row
+    truth = np.stack([run.state.test.labels for run in runs])
     for t in range(config.iterations + 1):
         estimates = _fit_iteration(runs, t, prior, config.reg)
-        for run, estimate in zip(runs, estimates):
-            with _blamed_on(run, t):
-                _advance(config, run, t, estimate, fit_tally)
+        try:
+            predictions, at, relabeled = _step(config, runs, labels, t, estimates)
+        except Exception:
+            for n, run in enumerate(runs):  # retake it run by run, so the error names its run
+                with _blamed_on(run, t):
+                    _step(config, runs[n : n + 1], labels[n : n + 1], t, estimates[n : n + 1])
+            raise
+        accuracies = np.mean(np.stack(predictions) == truth, axis=1).tolist()
+        n_pairs = config.initial_pairs + t * config.batch_size
+        for run, estimate, p, acc in zip(runs, estimates, predictions, accuracies):
+            if estimate is not None:
+                fit_tally[STRATEGY_TABLE[run.strategy].fit, estimate.converged] += 1
+            run.predictions = p
+            run.records.append(
+                ResultRecord(run.strategy, run.repeat, t, n_pairs, acc, 0.0, run.seed)
+            )
+        labels[at] = relabeled
     return [record for run in runs for record in run.records]
 
 

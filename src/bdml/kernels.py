@@ -27,16 +27,17 @@ def pair_sq_proj(proj, ii, jj):
 
 
 def _sq_dist(queries, rows, hi=None):
-    """Squared distances (n_query, n_rows), summed coordinate by coordinate
-    as numpy's ``sum`` does below 8 coordinates; with ``hi``, to each box of
-    corners ``rows`` and ``hi`` at its point nearest the query."""
-    out = np.zeros((queries.shape[0], rows.shape[0]))
-    for k in range(queries.shape[1]):
-        q = queries[:, k, None]
+    """Squared distances (..., n_query, n_rows) for one search or each of a
+    stack, summed coordinate by coordinate as numpy's ``sum`` does below 8
+    coordinates; with ``hi``, to each box of corners ``rows`` and ``hi`` at
+    its point nearest the query."""
+    out = np.zeros(queries.shape[:-1] + rows.shape[-2:-1])
+    for k in range(queries.shape[-1]):
+        q = queries[..., k, None]
         if hi is None:
-            diff = q - rows[:, k]
+            diff = q - rows[..., None, :, k]
         else:
-            diff = np.minimum(np.maximum(q, rows[:, k]), hi[:, k])
+            diff = np.minimum(np.maximum(q, rows[..., None, :, k]), hi[..., None, :, k])
             np.subtract(q, diff, out=diff)
         out += np.multiply(diff, diff, out=diff)
     return out
@@ -99,12 +100,15 @@ def _merge(block, sel, rows, ids, best, idx, assign=False):
 
 
 def nn1_exhaustive(train, queries):
-    """Index of each query's nearest training row, ties to the lowest index:
-    every query against every row, in blocks of at most ``BLOCK_ELEMS``."""
-    out = np.empty(queries.shape[0], dtype=np.int64)
+    """Index of each query's nearest training row, ties to the lowest index,
+    for one search or each of a stack: (..., n, K) rows and (..., q, K)
+    queries give (..., q).  Every query against every row, in blocks of at
+    most ``BLOCK_ELEMS``."""
+    out = np.empty(queries.shape[:-1], dtype=np.int64)
     chunk = max(1, BLOCK_ELEMS // train.size)
-    for start in range(0, queries.shape[0], chunk):
-        out[start : start + chunk] = _sq_dist(queries[start : start + chunk], train).argmin(axis=1)
+    for start in range(0, queries.shape[-2], chunk):
+        block = queries[..., start : start + chunk, :]
+        out[..., start : start + chunk] = _sq_dist(block, train).argmin(axis=-1)
     return out
 
 
@@ -114,6 +118,15 @@ def nn1_indices(train, queries):
     if train.shape[0] > LEAF_ROWS and np.isfinite(train).all() and np.isfinite(queries).all():
         return _nn1_search(train, queries, *_kd_leaves(train))
     return nn1_exhaustive(train, queries)
+
+
+def nn1_many(train, queries):
+    """:func:`nn1_indices` for each search of a stack: (r, n, K) rows and
+    (r, q, K) queries give (r, q).  Searches of one leaf go to
+    :func:`nn1_exhaustive` as one stack, larger ones one by one."""
+    if train.shape[1] <= LEAF_ROWS:
+        return nn1_exhaustive(train, queries)
+    return np.stack([nn1_indices(t, q) for t, q in zip(train, queries)])
 
 
 def weighted_gram(rows, coef, ridge):

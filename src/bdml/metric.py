@@ -31,12 +31,7 @@ class MetricModel:
             raise ValueError(
                 f"weights must have shape ({self.basis.k},), got {w.shape}"
             )
-        if np.any(w < 0):
-            raise ValueError("weights must be elementwise nonnegative")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if not np.isfinite(self.threshold) or self.threshold < 0:
-            raise ValueError("threshold must be finite and nonnegative")
+        check_weights(w, self.threshold)
         w = np.ascontiguousarray(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -73,6 +68,17 @@ class MetricModel:
             weights=np.array(doc["weights"], dtype=np.float64),
             threshold=float(doc["threshold"]),
         )
+
+
+def check_weights(weights, threshold) -> None:
+    """The value checks of a :class:`MetricModel`, for one model or a stack:
+    (..., K) weights and (...) thresholds."""
+    if np.any(weights < 0):
+        raise ValueError("weights must be elementwise nonnegative")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    if not np.all(np.isfinite(threshold) & (np.asarray(threshold) >= 0)):
+        raise ValueError("threshold must be finite and nonnegative")
 
 
 def from_augmented(augmented, basis: EigenBasis) -> MetricModel:
@@ -112,11 +118,22 @@ def knn_classify(model: MetricModel, train: DataMatrix, queries: DataMatrix) -> 
         raise ValueError("training data must be labeled")
     if train.d != queries.d or train.d != model.basis.d:
         raise ValueError("dimension mismatch between model, train and queries")
-    root = np.sqrt(model.weights)
-    t = kernels.as_f64(model.basis.project(train.x) * root)
-    q = kernels.as_f64(model.basis.project(queries.x) * root)
-    idx = kernels.nn1_indices(t, q)
-    return train.labels[idx]
+    proj = model.basis.project
+    [labels] = knn_many(model.weights[None], proj(train.x)[None], proj(queries.x)[None],
+                        train.labels[None])
+    return labels
+
+
+def knn_many(weights, train_proj, query_proj, train_labels) -> np.ndarray:
+    """:func:`knn_classify` for each of a stack of r models.
+
+    ``weights`` is (r, K), ``train_proj`` and ``query_proj`` the (r, n, K)
+    and (r, q, K) basis projections of the training rows and queries, and
+    ``train_labels`` (r, n).  Returns the (r, q) predicted labels.
+    """
+    root = np.sqrt(weights)[:, None, :]
+    idx = kernels.nn1_many(kernels.as_f64(train_proj * root), kernels.as_f64(query_proj * root))
+    return np.take_along_axis(train_labels, idx, axis=-1)
 
 
 def euclidean_knn(train: DataMatrix, queries: DataMatrix) -> np.ndarray:

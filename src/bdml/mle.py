@@ -161,7 +161,9 @@ def _start_point(w: np.ndarray) -> np.ndarray:
     r, m, dim = w.shape
     if m == 0:
         return np.zeros((r, dim))
-    scale = np.median(np.abs(w @ np.ones(dim)), axis=-1)
+    # the median as np.median gives it, which would import numpy.ma
+    margins = np.sort(np.abs(w @ np.ones(dim)), axis=-1)
+    scale = margins[:, m // 2] if m % 2 else (margins[:, m // 2 - 1] + margins[:, m // 2]) / 2
     return np.ones((r, dim)) / np.where(scale > 1e-12, scale, 1.0)[:, None]
 
 

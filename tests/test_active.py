@@ -15,9 +15,11 @@ from bdml.active import (
     laplace_gamma,
     laplace_posterior,
     laplace_posterior_batch,
+    label_many,
     plugin_posterior,
     score_pairs,
     select,
+    select_many,
 )
 from bdml.spectral import ConstraintSet, DataMatrix, EigenBasis, feature_matrix
 from bdml.vb import PriorConfig, fit
@@ -200,6 +202,36 @@ def test_labeling_by_position_validation():
         pool.with_labels_at([-1], [1])
     with pytest.raises(ValueError, match="2 positions but 1 labels"):
         pool.with_labels_at([0, 1], [1])
+
+
+def test_label_many_labels_each_row_as_with_labels_at_does():
+    pairs = np.column_stack(np.triu_indices(4, 1))
+    pools = [PairPool(pairs, labeled=((0, 1, 1),)), PairPool(pairs, labeled=((2, 3, -1),))]
+    positions, y = np.array([[5, 2], [0, 3]]), np.array([[-1, 1], [1, 1]])
+    labels = np.stack([pool.labels for pool in pools])
+    label_many(labels, positions, y, pairs)
+    for row, pool, pos, ys in zip(labels, pools, positions, y):
+        npt.assert_array_equal(row, pool.with_labels_at(pos, ys).labels, strict=True)
+
+
+def test_label_many_names_the_first_faulty_entry_in_row_order_and_writes_nothing():
+    pairs = np.column_stack(np.triu_indices(4, 1))
+    labels = np.zeros((3, 6), dtype=np.int8)
+    labels[1, 4] = 1
+    y = np.ones((3, 2), dtype=np.int64)
+    cases = [
+        # row 1 relabels (1, 3) before row 2 repeats (0, 1)
+        (np.array([[0, 1], [4, 2], [0, 0]]), y, r"^duplicate pair \(1, 3\) labeled twice$"),
+        (np.array([[0, 1], [2, 3], [5, 5]]), y, r"^duplicate pair \(2, 3\) labeled twice$"),
+        (np.array([[0, 1], [2, 3], [0, 5]]), np.array([[1, 1], [1, 0], [1, 2]]),
+         r"^label must be \+1 or -1, got 0$"),
+        (np.array([[0, 1], [2, 6], [0, 5]]), y, "^position 6 is not a candidate of 6$"),
+    ]
+    for positions, answers, message in cases:
+        before = labels.copy()
+        with pytest.raises(ValueError, match=message):
+            label_many(labels, positions, answers, pairs)
+        npt.assert_array_equal(labels, before, strict=True)
 
 
 def test_pair_score_validation():
@@ -394,6 +426,24 @@ def test_laplace_posterior_batch_flags_the_underflowing_row():
             laplace_posterior_batch(mu, sigma, w)
 
 
+def test_laplace_posterior_batch_gives_each_problem_of_a_stack_its_alone_bits():
+    rng = np.random.default_rng(4)
+    posteriors = [_posterior_instance(seed, k=3) for seed in range(5)]
+    mu = np.stack([p[0] for p in posteriors])
+    sigma = np.stack([p[1] for p in posteriors])
+    w = np.concatenate((-np.ones((5, 40, 1)), rng.gamma(1.0, size=(5, 40, 3))), axis=-1)
+    stacked = laplace_posterior_batch(mu, sigma, w)
+    assert stacked.shape == (5, 40)
+    for n in range(5):
+        npt.assert_array_equal(stacked[n], laplace_posterior_batch(mu[n], sigma[n], w[n]))
+    # as in the test above: only row 7 of problem 3 overflows omega.Sigma.omega
+    mu[3], sigma[3], w[3] = 1.0, 1e308 * np.eye(4), [-1.0, 0.0, 0.0, 0.0]
+    w[3, 7, 1] = 1.0
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"row 7 \(omega.Sigma.omega = inf\)"):
+            laplace_posterior_batch(mu, sigma, w)
+
+
 def test_laplace_posterior_flags_total_underflow():
     mu = np.array([1.0, 1.0])
     omega = np.array([-1.0, 1.0])  # mu.omega = 0, both modes at even odds
@@ -565,3 +615,69 @@ def test_select_validation(clusters, clusters_basis):
         select(open_pool, table[:1], scorer, batch=1, rng_seed=0)
     with pytest.raises(ValueError, match=r"one row of 4 per candidate, got shape \(2, 3\)"):
         select(open_pool, table[:, :3], scorer, batch=1, rng_seed=0)
+
+
+def _plugin_stack(margins):
+    """Open positions, k=1 feature rows and weights whose plug-in entropy
+    falls as |margin| grows; one row of ``margins`` per pool."""
+    margins = np.asarray(margins, dtype=np.float64)
+    r, u = margins.shape
+    rows = np.stack((-np.ones((r, u)), np.abs(margins)), axis=-1)
+    open_at = np.tile(np.arange(0, 3 * u, 3), (r, 1))  # every third candidate is open
+    return open_at, rows, np.tile([0.0, 1.0], (r, 1))
+
+
+def test_select_many_takes_each_pools_top_with_ties_straddling_the_cut():
+    # pool 0: margin 0 first, then four pairs tied at margin 1 for the last two places;
+    # pool 1: the tie at margin 2 straddles the cut at the third place
+    open_at, rows, gamma = _plugin_stack([[3, 1, 2, 1, 1, 0, 1], [2, 0, 5, 2, 1, 2, 2]])
+    picked = select_many("MLE_ACT", open_at, rows, gamma, None, 3, None)
+    npt.assert_array_equal(picked, [[15, 3, 9], [3, 12, 0]], strict=True)
+
+
+def test_select_many_on_flat_entropies_takes_the_first_open_pairs():
+    # zero weights put every pair at p = 1/2, entropy exactly log 2
+    open_at, rows, _ = _plugin_stack(np.arange(12.0).reshape(2, 6))
+    for batch in (1, 4, 6):
+        picked = select_many("BAYES_ACT", open_at, rows, np.zeros((2, 2)), None, batch, None)
+        npt.assert_array_equal(picked, open_at[:, :batch], strict=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), r=st.integers(1, 4), u=st.integers(1, 30))
+def test_select_many_matches_a_stable_sort_of_each_pools_entropies(data, r, u):
+    # margins from a few values, so ties are everywhere, the cut included
+    margins = data.draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                          min_size=u, max_size=u), min_size=r, max_size=r))
+    batch = data.draw(st.integers(1, u))
+    open_at, rows, gamma = _plugin_stack(margins)
+    picked = select_many("MLE_ACT", open_at, rows, gamma, None, batch, None)
+    h = entropy(expit(-np.abs(np.asarray(margins))))
+    want = np.take_along_axis(open_at, np.argsort(-h, axis=-1, kind="stable")[:, :batch], -1)
+    npt.assert_array_equal(picked, want, strict=True)
+
+
+@pytest.mark.parametrize("strategy", ["RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR"])
+def test_select_many_gives_each_pool_its_select(clusters, clusters_basis, posterior, strategy):
+    pairs = np.column_stack(np.triu_indices(12, 1))
+    pools = [PairPool(pairs, labeled=((0, 2, 1), (3, 9, -1))),
+             PairPool(pairs, labeled=((1, 5, 1), (4, 7, -1)))]
+    table = _table(clusters, clusters_basis, pools[0])
+
+    def scorer(gamma, sigma):
+        if strategy == "RANDOM":
+            return Scorer.random()
+        return Scorer(strategy, clusters, clusters_basis, gamma,
+                      sigma if strategy == "BAYES_VAR" else None)
+
+    scorers = [scorer(posterior.mu, posterior.sigma),
+               scorer(0.5 * posterior.mu, 2.0 * posterior.sigma)]
+    open_at = np.stack([np.flatnonzero(pool.labels == 0) for pool in pools])
+    rows = gamma = sigma = None
+    if strategy != "RANDOM":
+        rows, gamma = table[open_at], np.stack([s.gamma for s in scorers])
+    if strategy == "BAYES_VAR":
+        sigma = np.stack([s.sigma for s in scorers])
+    picked = select_many(strategy, open_at, rows, gamma, sigma, 7, [11, 12])
+    for pool, scorer, seed, got in zip(pools, scorers, (11, 12), picked):
+        npt.assert_array_equal(got, select(pool, table, scorer, 7, seed), strict=True)

@@ -1,14 +1,21 @@
 import dataclasses
 import json
+import subprocess
+import sys
 import zlib
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bdml
 from bdml import harness, metric, mle, vb
-from bdml.active import Scorer, rank_pairs
+from bdml.active import Scorer, rank_pairs, select
 from bdml.harness import (
     EXPERIMENT_STRATEGIES,
     RESULT_COLUMNS,
@@ -17,6 +24,7 @@ from bdml.harness import (
     ResultRecord,
     SynthSpec,
     _repeat_data,
+    _seed_ints,
     build_pool,
     convergence_warnings,
     fit_strategy,
@@ -427,9 +435,10 @@ def test_loop_fits_gather_the_rows_feature_matrix_gives(monkeypatch):
     def fit_iteration(runs, *args, _fn=harness._fit_iteration):
         for run in runs:
             if STRATEGY_TABLE[run.strategy].fit:
-                labeled = run.pool.labeled
-                w = feature_matrix(run.state.pool_data, run.state.basis, labeled.pairs)
-                want.append(w.tobytes() + labeled.labels.tobytes())
+                at = run.labels != 0  # the run's row of the loop's label matrix
+                pairs = run.state.pool.candidates[at]
+                w = feature_matrix(run.state.pool_data, run.state.basis, pairs)
+                want.append(w.tobytes() + run.labels[at].astype(np.float64).tobytes())
         return _fn(runs, *args)
 
     for module in (mle, vb):
@@ -527,6 +536,130 @@ def test_loop_fits_each_iterations_mle_runs_as_one_stack(monkeypatch):
     monkeypatch.setattr(mle, "fit_many", fit_many)
     run_active_loop(config)
     assert stacks == [((40, m, 3), (40, m), 5.0) for m in (10, 30, 50)]
+
+
+def _reference_advance(config, run, t, prior) -> None:
+    """Iteration ``t`` of one run alone, as the loop took its runs before it
+    stacked them: fit, model and scorer through :func:`fit_strategy`, then
+    ``knn_classify``, ``select``, ``oracle_label`` and ``with_labels_at``."""
+    state = run.state
+    model, scorer, _ = fit_strategy(run.strategy, run.pool.labeled, state.pool_data,
+                                    state.basis, prior, config.reg)
+    if model is not None:
+        run.predictions = metric.knn_classify(model, state.train, state.test)
+    elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
+        run.predictions = metric.euclidean_knn(state.train, state.test)
+    acc = metric.accuracy(run.predictions, state.test.labels)
+    n_pairs = config.initial_pairs + t * config.batch_size
+    run.records.append(ResultRecord(run.strategy, run.repeat, t, n_pairs, acc, 0.0, run.seed))
+    if t < config.iterations and scorer is not None:
+        seed = _seed_ints(config.seed, run.strategy, run.repeat, "select", t)
+        chosen = select(run.pool, state.features, scorer, config.batch_size, seed)
+        answers = oracle_label(state.pool_data, *run.pool.candidates[chosen].T)
+        run.pool = run.pool.with_labels_at(chosen, answers)
+
+
+def _reference_loop(config):
+    """The runs of :func:`run_active_loop`, advanced one at a time by
+    :func:`_reference_advance`; errors name the run as the loop does."""
+    prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
+    runs = []
+    for repeat in range(config.repeats):
+        state = harness._prepare_repeat(config, _repeat_data(config, None, repeat), repeat)
+        runs.extend(
+            SimpleNamespace(strategy=strategy, repeat=repeat, state=state, pool=state.pool,
+                            seed=zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode()),
+                            records=[], predictions=None)
+            for strategy in config.strategies
+        )
+    for t in range(config.iterations + 1):
+        for run in runs:
+            with harness._blamed_on(run, t):
+                _reference_advance(config, run, t, prior)
+    return runs
+
+
+@st.composite
+def _loop_configs(draw):
+    pool_size = draw(st.integers(4, 10))
+    initial, batch = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    room = (pool_size * (pool_size - 1) // 2 - initial) // batch
+    return ExperimentConfig(
+        synth=SynthSpec(classes=3, per_class=6, dim=4, spread=0.3),
+        pool_size=pool_size, n_test=draw(st.integers(1, 18 - pool_size)),
+        initial_pairs=initial, batch_size=batch,
+        iterations=draw(st.integers(0, min(3, room))),
+        strategies=tuple(draw(st.lists(st.sampled_from(EXPERIMENT_STRATEGIES),
+                                       min_size=1, unique=True))),
+        k=draw(st.sampled_from([1, 2, 3, None])), standardize=draw(st.booleans()),
+        repeats=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_loop_configs(), stack_elems=st.sampled_from([1, 60, harness.STACK_ELEMS]))
+def test_stacked_step_matches_the_per_run_reference(config, stack_elems):
+    # stack_elems 1 cuts every stack to one run, 60 to a few
+    runs = []
+
+    def fit_iteration(loop_runs, *args, _fn=harness._fit_iteration):
+        runs[:] = loop_runs  # their label rows end as the loop's final labels
+        return _fn(loop_runs, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "STACK_ELEMS", stack_elems)
+        mp.setattr(harness, "_fit_iteration", fit_iteration)
+        records = run_active_loop(config)
+    reference = _reference_loop(config)
+    assert records == [record for run in reference for record in run.records]
+    assert [(run.strategy, run.repeat) for run in runs] == \
+        [(run.strategy, run.repeat) for run in reference]
+    for run, ref in zip(runs, reference):
+        npt.assert_array_equal(run.labels, ref.pool.labels, strict=True)
+
+
+def test_a_failed_step_names_the_first_failing_run_in_run_order(monkeypatch):
+    # repeat 0's BAYES_VAR and repeat 1's MLE_ACT fail to select at iteration 0; the
+    # MLE_ACT stack is selected first, but repeat 0's BAYES_VAR comes first in run order
+    config = _small_config(strategies=("MLE_ACT", "BAYES_VAR"), repeats=3)
+    open_at = [np.flatnonzero(harness._prepare_repeat(config, _repeat_data(config, None, r), r)
+                              .pool.labels == 0) for r in range(3)]
+    failing = {("BAYES_VAR", 0), ("MLE_ACT", 1)}
+
+    def select_many(strategy, positions, *args, _fn=harness.select_many):
+        for row in positions:
+            repeat = next(r for r in range(3) if np.array_equal(row, open_at[r]))
+            if (strategy, repeat) in failing:
+                raise ValueError(f"synthetic failure in {strategy}")
+        return _fn(strategy, positions, *args)
+
+    monkeypatch.setattr(harness, "select_many", select_many)
+    with pytest.raises(RuntimeError, match=r"^strategy=BAYES_VAR repeat=0 iteration=0: "
+                                           r"synthetic failure in BAYES_VAR$"):
+        run_active_loop(config)
+    failing = {("MLE_ACT", 1)}
+    with pytest.raises(RuntimeError, match=r"^strategy=MLE_ACT repeat=1 iteration=0: "):
+        run_active_loop(config)
+
+
+def test_loop_leaves_numpy_ma_unimported():
+    # np.unique, np.setdiff1d and np.median import numpy.ma on their first call
+    env = {"PYTHONPATH": str(Path(bdml.__file__).resolve().parents[1])}
+
+    def fresh(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    if fresh("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy")
+    assert fresh(
+        "import sys\n"
+        "from bdml.harness import ExperimentConfig, SynthSpec, run_active_loop\n"
+        "run_active_loop(ExperimentConfig(synth=SynthSpec(classes=3, per_class=8, dim=5),\n"
+        "    pool_size=12, n_test=6, initial_pairs=4, batch_size=3, iterations=2, k=2,\n"
+        "    repeats=2, seed=5))\n"
+        "print('numpy.ma' in sys.modules)"
+    ) == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,26 @@ def test_nn1_tree_matches_the_exhaustive_oracle_on_ties(search):
         npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
 
 
+@pytest.mark.parametrize("leaf_rows", [256, 2])
+def test_nn1_searches_of_a_stack_match_each_search_alone(leaf_rows, monkeypatch):
+    # a grid full of ties; leaf_rows 2 sends the 9-row searches through the kd leaves
+    monkeypatch.setattr(kernels, "LEAF_ROWS", leaf_rows)
+    rng = np.random.default_rng(9)
+    train = kernels.as_f64(rng.integers(-2, 3, size=(4, 9, 3)))
+    queries = kernels.as_f64(rng.integers(-2, 3, size=(4, 6, 3)))
+    dist = kernels._sq_dist(queries, train)
+    assert dist.shape == (4, 6, 9)
+    for budget in (kernels.BLOCK_ELEMS, 1):  # one block, then one query per block
+        monkeypatch.setattr(kernels, "BLOCK_ELEMS", budget)
+        exhaustive, many = kernels.nn1_exhaustive(train, queries), kernels.nn1_many(train, queries)
+        for n in range(4):
+            npt.assert_array_equal(dist[n], kernels._sq_dist(queries[n], train[n]))
+            alone = _brute_nn1(train[n], queries[n])
+            npt.assert_array_equal(exhaustive[n], alone)
+            npt.assert_array_equal(many[n], alone)
+            npt.assert_array_equal(kernels.nn1_indices(train[n], queries[n]), alone)
+
+
 def _counting_distances(monkeypatch):
     """Record (n_query, n_rows) of every row-distance computation."""
     shapes, sq_dist = [], kernels._sq_dist

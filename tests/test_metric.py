@@ -13,12 +13,14 @@ from bdml import kernels
 from bdml.metric import (
     MetricModel,
     accuracy,
+    check_weights,
     distance,
     euclidean_knn,
     from_augmented,
     from_mle,
     from_posterior,
     knn_classify,
+    knn_many,
 )
 from bdml.mle import MleSolution
 from bdml.spectral import DataMatrix, EigenBasis, eigen_basis
@@ -204,6 +206,31 @@ def test_knn_validation(clusters, clusters_basis):
         knn_classify(model, DataMatrix(clusters.x), DataMatrix(clusters.x))
     with pytest.raises(ValueError, match="dimension"):
         knn_classify(model, clusters, DataMatrix(np.zeros((2, 2))))
+
+
+def test_knn_many_gives_each_model_its_knn_classify(clusters, clusters_basis):
+    rng = np.random.default_rng(5)
+    weights = rng.gamma(1.0, size=(4, clusters_basis.k))
+    weights[2] = 0.0  # every distance ties, so the first training row wins
+    queries = DataMatrix(clusters.x[::3] + 0.05, clusters.labels[::3])
+    stack = [np.stack([a] * 4) for a in (clusters_basis.project(clusters.x),
+                                         clusters_basis.project(queries.x), clusters.labels)]
+    got = knn_many(weights, *stack)
+    for w, labels in zip(weights, got):
+        npt.assert_array_equal(labels, knn_classify(_model(clusters_basis, w), clusters, queries),
+                               strict=True)
+
+
+def test_check_weights_checks_every_model_of_a_stack():
+    check_weights(np.ones((3, 2)), np.zeros(3))
+    for weights, threshold, message in (
+        ([[1.0, 1.0], [1.0, -0.5]], [0.0, 0.0], "nonnegative"),
+        ([[1.0, np.inf], [1.0, 1.0]], [0.0, 0.0], "weights must be finite"),
+        ([[1.0, 1.0], [1.0, 1.0]], [0.0, np.nan], "threshold"),
+        ([[1.0, 1.0], [1.0, 1.0]], [-1.0, 0.0], "threshold"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check_weights(np.array(weights), np.array(threshold))
 
 
 def test_euclidean_knn_matches_brute_force(clusters):
