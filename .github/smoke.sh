@@ -1,8 +1,10 @@
 #!/bin/sh
 # Smoke test of `bdml score-pairs` and `bdml eval`, run in an empty directory:
-# every scorer strategy on two synthetic CSVs, eval of each saved model, and
-# one eval large enough (4,000 x 1,000 rows, K=5) for a multi-leaf 1NN search.
-# Exits nonzero at the first failing command.
+# every scorer strategy on two synthetic CSVs, eval of each saved model, one
+# eval on a copy of train.csv that numpy's C reader refuses (CRLF line ends, a
+# quoted field, an underscored number), which must print the plain file's
+# accuracy, and one eval large enough (4,000 x 1,000 rows, K=5) for a
+# multi-leaf 1NN search.  Exits nonzero at the first failing command.
 set -e
 python -c "
 import bdml
@@ -20,6 +22,24 @@ for strategy in BAYES_VAR BAYES_ACT MLE_ACT; do
       --save-model "model_$strategy.json"
   bdml eval --model "model_$strategy.json" --train train.csv --test test.csv
 done
+python - <<'EOF'
+import re
+with open('train.csv', newline='') as fh:
+    rows = [line.split(',') for line in fh.read().splitlines()]
+# 0.1234 -> 0.1_234 and "0.5": the same numbers to Python, refused by numpy
+rows[1][0] = re.sub(r'(\d)(\d)', r'\1_\2', rows[1][0], count=1)
+assert '_' in rows[1][0]
+rows[2][1] = '"' + rows[2][1] + '"'
+with open('odd_train.csv', 'w', newline='') as fh:
+    fh.write(''.join(','.join(row) + '\r\n' for row in rows))
+EOF
+plain=$(bdml eval --model model_BAYES_VAR.json --train train.csv --test test.csv)
+odd=$(bdml eval --model model_BAYES_VAR.json --train odd_train.csv --test test.csv)
+echo "$odd"
+if [ "$odd" != "$plain" ]; then
+  echo "odd_train.csv gives '$odd', train.csv '$plain'" >&2
+  exit 1
+fi
 bdml score-pairs --data train.csv --strategy RANDOM --k 2 \
     --no-standardize --out scores_RANDOM.csv
 bdml score-pairs --data train.csv --strategy BAYES_ACT --k 5 \

@@ -1,5 +1,5 @@
-"""Time the numeric kernels, both 1NN searches, the stacked VB and MLE fits
-and the stacked iteration step.
+"""Time the numeric kernels, both 1NN searches, the stacked VB and MLE fits,
+the stacked iteration step and both CSV readers.
 
 Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``.
 The first table times each public kernel at a fixed size.  The second
@@ -16,20 +16,28 @@ fits of the README ``bdml run``, one ``fit_many`` call against 40
 BAYES_ACT and BAYES_VAR) through ``vb.fit_many`` and the MLE stack (20
 repeats of RANDOM_MLE and MLE_ACT) through ``mle.fit_many``.  Each
 stacked fit must give every problem its one-problem fit bit for bit, or
-the script fails.  The last table times the stacks of the same run's
+the script fails.  The fifth table times the stacks of the same run's
 iteration steps, the 1NN searches (``kernels.nn1_many``) and the pair
 scorings (``active._score_rows``), against the same work run by run:
 each search must give every run the indices of ``nn1_exhaustive``, each
 Laplace scoring the probabilities of ``laplace_posterior_batch`` and
 each plug-in scoring those of ``expit(-(w @ g))``, bit for bit, or the
+script fails.  The last table times ``load_csv`` against its row loop
+alone on a 20,000-row file shaped like ``knn_eval``'s train set (d=20
+plus a label) and on a copy holding one ``1_0`` token: the plain file
+must take numpy's C reader and the copy the row loop, and both readers
+must give the same ``x`` bytes, label bytes and label dtype, or the
 script fails.  Each number is the best of several samples.
 """
 
+import csv
+import tempfile
 import timeit
+from pathlib import Path
 
 import numpy as np
 
-from bdml import active, harness, kernels, mle, vb
+from bdml import active, harness, kernels, mle, spectral, vb
 
 SIZES = {
     "pair_sq_proj": dict(n=400, k=10, m=5000),
@@ -149,6 +157,47 @@ def step_table(stacks):
         print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
 
 
+def row_loop(path):
+    """``load_csv`` with the row loop alone: the header, then every row
+    through ``csv`` and Python's ``float`` and ``int``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        return spectral._read_rows(reader, spectral._read_header(reader, path), path)
+
+
+def takes_c_reader(path) -> bool:
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = spectral._read_header(csv.reader(fh), path)
+        return spectral._read_rows_c(fh, header) is not None
+
+
+def csv_table():
+    """Check and time ``load_csv`` against its row loop, on a plain file
+    and on one the C reader must refuse."""
+    print()
+    print(f"{'load_csv file':<32} {'load_csv ms':>14} {'row loop ms':>10} {'C reader':>9}")
+    data = harness.synth_data(harness.SynthSpec(classes=5, per_class=4000, dim=20,
+                                                spread=0.3), seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, odd = Path(tmp, "plain.csv"), Path(tmp, "odd.csv")
+        spectral.save_csv(data, plain)
+        lines = plain.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = "1_0" + lines[1][lines[1].index(","):]
+        odd.write_text("".join(lines), encoding="utf-8")
+        for label, path, c_reader in (("20000x20+label", plain, True),
+                                      ("the same, one 1_0 token", odd, False)):
+            got, want = spectral.load_csv(path), row_loop(path)
+            if (got.x.tobytes(), got.labels.tobytes(), got.labels.dtype) != (
+                    want.x.tobytes(), want.labels.tobytes(), want.labels.dtype):
+                raise SystemExit(f"{label}: load_csv and its row loop disagree")
+            if takes_c_reader(path) != c_reader:
+                raise SystemExit(f"{label}: the C reader should {'' if c_reader else 'not '}"
+                                 "read this file")
+            t_load = best_ms(spectral.load_csv, (path,), number=1, repeat=3)
+            t_rows = best_ms(row_loop, (path,), number=1, repeat=3)
+            print(f"{label:<32} {t_load:>14.3f} {t_rows:>10.3f} {'yes' if c_reader else 'no':>9}")
+
+
 def best_ms(fn, args, number=20, repeat=5):
     return min(timeit.repeat(lambda: fn(*args), number=number, repeat=repeat)) / number * 1e3
 
@@ -199,6 +248,7 @@ def main():
             shape = f"iteration {t}: {r} x m={m}, k={dim - 1}"
             print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
     step_table(stacks)
+    csv_table()
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ squared projections of the pair difference onto the basis vectors.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,7 +273,12 @@ def eigen_basis(
     """Top-k eigenbasis of the scatter of the preprocessed data.
 
     With ``k=None`` the smallest k capturing at least ``energy`` of the
-    total spectral energy is used, capped at ``MAX_ENERGY_COMPONENTS``.
+    total spectral energy is used, capped at ``MAX_ENERGY_COMPONENTS`` and
+    at the numerical rank: the count of singular values above n·d·eps
+    times the larger of the largest one and the largest scaled value.
+    Below that a singular value is rounding noise (its eigenvalue, the
+    square, near (eps·σ₁)²), so an explicit ``k`` past the rank is
+    rejected, except ``k = n`` on centered rows that span n - 1.
     Eigenvector signs are canonicalized (first nonzero component positive)
     and equal eigenvalues are ordered lexicographically by vector, so the
     result is deterministic.
@@ -297,16 +303,25 @@ def eigen_basis(
         raise ValueError(
             f"data too large: its squares overflow (largest magnitude {big:.6g})"
         ) from None
-    # the centering rounds relative to the scaled data, so that sets the floor
-    degenerate = n * d * np.finfo(float).eps * max(1.0, (np.abs(data.x).max(axis=0) / s).max())
-    if sv[0] <= degenerate:
+    # the centering rounds relative to the scaled data, and the SVD relative
+    # to the largest singular value: below either floor is rounding noise
+    rounding = n * d * np.finfo(float).eps
+    big = max(1.0, (np.abs(data.x).max(axis=0) / s).max())
+    if sv[0] <= rounding * big:
         raise ValueError("zero scatter: all rows are identical after preprocessing")
+    rank = int(np.count_nonzero(sv > rounding * max(big, sv[0])))
+    # centered, n <= d rows span n - 1 directions, yet k = n has always been allowed
+    if k is not None and k > rank + (center and rank == n - 1):
+        raise ValueError(
+            f"k={k} exceeds the numerical rank {rank} of the data: eigenvalue "
+            f"{rank + 1} is {eigenvalues[rank]:.3g}, rounding noise next to {eigenvalues[0]:.6g}"
+        )
 
     if k is None:
         total = eigenvalues.sum()
         frac = np.cumsum(eigenvalues) / total
         k = int(np.searchsorted(frac, energy - 1e-12) + 1)
-        k = min(k, MAX_ENERGY_COMPONENTS, kmax)
+        k = min(k, MAX_ENERGY_COMPONENTS, rank)
 
     vectors = _canonicalize_signs(vt[:k])
     ev, vectors = _tie_break(eigenvalues[:k].copy(), vectors)
@@ -352,48 +367,103 @@ def feature_matrix(data: DataMatrix, basis: EigenBasis, pairs) -> np.ndarray:
 
 
 def load_csv(path) -> DataMatrix:
-    """Read a dataset CSV: header f0..f{d-1} plus optional integer label."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        has_label = "label" in header
-        feature_names = [h for h in header if h != "label"]
-        d = len(feature_names)
-        expected = [f"f{c}" for c in range(d)]
-        if feature_names != expected or header.count("label") > 1:
-            raise ValueError(
-                f"{path}: header must be f0..f{d-1} with one optional "
-                f"'label' column, got {header}"
-            )
-        label_idx = header.index("label") if has_label else None
+    """Read a dataset CSV: header f0..f{d-1} plus optional integer label.
 
-        flat, labels, lineno = [], [], 1
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}: row {lineno} has {len(row)} fields, "
-                        f"expected {len(header)}"
-                    )
-                label = row.pop(label_idx) if has_label else None  # leaves f0..f{d-1}
+    The data rows are parsed by one ``np.loadtxt`` call, numpy's C reader,
+    which converts numbers as Python's ``float`` and ``int`` do.  Wherever
+    it could read the file differently from ``csv`` (it refuses or warns, a
+    data line is blank, the header line holds a quote, a value is not
+    finite), the rows are read again one by one, and only that loop raises,
+    so values and errors are the same either way.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        quoted_header = '"' in fh.readline()
+        fh.seek(0)
+        header = _read_header(csv.reader(fh), path)
+        data = None if quoted_header else _read_rows_c(fh, header)
+        if data is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            data = _read_rows(reader, header, path)
+    return data
+
+
+def _read_header(reader, path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    feature_names = [h for h in header if h != "label"]
+    d = len(feature_names)
+    expected = [f"f{c}" for c in range(d)]
+    if feature_names != expected or header.count("label") > 1:
+        raise ValueError(
+            f"{path}: header must be f0..f{d-1} with one optional "
+            f"'label' column, got {header}"
+        )
+    return header
+
+
+def _refuse_blank(lines):
+    """The lines, raising at a blank one, which ``csv`` reads as a 0-field
+    row and ``np.loadtxt`` skips."""
+    for line in lines:
+        if line.isspace():
+            raise ValueError("blank line")
+        yield line
+
+
+def _read_rows_c(lines, header) -> DataMatrix | None:
+    """The data rows through ``np.loadtxt``, or None if it could disagree
+    with :func:`_read_rows`."""
+    d = len(header) - header.count("label")
+    if d == 0:  # a label alone is no dataset; the row loop says so
+        return None
+    dtype = np.dtype([(h, "i8" if h == "label" else "f8") for h in header])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            rows = np.loadtxt(_refuse_blank(lines), dtype=dtype, delimiter=",",
+                              comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):  # whatever the C reader refuses, the row loop decides
+        return None
+    x = np.stack([rows[f"f{c}"] for c in range(d)], axis=1)
+    if not np.isfinite(x).all():
+        return None
+    return DataMatrix(x, rows["label"] if "label" in header else None)
+
+
+def _read_rows(reader, header, path) -> DataMatrix:
+    """The data rows one by one through ``csv`` and Python's ``float`` and
+    ``int``: the exact reader, and the only one that raises."""
+    has_label = "label" in header
+    d = len(header) - has_label
+    label_idx = header.index("label") if has_label else None
+    flat, labels, lineno = [], [], 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(row)} fields, "
+                    f"expected {len(header)}"
+                )
+            label = row.pop(label_idx) if has_label else None  # leaves f0..f{d-1}
+            try:
+                flat += tuple(map(float, row))  # a failing row adds nothing
+            except ValueError:
+                raise ValueError(f"{path}: unparseable number in row {lineno}") from None
+            if has_label:
                 try:
-                    flat += tuple(map(float, row))  # a failing row adds nothing
+                    labels.append(int(label))
                 except ValueError:
-                    raise ValueError(f"{path}: unparseable number in row {lineno}") from None
-                if has_label:
-                    try:
-                        labels.append(int(label))
-                    except ValueError:
-                        raise ValueError(f"{path}: unparseable label in row {lineno}") from None
-        finally:  # on errors too: a non-finite value in an earlier row comes first
-            x = np.array(flat, dtype=np.float64)
-            bad_row = np.flatnonzero(~np.isfinite(x))[:1] // d + 2
-            if bad_row.size:
-                raise ValueError(f"{path}: non-finite value in row {bad_row[0]}") from None
+                    raise ValueError(f"{path}: unparseable label in row {lineno}") from None
+    finally:  # on errors too: a non-finite value in an earlier row comes first
+        x = np.array(flat, dtype=np.float64)
+        bad_row = np.flatnonzero(~np.isfinite(x))[:1] // d + 2
+        if bad_row.size:
+            raise ValueError(f"{path}: non-finite value in row {bad_row[0]}") from None
     if lineno == 1:
         raise ValueError(f"{path}: no data rows")
     return DataMatrix(x.reshape(lineno - 1, d), np.array(labels) if has_label else None)

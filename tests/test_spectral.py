@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bdml import spectral
 from bdml.spectral import (
     ConstraintSet,
     DataMatrix,
@@ -180,6 +182,46 @@ def test_eigen_basis_rejects_degenerate_input():
         eigen_basis(data, k=0)
     with pytest.raises(ValueError, match="energy fraction"):
         eigen_basis(data, energy=1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    extra_rows=st.integers(2, 20),
+    extra_cols=st.integers(1, 4),
+    offset=st.sampled_from([0.0, 1.0, -1e3]),
+    standardize=st.booleans(),
+)
+def test_eigen_basis_stops_at_the_numerical_rank(seed, rank, extra_rows, extra_cols,
+                                                 offset, standardize):
+    # rank-r rows (plus an offset) span r directions; the rest of the
+    # spectrum is rounding noise, in no particular order
+    rng = np.random.default_rng(seed)
+    n, d = rank + extra_rows, rank + extra_cols
+    data = DataMatrix(rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) + offset)
+    basis = eigen_basis(data, k=rank, standardize=standardize)
+    assert np.all(np.diff(basis.eigenvalues) <= 0)
+    assert eigen_basis(data, energy=1.0, standardize=standardize).k == rank
+    with pytest.raises(ValueError, match=rf"k={rank + 1} exceeds the numerical rank {rank} "):
+        eigen_basis(data, k=rank + 1, standardize=standardize)
+
+
+def test_energy_mode_stops_at_the_numerical_rank():
+    # a small spread on a large offset: centering leaves rounding noise with
+    # eigenvalues about 1e-6 of the first, which energy=1.0 would take
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(30, 2)) @ rng.normal(size=(2, 6)) * 1e-4 + 1e8
+    assert eigen_basis(DataMatrix(x), energy=1.0, standardize=False).k == 2
+
+
+def test_eigen_basis_keeps_k_equal_to_n_on_centered_rows_that_span_n_minus_1():
+    x = np.random.default_rng(3).normal(size=(3, 5))
+    basis = eigen_basis(DataMatrix(x), k=3, standardize=False)
+    assert basis.k == 3
+    assert basis.eigenvalues[2] < 1e-25 * basis.eigenvalues[0]
+    with pytest.raises(ValueError, match="k=3 exceeds the numerical rank 1 "):
+        eigen_basis(DataMatrix(x[[0, 1, 1]]), k=3, standardize=False)
 
 
 def test_standardize_divides_by_column_std():
@@ -457,23 +499,41 @@ def _reference_load_csv(path) -> DataMatrix:
 
 
 NUMBER_TOKENS = ["0", "-2.5", " 1.5 ", "1e-320", "1e400", "-1e400", "inf",
-                 "-Infinity", "nan", "NaN", "zonk", "", "1_0", "0x10", "+.5"]
+                 "-Infinity", "nan", "NaN", "zonk", "", "1_0", "0x10", "+.5",
+                 "1#5", "#", "2.5#", "١٢", "\xa01.5", "1.5\xa0", '"1,5"', '"1\n5"']
 LABEL_TOKENS = ["0", "7", "-3", "+3", " 4 ", "3.0", "1_0", "maybe", "",
-                "99999999999999999999"]
+                "99999999999999999999", "18446744073709551615", "١٢", "\xa02",
+                "#", "1#"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def csv_bodies(draw):
-    """Header f0..f{d-1} with the label anywhere, then good and bad rows."""
-    d = draw(st.integers(1, 3))
+    """Header f0..f{d-1} with the label anywhere (first, or alone), then good
+    and bad rows.  Odd lines and fields (blank, whitespace-only and ragged
+    lines, quoted fields and header names, tokens that numpy's C reader
+    refuses or Python reads in its own way) come at a rate drawn per body,
+    from never, so whole files parse, to often.  Lines end in LF, CRLF or CR."""
+    odd = draw(st.integers(0, 3))  # in tenths
+
+    def sometimes(odd_values, usual):
+        return draw(st.sampled_from(odd_values)) if draw(st.integers(0, 9)) < odd else usual
+
+    def quoted(field):
+        return sometimes([f'"{field}"'], field)
+
+    d = draw(st.integers(0, 3))
     names = [f"f{c}" for c in range(d)]
-    if draw(st.booleans()):
+    if d == 0 or draw(st.booleans()):
         names.insert(draw(st.integers(0, d)), "label")
-    lines = [",".join(names)]
+    lines = [",".join(map(quoted, names))]
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        kind = sometimes(["blank", "spaces", "ragged"], "row")
         if kind == "blank":
             lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t ", "\xa0"])))
             continue
         width = len(names)
         if kind == "ragged":
@@ -481,13 +541,15 @@ def csv_bodies(draw):
         fields = []
         for c in range(width):
             if c < len(names) and names[c] == "label":
-                fields.append(draw(st.sampled_from(LABEL_TOKENS)))
-            elif draw(st.integers(0, 3)):
-                fields.append(repr(draw(st.floats(allow_nan=False))))
+                valid = draw(st.sampled_from(LABEL_TOKENS[:5]))
+                fields.append(sometimes(LABEL_TOKENS, valid))
             else:
-                fields.append(draw(st.sampled_from(NUMBER_TOKENS)))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+                fields.append(sometimes(NUMBER_TOKENS, repr(draw(st.floats(allow_nan=False)))))
+        lines.append(",".join(map(quoted, fields)))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 def _outcome(loader, path):
@@ -501,12 +563,41 @@ def _outcome(loader, path):
     return ("data", data.x.shape, data.x.tobytes(), labels)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(body=csv_bodies())
 def test_load_csv_matches_the_row_by_row_reference(tmp_path_factory, body):
     path = tmp_path_factory.getbasetemp() / "differential.csv"
-    path.write_text(body, encoding="utf-8")
+    path.write_text(body, encoding="utf-8", newline="")
     assert _outcome(load_csv, path) == _outcome(_reference_load_csv, path)
+
+
+def test_save_csv_files_take_the_c_reader(tmp_path, monkeypatch, clusters):
+    # a guard that always fell back would pass every other test
+    def row_loop(*args):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(spectral, "_read_rows", row_loop)
+    for data in (clusters, DataMatrix(clusters.x)):
+        path = tmp_path / "data.csv"
+        save_csv(data, path)
+        assert _outcome(load_csv, path) == _outcome(_reference_load_csv, path)
+
+
+def test_a_warning_from_the_c_reader_hands_the_file_to_the_row_loop(tmp_path, monkeypatch):
+    # numpy 1.24-1.26 may read the label 3.0 as 3 with only a DeprecationWarning
+    def warning_loadtxt(lines, dtype, **kwargs):
+        list(lines)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                      DeprecationWarning)
+        return np.zeros(1, dtype)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "data.csv"
+    for body in ("f0,label\n1.5,3.0\n", "f0,label\n1.5,3\n2.5,4\n", "f0,f1\n"):
+        path.write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # none may escape
+            assert _outcome(load_csv, path) == _outcome(_reference_load_csv, path)
 
 
 # ---------------------------------------------------------------------------
