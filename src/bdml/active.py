@@ -372,47 +372,48 @@ def select(pool: PairPool, features, scorer: Scorer, batch: int, rng_seed) -> np
     """Pick ``batch`` unlabeled pairs for the oracle: their int64 positions in ``pool.candidates``.
 
     ``features`` is the (m, k+1) feature table of ``pool.candidates``, the
-    rows :func:`feature_matrix` gives them.  Entropy strategies score its
-    open rows and take the top of the pool, ties to the lowest (i, j);
-    RANDOM reads no features (None will do) and draws uniformly without
-    replacement, depending only on the seed and the canonical order of
-    the unlabeled pairs.
+    rows :func:`feature_matrix` gives them.  Entropy strategies score the
+    whole table and take the top of the open candidates, ties to the
+    lowest (i, j); RANDOM reads no features (None will do) and draws
+    uniformly without replacement, depending only on the seed and the
+    canonical order of the unlabeled pairs.
     """
-    open_at = np.flatnonzero(pool.labels == 0)[None]
-    rows = sigma = gamma = None
+    gamma = sigma = None
     if scorer.strategy != "RANDOM":
-        w = kernels.as_f64(features)
-        if w.shape != (pool.labels.size, scorer.gamma.size):
-            raise ValueError(f"features must hold one row of {scorer.gamma.size} per candidate, "
-                             f"got shape {w.shape}")
-        rows, gamma = w[open_at], scorer.gamma[None]
+        features, gamma = kernels.as_f64(features)[None], scorer.gamma[None]
+        if features.shape[1:] != (pool.labels.size, gamma.shape[1]):
+            raise ValueError(f"features must hold one row of {gamma.shape[1]} per candidate, "
+                             f"got shape {features.shape[1:]}")
         sigma = None if scorer.sigma is None else scorer.sigma[None]
-    return select_many(scorer.strategy, open_at, rows, gamma, sigma, batch, [rng_seed])[0]
+    return select_many(scorer.strategy, pool.labels[None], features, gamma, sigma, batch,
+                       [rng_seed])[0]
 
 
-def select_many(strategy, open_at, rows, gamma, sigma, batch, seeds) -> np.ndarray:
-    """:func:`select` for each of a stack of r pools with u open candidates each.
+def select_many(strategy, labels, features, gamma, sigma, batch, seeds) -> np.ndarray:
+    """:func:`select` for each of a stack of r pools over the same m candidates.
 
-    ``open_at`` holds the int64 (r, u) positions of each pool's open
-    candidates in canonical order.  An entropy strategy scores their
-    (r, u, k+1) feature ``rows`` under the (r, k+1) weights ``gamma``
-    and, for BAYES_VAR, the (r, k+1, k+1) covariances ``sigma``; RANDOM
-    reads none of them and draws pool n's batch from ``seeds[n]``.
-    Returns the (r, batch) positions picked, each row in pick order.
+    ``labels`` holds the pools' int8 (r, m) label rows, 0 for an open
+    candidate.  An entropy strategy scores the whole (r, m, k+1) feature
+    tables under the (r, k+1) weights ``gamma`` and, for BAYES_VAR, the
+    (r, k+1, k+1) covariances ``sigma``, with -inf for a labeled row; RANDOM
+    reads none of them and draws pool n's batch from ``seeds[n]``.  Returns
+    the (r, batch) candidate positions picked, each row in pick order.
     """
-    u = open_at.shape[-1]
+    is_open = labels == 0
+    u = int(np.count_nonzero(is_open, axis=-1).min())
     if not u:
         raise ValueError("no unlabeled pairs left to select from")
     if not 1 <= batch <= u:
         raise ValueError(f"batch must lie in [1, {u}], got {batch}")
     if strategy == "RANDOM":
-        draws = [np.random.default_rng(s).choice(u, size=batch, replace=False) for s in seeds]
-        return np.take_along_axis(open_at, np.stack(draws), -1)
-    return np.take_along_axis(open_at, _top(_score_rows(strategy, gamma, sigma, rows)[1], batch), -1)
+        return np.stack([o[np.random.default_rng(s).choice(o.size, size=batch, replace=False)]
+                         for o, s in zip(map(np.flatnonzero, is_open), seeds)])
+    h = _score_rows(strategy, gamma, sigma, features)[1]
+    return _top(np.where(is_open, h, -np.inf), batch)  # so a labeled candidate is never picked
 
 
 def _top(h, batch):
-    """Columns of the ``batch`` largest entries of each row of ``h`` (r, u),
+    """Columns of the ``batch`` largest entries of each row of ``h`` (r, m),
     largest first, ties to the lowest column: the first ``batch`` of a stable
     argsort of -h.  A partition finds each row's ``batch``-th largest; only
     the entries at least as large, ties with it included, are sorted."""

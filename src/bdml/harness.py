@@ -369,28 +369,28 @@ def _blamed_on(run: _Run, t: int):
         ) from exc
 
 
-def _fit_iteration(runs, t, prior, reg):
-    """Every run's fit at iteration ``t``.
+def _fit_iteration(runs, prior, reg):
+    """Every run's fit estimate, None for a run without a fit.
 
     Runs sharing the fit kind and the shape of their problem (constraint
     count, basis size) are fitted by one :func:`_fit_all` call.
     """
     problems = [run.problem() for run in runs]
-    groups = {}
-    for n, (run, (w, _)) in enumerate(zip(runs, problems)):
-        groups.setdefault((STRATEGY_TABLE[run.strategy].fit, w.shape), []).append(n)
     estimates = [None] * len(runs)
-    for (fit, _), members in groups.items():
-        try:
-            fitted = _fit_all(fit, [problems[n] for n in members], prior, reg)
-        except Exception:
-            for n in members:  # refit one by one, so the error names its run
-                with _blamed_on(runs[n], t):
-                    _fit_all(fit, [problems[n]], prior, reg)
-            raise
-        for n, estimate in zip(members, fitted):
+    keys = [(STRATEGY_TABLE[run.strategy].fit, w.shape) for run, (w, _) in zip(runs, problems)]
+    for (fit, _), members in _groups(keys).items():
+        for n, estimate in zip(members, _fit_all(fit, [problems[n] for n in members], prior, reg)):
             estimates[n] = estimate
     return estimates
+
+
+def _groups(keys):
+    """Positions of ``keys`` grouped by key, in first-seen order; a None key joins no group."""
+    groups = {}
+    for n, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(n)
+    return groups
 
 
 # elements of one stacked temporary of an iteration step (runs x rows x columns), 128 kB
@@ -404,14 +404,14 @@ def _stacks(members, per_run):
     return [members[a : a + size] for a in range(0, len(members), size)]
 
 
-def _step(config, runs, labels, t, estimates):
+def _step(config, runs, labels, t, prior):
     """Iteration ``t`` of ``runs``, whose pool labels are the rows of ``labels``.
 
-    Returns every run's 1NN predictions, the positions in ``labels`` of
-    the runs that acquire, and their rows with the batch each selects
-    labeled by the oracle (none after the last iteration).  Nothing is
-    written.
+    Returns every run's fit estimate and 1NN predictions, the positions in
+    ``labels`` of the runs that acquire, and their rows with the batch each
+    selects labeled by the oracle (none after the last).  Nothing is written.
     """
+    estimates = _fit_iteration(runs, prior, config.reg)
     weights = [_weights(STRATEGY_TABLE[run.strategy].fit, e) for run, e in zip(runs, estimates)]
     predictions = _predict(runs, t, weights)
     at, picks = _select(config, runs, labels, t, weights, estimates)
@@ -422,7 +422,7 @@ def _step(config, runs, labels, t, estimates):
         classes = np.stack([runs[n].state.pool_data.labels for n in at])
         answers = _oracle(classes, candidates[picks, 0], candidates[picks, 1])
         label_many(relabeled, picks, answers, candidates)
-    return predictions, at, relabeled
+    return estimates, predictions, at, relabeled
 
 
 def _predict(runs, t, weights):
@@ -431,12 +431,11 @@ def _predict(runs, t, weights):
     iteration 0.  Runs with the same train and test shapes search as one
     stack."""
     predictions = [run.predictions for run in runs]
-    groups = {}
     for n, (run, w) in enumerate(zip(runs, weights)):
-        if w is not None:
-            groups.setdefault((run.state.train.n, run.state.test_proj.shape), []).append(n)
-        elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
+        if w is None and t == 0:  # no model, so every iteration has the same Euclidean 1NN
             predictions[n] = metric.euclidean_knn(run.state.train, run.state.test)
+    groups = _groups([None if w is None else (run.state.train.n, run.state.test_proj.shape)
+                      for run, w in zip(runs, weights)])
     for (n_train, (n_test, _)), members in groups.items():
         for stack in _stacks(members, n_train * n_test):
             aug = np.stack([weights[n] for n in stack])
@@ -454,30 +453,26 @@ def _select(config, runs, labels, t, weights, estimates):
     """The batch each acquiring run selects at iteration ``t``, none after the last.
 
     Returns the runs' positions and a list of (stack, batch) arrays of
-    their picks, in that order.  Runs with the same acquisition rule,
-    basis size and number of open candidates select as one stack.
+    their picks, in that order.  Runs with the same acquisition rule and
+    basis size select as one stack from their repeats' whole feature
+    tables; each has labeled ``initial_pairs + t * batch_size`` of them.
     """
-    groups = {}
-    if t < config.iterations:
-        n_open = np.count_nonzero(labels == 0, axis=1).tolist()
-        for n, run in enumerate(runs):
-            tag = STRATEGY_TABLE[run.strategy].scorer
-            if tag is not None:
-                groups.setdefault((tag, run.state.features.shape[1], n_open[n]), []).append(n)
+    tags = [STRATEGY_TABLE[run.strategy].scorer for run in runs] if t < config.iterations else []
+    groups = _groups([tag and (tag, run.state.features.shape[1]) for tag, run in zip(tags, runs)])
     at, picks = [], []
-    for (tag, width, u), members in groups.items():
-        for stack in _stacks(members, u * width):
-            open_at = np.nonzero(labels[stack] == 0)[1].reshape(len(stack), u)
-            rows = gamma = sigma = seeds = None
+    for (tag, width), members in groups.items():
+        for stack in _stacks(members, labels.shape[1] * width):
+            features = gamma = sigma = seeds = None
             if tag == "RANDOM":
                 seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat, "select", t)
                          for n in stack]
             else:
-                rows = np.stack([runs[n].state.features[o] for n, o in zip(stack, open_at)])
+                features = np.stack([runs[n].state.features for n in stack])
                 gamma = np.stack([weights[n] for n in stack])
             if tag == "BAYES_VAR":
                 sigma = np.stack([estimates[n].sigma for n in stack])
-            picks.append(select_many(tag, open_at, rows, gamma, sigma, config.batch_size, seeds))
+            picks.append(select_many(tag, labels[stack], features, gamma, sigma,
+                                     config.batch_size, seeds))
             at.extend(stack)
     return at, picks
 
@@ -492,21 +487,20 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     the strategy table's ``"mle"`` or ``"vb"``.
 
     The runs move in lockstep: every repeat is prepared first, then all
-    (repeat, strategy) runs take iteration 0, then iteration 1, and so
-    on.  Every repeat projects its train and test rows once, and the
-    runs keep their pool labels as one int8 (runs, m) matrix.  Within an
-    iteration the fits of runs that share a fit kind, constraint count
-    and basis size go through one :func:`_fit_all` call, which solves
-    them as one ``vb.fit_many`` or ``mle.fit_many`` stack.  The 1NN
-    evaluations of runs with the same basis size run as one stacked
-    search, and the selections of runs with the same acquisition rule as
-    one stacked scoring and ordering; then the oracle answers and the
-    labels are written for all runs at once.  Stacks hold at most
-    ``STACK_ELEMS`` elements, so large ones are cut.  Every seed derives
-    from (seed, strategy, repeat, iteration), so the order changes no
-    result, and the records come out ordered by repeat, strategy and
-    iteration.  An error names the first run, in run order, that fails
-    on its own.  ``runtime_ms`` is always 0.0.
+    (repeat, strategy) runs take iteration 0, then 1, and so on, with
+    their pool labels as one int8 (runs, m) matrix.  Within an iteration
+    the fits of runs that share a fit kind, constraint count and basis
+    size go through one :func:`_fit_all` call, which solves them as one
+    ``vb.fit_many`` or ``mle.fit_many`` stack.  The 1NN evaluations of
+    runs with the same basis size run as one stacked search, and the
+    selections of runs with the same acquisition rule as one stacked
+    scoring of their feature tables; then the oracle answers and the
+    labels are written for all runs at once.  Stacks are cut at
+    ``STACK_ELEMS`` elements.  Seeds derive from (seed, strategy,
+    repeat, iteration), so the order changes no result; records come out
+    ordered by repeat, strategy and iteration.  A failed iteration, fit
+    included, is retaken run by run: its error names the first run, in
+    run order, that fails alone.  ``runtime_ms`` is always 0.0.
     """
     if fit_tally is None:
         fit_tally = Counter()
@@ -533,13 +527,12 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
         run.labels = row
     truth = np.stack([run.state.test.labels for run in runs])
     for t in range(config.iterations + 1):
-        estimates = _fit_iteration(runs, t, prior, config.reg)
         try:
-            predictions, at, relabeled = _step(config, runs, labels, t, estimates)
+            estimates, predictions, at, relabeled = _step(config, runs, labels, t, prior)
         except Exception:
             for n, run in enumerate(runs):  # retake it run by run, so the error names its run
                 with _blamed_on(run, t):
-                    _step(config, runs[n : n + 1], labels[n : n + 1], t, estimates[n : n + 1])
+                    _step(config, runs[n : n + 1], labels[n : n + 1], t, prior)
             raise
         accuracies = np.mean(np.stack(predictions) == truth, axis=1).tolist()
         n_pairs = config.initial_pairs + t * config.batch_size

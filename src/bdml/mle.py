@@ -197,17 +197,9 @@ def _line_search(gamma, value, grad, direction, w, y, reg):
 def mle_fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
             reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,
             max_iters: int = DEFAULT_MAX_ITERS) -> MleSolution:
-    """:func:`fit_features` of the labeled pairs' feature rows and labels."""
+    """:func:`fit_many` of one problem, the labeled pairs' feature rows and labels."""
     w = feature_matrix(data, basis, constraints.pairs)
-    return fit_features(w, constraints.labels, reg, tol, max_iters)
-
-
-def fit_features(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,
-                 max_iters: int = DEFAULT_MAX_ITERS) -> MleSolution:
-    """:func:`fit_many` of one problem: ``features`` holds one (k+1) feature
-    row per constraint and ``labels`` its ±1 label."""
-    _, w, y = _check_inputs(np.zeros(np.shape(features)[-1]), features, labels, reg)
-    return fit_many(w[None], y[None], reg, tol, max_iters)[0]
+    return fit_many(w[None], constraints.labels[None], reg, tol, max_iters)[0]
 
 
 def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,

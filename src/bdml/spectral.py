@@ -278,7 +278,8 @@ def eigen_basis(
     times the larger of the largest one and the largest scaled value.
     Below that a singular value is rounding noise (its eigenvalue, the
     square, near (eps·σ₁)²), so an explicit ``k`` past the rank is
-    rejected, except ``k = n`` on centered rows that span n - 1.
+    rejected, except ``k = n`` on centered rows that span n - 1, and so
+    is data whose squares overflow or, within the rank, underflow.
     Eigenvector signs are canonicalized (first nonzero component positive)
     and equal eigenvalues are ordered lexicographically by vector, so the
     result is deterministic.
@@ -298,6 +299,7 @@ def eigen_basis(
             z, c, s = _preprocess(data.x, center, standardize)
             _, sv, vt = np.linalg.svd(z, full_matrices=False)
             eigenvalues = sv * sv
+            total = eigenvalues.sum() if k is None else None  # the energy cut's denominator
     except FloatingPointError:
         big = float(np.abs(data.x).max())
         raise ValueError(
@@ -306,10 +308,12 @@ def eigen_basis(
     # the centering rounds relative to the scaled data, and the SVD relative
     # to the largest singular value: below either floor is rounding noise
     rounding = n * d * np.finfo(float).eps
-    big = max(1.0, (np.abs(data.x).max(axis=0) / s).max())
+    big = (np.abs(data.x).max(axis=0) / s).max()
     if sv[0] <= rounding * big:
         raise ValueError("zero scatter: all rows are identical after preprocessing")
     rank = int(np.count_nonzero(sv > rounding * max(big, sv[0])))
+    if eigenvalues[rank - 1] < np.finfo(float).tiny:  # a kept eigenvalue would lose its precision
+        raise ValueError(f"data too small: its squares underflow (largest magnitude {big:.6g})")
     # centered, n <= d rows span n - 1 directions, yet k = n has always been allowed
     if k is not None and k > rank + (center and rank == n - 1):
         raise ValueError(
@@ -318,7 +322,6 @@ def eigen_basis(
         )
 
     if k is None:
-        total = eigenvalues.sum()
         frac = np.cumsum(eigenvalues) / total
         k = int(np.searchsorted(frac, energy - 1e-12) + 1)
         k = min(k, MAX_ENERGY_COMPONENTS, rank)

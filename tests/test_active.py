@@ -618,29 +618,43 @@ def test_select_validation(clusters, clusters_basis):
 
 
 def _plugin_stack(margins):
-    """Open positions, k=1 feature rows and weights whose plug-in entropy
-    falls as |margin| grows; one row of ``margins`` per pool."""
+    """Label rows, k=1 feature tables and weights whose plug-in entropy falls
+    as |margin| grows, plus the open positions: every third candidate is open,
+    at one row of ``margins`` per pool, and the labeled ones sit at margin 0,
+    the highest entropy."""
     margins = np.asarray(margins, dtype=np.float64)
     r, u = margins.shape
-    rows = np.stack((-np.ones((r, u)), np.abs(margins)), axis=-1)
-    open_at = np.tile(np.arange(0, 3 * u, 3), (r, 1))  # every third candidate is open
-    return open_at, rows, np.tile([0.0, 1.0], (r, 1))
+    labels = np.tile(np.array([0, 1, -1], dtype=np.int8), (r, u))
+    table = np.zeros((r, 3 * u))
+    table[:, ::3] = np.abs(margins)
+    features = np.stack((-np.ones((r, 3 * u)), table), axis=-1)
+    open_at = np.tile(np.arange(0, 3 * u, 3), (r, 1))
+    return labels, features, np.tile([0.0, 1.0], (r, 1)), open_at
 
 
 def test_select_many_takes_each_pools_top_with_ties_straddling_the_cut():
     # pool 0: margin 0 first, then four pairs tied at margin 1 for the last two places;
     # pool 1: the tie at margin 2 straddles the cut at the third place
-    open_at, rows, gamma = _plugin_stack([[3, 1, 2, 1, 1, 0, 1], [2, 0, 5, 2, 1, 2, 2]])
-    picked = select_many("MLE_ACT", open_at, rows, gamma, None, 3, None)
+    labels, features, gamma, _ = _plugin_stack([[3, 1, 2, 1, 1, 0, 1], [2, 0, 5, 2, 1, 2, 2]])
+    picked = select_many("MLE_ACT", labels, features, gamma, None, 3, None)
     npt.assert_array_equal(picked, [[15, 3, 9], [3, 12, 0]], strict=True)
 
 
 def test_select_many_on_flat_entropies_takes_the_first_open_pairs():
     # zero weights put every pair at p = 1/2, entropy exactly log 2
-    open_at, rows, _ = _plugin_stack(np.arange(12.0).reshape(2, 6))
+    labels, features, _, open_at = _plugin_stack(np.arange(12.0).reshape(2, 6))
     for batch in (1, 4, 6):
-        picked = select_many("BAYES_ACT", open_at, rows, np.zeros((2, 2)), None, batch, None)
+        picked = select_many("BAYES_ACT", labels, features, np.zeros((2, 2)), None, batch, None)
         npt.assert_array_equal(picked, open_at[:, :batch], strict=True)
+
+
+def test_select_many_never_picks_a_labeled_candidate_of_the_highest_entropy():
+    # the labeled candidates score log 2, above every open one
+    labels, features, gamma, _ = _plugin_stack([[3, 1, 2], [0.5, 4, 1]])
+    h = entropy(expit(-features[..., 1]))  # the plug-in entropy under weights (0, 1)
+    assert h[labels != 0].min() > h[labels == 0].max()
+    picked = select_many("MLE_ACT", labels, features, gamma, None, 3, None)
+    npt.assert_array_equal(picked, [[3, 6, 0], [0, 6, 3]], strict=True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -650,8 +664,8 @@ def test_select_many_matches_a_stable_sort_of_each_pools_entropies(data, r, u):
     margins = data.draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
                                           min_size=u, max_size=u), min_size=r, max_size=r))
     batch = data.draw(st.integers(1, u))
-    open_at, rows, gamma = _plugin_stack(margins)
-    picked = select_many("MLE_ACT", open_at, rows, gamma, None, batch, None)
+    labels, features, gamma, open_at = _plugin_stack(margins)
+    picked = select_many("MLE_ACT", labels, features, gamma, None, batch, None)
     h = entropy(expit(-np.abs(np.asarray(margins))))
     want = np.take_along_axis(open_at, np.argsort(-h, axis=-1, kind="stable")[:, :batch], -1)
     npt.assert_array_equal(picked, want, strict=True)
@@ -672,12 +686,12 @@ def test_select_many_gives_each_pool_its_select(clusters, clusters_basis, poster
 
     scorers = [scorer(posterior.mu, posterior.sigma),
                scorer(0.5 * posterior.mu, 2.0 * posterior.sigma)]
-    open_at = np.stack([np.flatnonzero(pool.labels == 0) for pool in pools])
-    rows = gamma = sigma = None
+    labels = np.stack([pool.labels for pool in pools])
+    features = gamma = sigma = None
     if strategy != "RANDOM":
-        rows, gamma = table[open_at], np.stack([s.gamma for s in scorers])
+        features, gamma = np.stack([table, table]), np.stack([s.gamma for s in scorers])
     if strategy == "BAYES_VAR":
         sigma = np.stack([s.sigma for s in scorers])
-    picked = select_many(strategy, open_at, rows, gamma, sigma, 7, [11, 12])
+    picked = select_many(strategy, labels, features, gamma, sigma, 7, [11, 12])
     for pool, scorer, seed, got in zip(pools, scorers, (11, 12), picked):
         npt.assert_array_equal(got, select(pool, table, scorer, 7, seed), strict=True)

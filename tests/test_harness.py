@@ -622,16 +622,16 @@ def test_a_failed_step_names_the_first_failing_run_in_run_order(monkeypatch):
     # repeat 0's BAYES_VAR and repeat 1's MLE_ACT fail to select at iteration 0; the
     # MLE_ACT stack is selected first, but repeat 0's BAYES_VAR comes first in run order
     config = _small_config(strategies=("MLE_ACT", "BAYES_VAR"), repeats=3)
-    open_at = [np.flatnonzero(harness._prepare_repeat(config, _repeat_data(config, None, r), r)
-                              .pool.labels == 0) for r in range(3)]
+    initial = [harness._prepare_repeat(config, _repeat_data(config, None, r), r).pool.labels
+               for r in range(3)]
     failing = {("BAYES_VAR", 0), ("MLE_ACT", 1)}
 
-    def select_many(strategy, positions, *args, _fn=harness.select_many):
-        for row in positions:
-            repeat = next(r for r in range(3) if np.array_equal(row, open_at[r]))
+    def select_many(strategy, labels, *args, _fn=harness.select_many):
+        for row in labels:  # iteration 0's label rows are the repeats' initial ones
+            repeat = next(r for r in range(3) if np.array_equal(row, initial[r]))
             if (strategy, repeat) in failing:
                 raise ValueError(f"synthetic failure in {strategy}")
-        return _fn(strategy, positions, *args)
+        return _fn(strategy, labels, *args)
 
     monkeypatch.setattr(harness, "select_many", select_many)
     with pytest.raises(RuntimeError, match=r"^strategy=BAYES_VAR repeat=0 iteration=0: "
@@ -639,6 +639,31 @@ def test_a_failed_step_names_the_first_failing_run_in_run_order(monkeypatch):
         run_active_loop(config)
     failing = {("MLE_ACT", 1)}
     with pytest.raises(RuntimeError, match=r"^strategy=MLE_ACT repeat=1 iteration=0: "):
+        run_active_loop(config)
+
+
+def test_a_failed_fit_does_not_outrank_an_earlier_runs_failed_selection(monkeypatch):
+    # repeat 2's MLE_ACT fit and repeat 0's BAYES_VAR selection fail at iteration 0; the
+    # stacked fit fails first, but repeat 0's BAYES_VAR comes first in run order
+    config = _small_config(strategies=("MLE_ACT", "BAYES_VAR"), repeats=3)
+    states = [harness._prepare_repeat(config, _repeat_data(config, None, r), r) for r in (0, 2)]
+    marker = feature_matrix(states[1].pool_data, states[1].basis, states[1].pool.labeled.pairs)
+
+    def fit_many(w, *args, _fn=mle.fit_many, **kwargs):
+        if any(np.array_equal(problem, marker) for problem in w):
+            raise ValueError("synthetic fit failure")
+        return _fn(w, *args, **kwargs)
+
+    def select_many(strategy, labels, *args, _fn=harness.select_many):
+        if strategy == "BAYES_VAR" and any(np.array_equal(row, states[0].pool.labels)
+                                           for row in labels):
+            raise ValueError("synthetic selection failure")
+        return _fn(strategy, labels, *args)
+
+    monkeypatch.setattr(mle, "fit_many", fit_many)
+    monkeypatch.setattr(harness, "select_many", select_many)
+    with pytest.raises(RuntimeError, match=r"^strategy=BAYES_VAR repeat=0 iteration=0: "
+                                           r"synthetic selection failure$"):
         run_active_loop(config)
 
 

@@ -18,7 +18,6 @@ from bdml.mle import (
     MleSolution,
     _derivatives,
     _newton_direction,
-    fit_features,
     fit_many,
     mle_fit,
     mle_gradient,
@@ -372,14 +371,14 @@ def test_fit_many_gives_every_problem_its_alone_fit_bit_for_bit(seed, r, m, k, r
     stacked = fit_many(w, y, reg=reg, max_iters=max_iters)
     assert len(stacked) == r
     for n, sol in enumerate(stacked):
-        assert _same_solution(sol, fit_features(w[n], y[n], reg=reg, max_iters=max_iters)), n
+        assert _same_solution(sol, fit_many(w[n:n+1], y[n:n+1], reg=reg, max_iters=max_iters)[0]), n
 
 
 def test_fit_many_fails_whole_on_an_error_in_any_problem():
     w, y = _stack(5, 3, 8, 2)
     y[1, 4] = np.nan
     for n in (0, 2):
-        fit_features(w[n], y[n])
+        fit_many(w[n:n+1], y[n:n+1])
     for args in ((w, y), (w[1:2], y[1:2])):
         with pytest.raises(ValueError, match="features and labels must be finite"):
             fit_many(*args)

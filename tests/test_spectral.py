@@ -252,6 +252,55 @@ def test_standardized_basis_does_not_depend_on_the_data_scale(c):
     npt.assert_allclose(got.scale, want.scale * c, rtol=1e-13)
 
 
+@settings(max_examples=100, deadline=None)
+@given(e=st.integers(-450, 450), center=st.booleans(), k=st.sampled_from([2, None]))
+# with the floor held at 1 or above, 2**-47 was rejected as "zero scatter"
+# and 2**-45 took k = 3 in energy mode instead of 7
+@example(e=-47, center=True, k=2)
+@example(e=-45, center=True, k=None)
+@example(e=-450, center=False, k=None)
+@example(e=450, center=True, k=2)
+def test_unstandardized_basis_does_not_depend_on_a_power_of_two_scale(e, center, k):
+    # README-style synth data; scaling by 2**e is exact, so the basis is the same bits
+    from bdml.harness import SynthSpec, synth_data
+
+    x = synth_data(SynthSpec(classes=3, per_class=8, dim=10, spread=0.3), seed=0).x
+    want = eigen_basis(DataMatrix(x), k=k, center=center, standardize=False)
+    got = eigen_basis(DataMatrix(np.ldexp(x, e)), k=k, center=center, standardize=False)
+    assert got.k == want.k
+    npt.assert_array_equal(got.vectors, want.vectors, strict=True)
+    npt.assert_array_equal(got.eigenvalues, np.ldexp(want.eigenvalues, 2 * e), strict=True)
+    npt.assert_array_equal(got.center, np.ldexp(want.center, e), strict=True)
+
+
+@pytest.mark.parametrize("e", [-520, -600, -1000])
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("k", [2, None])
+def test_unstandardized_data_whose_squares_underflow_is_rejected(e, center, k):
+    # the relative floors alone pass these: at 2**-520 the eigenvalues are
+    # subnormal, at 2**-600 all 0, which energy mode divided 0/0 (a RuntimeWarning
+    # fails this test, see pyproject.toml) and an explicit k turned into all-0 features
+    from bdml.harness import SynthSpec, synth_data
+
+    x = synth_data(SynthSpec(classes=3, per_class=8, dim=10, spread=0.3), seed=0).x
+    data = DataMatrix(np.ldexp(x, e))
+    with pytest.raises(ValueError, match="data too small: its squares underflow "
+                       rf"\(largest magnitude {np.abs(data.x).max():.6g}\)"):
+        eigen_basis(data, k=k, center=center, standardize=False)
+
+
+def test_energy_mode_rejects_data_whose_eigenvalue_sum_overflows():
+    # at 2**510 every eigenvalue is finite but their sum is not; energy mode
+    # used to warn and divide by inf, while an explicit k needs no sum
+    from bdml.harness import SynthSpec, synth_data
+
+    x = synth_data(SynthSpec(classes=3, per_class=8, dim=10, spread=0.3), seed=0).x
+    data = DataMatrix(np.ldexp(x, 510))
+    with pytest.raises(ValueError, match="data too large: its squares overflow"):
+        eigen_basis(data, k=None, standardize=False)
+    assert eigen_basis(data, k=2, standardize=False).k == 2
+
+
 @pytest.mark.parametrize("v", [0.0, 1.0 / 3.0, 1e100 / 3.0])
 def test_standardize_scales_a_constant_column_by_its_magnitude(v):
     # scaled by 1, the constant column's magnitude set the zero-scatter
@@ -274,6 +323,7 @@ SQRT_MAX = np.sqrt(np.finfo(np.float64).max)  # 1.34e154: larger values square t
 )
 @example(x=np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), exponent=154, standardize=True)
 @example(x=np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), exponent=154, standardize=False)
+@example(x=np.array([[2.2250738585e-311], [0.0]]), exponent=0, standardize=False)
 def test_eigen_basis_rejects_overflowing_data_before_numpy_warns(x, exponent, standardize):
     # any numpy RuntimeWarning fails this test (see pyproject.toml)
     data = DataMatrix(x * 10.0**exponent)
@@ -281,6 +331,10 @@ def test_eigen_basis_rejects_overflowing_data_before_numpy_warns(x, exponent, st
     try:
         basis = eigen_basis(data, k=1, standardize=standardize)
     except ValueError as exc:
+        if "squares underflow" in str(exc):
+            # a kept singular value is above n·d·eps·σ₁ >= n·d·eps·spread, and its square below tiny
+            assert spread < 2 * np.sqrt(np.finfo(float).tiny) / (x.size * np.finfo(float).eps)
+            return
         if "squares overflow" not in str(exc):
             assert "zero scatter" in str(exc)
             return
