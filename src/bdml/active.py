@@ -77,8 +77,6 @@ class PairPool:
     def with_labels_at(self, positions, labels) -> "PairPool":
         """A new pool with the open candidates at ``positions`` labeled ``labels`` (±1)."""
         pos, y = np.asarray(positions, dtype=np.int64).ravel(), np.asarray(labels).ravel()
-        if pos.shape != y.shape:
-            raise ValueError(f"{pos.size} positions but {y.size} labels")
         labels = self.labels.copy()
         label_many(labels[None], pos[None], y[None], self.candidates)
         pool = copy.copy(self)  # shares the read-only candidates
@@ -92,10 +90,12 @@ def label_many(labels, positions, y, candidates) -> None:
     ``labels`` is an int8 (r, m) stack of label vectors over the same
     ``candidates``; row n takes the ±1 labels ``y[n]`` at its open
     candidates ``positions[n]``, both (r, b).  Nothing is written unless
-    every row passes: positions within the candidates, then, for the
-    first faulty entry in row order, a label of +1 or -1 and a position
-    neither labeled already nor repeated.
+    every row passes: as many positions as labels, positions within the
+    candidates, then, for the first faulty entry in row order, a label
+    of +1 or -1 and a position neither labeled already nor repeated.
     """
+    if positions.shape != y.shape:
+        raise ValueError(f"{positions.size} positions but {y.size} labels")
     m = labels.shape[-1]
     outside = positions[(positions < 0) | (positions >= m)]
     if outside.size:
@@ -381,9 +381,6 @@ def select(pool: PairPool, features, scorer: Scorer, batch: int, rng_seed) -> np
     gamma = sigma = None
     if scorer.strategy != "RANDOM":
         features, gamma = kernels.as_f64(features)[None], scorer.gamma[None]
-        if features.shape[1:] != (pool.labels.size, gamma.shape[1]):
-            raise ValueError(f"features must hold one row of {gamma.shape[1]} per candidate, "
-                             f"got shape {features.shape[1:]}")
         sigma = None if scorer.sigma is None else scorer.sigma[None]
     return select_many(scorer.strategy, pool.labels[None], features, gamma, sigma, batch,
                        [rng_seed])[0]
@@ -399,6 +396,9 @@ def select_many(strategy, labels, features, gamma, sigma, batch, seeds) -> np.nd
     reads none of them and draws pool n's batch from ``seeds[n]``.  Returns
     the (r, batch) candidate positions picked, each row in pick order.
     """
+    if strategy != "RANDOM" and features.shape[1:] != (labels.shape[1], gamma.shape[1]):
+        raise ValueError(f"features must hold one row of {gamma.shape[1]} per candidate, "
+                         f"got shape {features.shape[1:]}")
     is_open = labels == 0
     u = int(np.count_nonzero(is_open, axis=-1).min())
     if not u:

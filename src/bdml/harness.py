@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import metric, mle, vb
+from . import metric, mle, spectral, vb
 from .active import PairPool, Scorer, label_many, select_many
 from .spectral import DataMatrix, EigenBasis, _freeze, eigen_basis, feature_matrix, load_csv
 
@@ -180,13 +180,7 @@ def _oracle(classes, i, j) -> np.ndarray:
     """:func:`oracle_label` over the class labels of one dataset, (n,), or of
     each of a stack, (r, n), with i and j of shape (r, b)."""
     i, j = np.broadcast_arrays(i, j)
-    n = classes.shape[-1]
-    outside = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
-    if outside.size:
-        a, b = i.flat[outside[0]], j.flat[outside[0]]
-        raise IndexError(f"pair ({a}, {b}) out of bounds for {n} rows")
-    if np.any(i == j):
-        raise ValueError("self-pair has no oracle label")
+    spectral._check_pairs(i, j, classes.shape[-1], "oracle label")
     at = classes.shape[:-1] + (-1,)
     same = (np.take_along_axis(classes, i.reshape(at), -1)
             == np.take_along_axis(classes, j.reshape(at), -1))
@@ -246,9 +240,17 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     row has no fit or no scorer.  ``prior`` is read by the ``vb``
     fit only, ``reg`` by the ``mle`` fit only.
     """
+    fit, tag = STRATEGY_TABLE[name]
     problem = (feature_matrix(data, basis, constraints.pairs), constraints.labels)
-    [estimate] = _fit_all(STRATEGY_TABLE[name].fit, [problem], prior, reg)
-    return (*_model_and_scorer(name, estimate, data, basis), estimate)
+    [estimate] = _fit_all(fit, [problem], prior, reg)
+    gamma = _weights(fit, estimate)
+    model = None if gamma is None else metric.from_augmented(gamma, basis)
+    scorer = None
+    if tag == "RANDOM":
+        scorer = Scorer.random()
+    elif tag is not None:
+        scorer = Scorer(tag, data, basis, gamma, estimate.sigma if tag == "BAYES_VAR" else None)
+    return model, scorer, estimate
 
 
 def _fit_all(fit, problems, prior, reg):
@@ -265,21 +267,6 @@ def _fit_all(fit, problems, prior, reg):
     if fit == "mle":
         return mle.fit_many(*stacks, reg=reg)
     return vb.fit_many(*stacks, prior)
-
-
-def _model_and_scorer(name, estimate, data, basis):
-    """``(model, scorer)`` of strategy ``name`` given its fit's ``estimate``."""
-    fit, tag = STRATEGY_TABLE[name]
-    model = sigma = None
-    gamma = _weights(fit, estimate)
-    if gamma is not None:
-        model = metric.from_augmented(gamma, basis)
-        sigma = estimate.sigma if tag == "BAYES_VAR" else None
-    if tag is None:
-        return model, None
-    if tag == "RANDOM":
-        return model, Scorer.random()
-    return model, Scorer(tag, data, basis, gamma, sigma)
 
 
 def _weights(fit, estimate):

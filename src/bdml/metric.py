@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .mle import MleSolution
-from .spectral import DataMatrix, EigenBasis
+from .spectral import DataMatrix, EigenBasis, _freeze
 from .vb import VariationalPosterior
 
 
@@ -32,9 +32,7 @@ class MetricModel:
                 f"weights must have shape ({self.basis.k},), got {w.shape}"
             )
         check_weights(w, self.threshold)
-        w = np.ascontiguousarray(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "threshold", float(self.threshold))
 
     @property
@@ -56,18 +54,9 @@ class MetricModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricModel":
-        b = doc["basis"]
-        basis = EigenBasis(
-            vectors=np.array(b["vectors"], dtype=np.float64),
-            eigenvalues=np.array(b["eigenvalues"], dtype=np.float64),
-            center=np.array(b["center"], dtype=np.float64),
-            scale=np.array(b["scale"], dtype=np.float64),
-        )
-        return cls(
-            basis=basis,
-            weights=np.array(doc["weights"], dtype=np.float64),
-            threshold=float(doc["threshold"]),
-        )
+        b = doc["basis"]  # the constructors convert the lists to float64 arrays
+        basis = EigenBasis(b["vectors"], b["eigenvalues"], b["center"], b["scale"])
+        return cls(basis, doc["weights"], float(doc["threshold"]))
 
 
 def check_weights(weights, threshold) -> None:

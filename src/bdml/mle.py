@@ -7,8 +7,9 @@ Bertsekas, "Projected Newton methods for optimization problems with simple
 constraints", SIAM J. Control Optim. 20(2), 1982): the objective is concave
 and its negative Hessian is at most 51x51, so every iteration can afford a
 Newton solve.  :func:`fit_many` runs the method on a stack of same-shape
-problems in lockstep, as ``vb.fit_many`` does for the variational fits;
-the objective and its derivatives take one problem or a stack.
+problems in lockstep, as ``vb.fit_many`` does for the variational fits.
+:func:`mle_objective` and :func:`mle_gradient` check and evaluate their
+one problem as a stack of one, by the fit's own input check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .spectral import ConstraintSet, DataMatrix, EigenBasis, feature_matrix
+from .spectral import ConstraintSet, DataMatrix, EigenBasis, _freeze, feature_matrix
 
 DEFAULT_REG = 1e-6
 DEFAULT_TOL = 1e-6
@@ -50,26 +51,34 @@ class MleSolution:
             raise ValueError("gamma must be elementwise nonnegative")
         if not np.isfinite(self.objective):
             raise ValueError("objective must be finite")
-        g = np.ascontiguousarray(g)
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", _freeze(g))
 
     @property
     def k(self) -> int:
         return self.gamma.shape[0] - 1
 
 
-def _check_inputs(gamma, features, labels, reg):
-    g = np.asarray(gamma, dtype=np.float64)
-    w = kernels.as_f64(features)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if w.ndim != 2 or w.shape[1] != g.shape[0]:
-        raise ValueError("features must be 2-d with one column per weight")
-    if y.shape[0] != w.shape[0]:
-        raise ValueError("features and labels disagree on the constraint count")
+def _checked(features, labels, reg):
+    """Features and labels of a stack of problems as float64 arrays, (r, m, k+1)
+    and (r, m), once they and ``reg`` pass the checks of a fit's input."""
     if not reg >= 0:
         raise ValueError(f"reg must be >= 0, got {reg}")
-    return g, w, y
+    w, y = kernels.as_f64(features), np.asarray(labels, dtype=np.float64)
+    if w.ndim != 3 or y.shape != w.shape[:2]:
+        raise ValueError("need (r, m, k+1) features and (r, m) labels of the same problem and "
+                         f"constraint count, got {w.shape} and {y.shape}")
+    if not (np.isfinite(w).all() and np.isfinite(y).all()):
+        raise ValueError("features and labels must be finite")
+    return w, y
+
+
+def _one(gamma, features, labels, reg):
+    """One problem's weights, (m, k+1) features and m labels as a checked stack of one."""
+    w, y = _checked(np.asarray(features)[None], np.ravel(labels)[None], reg)
+    g = np.asarray(gamma, dtype=np.float64)
+    if w.shape[2] != g.shape[0] or g.ndim != 1:
+        raise ValueError(f"features need one column per weight: {w.shape[2]} for {g.shape}")
+    return g[None], w, y
 
 
 def mle_objective(gamma, features, labels, reg: float = DEFAULT_REG) -> float:
@@ -79,12 +88,12 @@ def mle_objective(gamma, features, labels, reg: float = DEFAULT_REG) -> float:
     term -reg*|gamma|^2/2 keeps separable constraint sets from sending the
     maximizer to infinity.  Nonpositive by construction when reg = 0.
     """
-    return float(_objective(*_check_inputs(gamma, features, labels, reg), reg))
+    return float(_objective(*_one(gamma, features, labels, reg), reg)[0])
 
 
 def mle_gradient(gamma, features, labels, reg: float = DEFAULT_REG) -> np.ndarray:
     """Analytic gradient of :func:`mle_objective` in gamma."""
-    return _derivatives(*_check_inputs(gamma, features, labels, reg), reg)[0]
+    return _derivatives(*_one(gamma, features, labels, reg), reg)[0][0]
 
 
 def _dot(a, b):
@@ -228,14 +237,7 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
-    if not reg >= 0:
-        raise ValueError(f"reg must be >= 0, got {reg}")
-    w, y = kernels.as_f64(features), np.asarray(labels, dtype=np.float64)
-    if w.ndim != 3 or y.shape != w.shape[:2]:
-        raise ValueError("need (r, m, k+1) features and (r, m) labels, "
-                         f"got {w.shape} and {y.shape}")
-    if not (np.isfinite(w).all() and np.isfinite(y).all()):
-        raise ValueError("features and labels must be finite")
+    w, y = _checked(features, labels, reg)
     r, _, dim = w.shape
 
     starts = np.stack([np.zeros((r, dim)), _start_point(w)])

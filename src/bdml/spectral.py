@@ -222,13 +222,10 @@ class ConstraintSet:
 
 
 def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for r in range(out.shape[0]):
-        nz = np.flatnonzero(np.abs(out[r]) > 1e-12)
-        pivot = nz[0] if nz.size else 0
-        if out[r, pivot] < 0:
-            out[r] = -out[r]
-    return out
+    """Rows negated where their first entry above 1e-12 in magnitude (else entry 0) is negative."""
+    pivot = np.argmax(np.abs(vectors) > 1e-12, axis=1)
+    flip = vectors[np.arange(vectors.shape[0]), pivot] < 0
+    return np.where(flip[:, None], -vectors, vectors)
 
 
 def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray):
@@ -275,9 +272,10 @@ def eigen_basis(
     With ``k=None`` the smallest k capturing at least ``energy`` of the
     total spectral energy is used, capped at ``MAX_ENERGY_COMPONENTS`` and
     at the numerical rank: the count of singular values above n·d·eps
-    times the larger of the largest one and the largest scaled value.
-    Below that a singular value is rounding noise (its eigenvalue, the
-    square, near (eps·σ₁)²), so an explicit ``k`` past the rank is
+    times the largest one plus what centering loses, √n times the data's
+    rounding (√d·eps/2 times the largest scaled value) and the column
+    means' error (the norm of the centered columns' residual mean).
+    Below that a singular value is rounding noise, so an explicit ``k`` past the rank is
     rejected, except ``k = n`` on centered rows that span n - 1, and so
     is data whose squares overflow or, within the rank, underflow.
     Eigenvector signs are canonicalized (first nonzero component positive)
@@ -305,13 +303,16 @@ def eigen_basis(
         raise ValueError(
             f"data too large: its squares overflow (largest magnitude {big:.6g})"
         ) from None
-    # the centering rounds relative to the scaled data, and the SVD relative
-    # to the largest singular value: below either floor is rounding noise
+    # the SVD rounds relative to the largest singular value; centering cancels
+    # the leading digits, exposing the data's own rounding, and shifts every
+    # row by the error of the column means, which the residual mean measures
     rounding = n * d * np.finfo(float).eps
     big = (np.abs(data.x).max(axis=0) / s).max()
-    if sv[0] <= rounding * big:
+    lost = np.sqrt(n) * (np.sqrt(d) * np.finfo(float).eps / 2 * big
+                         + np.linalg.norm(z.mean(axis=0))) if center else 0.0
+    rank = int(np.count_nonzero(sv > rounding * sv[0] + lost))
+    if not rank or sv[0] <= rounding * big:
         raise ValueError("zero scatter: all rows are identical after preprocessing")
-    rank = int(np.count_nonzero(sv > rounding * max(big, sv[0])))
     if eigenvalues[rank - 1] < np.finfo(float).tiny:  # a kept eigenvalue would lose its precision
         raise ValueError(f"data too small: its squares underflow (largest magnitude {big:.6g})")
     # centered, n <= d rows span n - 1 directions, yet k = n has always been allowed
@@ -333,13 +334,22 @@ def eigen_basis(
 
 def pair_feature(data: DataMatrix, basis: EigenBasis, i: int, j: int) -> PairFeature:
     """Augmented feature of the pair (i, j): (-1, squared projections)."""
-    n = data.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"pair ({i}, {j}) out of bounds for {n} rows")
-    if i == j:
-        raise ValueError(f"self-pair ({i}, {i}) has no constraint semantics")
-    proj = basis.project_diff(data.x[i] - data.x[j])
-    return PairFeature(np.concatenate(([-1.0], proj * proj)))
+    return PairFeature(feature_matrix(data, basis, [(i, j)])[0])
+
+
+def _check_pairs(i, j, n: int, what: str) -> None:
+    """Reject non-integer index arrays ``i`` and ``j`` (of one shape), then, in flat order,
+    the first pair out of bounds for ``n`` rows, then the first self-pair (no ``what``)."""
+    if not (np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)):
+        raise IndexError("pair indices must be integers")
+    outside = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
+    if outside.size:
+        a, b = i.flat[outside[0]], j.flat[outside[0]]
+        raise IndexError(f"pair ({a}, {b}) out of bounds for {n} rows")
+    same = np.flatnonzero(i == j)
+    if same.size:
+        a = i.flat[same[0]]
+        raise ValueError(f"self-pair ({a}, {a}) has no {what}")
 
 
 def feature_matrix(data: DataMatrix, basis: EigenBasis, pairs) -> np.ndarray:
@@ -349,18 +359,11 @@ def feature_matrix(data: DataMatrix, basis: EigenBasis, pairs) -> np.ndarray:
     """
     if len(pairs) == 0:
         return np.empty((0, basis.k + 1))
-    idx = kernels.as_i64(pairs)
+    idx = np.asarray(pairs)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("pairs must be (i, j) rows")
-    n = data.n
-    outside = np.flatnonzero(np.any((idx < 0) | (idx >= n), axis=1))
-    if outside.size:
-        i, j = idx[outside[0]].tolist()
-        raise IndexError(f"pair ({i}, {j}) out of bounds for {n} rows")
-    ii = kernels.as_i64(idx[:, 0])
-    jj = kernels.as_i64(idx[:, 1])
-    if np.any(ii == jj):
-        raise ValueError("self-pair has no constraint semantics")
+    ii, jj = kernels.as_i64(idx[:, 0]), kernels.as_i64(idx[:, 1])
+    _check_pairs(idx[:, 0], idx[:, 1], data.n, "constraint semantics")
     proj = kernels.as_f64(basis.project(data.x))
     return kernels.pair_sq_proj(proj, ii, jj)
 

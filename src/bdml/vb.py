@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .spectral import ConstraintSet, DataMatrix, EigenBasis, feature_matrix
+from .spectral import ConstraintSet, DataMatrix, EigenBasis, _freeze, feature_matrix
 
 LAMBDA_SERIES_CUTOFF = 1e-4
 DEFAULT_TOL = 1e-6
@@ -72,9 +72,7 @@ class VariationalPosterior:
         if np.any(mu < 0):
             raise ValueError("mu must be elementwise nonnegative post-clamp")
         for name, value in (("mu", mu), ("sigma", sigma), ("xi", xi), ("mu_raw", mu_raw)):
-            a = np.ascontiguousarray(value)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(value))
 
     @property
     def k(self) -> int:
@@ -107,17 +105,16 @@ def jj_bound(z, xi):
     return out
 
 
-def _as_constraint_arrays(features, labels, xi):
-    w = kernels.as_f64(features)
-    if w.ndim != 2:
-        raise ValueError("features must be a 2-d array, one row per constraint")
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if y.shape[0] != w.shape[0]:
-        raise ValueError("features and labels disagree on the constraint count")
-    if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
+def _checked(features, labels, xi):
+    """Features, labels and xi of a stack of problems as float64 arrays,
+    (r, m, k+1), (r, m) and (r, m), once they pass the checks of a fit's input."""
+    w, y, x = kernels.as_f64(features), np.asarray(labels, np.float64), np.asarray(xi, np.float64)
+    if w.ndim != 3 or y.shape != w.shape[:2]:
+        raise ValueError("need (r, m, k+1) features and (r, m) labels of the same problem and "
+                         f"constraint count, got {w.shape} and {y.shape}")
+    if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be +1 or -1")
-    x = np.asarray(xi, dtype=np.float64).reshape(-1)
-    if x.shape[0] != w.shape[0]:
+    if x.shape != y.shape:
         raise ValueError("xi must have one entry per constraint")
     if np.any(x <= 0):
         raise ValueError("all xi must be strictly positive")
@@ -174,13 +171,13 @@ def e_step(features, labels, xi, prior: PriorConfig, *, clamp: bool = True):
     downstream convention; pass ``clamp=False`` inside bound-monotonicity
     loops.
     """
-    w, y, x = _as_constraint_arrays(features, labels, xi)
-    mu, sigma = _e_step(w[None], y[None], lambda_xi(x)[None], prior, clamp)
-    return mu[0], sigma[0]
+    w, y, x = _checked(np.asarray(features)[None], np.ravel(labels)[None], np.ravel(xi)[None])
+    [mu], [sigma] = _e_step(w, y, lambda_xi(x), prior)
+    return (np.maximum(mu, 0.0) if clamp else mu), sigma
 
 
-def _e_step(w, y, lam, prior: PriorConfig, clamp: bool):
-    """:func:`e_step` on a stack of checked problems, given ``lam = lambda_xi(xi)``.
+def _e_step(w, y, lam, prior: PriorConfig):
+    """:func:`e_step` on a stack of checked problems, unclamped, given ``lam = lambda_xi(xi)``.
 
     ``w`` is (r, m, d), ``y`` and ``lam`` are (r, m); returns (r, d) means
     and (r, d, d) covariances.
@@ -188,10 +185,7 @@ def _e_step(w, y, lam, prior: PriorConfig, clamp: bool):
     precision = kernels.weighted_gram(w, 2.0 * lam, prior.delta)
     linear = prior.delta * prior.gamma0 - kernels.mat_vec(np.swapaxes(w, -1, -2), y / 2.0)
     sigma = _solve_spd(precision)
-    mu = kernels.mat_vec(sigma, linear)
-    if clamp:
-        mu = np.maximum(mu, 0.0)
-    return mu, sigma
+    return kernels.mat_vec(sigma, linear), sigma
 
 
 def m_step(features, mu, sigma) -> np.ndarray:
@@ -217,11 +211,9 @@ def elbo(features, labels, mu, sigma, xi, prior: PriorConfig) -> float:
     constraint adds its expected sigmoid bound.  Zero constraints at the
     prior give exactly 0.
     """
-    w, y, x = _as_constraint_arrays(features, labels, xi)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = kernels.as_f64(sigma)
-    stack = (w[None], y[None], mu[None], sigma[None], x[None], lambda_xi(x)[None])
-    return float(_elbo(*stack, prior)[0])
+    w, y, x = _checked(np.asarray(features)[None], np.ravel(labels)[None], np.ravel(xi)[None])
+    mu, sigma = np.asarray(mu, dtype=np.float64)[None], kernels.as_f64(sigma)[None]
+    return float(_elbo(w, y, mu, sigma, x, lambda_xi(x), prior)[0])
 
 
 def _elbo(w, y, mu, sigma, x, lam, prior: PriorConfig) -> np.ndarray:
@@ -281,16 +273,8 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
         prior = PriorConfig()
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
-    w, y = kernels.as_f64(features), np.asarray(labels, dtype=np.float64)
-    if w.ndim != 3 or y.shape != w.shape[:2]:
-        raise ValueError("need (r, m, k+1) features and (r, m) labels, "
-                         f"got {w.shape} and {y.shape}")
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("labels must be +1 or -1")
+    w, y, xi = _checked(features, labels, np.full(np.shape(labels), float(xi0)))
     r, m, dim = w.shape
-    xi = np.full((r, m), float(xi0))
-    if np.any(xi <= 0):
-        raise ValueError("all xi must be strictly positive")
 
     mu = np.full((r, dim), float(prior.gamma0))
     sigma = np.broadcast_to(np.eye(dim) / prior.delta, (r, dim, dim)).copy()
@@ -302,7 +286,7 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
     live = np.arange(r)  # the problems still iterating
     for it in range(1, max_iters + 1):
         w_l, y_l = (w, y) if live.size == r else (w[live], y[live])
-        mu_l, sigma_l = _e_step(w_l, y_l, lam[live], prior, clamp=False)
+        mu_l, sigma_l = _e_step(w_l, y_l, lam[live], prior)
         if m:
             xi_l = m_step(w_l, mu_l, sigma_l)
             if np.any(xi_l <= 0):

@@ -232,6 +232,9 @@ def test_label_many_names_the_first_faulty_entry_in_row_order_and_writes_nothing
         with pytest.raises(ValueError, match=message):
             label_many(labels, positions, answers, pairs)
         npt.assert_array_equal(labels, before, strict=True)
+    with pytest.raises(ValueError, match="^6 positions but 3 labels$"):
+        label_many(labels, np.array([[0, 1], [2, 3], [4, 5]]), y[:, :1], pairs)
+    npt.assert_array_equal(labels, before, strict=True)
 
 
 def test_pair_score_validation():
@@ -695,3 +698,6 @@ def test_select_many_gives_each_pool_its_select(clusters, clusters_basis, poster
     picked = select_many(strategy, labels, features, gamma, sigma, 7, [11, 12])
     for pool, scorer, seed, got in zip(pools, scorers, (11, 12), picked):
         npt.assert_array_equal(got, select(pool, table, scorer, 7, seed), strict=True)
+    if strategy != "RANDOM":  # the table's shape is checked for the stack as for one pool
+        with pytest.raises(ValueError, match=r"one row of 4 per candidate, got shape \(65, 4\)"):
+            select_many(strategy, labels, features[:, 1:], gamma, sigma, 7, [11, 12])

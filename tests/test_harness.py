@@ -125,6 +125,10 @@ def test_oracle_label_answers_index_arrays_by_the_same_rule():
         oracle_label(data, i, np.array([1, 2, 3, 2]))
     with pytest.raises(IndexError, match=r"pair \(3, 4\) out of bounds for 4 rows"):
         oracle_label(data, i, np.array([1, 2, 4, 0]))
+    with pytest.raises(ValueError, match=r"^self-pair \(2, 2\) has no oracle label$"):
+        oracle_label(data, np.array([0, 2, 3]), np.array([1, 2, 3]))
+    with pytest.raises(IndexError, match=r"^pair \(1, 4\) out of bounds for 4 rows$"):
+        oracle_label(data, np.array([2, 1]), np.array([2, 4]))
 
 
 # ---------------------------------------------------------------------------

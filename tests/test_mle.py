@@ -147,6 +147,12 @@ def test_input_validation():
         mle_objective(np.zeros(3), np.zeros((1, 3)), [1.0], reg=-0.1)
     with pytest.raises(ValueError, match="reg must be >= 0, got nan"):
         mle_objective(np.zeros(3), np.zeros((1, 3)), [1.0], reg=float("nan"))
+    # one problem is checked as a stack of one, finiteness included
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="features and labels must be finite"):
+            mle_objective(np.zeros(3), np.array([[-1.0, bad, 0.0]]), [1.0])
+        with pytest.raises(ValueError, match="features and labels must be finite"):
+            mle_gradient(np.zeros(3), np.zeros((1, 3)), [bad])
 
 
 # ---------------------------------------------------------------------------

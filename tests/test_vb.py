@@ -224,7 +224,7 @@ def test_elbo_rejects_indefinite_sigma():
 
 def test_constraint_array_validation():
     prior = PriorConfig()
-    with pytest.raises(ValueError, match="2-d"):
+    with pytest.raises(ValueError, match=r"need \(r, m, k\+1\) features .* got \(1, 3\) and"):
         e_step(np.zeros(3), [1.0], [1.0], prior)
     with pytest.raises(ValueError, match="constraint count"):
         e_step(np.zeros((2, 3)), [1.0], [1.0, 1.0], prior)
