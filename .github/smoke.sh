@@ -3,8 +3,10 @@
 # every scorer strategy on two synthetic CSVs, eval of each saved model, one
 # eval on a copy of train.csv that numpy's C reader refuses (CRLF line ends, a
 # quoted field, an underscored number), which must print the plain file's
-# accuracy, and one eval large enough (4,000 x 1,000 rows, K=5) for a
-# multi-leaf 1NN search.  Exits nonzero at the first failing command.
+# accuracy, one eval of a model file without its threshold, which must exit 1
+# naming the missing entry (its stderr goes to a file), and one eval large
+# enough (4,000 x 1,000 rows, K=5) for a multi-leaf 1NN search.  Exits
+# nonzero at the first failing command.
 set -e
 python -c "
 import bdml
@@ -38,6 +40,21 @@ odd=$(bdml eval --model model_BAYES_VAR.json --train odd_train.csv --test test.c
 echo "$odd"
 if [ "$odd" != "$plain" ]; then
   echo "odd_train.csv gives '$odd', train.csv '$plain'" >&2
+  exit 1
+fi
+python -c "
+import json
+with open('model_BAYES_VAR.json') as fh:
+    doc = json.load(fh)
+del doc['threshold']
+with open('no_threshold.json', 'w') as fh:
+    json.dump(doc, fh)
+"
+status=0
+bdml eval --model no_threshold.json --train train.csv --test test.csv \
+    2> no_threshold.err || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "no 'threshold' entry" no_threshold.err; then
+  echo "eval of no_threshold.json exits $status: $(cat no_threshold.err)" >&2
   exit 1
 fi
 bdml score-pairs --data train.csv --strategy RANDOM --k 2 \

@@ -17,8 +17,8 @@ import numpy as np
 from . import kernels
 from .kernels import expit, log_expit, xlogx
 from .spectral import (
-    ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical, _freeze,
-    _repeated_rows, feature_matrix,
+    ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical, _checked_pairs,
+    _freeze, feature_matrix,
 )
 from .vb import VariationalPosterior
 
@@ -35,14 +35,16 @@ class PairPool:
     ``labels`` is a read-only int8 (m,) array, 0 for an open candidate
     and the oracle's +1 or -1 for a labeled one.  ``labeled`` may be
     given as (i, j, y) triples or a :class:`ConstraintSet` whose pairs
-    are candidates.
+    are candidates.  Bad candidates are reported as bad constraints are.
     """
 
     candidates: np.ndarray
     labels: np.ndarray
 
     def __init__(self, candidates, labeled=()):
-        object.__setattr__(self, "candidates", _checked_candidates(candidates))
+        pairs = _checked_pairs(_as_rows(candidates, 2, "candidates"), "cannot be a candidate",
+                               "duplicate candidate pair {}")
+        object.__setattr__(self, "candidates", _freeze(pairs))
         object.__setattr__(self, "labels", _freeze(np.zeros(len(self.candidates), np.int8)))
         lab = labeled.items if isinstance(labeled, ConstraintSet) else labeled
         object.__setattr__(self, "labels", self.with_labels(lab).labels)
@@ -112,25 +114,6 @@ def label_many(labels, positions, y, candidates) -> None:
         raise ValueError(f"label must be +1 or -1, got {y[n, c]}" if faults[n, c, 0]
                          else f"duplicate pair {pair} labeled twice")
     labels[rows, positions] = y
-
-
-def _checked_candidates(candidates) -> np.ndarray:
-    """Candidate pairs as a canonical int64 (m, 2) array; rejects bad pairs."""
-    raw = _as_rows(candidates, 2, "candidates")
-    self_pairs = np.flatnonzero(raw[:, 0] == raw[:, 1])
-    if self_pairs.size:
-        i = int(raw[self_pairs[0], 0])
-        raise ValueError(f"self-pair ({i}, {i}) cannot be a candidate")
-    negative = np.flatnonzero(np.any(raw < 0, axis=1))
-    if negative.size:
-        pair = tuple(raw[negative[0]].tolist())
-        raise ValueError(f"negative index in pair {pair}")
-    _, pairs = _canonical(raw)
-    dup = _repeated_rows(pairs)
-    if dup.size:
-        pair = tuple(pairs[dup[0]].tolist())
-        raise ValueError(f"duplicate candidate pair {pair}")
-    return _freeze(pairs)
 
 
 @dataclass(frozen=True)
@@ -331,14 +314,7 @@ def _score_rows(strategy, gamma, sigma, w):
         p_plus = laplace_posterior_batch(gamma, sigma, w)
     else:
         p_plus = expit(-kernels.mat_vec(w, gamma))
-    ok = (p_plus >= 0.0) & (p_plus <= 1.0)
-    if not ok.all():
-        raise ValueError(f"p_plus must lie in [0, 1], got {p_plus[~ok][0]}")
-    h = entropy(p_plus)
-    ok = (h >= -1e-12) & (h <= MAX_ENTROPY + 1e-12)
-    if not ok.all():
-        raise ValueError(f"entropy must lie in [0, log 2], got {h[~ok][0]}")
-    return p_plus, h
+    return p_plus, entropy(p_plus)
 
 
 def score_pairs(scorer: Scorer, pairs) -> list:

@@ -425,10 +425,9 @@ def _predict(runs, t, weights):
                       for run, w in zip(runs, weights)])
     for (n_train, (n_test, _)), members in groups.items():
         for stack in _stacks(members, n_train * n_test):
-            aug = np.stack([weights[n] for n in stack])
-            metric.check_weights(aug[:, 1:], aug[:, 0])
             states = [runs[n].state for n in stack]
-            predicted = metric.knn_many(aug[:, 1:], np.stack([s.train_proj for s in states]),
+            predicted = metric.knn_many(np.stack([weights[n] for n in stack]),
+                                        np.stack([s.train_proj for s in states]),
                                         np.stack([s.test_proj for s in states]),
                                         np.stack([s.train.labels for s in states]))
             for n, p in zip(stack, predicted):

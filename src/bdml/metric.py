@@ -54,9 +54,19 @@ class MetricModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricModel":
-        b = doc["basis"]  # the constructors convert the lists to float64 arrays
-        basis = EigenBasis(b["vectors"], b["eigenvalues"], b["center"], b["scale"])
-        return cls(basis, doc["weights"], float(doc["threshold"]))
+        threshold, weights, b = _entries(doc, "model", "threshold", "weights", "basis")
+        # the constructors convert the lists to float64 arrays
+        basis = EigenBasis(*_entries(b, "model basis", "vectors", "eigenvalues", "center", "scale"))
+        return cls(basis, weights, float(threshold))
+
+
+def _entries(doc, what: str, *names) -> list:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [name for name in names if name not in doc]
+    if missing:
+        raise ValueError(f"{what} has no {missing[0]!r} entry")
+    return [doc[name] for name in names]
 
 
 def check_weights(weights, threshold) -> None:
@@ -96,6 +106,13 @@ def distance(model: MetricModel, x, z) -> float:
     return float(model.weights @ (proj * proj))
 
 
+def _check_1nn_data(train: DataMatrix, queries: DataMatrix, d: int) -> None:
+    if train.labels is None:
+        raise ValueError("training data must be labeled")
+    if not train.d == queries.d == d:
+        raise ValueError(f"dimension mismatch: train {train.d}, queries {queries.d}, metric {d}")
+
+
 def knn_classify(model: MetricModel, train: DataMatrix, queries: DataMatrix) -> np.ndarray:
     """Label each query by its nearest training row under the model metric.
 
@@ -103,34 +120,30 @@ def knn_classify(model: MetricModel, train: DataMatrix, queries: DataMatrix) -> 
     scaled by the square root of each weight, turning the metric into a
     plain squared Euclidean search in K dimensions.
     """
-    if train.labels is None:
-        raise ValueError("training data must be labeled")
-    if train.d != queries.d or train.d != model.basis.d:
-        raise ValueError("dimension mismatch between model, train and queries")
+    _check_1nn_data(train, queries, model.basis.d)
     proj = model.basis.project
-    [labels] = knn_many(model.weights[None], proj(train.x)[None], proj(queries.x)[None],
+    [labels] = knn_many(model.augmented[None], proj(train.x)[None], proj(queries.x)[None],
                         train.labels[None])
     return labels
 
 
-def knn_many(weights, train_proj, query_proj, train_labels) -> np.ndarray:
+def knn_many(augmented, train_proj, query_proj, train_labels) -> np.ndarray:
     """:func:`knn_classify` for each of a stack of r models.
 
-    ``weights`` is (r, K), ``train_proj`` and ``query_proj`` the (r, n, K)
-    and (r, q, K) basis projections of the training rows and queries, and
-    ``train_labels`` (r, n).  Returns the (r, q) predicted labels.
+    ``augmented`` is (r, K+1), threshold first, checked as a :class:`MetricModel`
+    checks it; ``train_proj`` and ``query_proj`` the (r, n, K) and (r, q, K)
+    basis projections of the training rows and queries, and ``train_labels``
+    (r, n).  Returns the (r, q) predicted labels.
     """
-    root = np.sqrt(weights)[:, None, :]
+    check_weights(augmented[:, 1:], augmented[:, 0])
+    root = np.sqrt(augmented[:, 1:])[:, None, :]
     idx = kernels.nn1_many(kernels.as_f64(train_proj * root), kernels.as_f64(query_proj * root))
     return np.take_along_axis(train_labels, idx, axis=-1)
 
 
 def euclidean_knn(train: DataMatrix, queries: DataMatrix) -> np.ndarray:
     """1NN on raw features under the ordinary Euclidean distance."""
-    if train.labels is None:
-        raise ValueError("training data must be labeled")
-    if train.d != queries.d:
-        raise ValueError("dimension mismatch between train and queries")
+    _check_1nn_data(train, queries, train.d)
     idx = kernels.nn1_indices(kernels.as_f64(train.x), kernels.as_f64(queries.x))
     return train.labels[idx]
 

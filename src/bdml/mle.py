@@ -235,7 +235,7 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
     so its solution is that of fitting it alone, bit for bit.  An error
     in any problem fails the whole call.
     """
-    if tol <= 0 or max_iters < 1:
+    if not tol > 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
     w, y = _checked(features, labels, reg)
     r, _, dim = w.shape

@@ -163,9 +163,30 @@ def _canonical(rows: np.ndarray):
     return order, np.stack((lo[order], hi[order]), axis=1)
 
 
-def _repeated_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows of a lexsorted (m, 2) array equal to the row before them."""
-    return np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1)) + 1
+def _checked_pairs(pairs: np.ndarray, self_pair: str, repeat: str, labels=1) -> np.ndarray:
+    """The int64 (m, 2) ``pairs`` as (low, high) pairs in canonical order.
+
+    An input with several faults reports the first faulty row, and for
+    that row a self-pair (``self_pair`` ends the message), then a negative
+    index, then a label other than +1 or -1, then a pair seen in an
+    earlier row (``repeat`` formats the message).
+    """
+    order, canon = _canonical(pairs)
+    seen = np.zeros(len(pairs), dtype=bool)
+    seen[order[1:]] = np.all(canon[1:] == canon[:-1], axis=1)  # lexsort is stable
+    y = np.broadcast_to(labels, len(pairs))
+    faults = np.column_stack((pairs[:, 0] == pairs[:, 1], np.any(pairs < 0, axis=1),
+                              (y != 1) & (y != -1), seen))
+    faulty = np.flatnonzero(faults.any(axis=1))
+    if faulty.size:
+        i, j = pairs[faulty[0]].tolist()
+        raise ValueError((
+            f"self-pair ({i}, {i}) {self_pair}",
+            f"negative index in pair ({i}, {j})",
+            f"label must be +1 or -1, got {y[faulty[0]]}",
+            repeat.format((min(i, j), max(i, j))),
+        )[int(np.argmax(faults[faulty[0]]))])
+    return canon
 
 
 @dataclass(frozen=True)
@@ -182,27 +203,9 @@ class ConstraintSet:
 
     def __post_init__(self):
         rows = _as_rows(self.items, 3, "constraints")
-        canon = np.column_stack((rows[:, :2].min(axis=1), rows[:, :2].max(axis=1),
-                                 rows[:, 2]))
-        order, pairs = _canonical(canon)
-        repeat = np.zeros(rows.shape[0], dtype=bool)
-        repeat[order[_repeated_rows(pairs)]] = True  # lexsort is stable
-        faults = np.column_stack((
-            rows[:, 0] == rows[:, 1],
-            np.any(rows[:, :2] < 0, axis=1),
-            (rows[:, 2] != 1) & (rows[:, 2] != -1),
-            repeat,
-        ))
-        faulty = np.flatnonzero(faults.any(axis=1))
-        if faulty.size:
-            i, j, y = rows[faulty[0]].tolist()
-            raise ValueError((
-                f"self-pair ({i}, {i}) is not a constraint",
-                f"negative index in pair ({i}, {j})",
-                f"label must be +1 or -1, got {y}",
-                f"duplicate pair ({min(i, j)}, {max(i, j)}) labeled twice",
-            )[int(np.argmax(faults[faulty[0]]))])
-        object.__setattr__(self, "items", _freeze(canon))
+        pairs = rows[:, :2]
+        _checked_pairs(pairs, "is not a constraint", "duplicate pair {} labeled twice", rows[:, 2])
+        object.__setattr__(self, "items", _freeze(np.column_stack((np.sort(pairs, 1), rows[:, 2]))))
 
     def __len__(self) -> int:
         return self.items.shape[0]

@@ -271,7 +271,7 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
     """
     if prior is None:
         prior = PriorConfig()
-    if tol <= 0 or max_iters < 1:
+    if not tol > 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
     w, y, xi = _checked(features, labels, np.full(np.shape(labels), float(xi0)))
     r, m, dim = w.shape

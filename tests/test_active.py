@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -270,6 +270,20 @@ def test_entropy_rejects_nan(p):
 def test_entropy_is_symmetric(p):
     # 1.0 - p rounds for tiny p, shifting the result by up to ~eps * |log p|
     npt.assert_allclose(entropy(p), entropy(1.0 - p), atol=1e-14)
+
+
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(1.0)
+@example(0.5)
+@example(1.0 - 2.0**-53)
+@example(2.0**-53)
+@example(5e-324)
+@example(2.0**-1022 - 2.0**-1074)
+def test_entropy_lies_within_zero_and_log_2(p):
+    # the scoring path relies on this bound, which it does not check at run time
+    for h in (entropy(p), entropy(1.0 - p), *entropy([p, 1.0 - p])):
+        assert -1e-12 <= h <= MAX_ENTROPY + 1e-12
 
 
 def test_plugin_posterior_examples():

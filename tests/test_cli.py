@@ -250,6 +250,26 @@ def test_eval_rejects_an_overflowing_weight(tmp_path, data_csv, capsys):
     assert capsys.readouterr().err == "error: weights must be finite\n"
 
 
+def test_eval_names_what_a_malformed_model_file_lacks(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "model.json"
+    main([
+        "score-pairs", "--data", data_csv, "--strategy", "BAYES_ACT",
+        "--initial-pairs", "8", "--k", "2", "--no-standardize",
+        "--save-model", str(model_path), "--out", str(tmp_path / "s.csv"),
+    ])
+    doc = json.loads(model_path.read_text())
+    del doc["basis"]["vectors"]
+    bad = [(doc, "error: model basis has no 'vectors' entry\n"),
+           ([doc], "error: model must be a JSON object\n")]
+    for content, message in bad:
+        model_path.write_text(json.dumps(content))
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model_path),
+                     "--train", data_csv, "--test", data_csv])
+        assert code == 1
+        assert capsys.readouterr().err == message
+
+
 def test_errors_exit_nonzero(tmp_path, capsys):
     code = main(["eval", "--model", str(tmp_path / "missing.json"),
                  "--train", "x.csv", "--test", "y.csv"])

@@ -215,10 +215,23 @@ def test_knn_many_gives_each_model_its_knn_classify(clusters, clusters_basis):
     queries = DataMatrix(clusters.x[::3] + 0.05, clusters.labels[::3])
     stack = [np.stack([a] * 4) for a in (clusters_basis.project(clusters.x),
                                          clusters_basis.project(queries.x), clusters.labels)]
-    got = knn_many(weights, *stack)
+    got = knn_many(np.column_stack((rng.gamma(1.0, size=4), weights)), *stack)
     for w, labels in zip(weights, got):
         npt.assert_array_equal(labels, knn_classify(_model(clusters_basis, w), clusters, queries),
                                strict=True)
+
+
+def test_knn_many_checks_every_model_of_a_stack(clusters, clusters_basis):
+    proj = clusters_basis.project(clusters.x)
+    stack = [np.stack([a] * 3) for a in (proj, proj[:4], clusters.labels)]
+    good = np.ones(clusters_basis.k + 1)
+    for at, value, message in ((2, -0.5, "nonnegative"), (1, np.inf, "weights must be finite"),
+                               (0, np.nan, "threshold"), (0, -1.0, "threshold")):
+        for model in range(3):
+            augmented = np.stack([good] * 3)
+            augmented[model, at] = value
+            with pytest.raises(ValueError, match=message):
+                knn_many(augmented, *stack)
 
 
 def test_check_weights_checks_every_model_of_a_stack():

@@ -335,6 +335,8 @@ def test_fit_at_reg_zero_on_a_separable_instance_stops_early():
 def test_fit_validation(clusters, clusters_basis):
     with pytest.raises(ValueError, match="tol"):
         mle_fit(ConstraintSet(()), clusters, clusters_basis, tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        mle_fit(ConstraintSet(((0, 1, 1), (2, 9, -1))), clusters, clusters_basis, tol=np.nan)
     with pytest.raises(ValueError, match="max_iters"):
         mle_fit(ConstraintSet(()), clusters, clusters_basis, max_iters=0)
     with pytest.raises(IndexError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bdml import spectral
+from bdml.active import PairPool
 from bdml.spectral import (
     ConstraintSet,
     DataMatrix,
@@ -673,47 +674,54 @@ def test_a_warning_from_the_c_reader_hands_the_file_to_the_row_loop(tmp_path, mo
 
 
 # ---------------------------------------------------------------------------
-# ConstraintSet against a per-item reference
+# ConstraintSet and PairPool candidates against a per-item reference
 
 
-def _reference_constraint_set(items) -> tuple:
-    """The per-item validation loop: the oracle for the array version."""
+def _reference_constraint_set(items, self_pair="is not a constraint",
+                              repeat="duplicate pair {} labeled twice") -> tuple:
+    """The per-item validation loop: the oracle for the array version.
+
+    ``self_pair`` and ``repeat`` word those faults; the defaults are a
+    :class:`ConstraintSet`'s."""
     norm = []
     seen = set()
     for item in items:
         i, j, y = item
         i, j, y = int(i), int(j), int(y)
         if i == j:
-            raise ValueError(f"self-pair ({i}, {i}) is not a constraint")
+            raise ValueError(f"self-pair ({i}, {i}) {self_pair}")
         if i < 0 or j < 0:
             raise ValueError(f"negative index in pair ({i}, {j})")
         if y not in (-1, 1):
             raise ValueError(f"label must be +1 or -1, got {y}")
         key = (min(i, j), max(i, j))
         if key in seen:
-            raise ValueError(f"duplicate pair {key} labeled twice")
+            raise ValueError(repeat.format(key))
         seen.add(key)
         norm.append((key[0], key[1], y))
     return tuple(norm)
 
 
 @st.composite
-def constraint_triples(draw):
+def constraint_triples(draw, candidates=False):
     """Valid triples, then up to four faults inserted anywhere.
 
     The faults are self-pairs, negative indices, labels in {-2, 0, 2} and
     repeats of pairs already in the list, either way round, some of them
-    with a bad label too.
+    with a bad label too.  As ``candidates`` every label is +1, so the
+    only faults are in the pairs.
     """
     index = st.integers(0, 6)
-    label = st.sampled_from([-2, -1, 0, 1, 2])
+    label = st.just(1) if candidates else st.sampled_from([-2, -1, 0, 1, 2])
     items = draw(st.lists(
-        st.tuples(index, index, st.sampled_from([-1, 1])).filter(lambda t: t[0] != t[1]),
+        st.tuples(index, index, st.just(1) if candidates else st.sampled_from([-1, 1]))
+        .filter(lambda t: t[0] != t[1]),
         max_size=8,
         unique_by=lambda t: (min(t[:2]), max(t[:2])),
     ))
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["self", "negative", "label"] + ["repeat"] * 3))
+        kind = draw(st.sampled_from(["self", "negative"] + ["label"] * (not candidates)
+                                    + ["repeat"] * 3))
         i, j, y = draw(index), draw(index), draw(label)
         if kind == "self":
             fault = (i, i, y)
@@ -723,7 +731,7 @@ def constraint_triples(draw):
             fault = (i, j, draw(st.sampled_from([-2, 0, 2])))
         elif items:
             a, b, _ = draw(st.sampled_from(items))
-            y = draw(st.sampled_from([-1, 1, 0]))
+            y = draw(st.just(1) if candidates else st.sampled_from([-1, 1, 0]))
             fault = draw(st.sampled_from([(b, a, y), (a, b, y)]))
         else:
             continue
@@ -747,3 +755,17 @@ def test_constraint_set_matches_the_per_item_reference(items):
     assert _constraint_outcome(build, items) == _constraint_outcome(
         _reference_constraint_set, items
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(items=constraint_triples(candidates=True))
+def test_pair_pool_candidates_match_the_per_item_reference(items):
+    def build(triples):
+        return tuple(map(tuple, PairPool([t[:2] for t in triples]).candidates.tolist()))
+
+    def reference(triples):
+        valid = _reference_constraint_set(triples, "cannot be a candidate",
+                                          "duplicate candidate pair {}")
+        return tuple(sorted(t[:2] for t in valid))
+
+    assert _constraint_outcome(build, items) == _constraint_outcome(reference, items)

@@ -313,6 +313,8 @@ def test_fit_is_invariant_to_constraint_order(clusters, clusters_basis):
 def test_fit_validation(clusters, clusters_basis):
     with pytest.raises(ValueError, match="tol"):
         fit(ConstraintSet(()), clusters, clusters_basis, tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fit(ConstraintSet(((0, 1, 1), (2, 9, -1))), clusters, clusters_basis, tol=np.nan)
     with pytest.raises(ValueError, match="max_iters"):
         fit(ConstraintSet(()), clusters, clusters_basis, max_iters=0)
     with pytest.raises(IndexError):
