@@ -1,6 +1,7 @@
 #!/bin/sh
 # Smoke test of `bdml score-pairs` and `bdml eval`, run in an empty directory:
 # every scorer strategy on two synthetic CSVs, eval of each saved model, one
+# score-pairs to stdout, which must match the bytes of its --out file, one
 # eval on a copy of train.csv that numpy's C reader refuses (CRLF line ends, a
 # quoted field, an underscored number), which must print the plain file's
 # accuracy, one eval of a model file without its threshold, which must exit 1
@@ -24,6 +25,9 @@ for strategy in BAYES_VAR BAYES_ACT MLE_ACT; do
       --save-model "model_$strategy.json"
   bdml eval --model "model_$strategy.json" --train train.csv --test test.csv
 done
+bdml score-pairs --data train.csv --strategy BAYES_VAR --k 2 \
+    --no-standardize > stdout_BAYES_VAR.csv
+cmp stdout_BAYES_VAR.csv scores_BAYES_VAR.csv
 python - <<'EOF'
 import re
 with open('train.csv', newline='') as fh:

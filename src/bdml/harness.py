@@ -10,12 +10,11 @@ for all of them as stacks (see :func:`run_active_loop`).
 
 from __future__ import annotations
 
-import csv
 import json
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +46,6 @@ STRATEGY_TABLE = {
     "EUCLID": Strategy(None, None),
 }
 EXPERIMENT_STRATEGIES = ("RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID")
-RESULT_COLUMNS = ("strategy", "repeat", "iteration", "n_pairs", "accuracy",
-                  "runtime_ms", "seed")
 
 
 def _seed_ints(*parts) -> list:
@@ -128,8 +125,7 @@ class ExperimentConfig:
             raise ValueError("duplicate strategies")
         object.__setattr__(self, "strategies", strategies)
         vb.PriorConfig(gamma0=self.gamma0, delta=self.delta)
-        if not self.reg >= 0:
-            raise ValueError(f"reg must be >= 0, got {self.reg}")
+        mle._check_reg(self.reg)
 
 
 @dataclass(frozen=True)
@@ -150,6 +146,9 @@ class ResultRecord:
 
     def to_dict(self) -> dict:
         return {c: getattr(self, c) for c in RESULT_COLUMNS}
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRecord))
 
 
 def synth_data(spec: SynthSpec, seed) -> DataMatrix:
@@ -544,6 +543,9 @@ def convergence_warnings(fit_tally: Counter) -> list:
     return lines
 
 
+_SUMMARY_COLUMNS = ("strategy", "iteration", "n_pairs", "repeats", "mean_accuracy", "std_accuracy")
+
+
 def report(records) -> list:
     """Aggregate records into one row per (strategy, iteration).
 
@@ -560,16 +562,8 @@ def report(records) -> list:
     for (strategy, iteration), grp in groups.items():
         accs = np.array([g.accuracy for g in grp])
         std = float(np.std(accs, ddof=1)) if accs.size > 1 else 0.0
-        summary.append(
-            {
-                "strategy": strategy,
-                "iteration": iteration,
-                "n_pairs": grp[0].n_pairs,
-                "repeats": accs.size,
-                "mean_accuracy": float(accs.mean()),
-                "std_accuracy": std,
-            }
-        )
+        values = (strategy, iteration, grp[0].n_pairs, accs.size, float(accs.mean()), std)
+        summary.append(dict(zip(_SUMMARY_COLUMNS, values)))
     return summary
 
 
@@ -586,32 +580,25 @@ def format_report(summary) -> str:
 
 
 def write_results_csv(records, path) -> None:
+    records = list(records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.strategy, r.repeat, r.iteration, r.n_pairs,
-                 repr(r.accuracy), repr(r.runtime_ms), r.seed]
-            )
+        spectral._write_rows(fh, RESULT_COLUMNS,
+                             *([getattr(r, c) for r in records] for c in RESULT_COLUMNS))
 
 
 def write_summary_csv(summary, path) -> None:
-    cols = ("strategy", "iteration", "n_pairs", "repeats",
-            "mean_accuracy", "std_accuracy")
+    summary = list(summary)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in summary:
-            writer.writerow(
-                [row["strategy"], row["iteration"], row["n_pairs"],
-                 row["repeats"], repr(row["mean_accuracy"]),
-                 repr(row["std_accuracy"])]
-            )
+        spectral._write_rows(fh, _SUMMARY_COLUMNS,
+                             *([row[c] for row in summary] for c in _SUMMARY_COLUMNS))
 
 
 def write_results_json(records, config: ExperimentConfig, path) -> None:
-    doc = {"config": asdict(config), "records": [r.to_dict() for r in records]}
+    _write_json({"config": asdict(config), "records": [r.to_dict() for r in records]}, path)
+
+
+def _write_json(doc, path) -> None:
+    """Write ``results.json`` or a saved model: indent 2 and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -57,6 +57,8 @@ class MetricModel:
         threshold, weights, b = _entries(doc, "model", "threshold", "weights", "basis")
         # the constructors convert the lists to float64 arrays
         basis = EigenBasis(*_entries(b, "model basis", "vectors", "eigenvalues", "center", "scale"))
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise ValueError(f"model 'threshold' entry must be a number, got {threshold!r}")
         return cls(basis, weights, float(threshold))
 
 

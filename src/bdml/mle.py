@@ -58,11 +58,16 @@ class MleSolution:
         return self.gamma.shape[0] - 1
 
 
+def _check_reg(reg) -> None:
+    """The one rule for the ridge strength: finite and nonnegative."""
+    if not 0 <= reg < np.inf:
+        raise ValueError(f"reg must be {'finite' if reg > 0 else '>= 0'}, got {reg}")
+
+
 def _checked(features, labels, reg):
     """Features and labels of a stack of problems as float64 arrays, (r, m, k+1)
     and (r, m), once they and ``reg`` pass the checks of a fit's input."""
-    if not reg >= 0:
-        raise ValueError(f"reg must be >= 0, got {reg}")
+    _check_reg(reg)
     w, y = kernels.as_f64(features), np.asarray(labels, dtype=np.float64)
     if w.ndim != 3 or y.shape != w.shape[:2]:
         raise ValueError("need (r, m, k+1) features and (r, m) labels of the same problem and "

@@ -480,14 +480,15 @@ def _read_rows(reader, header, path) -> DataMatrix:
 
 def save_csv(data: DataMatrix, path) -> None:
     """Write a dataset in the same schema :func:`load_csv` reads."""
+    labels = [] if data.labels is None else [data.labels.tolist()]
+    header = [f"f{c}" for c in range(data.d)] + ["label"] * len(labels)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [f"f{c}" for c in range(data.d)]
-        if data.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for r in range(data.n):
-            row = [repr(float(v)) for v in data.x[r]]
-            if data.labels is not None:
-                row.append(str(int(data.labels[r])))
-            writer.writerow(row)
+        _write_rows(fh, header, *data.x.T.tolist(), *labels)
+
+
+def _write_rows(fh, header, *columns) -> None:
+    """Write ``header``, then one row per entry of the equal-length ``columns`` of Python
+    ints, floats and strings, byte for byte as the ``csv`` module writes them: commas, CRLF
+    line ends, each float as its shortest repr.  No field may need quotes."""
+    fh.write(",".join(header) + "\r\n")
+    fh.writelines(",".join(map(str, row)) + "\r\n" for row in zip(*columns, strict=True))

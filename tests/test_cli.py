@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from bdml import mle, vb
+from bdml import harness, mle, vb
 from bdml.cli import build_parser, main, parse_synth_spec
-from bdml.harness import SynthSpec, synth_data
+from bdml.harness import ExperimentConfig, SynthSpec, synth_data
 from bdml.spectral import save_csv
 
 
@@ -37,6 +38,44 @@ def test_parse_synth_spec():
         parse_synth_spec("classes")
     with pytest.raises(ValueError, match="unknown synth spec key"):
         parse_synth_spec("widgets=3")
+
+
+def test_parse_synth_spec_takes_every_synth_spec_field():
+    for f in dataclasses.fields(SynthSpec):
+        value = f.default + 1
+        parsed = getattr(parse_synth_spec(f"{f.name}={value}"), f.name)
+        assert parsed == value and type(parsed) is type(f.default)
+
+
+def test_run_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def stop(config, fit_tally):
+        seen.append(config)
+        raise Stop
+
+    monkeypatch.setattr(harness, "run_active_loop", stop)
+    args = build_parser().parse_args(["run", "--synth", "", "--out", str(tmp_path)])
+    with pytest.raises(Stop):
+        args.func(args)
+    assert seen == [ExperimentConfig(synth=SynthSpec())]
+
+
+def test_an_infinite_reg_is_named_before_any_fit(tmp_path, data_csv, capsys):
+    for argv in (_run_args(data_csv, tmp_path / "out", ["--reg", "inf"]),
+                 ["score-pairs", "--data", data_csv, "--strategy", "MLE_ACT",
+                  "--reg", "inf", "--k", "2"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 1
+        assert caught == []
+        printed = capsys.readouterr()
+        assert printed.err == "error: reg must be finite, got inf\n"
+        assert printed.out == ""
 
 
 def test_run_writes_the_three_artifacts(tmp_path, data_csv, capsys):
@@ -259,10 +298,17 @@ def test_eval_names_what_a_malformed_model_file_lacks(tmp_path, data_csv, capsys
     ])
     doc = json.loads(model_path.read_text())
     del doc["basis"]["vectors"]
-    bad = [(doc, "error: model basis has no 'vectors' entry\n"),
-           ([doc], "error: model must be a JSON object\n")]
+    bad = [(json.dumps(doc), "error: model basis has no 'vectors' entry\n"),
+           (json.dumps([doc]), "error: model must be a JSON object\n"),
+           ('{\n  "threshold":\n}', f"error: {model_path}: not valid JSON "
+                                     "(Expecting value: line 3 column 1 (char 17))\n")]
+    doc = json.loads(model_path.read_text())
+    for threshold in (None, [0.5], "0.5", True):
+        doc["threshold"] = threshold
+        bad.append((json.dumps(doc), "error: model 'threshold' entry must be a number, "
+                                     f"got {threshold!r}\n"))
     for content, message in bad:
-        model_path.write_text(json.dumps(content))
+        model_path.write_text(content)
         capsys.readouterr()
         code = main(["eval", "--model", str(model_path),
                      "--train", data_csv, "--test", data_csv])

@@ -214,6 +214,8 @@ def test_config_validates_budget_and_strategies():
     for bad in (-1e-9, np.nan):
         with pytest.raises(ValueError, match="reg must be >= 0"):
             ExperimentConfig(synth=spec, reg=bad)
+    with pytest.raises(ValueError, match="reg must be finite, got inf"):
+        ExperimentConfig(synth=spec, reg=np.inf)
     # the prior is checked whatever strategies run, before any fit
     with pytest.raises(ValueError, match="delta"):
         ExperimentConfig(synth=spec, strategies=("EUCLID",), delta=0.0)
@@ -768,9 +770,13 @@ def test_writes_are_byte_deterministic(tmp_path):
     config = _small_config(repeats=1)
     records = run_active_loop(config)
     paths = [tmp_path / f"r{i}.csv" for i in (0, 1)]
-    for p in paths:
-        write_results_csv(records, p)
+    for p, given in zip(paths, (records, iter(records))):  # any iterable will do
+        write_results_csv(given, p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    summaries = [tmp_path / f"s{i}.csv" for i in (0, 1)]
+    for p, given in zip(summaries, (report(records), iter(report(records)))):
+        write_summary_csv(given, p)
+    assert summaries[0].read_bytes() == summaries[1].read_bytes()
     jsons = [tmp_path / f"r{i}.json" for i in (0, 1)]
     for p in jsons:
         write_results_json(records, config, p)

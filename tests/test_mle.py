@@ -343,6 +343,8 @@ def test_fit_validation(clusters, clusters_basis):
         mle_fit(ConstraintSet(((0, 999, 1),)), clusters, clusters_basis)
     with pytest.raises(ValueError, match="reg must be >= 0, got nan"):
         mle_fit(ConstraintSet(((0, 1, 1),)), clusters, clusters_basis, reg=float("nan"))
+    with pytest.raises(ValueError, match="reg must be finite, got inf"):
+        mle_fit(ConstraintSet(((0, 1, 1),)), clusters, clusters_basis, reg=np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import io
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from bdml import spectral
 from bdml.active import PairPool
+from bdml.harness import STRATEGY_TABLE
 from bdml.spectral import (
     ConstraintSet,
     DataMatrix,
@@ -486,6 +488,24 @@ def test_csv_round_trip_single_column(tmp_path):
     assert back.x.tobytes() == data.x.tobytes()
     assert back.x.shape == (3, 1)
     assert back.labels is None
+
+
+_CSV_FIELDS = st.one_of(st.integers(), st.floats(), st.sampled_from(sorted(STRATEGY_TABLE)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(_CSV_FIELDS, min_size=n, max_size=n), min_size=1, max_size=5)))
+@example([[-0.0, 5e-324, -2.0**-1074, np.inf, -np.inf, np.nan, 10**30, -7]])
+@example([[], [], []])
+def test_write_rows_writes_what_csv_writer_writes(columns):
+    header = [f"c{c}" for c in range(len(columns))]
+    ours, theirs = io.StringIO(), io.StringIO()
+    spectral._write_rows(ours, header, *columns)
+    csv.writer(theirs).writerows([header, *zip(*columns)])
+    assert ours.getvalue() == theirs.getvalue()
+    if not columns[0]:
+        assert ours.getvalue() == ",".join(header) + "\r\n"
 
 
 def test_csv_label_column_position_is_free(tmp_path):
