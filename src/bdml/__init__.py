@@ -5,59 +5,46 @@ data and learned from equivalence/inequivalence pair constraints, either
 as a variational Gaussian posterior or as a penalized point estimate.
 Unlabeled pairs can then be ranked by predictive entropy for active
 acquisition, and metrics evaluated with a 1NN harness.
+
+``import bdml`` loads no submodule, and so no numpy.  Each name below is
+imported from its home module on first use (a PEP 562 module
+``__getattr__``), so a process pays only for the modules it touches:
+``bdml eval`` loads ``spectral``, ``kernels`` and ``metric`` (besides
+``cli`` and its numpy-free ``config``), and none of ``harness``,
+``active``, ``vb`` and ``mle``.
 """
 
-from . import active, harness, kernels, metric, mle, spectral, vb
-from .active import PairPool, PairScore, Scorer, entropy, laplace_posterior, plugin_posterior, score_pairs, select
-from .harness import ExperimentConfig, ResultRecord, SynthSpec, report, run_active_loop, synth_data
-from .metric import MetricModel, accuracy, distance, euclidean_knn, from_mle, from_posterior, knn_classify
-from .mle import MleSolution, mle_fit
-from .spectral import ConstraintSet, DataMatrix, EigenBasis, PairFeature, eigen_basis, load_csv, pair_feature, save_csv
-from .vb import PriorConfig, VariationalPosterior, fit
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstraintSet",
-    "DataMatrix",
-    "EigenBasis",
-    "ExperimentConfig",
-    "MetricModel",
-    "MleSolution",
-    "PairFeature",
-    "PairPool",
-    "PairScore",
-    "PriorConfig",
-    "ResultRecord",
-    "Scorer",
-    "SynthSpec",
-    "VariationalPosterior",
-    "accuracy",
-    "active",
-    "distance",
-    "eigen_basis",
-    "entropy",
-    "euclidean_knn",
-    "fit",
-    "from_mle",
-    "from_posterior",
-    "harness",
-    "kernels",
-    "knn_classify",
-    "laplace_posterior",
-    "load_csv",
-    "metric",
-    "mle",
-    "mle_fit",
-    "pair_feature",
-    "plugin_posterior",
-    "report",
-    "run_active_loop",
-    "save_csv",
-    "score_pairs",
-    "select",
-    "spectral",
-    "synth_data",
-    "vb",
-    "__version__",
-]
+_SUBMODULES = ("active", "config", "harness", "kernels", "metric", "mle", "spectral", "vb")
+_HOMES = {
+    "active": ("PairPool", "PairScore", "Scorer", "entropy", "laplace_posterior",
+               "plugin_posterior", "score_pairs", "select"),
+    "config": ("ExperimentConfig", "SynthSpec"),
+    "harness": ("ResultRecord", "report", "run_active_loop", "synth_data"),
+    "metric": ("MetricModel", "accuracy", "distance", "euclidean_knn", "from_mle",
+               "from_posterior", "knn_classify"),
+    "mle": ("MleSolution", "mle_fit"),
+    "spectral": ("ConstraintSet", "DataMatrix", "EigenBasis", "PairFeature", "eigen_basis",
+                 "load_csv", "pair_feature", "save_csv"),
+    "vb": ("PriorConfig", "VariationalPosterior", "fit"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted([*_HOME, *_SUBMODULES]) + ["__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # which binds it here
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return list(__all__)

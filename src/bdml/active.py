@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .config import STRATEGIES
 from .kernels import expit, log_expit, xlogx
 from .spectral import (
     ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical, _checked_pairs,
@@ -22,7 +23,6 @@ from .spectral import (
 )
 from .vb import VariationalPosterior
 
-STRATEGIES = ("RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR")
 MAX_ENTROPY = float(np.log(2.0))
 
 

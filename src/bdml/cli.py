@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, metric, vb
-from .active import STRATEGIES as SCORER_STRATEGIES
-from .active import PairPool, rank_pairs
-from .harness import EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, SynthSpec
+from . import metric
+from .config import STRATEGIES as SCORER_STRATEGIES
+from .config import EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, SynthSpec, model_prior
 from .spectral import _write_rows, eigen_basis, load_csv
 
 
@@ -105,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    from . import harness
+
     if args.synth is not None:
         args.synth = parse_synth_spec(args.synth)
     config = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
@@ -124,10 +125,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_score_pairs(args) -> int:
+    from . import harness
+    from .active import PairPool, rank_pairs
+
     fit = STRATEGY_TABLE[args.strategy].fit
     if args.save_model and fit is None:
         raise ValueError(f"{args.strategy} fits no model, nothing to save")
-    prior = vb.PriorConfig(gamma0=args.gamma0, delta=args.delta) if fit == "vb" else None
+    prior = model_prior(args.gamma0, args.delta, args.reg)
     data = load_csv(args.data_csv)
     if data.labels is None:
         raise ValueError("score-pairs needs a labeled CSV (oracle labels)")
@@ -162,11 +166,14 @@ def cmd_score_pairs(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        try:
-            model = metric.MetricModel.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.model}: not valid JSON ({exc})") from None
+    try:
+        with open(args.model, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.model}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.model}: not valid JSON ({exc})") from None
+    model = metric.MetricModel.from_dict(doc)
     train = load_csv(args.train)
     test = load_csv(args.test)
     if train.labels is None or test.labels is None:

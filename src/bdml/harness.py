@@ -15,37 +15,15 @@ import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from . import metric, mle, spectral, vb
 from .active import PairPool, Scorer, label_many, select_many
+from .config import (  # the run options and strategy table, kept importable from here
+    EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, Strategy, SynthSpec,
+)
 from .spectral import DataMatrix, EigenBasis, _freeze, eigen_basis, feature_matrix, load_csv
-
-
-class Strategy(NamedTuple):
-    """One row of the strategy table.
-
-    ``fit`` names the estimator: ``"mle"`` runs ``mle.fit_many``,
-    ``"vb"`` runs ``vb.fit_many`` and None fits nothing (see :func:`_fit_all`).
-    ``scorer`` is the ``Scorer`` tag of the acquisition rule, None for a
-    strategy that never acquires.
-    """
-
-    fit: str | None
-    scorer: str | None
-
-
-STRATEGY_TABLE = {
-    "RANDOM": Strategy(None, "RANDOM"),
-    "RANDOM_MLE": Strategy("mle", "RANDOM"),
-    "MLE_ACT": Strategy("mle", "MLE_ACT"),
-    "BAYES_ACT": Strategy("vb", "BAYES_ACT"),
-    "BAYES_VAR": Strategy("vb", "BAYES_VAR"),
-    "EUCLID": Strategy(None, None),
-}
-EXPERIMENT_STRATEGIES = ("RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID")
 
 
 def _seed_ints(*parts) -> list:
@@ -57,75 +35,6 @@ def _seed_ints(*parts) -> list:
         else:
             out.append(zlib.crc32(str(p).encode("utf-8")))
     return out
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Gaussian clusters: class means on unit axes, isotropic spread."""
-
-    classes: int = 3
-    per_class: int = 20
-    dim: int = 10
-    spread: float = 0.4
-
-    def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.per_class < 2:
-            raise ValueError("need at least 2 examples per class")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        if not self.spread > 0:
-            raise ValueError("spread must be positive")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    data_csv: str | None = None
-    synth: SynthSpec | None = None
-    pool_size: int = 50
-    n_test: int = 100
-    initial_pairs: int = 10
-    batch_size: int = 20
-    iterations: int = 5
-    strategies: tuple = EXPERIMENT_STRATEGIES
-    gamma0: float = 1.0
-    delta: float = 1.0
-    k: int | None = None
-    energy: float = 0.95
-    center: bool = True
-    standardize: bool = True
-    reg: float = 1e-6
-    repeats: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if (self.data_csv is None) == (self.synth is None):
-            raise ValueError("exactly one of data_csv and synth must be given")
-        if self.pool_size < 2:
-            raise ValueError("pool_size must be at least 2")
-        if self.n_test < 1 or self.initial_pairs < 1 or self.batch_size < 1:
-            raise ValueError("n_test, initial_pairs and batch_size must be positive")
-        if self.iterations < 0 or self.repeats < 1:
-            raise ValueError("iterations must be >= 0 and repeats >= 1")
-        budget = self.initial_pairs + self.batch_size * self.iterations
-        available = self.pool_size * (self.pool_size - 1) // 2
-        if budget > available:
-            raise ValueError(
-                f"label budget {budget} exceeds the {available} pairs "
-                f"a pool of {self.pool_size} examples offers"
-            )
-        strategies = tuple(self.strategies)
-        if not strategies:
-            raise ValueError("at least one strategy required")
-        for s in strategies:
-            if s not in EXPERIMENT_STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}")
-        if len(set(strategies)) != len(strategies):
-            raise ValueError("duplicate strategies")
-        object.__setattr__(self, "strategies", strategies)
-        vb.PriorConfig(gamma0=self.gamma0, delta=self.delta)
-        mle._check_reg(self.reg)
 
 
 @dataclass(frozen=True)

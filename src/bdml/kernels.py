@@ -14,8 +14,10 @@ import numpy as np
 
 # rows per kd leaf of the 1NN search; the splits stop at this many or fewer
 LEAF_ROWS = 256
-# elements of one query-block x rows x K distance computation (8 MB)
-BLOCK_ELEMS = 1 << 20
+# query x row (or leaf) elements of one block of distances (2 MB).  _sq_dist sums
+# coordinate by coordinate, so each of its temporaries holds that many whatever K
+# is; the kd search keeps a block's box distances while it merges rows into it
+BLOCK_ELEMS = 1 << 18
 
 
 def pair_sq_proj(proj, ii, jj):
@@ -37,7 +39,8 @@ def _sq_dist(queries, rows, hi=None):
         if hi is None:
             diff = q - rows[..., None, :, k]
         else:
-            diff = np.minimum(np.maximum(q, rows[..., None, :, k]), hi[..., None, :, k])
+            diff = np.maximum(q, rows[..., None, :, k])
+            np.minimum(diff, hi[..., None, :, k], out=diff)  # one temporary, not two
             np.subtract(q, diff, out=diff)
         out += np.multiply(diff, diff, out=diff)
     return out
@@ -68,7 +71,7 @@ def _nn1_search(train, queries, order, starts):
     lo, hi = np.minimum.reduceat(rows, starts[:-1]), np.maximum.reduceat(rows, starts[:-1])
     leaves = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
     out = np.empty(queries.shape[0], dtype=np.int64)
-    chunk = max(1, BLOCK_ELEMS // (len(leaves) * train.shape[1]))
+    chunk = max(1, BLOCK_ELEMS // len(leaves))
     for start in range(0, queries.shape[0], chunk):
         block = queries[start : start + chunk]
         bound = _sq_dist(block, lo, hi)
@@ -87,7 +90,7 @@ def _merge(block, sel, rows, ids, best, idx, assign=False):
     """Replace the (best, idx) of queries ``block[sel]`` by their nearest of
     ``rows`` (training rows ``ids``): with ``assign`` always, otherwise where
     it is nearer, or as near and lower."""
-    chunk = max(1, BLOCK_ELEMS // rows.size)
+    chunk = max(1, BLOCK_ELEMS // rows.shape[0])
     for start in range(0, sel.size, chunk):
         q = sel[start : start + chunk]
         d2 = _sq_dist(block[q], rows)
@@ -103,9 +106,9 @@ def nn1_exhaustive(train, queries):
     """Index of each query's nearest training row, ties to the lowest index,
     for one search or each of a stack: (..., n, K) rows and (..., q, K)
     queries give (..., q).  Every query against every row, in blocks of at
-    most ``BLOCK_ELEMS``."""
+    most ``BLOCK_ELEMS`` query-row distances."""
     out = np.empty(queries.shape[:-1], dtype=np.int64)
-    chunk = max(1, BLOCK_ELEMS // train.size)
+    chunk = max(1, BLOCK_ELEMS // (train.size // train.shape[-1]))
     for start in range(0, queries.shape[-2], chunk):
         block = queries[..., start : start + chunk, :]
         out[..., start : start + chunk] = _sq_dist(block, train).argmin(axis=-1)

@@ -8,13 +8,16 @@ space, so the dense d-by-d matrix never materializes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
-from .mle import MleSolution
 from .spectral import DataMatrix, EigenBasis, _freeze
-from .vb import VariationalPosterior
+
+if TYPE_CHECKING:  # the eval path loads no fit module
+    from .mle import MleSolution
+    from .vb import VariationalPosterior
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,11 @@ class MetricModel:
         basis = EigenBasis(*_entries(b, "model basis", "vectors", "eigenvalues", "center", "scale"))
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
             raise ValueError(f"model 'threshold' entry must be a number, got {threshold!r}")
-        return cls(basis, weights, float(threshold))
+        try:
+            threshold = float(threshold)
+        except OverflowError:  # an int past float's range; a float that far parses as inf
+            raise ValueError("model 'threshold' entry is an integer too large for a float") from None
+        return cls(basis, weights, threshold)
 
 
 def _entries(doc, what: str, *names) -> list:

@@ -197,6 +197,23 @@ def test_score_pairs_names_a_nan_reg(data_csv, capsys):
     assert printed.out == ""
 
 
+@pytest.mark.parametrize("strategy, option, message", [
+    ("BAYES_VAR", ["--reg", "inf"], "reg must be finite, got inf"),
+    ("MLE_ACT", ["--delta", "0"], "delta must be finite and > 0, got 0.0"),
+    ("RANDOM", ["--gamma0", "-1"], "gamma0 must be finite and >= 0, got -1.0"),
+])
+def test_score_pairs_checks_every_model_option(strategy, option, message, tmp_path, data_csv,
+                                               capsys):
+    # the rules run applies, whichever strategy fits
+    code = main(["score-pairs", "--data", data_csv, "--strategy", strategy, "--k", "2",
+                 "--out", str(tmp_path / "s.csv")] + option)
+    assert code == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: {message}\n"
+    assert printed.out == ""
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("strategy, module, attr, tag", [
     ("MLE_ACT", mle, "fit_many", "mle"),
     ("BAYES_VAR", vb, "fit_many", "vb"),
@@ -314,6 +331,33 @@ def test_eval_names_what_a_malformed_model_file_lacks(tmp_path, data_csv, capsys
                      "--train", data_csv, "--test", data_csv])
         assert code == 1
         assert capsys.readouterr().err == message
+
+
+def test_eval_names_a_threshold_too_large_for_a_float(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "model.json"
+    main([
+        "score-pairs", "--data", data_csv, "--strategy", "BAYES_ACT",
+        "--initial-pairs", "8", "--k", "2", "--no-standardize",
+        "--save-model", str(model_path), "--out", str(tmp_path / "s.csv"),
+    ])
+    doc = json.loads(model_path.read_text())
+    doc["threshold"] = 10**400
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_path), "--train", data_csv, "--test", data_csv])
+    assert code == 1
+    assert (capsys.readouterr().err
+            == "error: model 'threshold' entry is an integer too large for a float\n")
+
+
+def test_eval_names_a_model_file_that_is_not_utf8(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(b"\xff{}")
+    code = main(["eval", "--model", str(model_path), "--train", data_csv, "--test", data_csv])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {model_path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte)\n")
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):

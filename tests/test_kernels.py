@@ -91,8 +91,8 @@ def test_nn1_numpy_chunking_boundary(monkeypatch):
     queries = kernels.as_f64(rng.normal(size=(7, 2)))
     expected = _brute_nn1(train, queries)
     monkeypatch.setattr(kernels, "LEAF_ROWS", 1)  # nn1_indices: four one-row leaves
-    # blocks of 3, 3 and 1 queries; then one query per block
-    for budget in (3 * 4 * 2, 1):
+    # blocks of 3, 3 and 1 queries of 4 rows (or leaves); then one query per block
+    for budget in (3 * 4, 1):
         monkeypatch.setattr(kernels, "BLOCK_ELEMS", budget)
         npt.assert_array_equal(kernels.nn1_exhaustive(train, queries), expected)
         npt.assert_array_equal(kernels.nn1_indices(train, queries), expected)

@@ -299,22 +299,76 @@ def test_eval_runs_without_scipy_and_matches_the_exhaustive_search(tmp_path):
         "sys.exit(main(['eval', '--model', 'model.json', '--train', 'train.csv',"
         " '--test', 'test.csv']))\n"
     )
-    src = str(Path(bdml.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                         capture_output=True, text=True)
+    out = _fresh_python(code, cwd=tmp_path)
     assert out.returncode == 0 and out.stderr == "", out.stderr
     assert out.stdout == f"accuracy: {want:.4f} (n=1000)\n"
 
 
-def test_import_bdml_loads_no_scipy():
-    # scipy.special and scipy.linalg cost ~0.45 s per process; bdml needs neither
-    code = "import sys\nimport bdml\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+def _fresh_python(code, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports bdml from this tree."""
     src = str(Path(bdml.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_import_bdml_loads_no_scipy():
+    # scipy.special and scipy.linalg cost ~0.45 s per process; bdml needs neither
+    out = _fresh_python(
+        "import sys\nimport bdml\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_import_bdml_loads_no_submodule_and_no_numpy():
+    out = _fresh_python("import sys\nimport bdml\n"
+                        "print(sorted(m for m in sys.modules"
+                        " if m.startswith(('bdml.', 'numpy')) or m == 'numpy'))\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def test_eval_loads_no_fit_scoring_or_experiment_module(tmp_path):
+    data = bdml.synth_data(bdml.SynthSpec(classes=3, per_class=6, dim=4), seed=3)
+    model = _model(eigen_basis(data, k=2), np.array([1.0, 0.5]))
+    (tmp_path / "model.json").write_text(json.dumps(model.to_dict()), encoding="utf-8")
+    bdml.save_csv(data, tmp_path / "data.csv")
+    out = _fresh_python(
+        "import sys\n"
+        "from bdml.cli import main\n"
+        "code = main(['eval', '--model', 'model.json', '--train', 'data.csv',"
+        " '--test', 'data.csv'])\n"
+        "print(code, sorted({'bdml.harness', 'bdml.active', 'bdml.vb', 'bdml.mle'}"
+        " & set(sys.modules)))\n", cwd=tmp_path)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert out.stdout == "accuracy: 1.0000 (n=18)\n0 []\n"
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    # fresh, so each name is resolved by the package's own lookup on first use
+    out = _fresh_python(
+        "import importlib, sys\n"
+        "import bdml\n"
+        "for name in bdml.__all__:\n"
+        "    value = getattr(bdml, name)\n"
+        "    if name in bdml._SUBMODULES:\n"
+        "        assert value is sys.modules['bdml.' + name], name\n"
+        "    elif name != '__version__':\n"
+        "        home = importlib.import_module('bdml.' + bdml._HOME[name])\n"
+        "        assert value is getattr(home, name), name\n"
+        "        assert getattr(value, '__module__', home.__name__) == home.__name__, name\n"
+        "    assert name in dir(bdml), name\n"
+        "from bdml import MetricModel, vb\n"
+        "print(MetricModel is bdml.metric.MetricModel, vb is bdml.vb)\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True True\n"
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="module 'bdml' has no attribute 'no_such_name'"):
+        bdml.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from bdml import no_such_name  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
