@@ -15,8 +15,11 @@ fits of the README ``bdml run``, one ``fit_many`` call against 40
 ``fit_many`` calls of one problem each: the VB stack (20 repeats of
 BAYES_ACT and BAYES_VAR) through ``vb.fit_many`` and the MLE stack (20
 repeats of RANDOM_MLE and MLE_ACT) through ``mle.fit_many``.  Each
-stacked fit must give every problem its one-problem fit bit for bit, or
-the script fails.  The fifth table times the stacks of the same run's
+returns one stacked result, row n for problem n (a ``vb.PosteriorStack``
+or an ``mle.SolutionStack``); row n of every stacked fit must equal row 0
+of the problem's one-problem fit bit for bit (the raw means and bound
+trajectories of VB, the weights, objective, iterations and converged
+flag of MLE), or the script fails.  The fifth table times the stacks of the same run's
 iteration steps, the 1NN searches (``kernels.nn1_many``) and the pair
 scorings (``active._score_rows``), against the same work run by run:
 each search must give every run the indices of ``nn1_exhaustive``, each
@@ -224,12 +227,14 @@ def main():
         print(f"{shape:<32} {t_exh:>14.3f} {t_pruned:>10.3f} {leaves:>7}")
 
     prior = vb.PriorConfig(gamma0=README_CONFIG.gamma0, delta=README_CONFIG.delta)
-    # each fit kind: its fit of a stack, and what must agree bit for bit
+    # each fit kind: its fit of a stack, and what of row n of a stack must agree bit for bit
     fits = {
         vb: (lambda w, y: vb.fit_many(w, y, prior),
-             lambda a: (a.mu_raw.tobytes(), a.bound_trajectory)),
+             lambda s, n: (s.mu_raw[n].tobytes(),
+                           s.trajectories[n, : s.iterations[n] + 1].tobytes())),
         mle: (lambda w, y: mle.fit_many(w, y, reg=README_CONFIG.reg),
-              lambda a: (a.gamma.tobytes(), a.objective, a.iterations, a.converged)),
+              lambda s, n: (s.weights[n].tobytes(), s.objective[n], s.iterations[n],
+                            s.converged[n])),
     }
     stacks = readme_stacks()
     for module in (vb, mle):
@@ -239,8 +244,9 @@ def main():
         print(f"{'README ' + kind + ' stack':<32} {'fit_many ms':>14} {'n x fit ms':>10}")
         for t, (w, y, *_) in enumerate(stacks[module, "fit_many"]):
             singles = [(w[n : n + 1], y[n : n + 1]) for n in range(len(w))]
-            for stacked, single in zip(fit(w, y), singles):
-                if bits(stacked) != bits(fit(*single)[0]):
+            stacked = fit(w, y)
+            for n, single in enumerate(singles):
+                if bits(stacked, n) != bits(fit(*single), 0):
                     raise SystemExit(f"iteration {t}: stacked and single {kind} fits disagree")
             t_stack = best_ms(fit, (w, y), number=3, repeat=3)
             t_alone = best_ms(lambda: [fit(*s) for s in singles], (), number=3, repeat=3)

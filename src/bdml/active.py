@@ -219,8 +219,9 @@ def laplace_posterior_batch(mu, sigma, features) -> np.ndarray:
     p_plus_mode = expit(z)
     p_minus_mode = expit(-z)
     mu = mu[..., None, :]
-    g_plus = np.maximum(mu - p_plus_mode[..., None] * sw, 0.0)
-    g_minus = np.maximum(mu + p_minus_mode[..., None] * sw, 0.0)
+    g_plus, g_minus = (np.multiply(p[..., None], sw) for p in (p_plus_mode, p_minus_mode))
+    np.maximum(np.subtract(mu, g_plus, out=g_plus), 0.0, out=g_plus)  # one temporary each
+    np.maximum(np.add(mu, g_minus, out=g_minus), 0.0, out=g_minus)
     log_mass_plus = (log_expit(-np.einsum("...ij,...ij->...i", g_plus, w))
                      - 0.5 * p_plus_mode**2 * quad)
     log_mass_minus = (log_expit(np.einsum("...ij,...ij->...i", g_minus, w))

@@ -173,6 +173,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.model}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.model}: not valid JSON ({exc})") from None
+    except ValueError as exc:  # valid JSON Python will not read: an int past 4,300 digits
+        raise ValueError(f"{args.model}: {exc}") from None
     model = metric.MetricModel.from_dict(doc)
     train = load_csv(args.train)
     test = load_csv(args.test)

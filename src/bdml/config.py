@@ -14,8 +14,8 @@ from typing import NamedTuple
 class Strategy(NamedTuple):
     """One row of the strategy table.
 
-    ``fit`` names the estimator: ``"mle"`` runs ``mle.fit_many``,
-    ``"vb"`` runs ``vb.fit_many`` and None fits nothing (see ``harness._fit_all``).
+    ``fit`` names the estimator: ``"mle"`` fits a stack of problems by ``mle.fit_many``,
+    ``"vb"`` by ``vb.fit_many`` (see ``harness._fit_all``), and None fits nothing.
     ``scorer`` is the ``Scorer`` tag of the acquisition rule, None for a
     strategy that never acquires.
     """

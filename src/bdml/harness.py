@@ -144,44 +144,33 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
 
     Returns ``(model, scorer, estimate)``: the metric model, the scorer,
     and the fit's own result (an ``MleSolution`` or a
-    ``VariationalPosterior``).  Each is None where the strategy's table
-    row has no fit or no scorer.  ``prior`` is read by the ``vb``
-    fit only, ``reg`` by the ``mle`` fit only.
+    ``VariationalPosterior``, row 0 of a stack of one).  Each is None
+    where the strategy's table row has no fit or no scorer.  ``prior`` is
+    read by the ``vb`` fit only, ``reg`` by the ``mle`` fit only.
     """
     fit, tag = STRATEGY_TABLE[name]
-    problem = (feature_matrix(data, basis, constraints.pairs), constraints.labels)
-    [estimate] = _fit_all(fit, [problem], prior, reg)
-    gamma = _weights(fit, estimate)
-    model = None if gamma is None else metric.from_augmented(gamma, basis)
-    scorer = None
+    model = scorer = estimate = None
+    if fit is not None:
+        problem = (feature_matrix(data, basis, constraints.pairs), constraints.labels)
+        fitted = _fit_all(fit, [problem], prior, reg)
+        estimate = fitted.row(0)
+        model = metric.from_augmented(fitted.weights[0], basis)
     if tag == "RANDOM":
         scorer = Scorer.random()
     elif tag is not None:
-        scorer = Scorer(tag, data, basis, gamma, estimate.sigma if tag == "BAYES_VAR" else None)
+        scorer = Scorer(tag, data, basis, fitted.weights[0],
+                        fitted.sigma[0] if tag == "BAYES_VAR" else None)
     return model, scorer, estimate
 
 
 def _fit_all(fit, problems, prior, reg):
-    """One estimate per ``(features, labels)`` problem, by fit kind.
-
-    ``"mle"`` fits the problems as one :func:`mle.fit_many` stack, ``"vb"``
-    as one :func:`vb.fit_many` stack (so they must share their shape), and
-    None fits nothing.  The fits are looked up on their modules at call
-    time, so a wrapped one is the one that runs.
-    """
-    if fit is None:
-        return [None] * len(problems)
+    """The stacked fit of same-shape ``(features, labels)`` problems by ``"mle"``'s
+    :func:`mle.fit_many` or ``"vb"``'s :func:`vb.fit_many`, looked up on their
+    modules at call time, so a wrapped one is the one that runs."""
     stacks = (np.stack(a) for a in zip(*problems))
     if fit == "mle":
         return mle.fit_many(*stacks, reg=reg)
     return vb.fit_many(*stacks, prior)
-
-
-def _weights(fit, estimate):
-    """The augmented weight vector of a fit's ``estimate``, None for no fit."""
-    if fit == "mle":
-        return estimate.gamma
-    return estimate.mu if fit == "vb" else None
 
 
 @dataclass(frozen=True)
@@ -265,18 +254,18 @@ def _blamed_on(run: _Run, t: int):
 
 
 def _fit_iteration(runs, prior, reg):
-    """Every run's fit estimate, None for a run without a fit.
+    """Each fit group of ``runs`` as ``(fit, members, stack)``: its fit kind,
+    its runs' positions and their stacked fit, row n for ``members[n]``.
 
     Runs sharing the fit kind and the shape of their problem (constraint
-    count, basis size) are fitted by one :func:`_fit_all` call.
+    count, basis size) form a group, fitted by one :func:`_fit_all` call;
+    a run without a fit joins none.
     """
     problems = [run.problem() for run in runs]
-    estimates = [None] * len(runs)
-    keys = [(STRATEGY_TABLE[run.strategy].fit, w.shape) for run, (w, _) in zip(runs, problems)]
-    for (fit, _), members in _groups(keys).items():
-        for n, estimate in zip(members, _fit_all(fit, [problems[n] for n in members], prior, reg)):
-            estimates[n] = estimate
-    return estimates
+    kinds = [STRATEGY_TABLE[run.strategy].fit for run in runs]
+    groups = _groups([fit and (fit, w.shape) for fit, (w, _) in zip(kinds, problems)])
+    return [(fit, members, _fit_all(fit, [problems[n] for n in members], prior, reg))
+            for (fit, _), members in groups.items()]
 
 
 def _groups(keys):
@@ -292,24 +281,24 @@ def _groups(keys):
 STACK_ELEMS = 1 << 14
 
 
-def _stacks(members, per_run):
-    """``members`` cut into consecutive stacks of at most ``STACK_ELEMS``
-    elements, at ``per_run`` elements a run and one run at least."""
+def _stacks(count, per_run):
+    """Slices cutting ``count`` runs into consecutive stacks of at most
+    ``STACK_ELEMS`` elements, at ``per_run`` elements a run and one run at least."""
     size = max(1, STACK_ELEMS // max(1, per_run))
-    return [members[a : a + size] for a in range(0, len(members), size)]
+    return [slice(a, a + size) for a in range(0, count, size)]
 
 
 def _step(config, runs, labels, t, prior):
     """Iteration ``t`` of ``runs``, whose pool labels are the rows of ``labels``.
 
-    Returns every run's fit estimate and 1NN predictions, the positions in
-    ``labels`` of the runs that acquire, and their rows with the batch each
-    selects labeled by the oracle (none after the last).  Nothing is written.
+    Returns the fit groups of :func:`_fit_iteration`, every run's 1NN
+    predictions, the positions in ``labels`` of the runs that acquire, and
+    their rows with the batch each selects labeled by the oracle (none
+    after the last).  Nothing is written.
     """
-    estimates = _fit_iteration(runs, prior, config.reg)
-    weights = [_weights(STRATEGY_TABLE[run.strategy].fit, e) for run, e in zip(runs, estimates)]
-    predictions = _predict(runs, t, weights)
-    at, picks = _select(config, runs, labels, t, weights, estimates)
+    fits = _fit_iteration(runs, prior, config.reg)
+    predictions = _predict(runs, t, fits)
+    at, picks = _select(config, runs, labels, t, fits)
     relabeled = labels[at]
     if at:
         candidates = runs[0].state.pool.candidates  # every repeat's pool has all pool_size pairs
@@ -317,57 +306,62 @@ def _step(config, runs, labels, t, prior):
         classes = np.stack([runs[n].state.pool_data.labels for n in at])
         answers = _oracle(classes, candidates[picks, 0], candidates[picks, 1])
         label_many(relabeled, picks, answers, candidates)
-    return estimates, predictions, at, relabeled
+    return fits, predictions, at, relabeled
 
 
-def _predict(runs, t, weights):
+def _predict(runs, t, fits):
     """Every run's 1NN predictions at iteration ``t``: under the metric of its
-    fitted ``weights``, or, for a run without a fit, EUCLID's raw 1NN of
-    iteration 0.  Runs with the same train and test shapes search as one
-    stack."""
+    row of its group's fit, or, for a run without a fit, EUCLID's raw 1NN of
+    iteration 0.  Each fit group searches as stacks of its weight rows; every
+    repeat has the same train and test sizes."""
     predictions = [run.predictions for run in runs]
-    for n, (run, w) in enumerate(zip(runs, weights)):
-        if w is None and t == 0:  # no model, so every iteration has the same Euclidean 1NN
+    for n, run in enumerate(runs):
+        if STRATEGY_TABLE[run.strategy].fit is None and t == 0:  # the same at every iteration
             predictions[n] = metric.euclidean_knn(run.state.train, run.state.test)
-    groups = _groups([None if w is None else (run.state.train.n, run.state.test_proj.shape)
-                      for run, w in zip(runs, weights)])
-    for (n_train, (n_test, _)), members in groups.items():
-        for stack in _stacks(members, n_train * n_test):
-            states = [runs[n].state for n in stack]
-            predicted = metric.knn_many(np.stack([weights[n] for n in stack]),
+    for _, members, fitted in fits:
+        first = runs[members[0]].state
+        for part in _stacks(len(members), first.train.n * first.test.n):
+            states = [runs[n].state for n in members[part]]
+            predicted = metric.knn_many(fitted.weights[part],
                                         np.stack([s.train_proj for s in states]),
                                         np.stack([s.test_proj for s in states]),
                                         np.stack([s.train.labels for s in states]))
-            for n, p in zip(stack, predicted):
+            for n, p in zip(members[part], predicted):
                 predictions[n] = p
     return predictions
 
 
-def _select(config, runs, labels, t, weights, estimates):
+def _select(config, runs, labels, t, fits):
     """The batch each acquiring run selects at iteration ``t``, none after the last.
 
     Returns the runs' positions and a list of (stack, batch) arrays of
-    their picks, in that order.  Runs with the same acquisition rule and
-    basis size select as one stack from their repeats' whole feature
-    tables; each has labeled ``initial_pairs + t * batch_size`` of them.
+    their picks, in that order.  The runs of a fit group, or without a fit,
+    that share an acquisition rule select as one stack: RANDOM by seed alone,
+    an entropy rule from their repeats' whole feature tables under their
+    rows of the group's fit.  Each has labeled ``initial_pairs + t * batch_size``.
     """
-    tags = [STRATEGY_TABLE[run.strategy].scorer for run in runs] if t < config.iterations else []
-    groups = _groups([tag and (tag, run.state.features.shape[1]) for tag, run in zip(tags, runs)])
     at, picks = [], []
-    for (tag, width), members in groups.items():
-        for stack in _stacks(members, labels.shape[1] * width):
-            features = gamma = sigma = seeds = None
-            if tag == "RANDOM":
-                seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat, "select", t)
-                         for n in stack]
-            else:
-                features = np.stack([runs[n].state.features for n in stack])
-                gamma = np.stack([weights[n] for n in stack])
-            if tag == "BAYES_VAR":
-                sigma = np.stack([estimates[n].sigma for n in stack])
-            picks.append(select_many(tag, labels[stack], features, gamma, sigma,
-                                     config.batch_size, seeds))
-            at.extend(stack)
+    if t == config.iterations:
+        return at, picks
+    tags = [STRATEGY_TABLE[run.strategy].scorer for run in runs]
+    unfitted = [n for n, run in enumerate(runs) if STRATEGY_TABLE[run.strategy].fit is None]
+    for _, members, fitted in fits + [(None, unfitted, None)]:
+        for tag, rows in _groups([tags[n] for n in members]).items():
+            for part in _stacks(len(rows), runs[members[0]].state.features.size):
+                stack = [members[i] for i in rows[part]]
+                features = gamma = sigma = seeds = None
+                if tag == "RANDOM":
+                    seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat,
+                                        "select", t) for n in stack]
+                else:  # a one-run stack's table is passed as a view, not copied
+                    features = (np.stack([runs[n].state.features for n in stack])
+                                if len(stack) > 1 else runs[stack[0]].state.features[None])
+                    gamma = fitted.weights[rows[part]]
+                if tag == "BAYES_VAR":
+                    sigma = fitted.sigma[rows[part]]
+                picks.append(select_many(tag, labels[stack], features, gamma, sigma,
+                                         config.batch_size, seeds))
+                at.extend(stack)
     return at, picks
 
 
@@ -385,10 +379,11 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     their pool labels as one int8 (runs, m) matrix.  Within an iteration
     the fits of runs that share a fit kind, constraint count and basis
     size go through one :func:`_fit_all` call, which solves them as one
-    ``vb.fit_many`` or ``mle.fit_many`` stack.  The 1NN evaluations of
-    runs with the same basis size run as one stacked search, and the
-    selections of runs with the same acquisition rule as one stacked
-    scoring of their feature tables; then the oracle answers and the
+    ``vb.fit_many`` or ``mle.fit_many`` stack.  That stack stays the
+    group's for the iteration: its weight rows feed the group's stacked
+    1NN search and, per acquisition rule, the stacked scoring of its
+    runs' feature tables, and its flags the ``fit_tally``; no per-run
+    posterior or solution is built.  Then the oracle answers and the
     labels are written for all runs at once.  Stacks are cut at
     ``STACK_ELEMS`` elements.  Seeds derive from (seed, strategy,
     repeat, iteration), so the order changes no result; records come out
@@ -422,7 +417,7 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     truth = np.stack([run.state.test.labels for run in runs])
     for t in range(config.iterations + 1):
         try:
-            estimates, predictions, at, relabeled = _step(config, runs, labels, t, prior)
+            fits, predictions, at, relabeled = _step(config, runs, labels, t, prior)
         except Exception:
             for n, run in enumerate(runs):  # retake it run by run, so the error names its run
                 with _blamed_on(run, t):
@@ -430,9 +425,9 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
             raise
         accuracies = np.mean(np.stack(predictions) == truth, axis=1).tolist()
         n_pairs = config.initial_pairs + t * config.batch_size
-        for run, estimate, p, acc in zip(runs, estimates, predictions, accuracies):
-            if estimate is not None:
-                fit_tally[STRATEGY_TABLE[run.strategy].fit, estimate.converged] += 1
+        for fit, _, fitted in fits:
+            fit_tally.update((fit, c) for c in fitted.converged.tolist())
+        for run, p, acc in zip(runs, predictions, accuracies):
             run.predictions = p
             run.records.append(
                 ResultRecord(run.strategy, run.repeat, t, n_pairs, acc, 0.0, run.seed)

@@ -15,6 +15,7 @@ one problem as a stack of one, by the fit's own input check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,15 +48,36 @@ class MleSolution:
         g = np.asarray(self.gamma, dtype=np.float64)
         if g.ndim != 1:
             raise ValueError("gamma must be a vector")
-        if np.any(g < 0):
-            raise ValueError("gamma must be elementwise nonnegative")
-        if not np.isfinite(self.objective):
-            raise ValueError("objective must be finite")
+        _check_solutions(g, self.objective)
         object.__setattr__(self, "gamma", _freeze(g))
 
     @property
     def k(self) -> int:
         return self.gamma.shape[0] - 1
+
+
+def _check_solutions(gamma, objective):
+    """The rules of a solution's weights and objective, for one or a stack along
+    a leading axis: one failing problem fails the stack."""
+    if (gamma < 0).any():
+        raise ValueError("gamma must be elementwise nonnegative")
+    if not np.isfinite(objective).all():
+        raise ValueError("objective must be finite")
+
+
+class SolutionStack(NamedTuple):
+    """:func:`fit_many`'s r solutions as read-only arrays, row n for problem n,
+    with :class:`MleSolution`'s fields; ``weights`` are the (r, k+1) gammas."""
+
+    weights: np.ndarray
+    objective: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+
+    def row(self, n: int) -> MleSolution:
+        """Problem ``n``'s solution, as :func:`mle_fit` gives it."""
+        return MleSolution(gamma=self.weights[n], objective=float(self.objective[n]),
+                           converged=bool(self.converged[n]), iterations=int(self.iterations[n]))
 
 
 def _check_reg(reg) -> None:
@@ -213,12 +235,12 @@ def mle_fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
             max_iters: int = DEFAULT_MAX_ITERS) -> MleSolution:
     """:func:`fit_many` of one problem, the labeled pairs' feature rows and labels."""
     w = feature_matrix(data, basis, constraints.pairs)
-    return fit_many(w[None], constraints.labels[None], reg, tol, max_iters)[0]
+    return fit_many(w[None], constraints.labels[None], reg, tol, max_iters).row(0)
 
 
 def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,
-             max_iters: int = DEFAULT_MAX_ITERS) -> list:
-    """Maximize the penalized likelihood over the nonnegative orthant, one solution per problem.
+             max_iters: int = DEFAULT_MAX_ITERS) -> SolutionStack:
+    """Maximize the penalized likelihood over the nonnegative orthant, one stack of solutions.
 
     ``features`` is an (r, m, k+1) stack of r problems' constraint feature
     rows and ``labels`` the (r, m) stack of their labels.  Projected Newton
@@ -237,8 +259,9 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
 
     The problems advance in lockstep.  Each keeps its own start point,
     stop test, iteration cap and line search and is frozen once it stops,
-    so its solution is that of fitting it alone, bit for bit.  An error
-    in any problem fails the whole call.
+    so its row of the stack is that of fitting it alone, bit for bit.  An
+    error in any problem fails the whole call, the solution checks
+    included, which run once on the stack.
     """
     if not tol > 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
@@ -278,8 +301,5 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
         gamma[live[moved]], value[live[moved]] = trial[moved], trial_value[moved]
         live = live[moved]
 
-    return [
-        MleSolution(gamma=gamma[n], objective=float(value[n]),
-                    converged=bool(converged[n]), iterations=int(iterations[n]))
-        for n in range(r)
-    ]
+    _check_solutions(gamma, value)
+    return SolutionStack(*map(_freeze, (gamma, value, converged, iterations)))

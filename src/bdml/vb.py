@@ -10,6 +10,7 @@ update steps alternate in closed form, never decreasing the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,20 +64,48 @@ class VariationalPosterior:
         dim = mu.shape[0]
         if mu.ndim != 1 or sigma.shape != (dim, dim) or mu_raw.shape != (dim,):
             raise ValueError("inconsistent posterior shapes")
-        if np.abs(sigma - sigma.T).max() > 1e-10:
-            raise ValueError("sigma is not symmetric within 1e-10")
-        if np.linalg.eigvalsh(sigma).min() <= 0:
-            raise ValueError("sigma is not positive definite")
-        if xi.ndim != 1 or np.any(xi <= 0):
-            raise ValueError("all xi must be strictly positive")
-        if np.any(mu < 0):
-            raise ValueError("mu must be elementwise nonnegative post-clamp")
+        _check_posteriors(mu, sigma, xi)
         for name, value in (("mu", mu), ("sigma", sigma), ("xi", xi), ("mu_raw", mu_raw)):
             object.__setattr__(self, name, _freeze(value))
 
     @property
     def k(self) -> int:
         return self.mu.shape[0] - 1
+
+
+def _check_posteriors(mu, sigma, xi):
+    """The rules of a posterior's clamped mean, covariance and xi, for one posterior or
+    a stack of them along a leading axis: one failing problem fails the stack."""
+    if (np.abs(sigma - np.swapaxes(sigma, -1, -2)) > 1e-10).any():
+        raise ValueError("sigma is not symmetric within 1e-10")
+    if (np.linalg.eigvalsh(sigma).min(axis=-1) <= 0).any():
+        raise ValueError("sigma is not positive definite")
+    if xi.ndim != mu.ndim or (xi <= 0).any():
+        raise ValueError("all xi must be strictly positive")
+    if (mu < 0).any():
+        raise ValueError("mu must be elementwise nonnegative post-clamp")
+
+
+class PosteriorStack(NamedTuple):
+    """:func:`fit_many`'s r posteriors as read-only arrays, row n for problem
+    n, with :class:`VariationalPosterior`'s fields; ``weights`` are the clamped means."""
+
+    weights: np.ndarray  # (r, k+1)
+    mu_raw: np.ndarray  # (r, k+1)
+    sigma: np.ndarray  # (r, k+1, k+1)
+    xi: np.ndarray  # (r, m)
+    bound: np.ndarray  # (r,), as are iterations and converged
+    iterations: np.ndarray
+    converged: np.ndarray
+    trajectories: np.ndarray  # (r, t+1) bounds by iteration, row n's up to iterations[n]
+
+    def row(self, n: int) -> VariationalPosterior:
+        """Problem ``n``'s posterior, as :func:`fit` gives it."""
+        return VariationalPosterior(
+            mu=self.weights[n], sigma=self.sigma[n], xi=self.xi[n], bound=float(self.bound[n]),
+            iterations=int(self.iterations[n]), mu_raw=self.mu_raw[n],
+            bound_trajectory=tuple(self.trajectories[n, : self.iterations[n] + 1].tolist()),
+            converged=bool(self.converged[n]))
 
 
 def lambda_xi(xi):
@@ -256,18 +285,19 @@ def fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
     This is :func:`fit_many` of one problem, the pairs' feature rows.
     """
     w = feature_matrix(data, basis, constraints.pairs)
-    return fit_many(w[None], constraints.labels[None], prior, tol, max_iters, xi0=xi0)[0]
+    return fit_many(w[None], constraints.labels[None], prior, tol, max_iters, xi0=xi0).row(0)
 
 
 def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DEFAULT_TOL,
-             max_iters: int = DEFAULT_MAX_ITERS, *, xi0: float = 1.0) -> list:
-    """:func:`fit` of independent problems as one stacked solve, one posterior each.
+             max_iters: int = DEFAULT_MAX_ITERS, *, xi0: float = 1.0) -> PosteriorStack:
+    """:func:`fit` of independent problems as one stacked solve, one posterior stack.
 
     ``features`` is an (r, m, k+1) stack of r problems' constraint feature
     rows and ``labels`` the (r, m) stack of their ±1 labels.  Each problem
-    keeps its own stop test and is frozen once it passes, so its
-    posterior, iteration count and bound trajectory are those of fitting
-    it alone, bit for bit.  An error in any problem fails the whole call.
+    keeps its own stop test and is frozen once it passes, so its row of
+    the stack, iteration count and bound trajectory are those of fitting
+    it alone, bit for bit.  An error in any problem fails the whole call,
+    the posterior checks included, which run once on the stack.
     """
     if prior is None:
         prior = PriorConfig()
@@ -280,7 +310,7 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
     sigma = np.broadcast_to(np.eye(dim) / prior.delta, (r, dim, dim)).copy()
     lam = lambda_xi(xi)  # shared by each bound and the next E-step
     bound = _elbo(w, y, mu, sigma, xi, lam, prior)
-    trajectories = [[b] for b in bound.tolist()]
+    history = [bound.copy()]  # the bounds after each iteration; a frozen problem's stay put
     iterations = np.zeros(r, dtype=np.int64)
     converged = np.zeros(r, dtype=bool)
     live = np.arange(r)  # the problems still iterating
@@ -296,23 +326,13 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
         previous = bound[live]
         bound_l = _elbo(w_l, y_l, mu_l, sigma_l, xi[live], lam[live], prior)
         mu[live], sigma[live], bound[live], iterations[live] = mu_l, sigma_l, bound_l, it
-        for n, b in zip(live.tolist(), bound_l.tolist()):
-            trajectories[n].append(b)
+        history.append(bound.copy())
         done = np.abs(bound_l - previous) < tol * np.maximum(1.0, np.abs(previous))
         converged[live[done]] = True
         live = live[~done]
         if not live.size:
             break
-    return [
-        VariationalPosterior(
-            mu=np.maximum(mu[n], 0.0),
-            sigma=sigma[n],
-            xi=xi[n],
-            bound=float(bound[n]),
-            iterations=int(iterations[n]),
-            mu_raw=mu[n],
-            bound_trajectory=tuple(trajectories[n]),
-            converged=bool(converged[n]),
-        )
-        for n in range(r)
-    ]
+    weights = np.maximum(mu, 0.0)
+    _check_posteriors(weights, sigma, xi)
+    arrays = (weights, mu, sigma, xi, bound, iterations, converged, np.stack(history, axis=1))
+    return PosteriorStack(*map(_freeze, arrays))

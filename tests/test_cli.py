@@ -108,11 +108,12 @@ def test_run_reports_non_converged_fits_on_stderr_only(tmp_path, data_csv, capsy
     calls = []
 
     def every_other_unconverged(*args, _fn=mle.fit_many, **kwargs):
-        sols = []
-        for sol in _fn(*args, **kwargs):
+        fitted = _fn(*args, **kwargs)
+        flags = []
+        for converged in fitted.converged.tolist():
             calls.append(1)
-            sols.append(dataclasses.replace(sol, converged=len(calls) % 2 == 0 and sol.converged))
-        return sols
+            flags.append(len(calls) % 2 == 0 and converged)
+        return fitted._replace(converged=np.array(flags))
 
     monkeypatch.setattr(mle, "fit_many", every_other_unconverged)
     assert main(_run_args(data_csv, outs[1])) == 0
@@ -235,7 +236,8 @@ def test_score_pairs_warns_when_the_fit_did_not_converge(
 
     def stalled(*args, _fit=getattr(module, attr), **kwargs):
         fitted = _fit(*args, **kwargs)
-        return [dataclasses.replace(f, converged=False, iterations=77) for f in fitted]
+        return fitted._replace(converged=np.zeros_like(fitted.converged),
+                               iterations=np.full_like(fitted.iterations, 77))
 
     monkeypatch.setattr(module, attr, stalled)
     printed = run("stalled")
@@ -324,6 +326,12 @@ def test_eval_names_what_a_malformed_model_file_lacks(tmp_path, data_csv, capsys
         doc["threshold"] = threshold
         bad.append((json.dumps(doc), "error: model 'threshold' entry must be a number, "
                                      f"got {threshold!r}\n"))
+    # valid JSON whose 5,001-digit integer Python refuses to convert
+    doc["threshold"] = "HUGE"
+    content = json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000)
+    with pytest.raises(ValueError, match="Exceeds the limit") as limit:
+        json.loads(content)
+    bad.append((content, f"error: {model_path}: {limit.value}\n"))
     for content, message in bad:
         model_path.write_text(content)
         capsys.readouterr()

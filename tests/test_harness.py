@@ -544,6 +544,60 @@ def test_loop_fits_each_iterations_mle_runs_as_one_stack(monkeypatch):
     assert stacks == [((40, m, 3), (40, m), 5.0) for m in (10, 30, 50)]
 
 
+def test_the_loop_builds_no_per_run_posterior_or_solution(monkeypatch):
+    # the README bdml run reads its fits as stacks; only fit_strategy builds a row's object
+    config = ExperimentConfig(
+        synth=SynthSpec(classes=3, per_class=20, dim=10, spread=0.3),
+        pool_size=40, n_test=20, initial_pairs=10, batch_size=20, iterations=5,
+        strategies=EXPERIMENT_STRATEGIES, k=2, standardize=False, reg=5.0,
+        repeats=20, seed=0,
+    )
+    built = Counter()
+    for cls in (vb.VariationalPosterior, mle.MleSolution):
+        def counted(self, _fn=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _fn(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    fit_tally = Counter()
+    run_active_loop(config, fit_tally)
+    assert sum(fit_tally.values()) == 480  # 20 repeats x 4 fitting strategies x 6 iterations
+    assert built == Counter()
+
+    state = harness._prepare_repeat(config, _repeat_data(config, None, 0), 0)
+    prior = vb.PriorConfig()
+    for name in ("MLE_ACT", "BAYES_VAR", "EUCLID"):
+        fit_strategy(name, state.pool.labeled, state.pool_data, state.basis, prior, config.reg)
+    assert built == Counter({"MleSolution": 1, "VariationalPosterior": 1})
+
+
+def test_a_one_run_stack_selects_from_its_table_itself(monkeypatch):
+    # at pool 100 and k=3 a table holds 4,950 x 4 > STACK_ELEMS elements, so each
+    # entropy stack holds one run, whose table reaches select_many uncopied
+    config = ExperimentConfig(
+        synth=SynthSpec(classes=3, per_class=40, dim=5, spread=0.3), pool_size=100, n_test=20,
+        initial_pairs=10, batch_size=5, iterations=1, strategies=("MLE_ACT", "BAYES_VAR"),
+        k=3, standardize=False, repeats=2, seed=3,
+    )
+    assert 4950 * 4 > harness.STACK_ELEMS
+    runs, seen = [], []
+
+    def fit_iteration(loop_runs, *args, _fn=harness._fit_iteration):
+        runs[:] = loop_runs
+        return _fn(loop_runs, *args)
+
+    def select_many(strategy, labels, features, *args, _fn=harness.select_many):
+        # a repeat's runs share its table; the tag tells them apart
+        [run] = [run for run in runs
+                 if run.strategy == strategy and np.shares_memory(features, run.state.features)]
+        seen.append((features.shape, run.strategy, run.repeat))
+        return _fn(strategy, labels, features, *args)
+
+    monkeypatch.setattr(harness, "_fit_iteration", fit_iteration)
+    monkeypatch.setattr(harness, "select_many", select_many)
+    run_active_loop(config)
+    assert sorted(seen) == [((1, 4950, 4), s, r) for s in ("BAYES_VAR", "MLE_ACT") for r in (0, 1)]
+
+
 def _reference_advance(config, run, t, prior) -> None:
     """Iteration ``t`` of one run alone, as the loop took its runs before it
     stacked them: fit, model and scorer through :func:`fit_strategy`, then

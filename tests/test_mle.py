@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from bdml import kernels
+from bdml import kernels, mle
 from bdml.active import PairPool
 from bdml.harness import label_initial_pairs
 from bdml.mle import (
@@ -379,9 +379,13 @@ def _same_solution(a, b):
 def test_fit_many_gives_every_problem_its_alone_fit_bit_for_bit(seed, r, m, k, reg, max_iters):
     w, y = _stack(seed, r, m, k)
     stacked = fit_many(w, y, reg=reg, max_iters=max_iters)
-    assert len(stacked) == r
-    for n, sol in enumerate(stacked):
-        assert _same_solution(sol, fit_many(w[n:n+1], y[n:n+1], reg=reg, max_iters=max_iters)[0]), n
+    assert len(stacked.weights) == r
+    for n in range(r):
+        alone = fit_many(w[n:n+1], y[n:n+1], reg=reg, max_iters=max_iters).row(0)
+        assert _same_solution(stacked.row(n), alone), n
+        assert (stacked.weights[n].tobytes(), stacked.objective[n], stacked.iterations[n],
+                stacked.converged[n]) == (alone.gamma.tobytes(), alone.objective,
+                                          alone.iterations, alone.converged), n
 
 
 def test_fit_many_fails_whole_on_an_error_in_any_problem():
@@ -400,7 +404,9 @@ def test_fit_many_fails_whole_on_an_error_in_any_problem():
 
 def test_fit_many_validation():
     w, y = _stack(6, 2, 3, 2)
-    assert fit_many(w[:0], y[:0]) == []
+    empty = fit_many(w[:0], y[:0])
+    assert empty.weights.shape == (0, 3)
+    assert empty.objective.shape == empty.converged.shape == empty.iterations.shape == (0,)
     with pytest.raises(ValueError, match=r"need \(r, m, k\+1\) features and \(r, m\) labels"):
         fit_many(w[0], y[0])
     with pytest.raises(ValueError, match=r"got \(2, 3, 3\) and \(2, 2\)"):
@@ -411,6 +417,22 @@ def test_fit_many_validation():
         fit_many(w, y, max_iters=0)
     with pytest.raises(ValueError, match="reg must be >= 0, got -1.0"):
         fit_many(w, y, reg=-1.0)
+
+
+def test_solution_checks_fail_a_stack_on_any_problem():
+    # the checks of a fit_many stack are those of one solution, failing on any row
+    gamma, objective = np.zeros((3, 2)), np.full(3, -1.0)
+    mle._check_solutions(gamma, objective)
+    gamma[1, 1] = -0.1
+    with pytest.raises(ValueError, match="nonnegative"):
+        mle._check_solutions(gamma, objective)
+    objective[2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        mle._check_solutions(np.zeros((3, 2)), objective)
+    stack = fit_many(*_stack(7, 2, 3, 2))
+    for a in stack:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_solution_container_validation():

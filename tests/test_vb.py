@@ -344,6 +344,19 @@ def _assert_bitwise_equal(a, b):
     )
 
 
+def _assert_row_bitwise_equal(stack, n, post):
+    """Row ``n`` of a posterior stack, its arrays and the posterior it builds, is ``post``."""
+    for name, field in (("weights", "mu"), ("mu_raw", "mu_raw"), ("sigma", "sigma"), ("xi", "xi")):
+        assert getattr(stack, name)[n].tobytes() == getattr(post, field).tobytes(), name
+    assert (stack.bound[n], stack.iterations[n], stack.converged[n]) == (
+        post.bound, post.iterations, post.converged
+    )
+    its = stack.iterations[n]  # the row's trajectory, then its bound while the others iterate
+    assert tuple(stack.trajectories[n, : its + 1].tolist()) == post.bound_trajectory
+    assert (stack.trajectories[n, its:] == post.bound).all()
+    _assert_bitwise_equal(stack.row(n), post)
+
+
 def _stacked(problems):
     """The (features, labels) stacks of ``(constraints, data, basis)`` problems."""
     w = np.stack([feature_matrix(d, b, c.pairs) for c, d, b in problems])
@@ -364,10 +377,10 @@ def test_fit_many_equals_fit_on_each_problem(clusters, clusters_basis):
     prior = PriorConfig(gamma0=0.5, delta=2.0)
     stacked = fit_many(*_stacked(problems), prior)
     alone = [fit(*p, prior) for p in problems]
-    assert all(post.converged for post in stacked)
-    assert len({post.iterations for post in stacked}) > 1  # frozen at different times
-    for a, b in zip(stacked, alone):
-        _assert_bitwise_equal(a, b)
+    assert stacked.converged.all()
+    assert len(set(stacked.iterations.tolist())) > 1  # frozen at different times
+    for n, post in enumerate(alone):
+        _assert_row_bitwise_equal(stacked, n, post)
 
 
 def test_fit_many_equals_fit_when_one_problem_needs_jitter(monkeypatch):
@@ -400,14 +413,17 @@ def test_fit_many_equals_fit_when_one_problem_needs_jitter(monkeypatch):
     stacked = fit_many(*_stacked(problems), prior, max_iters=30, xi0=1e-10)
     assert True in failed_alone and False in failed_alone
     alone = [fit(*p, prior, max_iters=30, xi0=1e-10) for p in problems]
-    assert stacked[0].converged and stacked[0].iterations < 30
-    for a, b in zip(stacked, alone):
-        _assert_bitwise_equal(a, b)
+    assert stacked.converged[0] and stacked.iterations[0] < 30
+    for n, post in enumerate(alone):
+        _assert_row_bitwise_equal(stacked, n, post)
 
 
 def test_fit_many_validation(clusters, clusters_basis):
     w = feature_matrix(clusters, clusters_basis, ((0, 1), (0, 20)))[None]
-    assert fit_many(w[:0], np.ones((0, 2))) == []
+    empty = fit_many(w[:0], np.ones((0, 2)))
+    assert (empty.weights.shape, empty.sigma.shape, empty.xi.shape) == ((0, 4), (0, 4, 4), (0, 2))
+    assert empty.bound.shape == empty.iterations.shape == empty.converged.shape == (0,)
+    assert len(empty.trajectories) == 0
     # a stack shares the constraint count and the basis size by its shape
     with pytest.raises(ValueError, match=r"\(r, m, k\+1\) features and \(r, m\) labels"):
         fit_many(w[0], np.ones(2))
@@ -443,6 +459,27 @@ def test_posterior_validation():
         VariationalPosterior(**{**ok, "mu": np.array([-0.1, 0.0])})
     with pytest.raises(ValueError, match="shapes"):
         VariationalPosterior(**{**ok, "mu_raw": np.zeros(3)})
+
+
+def test_posterior_checks_fail_a_stack_on_any_problem():
+    # the checks of a fit_many stack are those of one posterior, failing on any row
+    ok = dict(mu=np.zeros((3, 2)), sigma=np.stack([np.eye(2)] * 3), xi=np.ones((3, 4)))
+    vb._check_posteriors(**ok)
+    bad = {"symmetric": ("sigma", (1, 0, 1), 0.5), "positive definite": ("sigma", (2, 1, 1), 0.0),
+           "strictly positive": ("xi", (1, 3), 0.0), "nonnegative": ("mu", (2, 0), -0.1)}
+    for message, (name, at, value) in bad.items():
+        arrays = {key: a.copy() for key, a in ok.items()}
+        arrays[name][at] = value
+        with pytest.raises(ValueError, match=message):
+            vb._check_posteriors(**arrays)
+
+
+def test_fit_many_returns_read_only_arrays(clusters, clusters_basis):
+    stack = fit_many(feature_matrix(clusters, clusters_basis, ((0, 1), (0, 20)))[None],
+                     np.array([[1.0, -1.0]]))
+    for a in stack:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_prior_validation():
