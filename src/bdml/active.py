@@ -4,7 +4,8 @@ Three posterior notions feed the same entropy criterion: a plug-in
 sigmoid at a point estimate, the same thing at the posterior mean, and a
 Laplacian approximation that integrates the pair likelihood against the
 Gaussian posterior around a pair of clamped modes.  Random selection is
-the control.
+the control.  Each formula is written once, over the feature rows of one
+problem or a stack; the one-pair functions are row 0 of it.
 """
 
 from __future__ import annotations
@@ -145,83 +146,67 @@ def entropy(p_plus):
     return h
 
 
-def _omega_vector(omega) -> np.ndarray:
-    if isinstance(omega, PairFeature):
-        return omega.omega
-    return np.asarray(omega, dtype=np.float64)
+def _row(omega) -> np.ndarray:
+    """A pair's feature vector, an array or a :class:`PairFeature`, as a (1, k+1) row."""
+    w = np.asarray(omega.omega if isinstance(omega, PairFeature) else omega, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError(f"omega must be one feature vector, got shape {w.shape}")
+    return w[None]
+
+
+def _plugin_rows(gamma, w):
+    """sigma(-gamma.w) for each feature row: (..., m, k+1) and (..., k+1) give (..., m)."""
+    return expit(-kernels.mat_vec(w, gamma))
 
 
 def plugin_posterior(gamma, omega) -> float:
     """Similarity probability at a point estimate: sigma(-gamma.omega)."""
-    w = _omega_vector(omega)
-    g = np.asarray(gamma, dtype=np.float64)
-    return float(expit(-(g @ w)))
+    return float(_plugin_rows(np.asarray(gamma, dtype=np.float64), _row(omega))[0])
+
+
+def _modes(mu, sigma, w):
+    """``(w.Sigma, expit(mu.w), expit(-mu.w), g_plus, g_minus)`` for each feature row ``w``,
+    the modes as :func:`laplace_gamma` gives them; shapes as in :func:`laplace_posterior_batch`."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sw = w @ kernels.as_f64(sigma)
+    z = kernels.mat_vec(w, mu)
+    p_plus, p_minus = expit(z), expit(-z)
+    mu = mu[..., None, :]
+    g_plus, g_minus = (np.multiply(p[..., None], sw) for p in (p_plus, p_minus))
+    np.maximum(np.subtract(mu, g_plus, out=g_plus), 0.0, out=g_plus)  # one temporary each
+    np.maximum(np.add(mu, g_minus, out=g_minus), 0.0, out=g_minus)
+    return sw, p_plus, p_minus, g_plus, g_minus
 
 
 def laplace_gamma(mu, sigma, omega, sign: int) -> np.ndarray:
-    """Approximate mode of the gamma integrand for one pair outcome.
-
-    ``sign`` +1 targets the similar outcome, -1 the dissimilar one; the
-    mode is the mean nudged against the outcome's slope and clamped to
-    the nonnegative orthant.
-    """
+    """Approximate mode of the gamma integrand for the similar (``sign`` +1) or the
+    dissimilar (-1) outcome of one pair: the mean nudged against the outcome's slope,
+    mu -/+ p (Sigma omega) with p = expit(+/-mu.omega), clamped to the nonnegative orthant."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    w = _omega_vector(omega)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = kernels.as_f64(sigma)
-    p = expit(sign * float(mu @ w))
-    return np.maximum(mu - sign * p * (sigma @ w), 0.0)
+    g_plus, g_minus = _modes(mu, sigma, _row(omega))[3:]
+    return (g_plus if sign == 1 else g_minus)[0]
 
 
 def laplace_posterior(mu, sigma, omega) -> float:
-    """Similarity probability integrating the Gaussian posterior.
-
-    Each outcome gets an unnormalized mass: its sigmoid at the clamped
-    mode times a Gaussian volume factor driven by the pair's projected
-    variance.  Masses are combined in log space, so the normalized
-    result is exact and overflow-safe for margins in the hundreds.
-    """
-    w = _omega_vector(omega)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = kernels.as_f64(sigma)
-    quad = float(w @ (sigma @ w))
-    z = float(mu @ w)
-    p_plus_mode = expit(z)
-    p_minus_mode = expit(-z)
-    g_plus = laplace_gamma(mu, sigma, w, 1)
-    g_minus = laplace_gamma(mu, sigma, w, -1)
-    log_mass_plus = log_expit(-(g_plus @ w)) - 0.5 * p_plus_mode**2 * quad
-    log_mass_minus = log_expit(g_minus @ w) - 0.5 * p_minus_mode**2 * quad
-    if np.isneginf(log_mass_plus) and np.isneginf(log_mass_minus):
-        raise ValueError(
-            f"both outcome masses underflow to zero (omega.Sigma.omega = {quad:.6e})"
-        )
-    return float(expit(log_mass_plus - log_mass_minus))
+    """:func:`laplace_posterior_batch` for one pair, a vector or a :class:`PairFeature`."""
+    return float(laplace_posterior_batch(mu, sigma, _row(omega))[0])
 
 
 def laplace_posterior_batch(mu, sigma, features) -> np.ndarray:
-    """:func:`laplace_posterior` for every row of a feature matrix at once.
+    """Similarity probability of every row of a feature matrix, integrating the Gaussian posterior.
 
-    Each term of the scalar form is a row-wise closed form: the projected
-    variance omega.Sigma.omega, the two clamped modes and the two log
-    masses.  Agrees with the scalar function to rounding.  Takes one
-    posterior or a stack: (..., m, k+1) features with (..., k+1) means and
-    (..., k+1, k+1) covariances give (..., m), each problem's probabilities
-    bit for bit as alone.
+    Each outcome gets an unnormalized mass: its sigmoid at the clamped
+    mode (:func:`laplace_gamma`) times a Gaussian volume factor driven by
+    the pair's projected variance omega.Sigma.omega.  Masses are combined
+    in log space, so the normalized result is exact and overflow-safe for
+    margins in the hundreds.  Takes one posterior or a stack: (..., m, k+1)
+    features with (..., k+1) means and (..., k+1, k+1) covariances give
+    (..., m), each problem's probabilities bit for bit as alone.
     """
     w = kernels.as_f64(features)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = kernels.as_f64(sigma)
-    sw = w @ sigma
+    sw, p_plus_mode, p_minus_mode, g_plus, g_minus = _modes(mu, sigma, w)
     quad = np.einsum("...ij,...ij->...i", sw, w)
-    z = kernels.mat_vec(w, mu)
-    p_plus_mode = expit(z)
-    p_minus_mode = expit(-z)
-    mu = mu[..., None, :]
-    g_plus, g_minus = (np.multiply(p[..., None], sw) for p in (p_plus_mode, p_minus_mode))
-    np.maximum(np.subtract(mu, g_plus, out=g_plus), 0.0, out=g_plus)  # one temporary each
-    np.maximum(np.add(mu, g_minus, out=g_minus), 0.0, out=g_minus)
     log_mass_plus = (log_expit(-np.einsum("...ij,...ij->...i", g_plus, w))
                      - 0.5 * p_plus_mode**2 * quad)
     log_mass_minus = (log_expit(np.einsum("...ij,...ij->...i", g_minus, w))
@@ -314,7 +299,7 @@ def _score_rows(strategy, gamma, sigma, w):
     if strategy == "BAYES_VAR":
         p_plus = laplace_posterior_batch(gamma, sigma, w)
     else:
-        p_plus = expit(-kernels.mat_vec(w, gamma))
+        p_plus = _plugin_rows(gamma, w)
     return p_plus, entropy(p_plus)
 
 

@@ -187,8 +187,9 @@ def _jittered_factor(precision: np.ndarray) -> np.ndarray:
 
 
 def _row_quad_forms(w, mat):
-    """w_i . mat . w_i for each row of each problem: (r, m, d) and (r, d, d) give (r, m)."""
-    return np.einsum("rij,rij->ri", w @ mat, w)
+    """w_i . mat . w_i for each row of one problem or each of a stack: (..., m, d) and
+    (..., d, d) give (..., m)."""
+    return np.einsum("...ij,...ij->...i", w @ mat, w)
 
 
 def e_step(features, labels, xi, prior: PriorConfig, *, clamp: bool = True):
@@ -226,8 +227,6 @@ def m_step(features, mu, sigma) -> np.ndarray:
     w = kernels.as_f64(features)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = kernels.as_f64(sigma)
-    if w.ndim == 2:
-        return m_step(w[None], mu[None], sigma[None])[0]
     mean_part = kernels.mat_vec(w, mu)
     quad = np.maximum(_row_quad_forms(w, sigma), 0.0)
     return np.sqrt(mean_part * mean_part + quad)

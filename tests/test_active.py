@@ -4,13 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from bdml.active import (
     MAX_ENTROPY,
     PairPool,
     PairScore,
     Scorer,
+    _modes,
+    _plugin_rows,
     entropy,
     laplace_gamma,
     laplace_posterior,
@@ -21,7 +23,7 @@ from bdml.active import (
     select,
     select_many,
 )
-from bdml.spectral import ConstraintSet, DataMatrix, EigenBasis, feature_matrix
+from bdml.spectral import ConstraintSet, DataMatrix, EigenBasis, PairFeature, feature_matrix
 from bdml.vb import PriorConfig, fit
 
 
@@ -395,13 +397,8 @@ def test_laplace_uncertainty_dominates_plugin_in_the_interior():
     assert checked >= 25
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    sigma_scale=st.floats(0.05, 1.0),
-    margins=st.lists(st.floats(-400.0, 400.0), max_size=8),
-)
-def test_laplace_posterior_batch_matches_scalar(seed, sigma_scale, margins):
+def _hundreds_instance(seed, sigma_scale, margins):
+    """Mean, covariance and feature rows with margins in the hundreds and clamped modes."""
     _, sigma, _ = _posterior_instance(seed, scale=sigma_scale)
     rng = np.random.default_rng(seed)
     # Margins in the hundreds come from large weights on moderate features;
@@ -426,9 +423,64 @@ def test_laplace_posterior_batch_matches_scalar(seed, sigma_scale, margins):
         mu + expit(-(w @ mu))[:, None] * (w @ sigma),
     )
     assert np.any(clamps < 0)  # some mode leaves the orthant and clamps to 0
+    return mu, sigma, w
+
+
+_HUNDREDS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    sigma_scale=st.floats(0.05, 1.0),
+    margins=st.lists(st.floats(-400.0, 400.0), max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_HUNDREDS)
+def test_laplace_posterior_batch_matches_scalar(seed, sigma_scale, margins):
+    mu, sigma, w = _hundreds_instance(seed, sigma_scale, margins)
+    batch = laplace_posterior_batch(mu, sigma, w)
     scalar = [laplace_posterior(mu, sigma, row) for row in w]
-    npt.assert_allclose(laplace_posterior_batch(mu, sigma, w), scalar,
-                        rtol=0, atol=1e-12)
+    npt.assert_allclose(batch, scalar, rtol=0, atol=1e-12)
+    oracle = []  # the modes and log masses per row, independent of bdml
+    for row in w:
+        z, quad = mu @ row, row @ sigma @ row
+        g_plus = np.maximum(mu - expit(z) * (sigma @ row), 0.0)
+        g_minus = np.maximum(mu + expit(-z) * (sigma @ row), 0.0)
+        lm_plus = log_expit(-(g_plus @ row)) - 0.5 * expit(z) ** 2 * quad
+        lm_minus = log_expit(g_minus @ row) - 0.5 * expit(-z) ** 2 * quad
+        oracle.append(expit(lm_plus - lm_minus))
+    npt.assert_allclose(batch, oracle, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_HUNDREDS)
+def test_one_pair_functions_are_rows_of_the_batch_core(seed, sigma_scale, margins):
+    mu, sigma, w = _hundreds_instance(seed, sigma_scale, margins)
+    # each row as a one-row problem of a stack: a row of a larger matrix can
+    # take other BLAS kernels, and so other rounding, than the same row alone
+    rows = w[:, None]
+    npt.assert_array_equal([laplace_posterior(mu, sigma, row) for row in w],
+                           laplace_posterior_batch(mu, sigma, rows)[:, 0])
+    _, _, _, g_plus, g_minus = _modes(mu, sigma, rows)
+    for sign, modes in ((1, g_plus), (-1, g_minus)):
+        npt.assert_array_equal([laplace_gamma(mu, sigma, row, sign) for row in w], modes[:, 0])
+    npt.assert_array_equal([plugin_posterior(mu, row) for row in w],
+                           _plugin_rows(mu, rows)[:, 0])
+
+
+def test_one_pair_functions_take_pair_features_lists_and_nan():
+    mu, sigma, omega = _posterior_instance(7)
+    feature = PairFeature(omega)
+    assert plugin_posterior(mu.tolist(), feature) == plugin_posterior(mu, omega)
+    assert laplace_posterior(mu, sigma.tolist(), feature) == laplace_posterior(mu, sigma, omega)
+    for sign in (1, -1):
+        npt.assert_array_equal(laplace_gamma(mu, sigma.tolist(), feature, sign),
+                               laplace_gamma(mu, sigma, omega, sign))
+    assert np.isnan(plugin_posterior([np.nan, 1.0], [-1.0, 2.0]))  # nan in, nan out
+    for bad in (omega[None], 1.0):
+        for call in (lambda: plugin_posterior(mu, bad), lambda: laplace_posterior(mu, sigma, bad),
+                     lambda: laplace_gamma(mu, sigma, bad, 1)):
+            with pytest.raises(ValueError, match="omega must be one feature vector"):
+                call()
 
 
 def test_laplace_posterior_batch_flags_the_underflowing_row():
