@@ -15,8 +15,9 @@ fits of the README ``bdml run``, one ``fit_many`` call against 40
 ``fit_many`` calls of one problem each: the VB stack (20 repeats of
 BAYES_ACT and BAYES_VAR) through ``vb.fit_many`` and the MLE stack (20
 repeats of RANDOM_MLE and MLE_ACT) through ``mle.fit_many``.  Each
-returns one stacked result, row n for problem n (a ``vb.PosteriorStack``
-or an ``mle.SolutionStack``); row n of every stacked fit must equal row 0
+returns one checked stacked result, row n for problem n (a
+``vb.VariationalPosterior`` or an ``mle.MleSolution`` holding a stack
+along a leading axis); row n of every stacked fit must equal row 0
 of the problem's one-problem fit bit for bit (the raw means and bound
 trajectories of VB, the weights, objective, iterations and converged
 flag of MLE), or the script fails.  The fifth table times the stacks of the same run's
@@ -231,7 +232,7 @@ def main():
     fits = {
         vb: (lambda w, y: vb.fit_many(w, y, prior),
              lambda s, n: (s.mu_raw[n].tobytes(),
-                           s.trajectories[n, : s.iterations[n] + 1].tobytes())),
+                           s.bound_trajectory[n, : s.iterations[n] + 1].tobytes())),
         mle: (lambda w, y: mle.fit_many(w, y, reg=README_CONFIG.reg),
               lambda s, n: (s.weights[n].tobytes(), s.objective[n], s.iterations[n],
                             s.converged[n])),

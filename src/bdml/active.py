@@ -10,7 +10,6 @@ problem or a stack; the one-pair functions are row 0 of it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .config import STRATEGIES
 from .kernels import expit, log_expit, xlogx
 from .spectral import (
     ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical, _checked_pairs,
-    _freeze, feature_matrix,
+    _freeze, _replaced, feature_matrix,
 )
 from .vb import VariationalPosterior
 
@@ -82,9 +81,7 @@ class PairPool:
         pos, y = np.asarray(positions, dtype=np.int64).ravel(), np.asarray(labels).ravel()
         labels = self.labels.copy()
         label_many(labels[None], pos[None], y[None], self.candidates)
-        pool = copy.copy(self)  # shares the read-only candidates
-        object.__setattr__(pool, "labels", _freeze(labels))
-        return pool
+        return _replaced(self, labels=_freeze(labels))  # shares the read-only candidates
 
 
 def label_many(labels, positions, y, candidates) -> None:

@@ -14,8 +14,9 @@ from typing import NamedTuple
 class Strategy(NamedTuple):
     """One row of the strategy table.
 
-    ``fit`` names the estimator: ``"mle"`` fits a stack of problems by ``mle.fit_many``,
-    ``"vb"`` by ``vb.fit_many`` (see ``harness._fit_all``), and None fits nothing.
+    ``fit`` names the estimator: ``"mle"`` fits a stack of problems by ``mle.fit_many``
+    into one ``MleSolution``, ``"vb"`` by ``vb.fit_many`` into one
+    ``VariationalPosterior`` (see ``harness._fit_all``), and None fits nothing.
     ``scorer`` is the ``Scorer`` tag of the acquisition rule, None for a
     strategy that never acquires.
     """

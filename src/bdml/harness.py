@@ -143,8 +143,8 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     """Run the fit of strategy ``name`` and build its scorer.
 
     Returns ``(model, scorer, estimate)``: the metric model, the scorer,
-    and the fit's own result (an ``MleSolution`` or a
-    ``VariationalPosterior``, row 0 of a stack of one).  Each is None
+    and the fit's own result, an ``MleSolution`` or a ``VariationalPosterior``
+    of one problem: ``row(0)`` of the checked stack of one.  Each is None
     where the strategy's table row has no fit or no scorer.  ``prior`` is
     read by the ``vb`` fit only, ``reg`` by the ``mle`` fit only.
     """
@@ -164,7 +164,7 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
 
 
 def _fit_all(fit, problems, prior, reg):
-    """The stacked fit of same-shape ``(features, labels)`` problems by ``"mle"``'s
+    """The checked stacked fit of same-shape ``(features, labels)`` problems by ``"mle"``'s
     :func:`mle.fit_many` or ``"vb"``'s :func:`vb.fit_many`, looked up on their
     modules at call time, so a wrapped one is the one that runs."""
     stacks = (np.stack(a) for a in zip(*problems))
@@ -378,12 +378,12 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     (repeat, strategy) runs take iteration 0, then 1, and so on, with
     their pool labels as one int8 (runs, m) matrix.  Within an iteration
     the fits of runs that share a fit kind, constraint count and basis
-    size go through one :func:`_fit_all` call, which solves them as one
-    ``vb.fit_many`` or ``mle.fit_many`` stack.  That stack stays the
-    group's for the iteration: its weight rows feed the group's stacked
-    1NN search and, per acquisition rule, the stacked scoring of its
-    runs' feature tables, and its flags the ``fit_tally``; no per-run
-    posterior or solution is built.  Then the oracle answers and the
+    size go through one :func:`_fit_all` call: one ``vb.fit_many`` or
+    ``mle.fit_many`` stack, a checked ``VariationalPosterior`` or
+    ``MleSolution``, stays the group's for the iteration.  Its ``weights``
+    rows feed the group's stacked 1NN search and, per acquisition rule,
+    the stacked scoring of its runs' feature tables, and its flags the
+    ``fit_tally``; no per-run object is built.  Then the oracle answers and the
     labels are written for all runs at once.  Stacks are cut at
     ``STACK_ELEMS`` elements.  Seeds derive from (seed, strategy,
     repeat, iteration), so the order changes no result; records come out

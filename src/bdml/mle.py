@@ -15,12 +15,11 @@ one problem as a stack of one, by the fit's own input check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .spectral import ConstraintSet, DataMatrix, EigenBasis, _freeze, feature_matrix
+from .spectral import ConstraintSet, DataMatrix, EigenBasis, _freeze, _replaced, feature_matrix
 
 DEFAULT_REG = 1e-6
 DEFAULT_TOL = 1e-6
@@ -39,6 +38,8 @@ STALL_ULPS = 4
 
 @dataclass(frozen=True)
 class MleSolution:
+    """Nonnegative weights at a finite objective, of one problem or a stack along a leading axis."""
+
     gamma: np.ndarray
     objective: float
     converged: bool
@@ -46,38 +47,26 @@ class MleSolution:
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=np.float64)
-        if g.ndim != 1:
-            raise ValueError("gamma must be a vector")
-        _check_solutions(g, self.objective)
+        if not g.ndim or g.shape[:-1] != np.shape(self.objective):
+            raise ValueError("gamma must be one vector per objective")
+        if (g < 0).any():
+            raise ValueError("gamma must be elementwise nonnegative")
+        if not np.isfinite(self.objective).all():
+            raise ValueError("objective must be finite")
         object.__setattr__(self, "gamma", _freeze(g))
 
     @property
     def k(self) -> int:
-        return self.gamma.shape[0] - 1
+        return self.gamma.shape[-1] - 1
 
-
-def _check_solutions(gamma, objective):
-    """The rules of a solution's weights and objective, for one or a stack along
-    a leading axis: one failing problem fails the stack."""
-    if (gamma < 0).any():
-        raise ValueError("gamma must be elementwise nonnegative")
-    if not np.isfinite(objective).all():
-        raise ValueError("objective must be finite")
-
-
-class SolutionStack(NamedTuple):
-    """:func:`fit_many`'s r solutions as read-only arrays, row n for problem n,
-    with :class:`MleSolution`'s fields; ``weights`` are the (r, k+1) gammas."""
-
-    weights: np.ndarray
-    objective: np.ndarray
-    converged: np.ndarray
-    iterations: np.ndarray
+    @property
+    def weights(self) -> np.ndarray:
+        return self.gamma
 
     def row(self, n: int) -> MleSolution:
-        """Problem ``n``'s solution, as :func:`mle_fit` gives it."""
-        return MleSolution(gamma=self.weights[n], objective=float(self.objective[n]),
-                           converged=bool(self.converged[n]), iterations=int(self.iterations[n]))
+        """Problem ``n`` of a stack, as :func:`mle_fit` gives it; the stack's checks cover it."""
+        return _replaced(self, gamma=self.gamma[n], objective=float(self.objective[n]),
+                         converged=bool(self.converged[n]), iterations=int(self.iterations[n]))
 
 
 def _check_reg(reg) -> None:
@@ -239,8 +228,8 @@ def mle_fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
 
 
 def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TOL,
-             max_iters: int = DEFAULT_MAX_ITERS) -> SolutionStack:
-    """Maximize the penalized likelihood over the nonnegative orthant, one stack of solutions.
+             max_iters: int = DEFAULT_MAX_ITERS) -> MleSolution:
+    """Maximize the penalized likelihood over the nonnegative orthant, one stacked solution.
 
     ``features`` is an (r, m, k+1) stack of r problems' constraint feature
     rows and ``labels`` the (r, m) stack of their labels.  Projected Newton
@@ -259,12 +248,13 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
 
     The problems advance in lockstep.  Each keeps its own start point,
     stop test, iteration cap and line search and is frozen once it stops,
-    so its row of the stack is that of fitting it alone, bit for bit.  An
-    error in any problem fails the whole call, the solution checks
-    included, which run once on the stack.
+    so its row of the stack is that of fitting it alone, bit for bit.  The
+    result is one :class:`MleSolution` holding the r solutions as a stack,
+    whose checks run once, when it is built: an error in any problem, those
+    checks included, fails the whole call.
     """
-    if not tol > 0 or max_iters < 1:
-        raise ValueError("tol must be positive and max_iters at least 1")
+    if not tol > 0 or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise ValueError("tol must be positive and max_iters an integer of at least 1")
     w, y = _checked(features, labels, reg)
     r, _, dim = w.shape
 
@@ -301,5 +291,4 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
         gamma[live[moved]], value[live[moved]] = trial[moved], trial_value[moved]
         live = live[moved]
 
-    _check_solutions(gamma, value)
-    return SolutionStack(*map(_freeze, (gamma, value, converged, iterations)))
+    return MleSolution(*map(_freeze, (gamma, value, converged, iterations)))

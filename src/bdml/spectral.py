@@ -8,6 +8,7 @@ squared projections of the pair difference onto the basis vectors.
 
 from __future__ import annotations
 
+import copy
 import csv
 import warnings
 from dataclasses import dataclass
@@ -24,6 +25,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _replaced(obj, **fields):
+    """A copy of the frozen dataclass ``obj`` with ``fields`` set, its checks not rerun."""
+    new = copy.copy(obj)
+    for name, value in fields.items():
+        object.__setattr__(new, name, value)
+    return new
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,11 @@ update steps alternate in closed form, never decreasing the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .spectral import ConstraintSet, DataMatrix, EigenBasis, _freeze, feature_matrix
+from .spectral import ConstraintSet, DataMatrix, EigenBasis, _freeze, _replaced, feature_matrix
 
 LAMBDA_SERIES_CUTOFF = 1e-4
 DEFAULT_TOL = 1e-6
@@ -38,13 +37,15 @@ class PriorConfig:
 
 @dataclass(frozen=True)
 class VariationalPosterior:
-    """Gaussian posterior N(mu, sigma) plus the variational state around it.
+    """Gaussian posterior N(mu, sigma) plus the variational state around it,
+    of one problem or of a stack of them along a leading axis.
 
     ``mu`` is clamped elementwise to be nonnegative, which is what every
     downstream consumer (metric assembly, pair scoring) uses.  ``mu_raw``
     keeps the unclamped linear-solve output, on which the bound guarantees
     actually hold.  ``bound_trajectory`` starts at the initial point and
-    records one value per iteration.
+    records one value per iteration; a stack's is (r, t+1), row n's ending at
+    ``iterations[n]``, and its ``bound``, ``iterations`` and ``converged`` are (r,).
     """
 
     mu: np.ndarray
@@ -57,55 +58,37 @@ class VariationalPosterior:
     converged: bool = False
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        xi = np.asarray(self.xi, dtype=np.float64)
-        mu_raw = np.asarray(self.mu_raw, dtype=np.float64)
-        dim = mu.shape[0]
-        if mu.ndim != 1 or sigma.shape != (dim, dim) or mu_raw.shape != (dim,):
+        names = ("mu", "sigma", "xi", "mu_raw")
+        mu, sigma, xi, mu_raw = (np.asarray(getattr(self, n), dtype=np.float64) for n in names)
+        if (not mu.ndim or xi.ndim != mu.ndim or xi.shape[:-1] != mu.shape[:-1]
+                or sigma.shape != mu.shape + mu.shape[-1:] or mu_raw.shape != mu.shape):
             raise ValueError("inconsistent posterior shapes")
-        _check_posteriors(mu, sigma, xi)
-        for name, value in (("mu", mu), ("sigma", sigma), ("xi", xi), ("mu_raw", mu_raw)):
+        if (np.abs(sigma - np.swapaxes(sigma, -1, -2)) > 1e-10).any():
+            raise ValueError("sigma is not symmetric within 1e-10")
+        if (np.linalg.eigvalsh(sigma).min(axis=-1) <= 0).any():
+            raise ValueError("sigma is not positive definite")
+        if (xi <= 0).any():
+            raise ValueError("all xi must be strictly positive")
+        if (mu < 0).any():
+            raise ValueError("mu must be elementwise nonnegative post-clamp")
+        for name, value in zip(names, (mu, sigma, xi, mu_raw)):
             object.__setattr__(self, name, _freeze(value))
 
     @property
     def k(self) -> int:
-        return self.mu.shape[0] - 1
+        return self.mu.shape[-1] - 1
 
-
-def _check_posteriors(mu, sigma, xi):
-    """The rules of a posterior's clamped mean, covariance and xi, for one posterior or
-    a stack of them along a leading axis: one failing problem fails the stack."""
-    if (np.abs(sigma - np.swapaxes(sigma, -1, -2)) > 1e-10).any():
-        raise ValueError("sigma is not symmetric within 1e-10")
-    if (np.linalg.eigvalsh(sigma).min(axis=-1) <= 0).any():
-        raise ValueError("sigma is not positive definite")
-    if xi.ndim != mu.ndim or (xi <= 0).any():
-        raise ValueError("all xi must be strictly positive")
-    if (mu < 0).any():
-        raise ValueError("mu must be elementwise nonnegative post-clamp")
-
-
-class PosteriorStack(NamedTuple):
-    """:func:`fit_many`'s r posteriors as read-only arrays, row n for problem
-    n, with :class:`VariationalPosterior`'s fields; ``weights`` are the clamped means."""
-
-    weights: np.ndarray  # (r, k+1)
-    mu_raw: np.ndarray  # (r, k+1)
-    sigma: np.ndarray  # (r, k+1, k+1)
-    xi: np.ndarray  # (r, m)
-    bound: np.ndarray  # (r,), as are iterations and converged
-    iterations: np.ndarray
-    converged: np.ndarray
-    trajectories: np.ndarray  # (r, t+1) bounds by iteration, row n's up to iterations[n]
+    @property
+    def weights(self) -> np.ndarray:
+        return self.mu
 
     def row(self, n: int) -> VariationalPosterior:
-        """Problem ``n``'s posterior, as :func:`fit` gives it."""
-        return VariationalPosterior(
-            mu=self.weights[n], sigma=self.sigma[n], xi=self.xi[n], bound=float(self.bound[n]),
-            iterations=int(self.iterations[n]), mu_raw=self.mu_raw[n],
-            bound_trajectory=tuple(self.trajectories[n, : self.iterations[n] + 1].tolist()),
-            converged=bool(self.converged[n]))
+        """Problem ``n`` of a stack, as :func:`fit` gives it; the stack's checks cover it."""
+        its = int(self.iterations[n])
+        return _replaced(self, mu=self.mu[n], sigma=self.sigma[n], xi=self.xi[n],
+                         bound=float(self.bound[n]), iterations=its, mu_raw=self.mu_raw[n],
+                         bound_trajectory=tuple(self.bound_trajectory[n, : its + 1].tolist()),
+                         converged=bool(self.converged[n]))
 
 
 def lambda_xi(xi):
@@ -141,12 +124,14 @@ def _checked(features, labels, xi):
     if w.ndim != 3 or y.shape != w.shape[:2]:
         raise ValueError("need (r, m, k+1) features and (r, m) labels of the same problem and "
                          f"constraint count, got {w.shape} and {y.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("features must be finite")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be +1 or -1")
     if x.shape != y.shape:
         raise ValueError("xi must have one entry per constraint")
-    if np.any(x <= 0):
-        raise ValueError("all xi must be strictly positive")
+    if not (np.isfinite(x) & (x > 0)).all():
+        raise ValueError("all xi must be finite and strictly positive")
     return w, y, x
 
 
@@ -288,20 +273,21 @@ def fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
 
 
 def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DEFAULT_TOL,
-             max_iters: int = DEFAULT_MAX_ITERS, *, xi0: float = 1.0) -> PosteriorStack:
-    """:func:`fit` of independent problems as one stacked solve, one posterior stack.
+             max_iters: int = DEFAULT_MAX_ITERS, *, xi0: float = 1.0) -> VariationalPosterior:
+    """:func:`fit` of independent problems as one stacked solve, one stacked posterior.
 
     ``features`` is an (r, m, k+1) stack of r problems' constraint feature
     rows and ``labels`` the (r, m) stack of their ±1 labels.  Each problem
     keeps its own stop test and is frozen once it passes, so its row of
     the stack, iteration count and bound trajectory are those of fitting
-    it alone, bit for bit.  An error in any problem fails the whole call,
-    the posterior checks included, which run once on the stack.
+    it alone, bit for bit.  The result is one :class:`VariationalPosterior`
+    holding the r posteriors as a stack, whose checks run once, when it is
+    built: an error in any problem, those checks included, fails the whole call.
     """
     if prior is None:
         prior = PriorConfig()
-    if not tol > 0 or max_iters < 1:
-        raise ValueError("tol must be positive and max_iters at least 1")
+    if not tol > 0 or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise ValueError("tol must be positive and max_iters an integer of at least 1")
     w, y, xi = _checked(features, labels, np.full(np.shape(labels), float(xi0)))
     r, m, dim = w.shape
 
@@ -331,7 +317,6 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
         live = live[~done]
         if not live.size:
             break
-    weights = np.maximum(mu, 0.0)
-    _check_posteriors(weights, sigma, xi)
-    arrays = (weights, mu, sigma, xi, bound, iterations, converged, np.stack(history, axis=1))
-    return PosteriorStack(*map(_freeze, arrays))
+    arrays = (np.maximum(mu, 0.0), sigma, xi, bound, iterations, mu, np.stack(history, axis=1),
+              converged)
+    return VariationalPosterior(*map(_freeze, arrays))

@@ -113,7 +113,7 @@ def test_run_reports_non_converged_fits_on_stderr_only(tmp_path, data_csv, capsy
         for converged in fitted.converged.tolist():
             calls.append(1)
             flags.append(len(calls) % 2 == 0 and converged)
-        return fitted._replace(converged=np.array(flags))
+        return dataclasses.replace(fitted, converged=np.array(flags))
 
     monkeypatch.setattr(mle, "fit_many", every_other_unconverged)
     assert main(_run_args(data_csv, outs[1])) == 0
@@ -236,8 +236,8 @@ def test_score_pairs_warns_when_the_fit_did_not_converge(
 
     def stalled(*args, _fit=getattr(module, attr), **kwargs):
         fitted = _fit(*args, **kwargs)
-        return fitted._replace(converged=np.zeros_like(fitted.converged),
-                               iterations=np.full_like(fitted.iterations, 77))
+        return dataclasses.replace(fitted, converged=np.zeros_like(fitted.converged),
+                                   iterations=np.full_like(fitted.iterations, 77))
 
     monkeypatch.setattr(module, attr, stalled)
     printed = run("stalled")

@@ -545,29 +545,37 @@ def test_loop_fits_each_iterations_mle_runs_as_one_stack(monkeypatch):
 
 
 def test_the_loop_builds_no_per_run_posterior_or_solution(monkeypatch):
-    # the README bdml run reads its fits as stacks; only fit_strategy builds a row's object
+    # the README bdml run builds one checked stack per fit group and iteration and
+    # reads no row of it; fit_strategy builds one stack of one and reads its row 0
     config = ExperimentConfig(
         synth=SynthSpec(classes=3, per_class=20, dim=10, spread=0.3),
         pool_size=40, n_test=20, initial_pairs=10, batch_size=20, iterations=5,
         strategies=EXPERIMENT_STRATEGIES, k=2, standardize=False, reg=5.0,
         repeats=20, seed=0,
     )
-    built = Counter()
+    built, rows = Counter(), Counter()
     for cls in (vb.VariationalPosterior, mle.MleSolution):
         def counted(self, _fn=cls.__post_init__, _name=cls.__name__):
             built[_name] += 1
             _fn(self)
+
+        def row(self, n, _fn=cls.row, _name=cls.__name__):
+            rows[_name] += 1
+            return _fn(self, n)
         monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "row", row)
     fit_tally = Counter()
     run_active_loop(config, fit_tally)
     assert sum(fit_tally.values()) == 480  # 20 repeats x 4 fitting strategies x 6 iterations
-    assert built == Counter()
+    assert built == Counter({"MleSolution": 6, "VariationalPosterior": 6})  # one per iteration
+    assert rows == Counter()
 
     state = harness._prepare_repeat(config, _repeat_data(config, None, 0), 0)
     prior = vb.PriorConfig()
     for name in ("MLE_ACT", "BAYES_VAR", "EUCLID"):
         fit_strategy(name, state.pool.labeled, state.pool_data, state.basis, prior, config.reg)
-    assert built == Counter({"MleSolution": 1, "VariationalPosterior": 1})
+    assert built == Counter({"MleSolution": 7, "VariationalPosterior": 7})
+    assert rows == Counter({"MleSolution": 1, "VariationalPosterior": 1})
 
 
 def test_a_one_run_stack_selects_from_its_table_itself(monkeypatch):

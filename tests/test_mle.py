@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -413,26 +414,46 @@ def test_fit_many_validation():
         fit_many(w, y[:, :2])
     with pytest.raises(ValueError, match="tol"):
         fit_many(w, y, tol=0.0)
-    with pytest.raises(ValueError, match="max_iters"):
-        fit_many(w, y, max_iters=0)
+    for max_iters in (0, 2.5):
+        with pytest.raises(ValueError, match="max_iters an integer of at least 1"):
+            fit_many(w, y, max_iters=max_iters)
     with pytest.raises(ValueError, match="reg must be >= 0, got -1.0"):
         fit_many(w, y, reg=-1.0)
 
 
 def test_solution_checks_fail_a_stack_on_any_problem():
-    # the checks of a fit_many stack are those of one solution, failing on any row
+    # a stacked solution has the checks of one solution, failing on any row
     gamma, objective = np.zeros((3, 2)), np.full(3, -1.0)
-    mle._check_solutions(gamma, objective)
+    flags = dict(converged=np.ones(3, bool), iterations=np.ones(3, int))
+    MleSolution(gamma.copy(), objective, **flags)
     gamma[1, 1] = -0.1
     with pytest.raises(ValueError, match="nonnegative"):
-        mle._check_solutions(gamma, objective)
+        MleSolution(gamma, objective, **flags)
     objective[2] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        mle._check_solutions(np.zeros((3, 2)), objective)
+        MleSolution(np.zeros((3, 2)), objective, **flags)
+    with pytest.raises(ValueError, match="one vector per objective"):
+        MleSolution(np.zeros((2, 2)), np.zeros(3), **flags)
     stack = fit_many(*_stack(7, 2, 3, 2))
-    for a in stack:
+    for field in dataclasses.fields(stack):
         with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0
+            getattr(stack, field.name)[...] = 0
+
+
+def test_fit_many_returns_one_checked_solution_whose_rows_are_not_rechecked(monkeypatch):
+    w, y = _stack(8, 3, 4, 2)
+    built = []
+    monkeypatch.setattr(MleSolution, "__post_init__",
+                        lambda self, _fn=MleSolution.__post_init__: built.append(1) or _fn(self))
+    stack = fit_many(w, y)
+    assert type(stack) is MleSolution and stack.gamma.shape == (3, 3) and built == [1]
+    assert stack.weights is stack.gamma and stack.k == 2
+    for n in range(3):
+        row = stack.row(n)
+        assert (type(row.objective), type(row.converged), type(row.iterations)) == (
+            float, bool, int)
+        assert _same_solution(row, fit_many(w[n:n+1], y[n:n+1]).row(0))
+    assert built == [1] + [1] * 3  # the three fits of one, no row
 
 
 def test_solution_container_validation():

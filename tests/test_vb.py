@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -345,15 +347,16 @@ def _assert_bitwise_equal(a, b):
 
 
 def _assert_row_bitwise_equal(stack, n, post):
-    """Row ``n`` of a posterior stack, its arrays and the posterior it builds, is ``post``."""
-    for name, field in (("weights", "mu"), ("mu_raw", "mu_raw"), ("sigma", "sigma"), ("xi", "xi")):
-        assert getattr(stack, name)[n].tobytes() == getattr(post, field).tobytes(), name
+    """Row ``n`` of a stacked posterior, its arrays and the posterior it builds, is ``post``."""
+    for name in ("mu", "mu_raw", "sigma", "xi"):
+        assert getattr(stack, name)[n].tobytes() == getattr(post, name).tobytes(), name
+    assert stack.weights[n].tobytes() == post.weights.tobytes()
     assert (stack.bound[n], stack.iterations[n], stack.converged[n]) == (
         post.bound, post.iterations, post.converged
     )
     its = stack.iterations[n]  # the row's trajectory, then its bound while the others iterate
-    assert tuple(stack.trajectories[n, : its + 1].tolist()) == post.bound_trajectory
-    assert (stack.trajectories[n, its:] == post.bound).all()
+    assert tuple(stack.bound_trajectory[n, : its + 1].tolist()) == post.bound_trajectory
+    assert (stack.bound_trajectory[n, its:] == post.bound).all()
     _assert_bitwise_equal(stack.row(n), post)
 
 
@@ -421,9 +424,9 @@ def test_fit_many_equals_fit_when_one_problem_needs_jitter(monkeypatch):
 def test_fit_many_validation(clusters, clusters_basis):
     w = feature_matrix(clusters, clusters_basis, ((0, 1), (0, 20)))[None]
     empty = fit_many(w[:0], np.ones((0, 2)))
-    assert (empty.weights.shape, empty.sigma.shape, empty.xi.shape) == ((0, 4), (0, 4, 4), (0, 2))
+    assert (empty.mu.shape, empty.sigma.shape, empty.xi.shape) == ((0, 4), (0, 4, 4), (0, 2))
     assert empty.bound.shape == empty.iterations.shape == empty.converged.shape == (0,)
-    assert len(empty.trajectories) == 0
+    assert len(empty.bound_trajectory) == 0
     # a stack shares the constraint count and the basis size by its shape
     with pytest.raises(ValueError, match=r"\(r, m, k\+1\) features and \(r, m\) labels"):
         fit_many(w[0], np.ones(2))
@@ -433,6 +436,17 @@ def test_fit_many_validation(clusters, clusters_basis):
         fit_many(w, [[1.0, 0.0]])
     with pytest.raises(ValueError, match="tol"):
         fit_many(w, np.ones((1, 2)), tol=0.0)
+    for max_iters in (0, 2.5):
+        with pytest.raises(ValueError, match="max_iters an integer of at least 1"):
+            fit_many(w, np.ones((1, 2)), max_iters=max_iters)
+    # non-finite inputs fail up front, named, not as a nan bound or a late solve error
+    for xi0 in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="xi must be finite and strictly positive"):
+            fit_many(w, np.ones((1, 2)), xi0=xi0)
+    bad = w.copy()
+    bad[0, 1] = np.inf
+    with pytest.raises(ValueError, match="features must be finite"):
+        fit_many(bad, np.ones((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +476,47 @@ def test_posterior_validation():
 
 
 def test_posterior_checks_fail_a_stack_on_any_problem():
-    # the checks of a fit_many stack are those of one posterior, failing on any row
+    # a stacked posterior has the checks of one posterior, failing on any row
     ok = dict(mu=np.zeros((3, 2)), sigma=np.stack([np.eye(2)] * 3), xi=np.ones((3, 4)))
-    vb._check_posteriors(**ok)
+    scalars = dict(bound=np.zeros(3), iterations=np.ones(3, int), mu_raw=np.zeros((3, 2)))
+    VariationalPosterior(**ok, **scalars)
     bad = {"symmetric": ("sigma", (1, 0, 1), 0.5), "positive definite": ("sigma", (2, 1, 1), 0.0),
            "strictly positive": ("xi", (1, 3), 0.0), "nonnegative": ("mu", (2, 0), -0.1)}
     for message, (name, at, value) in bad.items():
         arrays = {key: a.copy() for key, a in ok.items()}
         arrays[name][at] = value
         with pytest.raises(ValueError, match=message):
-            vb._check_posteriors(**arrays)
+            VariationalPosterior(**arrays, **scalars)
+    for name, shape in (("xi", (2, 4)), ("xi", (4,)), ("sigma", (3, 2, 3)), ("mu_raw", (2, 2))):
+        with pytest.raises(ValueError, match="inconsistent posterior shapes"):
+            VariationalPosterior(**{**ok, **scalars, name: np.ones(shape)})
 
 
 def test_fit_many_returns_read_only_arrays(clusters, clusters_basis):
     stack = fit_many(feature_matrix(clusters, clusters_basis, ((0, 1), (0, 20)))[None],
                      np.array([[1.0, -1.0]]))
-    for a in stack:
+    for field in dataclasses.fields(stack):
         with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0
+            getattr(stack, field.name)[...] = 0
+
+
+def test_fit_checks_its_one_posterior_once(clusters, clusters_basis, monkeypatch):
+    constraints = ConstraintSet(((0, 1, 1), (0, 20, -1), (3, 21, -1)))
+    stack = fit_many(feature_matrix(clusters, clusters_basis, constraints.pairs)[None],
+                     constraints.labels[None])
+    assert type(stack) is VariationalPosterior and stack.mu.shape == (1, 4)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, _fn=np.linalg.eigvalsh: calls.append(a.shape) or _fn(a))
+    built = []
+    monkeypatch.setattr(VariationalPosterior, "__post_init__",
+                        lambda self, _fn=VariationalPosterior.__post_init__: built.append(1)
+                        or _fn(self))
+    post = fit(constraints, clusters, clusters_basis)
+    assert calls == [(1, 4, 4)] and built == [1]  # the stack of one, not its row again
+    _assert_bitwise_equal(stack.row(0), post)
+    assert built == [1]  # row(n) reruns no check
+    assert (post.k, post.weights is post.mu) == (3, True)
 
 
 def test_prior_validation():
