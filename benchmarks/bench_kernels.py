@@ -1,7 +1,10 @@
 """Time the numeric kernels, both 1NN searches, the stacked VB and MLE fits,
 the stacked iteration step and both CSV readers.
 
-Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``.
+Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py
+[--json PATH]``.  With ``--json`` it also writes every number it prints to
+PATH, with the environment: the python and numpy versions, numpy's BLAS,
+the usable CPU count and the BLAS/OpenMP thread variables.
 The first table times each public kernel at a fixed size.  The second
 times ``nn1_exhaustive`` against ``nn1_indices``, the search pruned by kd
 leaves, at four shapes: the ``knn_eval`` benchmark search, a README
@@ -34,7 +37,11 @@ must give the same ``x`` bytes, label bytes and label dtype, or the
 script fails.  Each number is the best of several samples.
 """
 
+import argparse
 import csv
+import json
+import os
+import platform
 import tempfile
 import timeit
 from pathlib import Path
@@ -142,9 +149,10 @@ def _runs(args):
     return [[a[n] if isinstance(a, np.ndarray) else a for a in args] for n in range(count)]
 
 
-def step_table(stacks):
+def step_table(stacks) -> list:
     """Check and time the stacked searches and scorings of the README run's
-    iteration steps against the same work one run at a time."""
+    iteration steps against the same work one run at a time; one row per site."""
+    rows = []
     print()
     print(f"{'README step stacks':<32} {'stacked ms':>14} {'per run ms':>10}")
     for label, site, keep, stacked, alone in STEP_SITES:
@@ -159,6 +167,9 @@ def step_table(stacks):
         runs = sum(len(_runs(args)) for args in calls)
         shape = f"{label}: {runs} runs, {len(calls)} stacks"
         print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
+        rows.append({"step": label, "runs": runs, "stacks": len(calls),
+                     "stacked_ms": t_stack, "per_run_ms": t_alone})
+    return rows
 
 
 def row_loop(path):
@@ -175,9 +186,10 @@ def takes_c_reader(path) -> bool:
         return spectral._read_rows_c(fh, header) is not None
 
 
-def csv_table():
+def csv_table() -> list:
     """Check and time ``load_csv`` against its row loop, on a plain file
-    and on one the C reader must refuse."""
+    and on one the C reader must refuse; one row per file."""
+    rows = []
     print()
     print(f"{'load_csv file':<32} {'load_csv ms':>14} {'row loop ms':>10} {'C reader':>9}")
     data = harness.synth_data(harness.SynthSpec(classes=5, per_class=4000, dim=20,
@@ -200,32 +212,61 @@ def csv_table():
             t_load = best_ms(spectral.load_csv, (path,), number=1, repeat=3)
             t_rows = best_ms(row_loop, (path,), number=1, repeat=3)
             print(f"{label:<32} {t_load:>14.3f} {t_rows:>10.3f} {'yes' if c_reader else 'no':>9}")
+            rows.append({"file": label, "load_csv_ms": t_load, "row_loop_ms": t_rows,
+                         "c_reader": c_reader})
+    return rows
 
 
 def best_ms(fn, args, number=20, repeat=5):
     return min(timeit.repeat(lambda: fn(*args), number=number, repeat=repeat)) / number * 1e3
 
 
-def main():
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def environment() -> dict:
+    """What the timings depend on besides the code: interpreter, numpy, BLAS, CPUs, threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+    except (TypeError, KeyError):  # a numpy older than 1.26 only prints its configuration
+        blas = None
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "nproc": nproc, "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the printed numbers and the environment to PATH")
+    args = parser.parse_args(argv)
+    record = {"unit": "ms, best of several samples", "environment": environment()}
     rng = np.random.default_rng(0)
     print(f"{'kernel':<20} {'ms':>10}")
-    for name, args in make_inputs(rng).items():
-        print(f"{name:<20} {best_ms(getattr(kernels, name), args):>10.3f}")
+    record["kernels"] = {}
+    for name, inputs in make_inputs(rng).items():
+        record["kernels"][name] = best_ms(getattr(kernels, name), inputs)
+        print(f"{name:<20} {record['kernels'][name]:>10.3f}")
 
     print()
     print(f"{'nn1 shape':<32} {'exhaustive ms':>14} {'pruned ms':>10} {'leaves':>7}")
+    record["nn1"] = []
     for label, n_train, n_query, k in NN1_SHAPES:
-        args = (kernels.as_f64(rng.normal(size=(n_train, k))),
-                kernels.as_f64(rng.normal(size=(n_query, k))))
-        if not np.array_equal(kernels.nn1_exhaustive(*args), kernels.nn1_indices(*args)):
+        inputs = (kernels.as_f64(rng.normal(size=(n_train, k))),
+                  kernels.as_f64(rng.normal(size=(n_query, k))))
+        if not np.array_equal(kernels.nn1_exhaustive(*inputs), kernels.nn1_indices(*inputs)):
             raise SystemExit(f"{label}: exhaustive and pruned searches disagree")
         # the exhaustive knn_eval search takes seconds: time it once per sample
         number = max(1, min(20, (1 << 22) // (n_train * n_query)))
-        t_exh = best_ms(kernels.nn1_exhaustive, args, number=number, repeat=3)
-        t_pruned = best_ms(kernels.nn1_indices, args, number=number, repeat=3)
-        leaves = len(kernels._kd_leaves(args[0])[1]) - 1 if n_train > kernels.LEAF_ROWS else 0
+        t_exh = best_ms(kernels.nn1_exhaustive, inputs, number=number, repeat=3)
+        t_pruned = best_ms(kernels.nn1_indices, inputs, number=number, repeat=3)
+        leaves = len(kernels._kd_leaves(inputs[0])[1]) - 1 if n_train > kernels.LEAF_ROWS else 0
         shape = f"{label} {n_train}x{n_query}x{k}"
         print(f"{shape:<32} {t_exh:>14.3f} {t_pruned:>10.3f} {leaves:>7}")
+        record["nn1"].append({"shape": label, "n_train": n_train, "n_query": n_query, "k": k,
+                              "exhaustive_ms": t_exh, "pruned_ms": t_pruned, "leaves": leaves})
 
     prior = vb.PriorConfig(gamma0=README_CONFIG.gamma0, delta=README_CONFIG.delta)
     # each fit kind: its fit of a stack, and what of row n of a stack must agree bit for bit
@@ -241,6 +282,7 @@ def main():
     for module in (vb, mle):
         fit, bits = fits[module]
         kind = module.__name__.rsplit(".", 1)[-1]
+        record[f"readme_{kind}_stacks"] = []
         print()
         print(f"{'README ' + kind + ' stack':<32} {'fit_many ms':>14} {'n x fit ms':>10}")
         for t, (w, y, *_) in enumerate(stacks[module, "fit_many"]):
@@ -254,8 +296,15 @@ def main():
             r, m, dim = w.shape
             shape = f"iteration {t}: {r} x m={m}, k={dim - 1}"
             print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
-    step_table(stacks)
-    csv_table()
+            record[f"readme_{kind}_stacks"].append(
+                {"iteration": t, "problems": r, "m": m, "k": dim - 1,
+                 "fit_many_ms": t_stack, "one_by_one_ms": t_alone})
+    record["readme_step_stacks"] = step_table(stacks)
+    record["load_csv"] = csv_table()
+    if args.json is not None:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

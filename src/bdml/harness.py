@@ -14,7 +14,7 @@ import json
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class ResultRecord:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy}")
         if self.repeat < 0 or self.iteration < 0 or self.n_pairs < 0:
             raise ValueError("indices and counts must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {c: getattr(self, c) for c in RESULT_COLUMNS}
 
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRecord))
@@ -151,8 +148,8 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     fit, tag = STRATEGY_TABLE[name]
     model = scorer = estimate = None
     if fit is not None:
-        problem = (feature_matrix(data, basis, constraints.pairs), constraints.labels)
-        fitted = _fit_all(fit, [problem], prior, reg)
+        w = feature_matrix(data, basis, constraints.pairs)
+        fitted = _fit_all(fit, w[None], constraints.labels[None], prior, reg)
         estimate = fitted.row(0)
         model = metric.from_augmented(fitted.weights[0], basis)
     if tag == "RANDOM":
@@ -163,14 +160,13 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     return model, scorer, estimate
 
 
-def _fit_all(fit, problems, prior, reg):
-    """The checked stacked fit of same-shape ``(features, labels)`` problems by ``"mle"``'s
-    :func:`mle.fit_many` or ``"vb"``'s :func:`vb.fit_many`, looked up on their
-    modules at call time, so a wrapped one is the one that runs."""
-    stacks = (np.stack(a) for a in zip(*problems))
+def _fit_all(fit, features, labels, prior, reg):
+    """The checked stacked fit of (r, m, k+1) ``features`` and (r, m) ``labels``
+    by ``"mle"``'s :func:`mle.fit_many` or ``"vb"``'s :func:`vb.fit_many`, looked
+    up on their modules at call time, so a wrapped one is the one that runs."""
     if fit == "mle":
-        return mle.fit_many(*stacks, reg=reg)
-    return vb.fit_many(*stacks, prior)
+        return mle.fit_many(features, labels, reg=reg)
+    return vb.fit_many(features, labels, prior)
 
 
 @dataclass(frozen=True)
@@ -219,27 +215,14 @@ def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> 
                         _freeze(basis.project(train.x)), _freeze(basis.project(test.x)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Run:
-    """One strategy on one repeat: its labeled pool grows, its records accrue.
-
-    ``labels`` is the run's row of the loop's int8 (runs, m) label matrix:
-    0 for an open candidate of its repeat's pool, the oracle's ±1 for a
-    labeled one.
-    """
+    """One strategy on one repeat; its pool labels and predictions are rows of the loop's."""
 
     strategy: str
     repeat: int
     state: _RepeatState
     seed: int
-    labels: np.ndarray | None = None
-    records: list = field(default_factory=list)
-    predictions: np.ndarray | None = None  # EUCLID's, kept from iteration 0
-
-    def problem(self):
-        """The run's labeled rows of the feature table and their labels, in candidate order."""
-        at = self.labels != 0
-        return self.state.features[at], self.labels[at].astype(np.float64)
 
 
 @contextmanager
@@ -253,19 +236,25 @@ def _blamed_on(run: _Run, t: int):
         ) from exc
 
 
-def _fit_iteration(runs, prior, reg):
+def _fit_iteration(runs, labels, prior, reg):
     """Each fit group of ``runs`` as ``(fit, members, stack)``: its fit kind,
     its runs' positions and their stacked fit, row n for ``members[n]``.
 
-    Runs sharing the fit kind and the shape of their problem (constraint
-    count, basis size) form a group, fitted by one :func:`_fit_all` call;
-    a run without a fit joins none.
+    Runs sharing the fit kind and basis size form a group, fitted by one
+    :func:`_fit_all` call on the rows of its members' feature tables that
+    their rows of ``labels`` mark labeled, with those labels, in candidate
+    order (every run has labeled as many); a run without a fit joins none.
     """
-    problems = [run.problem() for run in runs]
     kinds = [STRATEGY_TABLE[run.strategy].fit for run in runs]
-    groups = _groups([fit and (fit, w.shape) for fit, (w, _) in zip(kinds, problems)])
-    return [(fit, members, _fit_all(fit, [problems[n] for n in members], prior, reg))
-            for (fit, _), members in groups.items()]
+    groups = _groups([fit and (fit, run.state.features.shape[1]) for fit, run in zip(kinds, runs)])
+    fits = []
+    for (fit, _), members in groups.items():
+        rows = labels[members]
+        at = rows != 0
+        features = np.stack([runs[n].state.features[a] for n, a in zip(members, at)])
+        y = rows[at].reshape(len(members), -1).astype(np.float64)
+        fits.append((fit, members, _fit_all(fit, features, y, prior, reg)))
+    return fits
 
 
 def _groups(keys):
@@ -288,16 +277,17 @@ def _stacks(count, per_run):
     return [slice(a, a + size) for a in range(0, count, size)]
 
 
-def _step(config, runs, labels, t, prior):
-    """Iteration ``t`` of ``runs``, whose pool labels are the rows of ``labels``.
+def _step(config, runs, labels, t, prior, previous):
+    """Iteration ``t`` of ``runs``, whose pool labels and predictions at
+    iteration t-1 are the rows of ``labels`` and ``previous``.
 
-    Returns the fit groups of :func:`_fit_iteration`, every run's 1NN
-    predictions, the positions in ``labels`` of the runs that acquire, and
-    their rows with the batch each selects labeled by the oracle (none
+    Returns the fit groups of :func:`_fit_iteration`, the (runs, n_test)
+    1NN predictions, the positions in ``labels`` of the runs that acquire,
+    and their rows with the batch each selects labeled by the oracle (none
     after the last).  Nothing is written.
     """
-    fits = _fit_iteration(runs, prior, config.reg)
-    predictions = _predict(runs, t, fits)
+    fits = _fit_iteration(runs, labels, prior, config.reg)
+    predictions = _predict(runs, t, fits, previous)
     at, picks = _select(config, runs, labels, t, fits)
     relabeled = labels[at]
     if at:
@@ -309,14 +299,14 @@ def _step(config, runs, labels, t, prior):
     return fits, predictions, at, relabeled
 
 
-def _predict(runs, t, fits):
-    """Every run's 1NN predictions at iteration ``t``: under the metric of its
-    row of its group's fit, or, for a run without a fit, EUCLID's raw 1NN of
-    iteration 0.  Each fit group searches as stacks of its weight rows; every
-    repeat has the same train and test sizes."""
-    predictions = [run.predictions for run in runs]
+def _predict(runs, t, fits, previous):
+    """Every run's 1NN predictions at iteration ``t``: ``previous``'s of t-1 with a
+    fitted run's row replaced under its row of its group's fit, and an unfitted
+    run's by EUCLID's raw 1NN at iteration 0.  Each fit group searches as stacks
+    of its weight rows; every repeat has the same train and test sizes."""
+    predictions = previous.copy()
     for n, run in enumerate(runs):
-        if STRATEGY_TABLE[run.strategy].fit is None and t == 0:  # the same at every iteration
+        if STRATEGY_TABLE[run.strategy].fit is None and t == 0:
             predictions[n] = metric.euclidean_knn(run.state.train, run.state.test)
     for _, members, fitted in fits:
         first = runs[members[0]].state
@@ -326,8 +316,7 @@ def _predict(runs, t, fits):
                                         np.stack([s.train_proj for s in states]),
                                         np.stack([s.test_proj for s in states]),
                                         np.stack([s.train.labels for s in states]))
-            for n, p in zip(members[part], predicted):
-                predictions[n] = p
+            predictions[members[part]] = predicted
     return predictions
 
 
@@ -375,21 +364,23 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     the strategy table's ``"mle"`` or ``"vb"``.
 
     The runs move in lockstep: every repeat is prepared first, then all
-    (repeat, strategy) runs take iteration 0, then 1, and so on, with
-    their pool labels as one int8 (runs, m) matrix.  Within an iteration
-    the fits of runs that share a fit kind, constraint count and basis
-    size go through one :func:`_fit_all` call: one ``vb.fit_many`` or
-    ``mle.fit_many`` stack, a checked ``VariationalPosterior`` or
-    ``MleSolution``, stays the group's for the iteration.  Its ``weights``
-    rows feed the group's stacked 1NN search and, per acquisition rule,
-    the stacked scoring of its runs' feature tables, and its flags the
-    ``fit_tally``; no per-run object is built.  Then the oracle answers and the
-    labels are written for all runs at once.  Stacks are cut at
-    ``STACK_ELEMS`` elements.  Seeds derive from (seed, strategy,
-    repeat, iteration), so the order changes no result; records come out
-    ordered by repeat, strategy and iteration.  A failed iteration, fit
-    included, is retaken run by run: its error names the first run, in
-    run order, that fails alone.  ``runtime_ms`` is always 0.0.
+    (repeat, strategy) runs take iteration 0, then 1, and so on.  A run is
+    immutable; the loop keeps the pool labels as one int8 (runs, m) matrix,
+    the last (runs, n_test) predictions and one accuracy row per iteration.
+    Within an iteration the fits of runs that share a fit kind and basis
+    size go through one :func:`_fit_all` call on their labeled rows: one
+    ``vb.fit_many`` or ``mle.fit_many`` stack, a checked
+    ``VariationalPosterior`` or ``MleSolution``, stays the group's for the
+    iteration.  Its ``weights`` rows feed the group's stacked 1NN search
+    and, per acquisition rule, the stacked scoring of its runs' feature
+    tables, and its flags the ``fit_tally``; no per-run object is built.
+    Then the oracle answers and the labels are written for all runs at
+    once.  Stacks are cut at ``STACK_ELEMS`` elements.  Seeds derive from
+    (seed, strategy, repeat, iteration), so the order changes no result.
+    The records are built after the last iteration, ordered by repeat,
+    strategy and iteration.  A failed iteration, fit included, is retaken
+    run by run: its error names the first run, in run order, that fails
+    alone.  ``runtime_ms`` is always 0.0.
     """
     if fit_tally is None:
         fit_tally = Counter()
@@ -403,37 +394,31 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
             f"exceeds the {n} available examples"
         )
     prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
-    runs = []
-    for repeat in range(config.repeats):
-        state = _prepare_repeat(config, _repeat_data(config, fixed, repeat), repeat)
-        runs.extend(
-            _Run(strategy, repeat, state,
+    states = [_prepare_repeat(config, _repeat_data(config, fixed, repeat), repeat)
+              for repeat in range(config.repeats)]
+    runs = [_Run(strategy, repeat, state,
                  zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode("utf-8")))
-            for strategy in config.strategies
-        )
+            for repeat, state in enumerate(states) for strategy in config.strategies]
     labels = np.stack([run.state.pool.labels for run in runs])
-    for run, row in zip(runs, labels):
-        run.labels = row
     truth = np.stack([run.state.test.labels for run in runs])
+    predictions = np.zeros_like(truth)  # iteration 0 writes every row
+    accuracies = []
     for t in range(config.iterations + 1):
         try:
-            fits, predictions, at, relabeled = _step(config, runs, labels, t, prior)
+            fits, predictions, at, relabeled = _step(config, runs, labels, t, prior, predictions)
         except Exception:
             for n, run in enumerate(runs):  # retake it run by run, so the error names its run
                 with _blamed_on(run, t):
-                    _step(config, runs[n : n + 1], labels[n : n + 1], t, prior)
+                    _step(config, [run], labels[n : n + 1], t, prior, predictions[n : n + 1])
             raise
-        accuracies = np.mean(np.stack(predictions) == truth, axis=1).tolist()
-        n_pairs = config.initial_pairs + t * config.batch_size
+        accuracies.append(np.mean(predictions == truth, axis=1))
         for fit, _, fitted in fits:
             fit_tally.update((fit, c) for c in fitted.converged.tolist())
-        for run, p, acc in zip(runs, predictions, accuracies):
-            run.predictions = p
-            run.records.append(
-                ResultRecord(run.strategy, run.repeat, t, n_pairs, acc, 0.0, run.seed)
-            )
         labels[at] = relabeled
-    return [record for run in runs for record in run.records]
+    return [ResultRecord(run.strategy, run.repeat, t, config.initial_pairs + t * config.batch_size,
+                         acc, 0.0, run.seed)
+            for run, row in zip(runs, np.stack(accuracies, axis=1).tolist())
+            for t, acc in enumerate(row)]
 
 
 def convergence_warnings(fit_tally: Counter) -> list:
@@ -498,7 +483,7 @@ def write_summary_csv(summary, path) -> None:
 
 
 def write_results_json(records, config: ExperimentConfig, path) -> None:
-    _write_json({"config": asdict(config), "records": [r.to_dict() for r in records]}, path)
+    _write_json({"config": asdict(config), "records": [asdict(r) for r in records]}, path)
 
 
 def _write_json(doc, path) -> None:

@@ -38,7 +38,8 @@ STALL_ULPS = 4
 
 @dataclass(frozen=True)
 class MleSolution:
-    """Nonnegative weights at a finite objective, of one problem or a stack along a leading axis."""
+    """Nonnegative weights at a finite objective, of one problem or a stack along a leading
+    axis.  ``gamma`` is read-only; a C-contiguous float64 one is frozen in place, not copied."""
 
     gamma: np.ndarray
     objective: float

@@ -37,7 +37,9 @@ def _replaced(obj, **fields):
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """n examples by d features, with optional integer class labels."""
+    """n examples by d features, with optional integer class labels, both read-only.
+    A C-contiguous float64 ``x`` is frozen in place, not copied: the caller's own
+    array becomes read-only too, so pass a copy to keep yours writable."""
 
     x: np.ndarray
     labels: np.ndarray | None = None

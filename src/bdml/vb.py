@@ -46,6 +46,8 @@ class VariationalPosterior:
     actually hold.  ``bound_trajectory`` starts at the initial point and
     records one value per iteration; a stack's is (r, t+1), row n's ending at
     ``iterations[n]``, and its ``bound``, ``iterations`` and ``converged`` are (r,).
+    The four arrays are read-only; a C-contiguous float64 one passed in is frozen
+    in place, not copied, so the caller's own array becomes read-only too.
     """
 
     mu: np.ndarray

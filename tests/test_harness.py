@@ -438,14 +438,14 @@ def test_loop_fits_gather_the_rows_feature_matrix_gives(monkeypatch):
     # every fit gets, bit for bit, the feature rows and labels of its run's labeled pairs
     want, got = [], []
 
-    def fit_iteration(runs, *args, _fn=harness._fit_iteration):
-        for run in runs:
+    def fit_iteration(runs, labels, *args, _fn=harness._fit_iteration):
+        for run, row in zip(runs, labels):  # the run's row of the loop's label matrix
             if STRATEGY_TABLE[run.strategy].fit:
-                at = run.labels != 0  # the run's row of the loop's label matrix
+                at = row != 0
                 pairs = run.state.pool.candidates[at]
                 w = feature_matrix(run.state.pool_data, run.state.basis, pairs)
-                want.append(w.tobytes() + run.labels[at].astype(np.float64).tobytes())
-        return _fn(runs, *args)
+                want.append(w.tobytes() + row[at].astype(np.float64).tobytes())
+        return _fn(runs, labels, *args)
 
     for module in (mle, vb):
         def fit_many(w, y, *args, _fn=module.fit_many, **kwargs):
@@ -471,9 +471,11 @@ def test_loop_wraps_failures_with_context(monkeypatch):
 @pytest.mark.parametrize("strategy, partner, message", [
     ("MLE_ACT", "BAYES_VAR", "synthetic failure"),
     ("BAYES_VAR", "RANDOM_MLE", "all xi must be strictly positive"),
-], ids=["MLE_ACT", "BAYES_VAR"])
+    ("MLE_ACT", "EUCLID", "synthetic failure"),
+], ids=["MLE_ACT", "BAYES_VAR", "EUCLID_partner"])
 def test_loop_blames_a_failed_stacked_fit_on_its_run(strategy, partner, message, monkeypatch):
-    # the partner fits by the other kind, so only the fits of ``strategy`` fail
+    # the partner fits by the other kind or not at all, so only the fits of ``strategy``
+    # fail; EUCLID's retake at iteration 1 reads its iteration-0 predictions
     config = _small_config(strategies=(partner, strategy), repeats=3, iterations=2)
     state = harness._prepare_repeat(config, _repeat_data(config, None, 1), 1)
     marker = feature_matrix(state.pool_data, state.basis, state.pool.labeled.pairs)[0]
@@ -668,11 +670,12 @@ def _loop_configs(draw):
 @given(config=_loop_configs(), stack_elems=st.sampled_from([1, 60, harness.STACK_ELEMS]))
 def test_stacked_step_matches_the_per_run_reference(config, stack_elems):
     # stack_elems 1 cuts every stack to one run, 60 to a few
-    runs = []
+    runs, labels = [], []
 
-    def fit_iteration(loop_runs, *args, _fn=harness._fit_iteration):
-        runs[:] = loop_runs  # their label rows end as the loop's final labels
-        return _fn(loop_runs, *args)
+    def fit_iteration(loop_runs, loop_labels, *args, _fn=harness._fit_iteration):
+        runs[:] = loop_runs
+        labels[:] = loop_labels  # the label matrix's rows, which end as the loop's final labels
+        return _fn(loop_runs, loop_labels, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "STACK_ELEMS", stack_elems)
@@ -682,8 +685,8 @@ def test_stacked_step_matches_the_per_run_reference(config, stack_elems):
     assert records == [record for run in reference for record in run.records]
     assert [(run.strategy, run.repeat) for run in runs] == \
         [(run.strategy, run.repeat) for run in reference]
-    for run, ref in zip(runs, reference):
-        npt.assert_array_equal(run.labels, ref.pool.labels, strict=True)
+    for row, ref in zip(labels, reference):
+        npt.assert_array_equal(row, ref.pool.labels, strict=True)
 
 
 def test_a_failed_step_names_the_first_failing_run_in_run_order(monkeypatch):

@@ -42,6 +42,19 @@ def test_data_matrix_validation():
         DataMatrix(np.zeros((2, 2)), labels=[0.0, 1.0])
 
 
+def test_data_matrix_freezes_a_contiguous_float64_x_in_place_and_copies_the_rest():
+    # the rule its docstring states: the caller's own array is kept, not copied
+    x, labels = np.zeros((3, 2)), np.arange(3)
+    data = DataMatrix(x, labels)
+    assert np.shares_memory(data.x, x) and not x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x[0, 0] = 1.0
+    labels[0] = 5  # labels are always copied to int64
+    other = np.zeros((3, 2), dtype=np.float32)
+    assert not np.shares_memory(DataMatrix(other).x, other)
+    other[0, 0] = 1.0
+
+
 def test_data_matrix_subset_carries_labels():
     data = DataMatrix(np.arange(8.0).reshape(4, 2), labels=[3, 1, 4, 1])
     sub = data.subset([2, 0])
