@@ -6,7 +6,10 @@
 # quoted field, an underscored number), which must print the plain file's
 # accuracy, one eval of a model file without its threshold, which must exit 1
 # naming the missing entry (its stderr goes to a file), and one eval large
-# enough (4,000 x 1,000 rows, K=5) for a multi-leaf 1NN search.  Exits
+# enough (4,000 x 1,000 rows, K=5) for a multi-leaf 1NN search.  Then two
+# `bdml run`s on train.csv, whose energy rule gives the repeats basis sizes
+# 5, 6, 5, 5, so each iteration fits two groups of one fit kind; their
+# results.csv, summary.csv and results.json must match byte for byte.  Exits
 # nonzero at the first failing command.
 set -e
 python -c "
@@ -66,3 +69,10 @@ bdml score-pairs --data train.csv --strategy RANDOM --k 2 \
 bdml score-pairs --data train.csv --strategy BAYES_ACT --k 5 \
     --no-standardize --out scores_k5.csv --save-model model_k5.json
 bdml eval --model model_k5.json --train big_train.csv --test big_test.csv
+for out in csv_run csv_rerun; do
+  bdml run --data train.csv --pool-size 20 --test-size 20 --initial-pairs 5 \
+      --batch 5 --iterations 2 --repeats 4 --energy 0.7 --out "$out/"
+done
+for f in results.csv summary.csv results.json; do
+  cmp "csv_run/$f" "csv_rerun/$f"
+done

@@ -37,7 +37,10 @@ def parse_synth_spec(text: str) -> SynthSpec:
         key = key.strip().replace("-", "_")
         if key not in types:
             raise ValueError(f"unknown synth spec key {key!r}")
-        kwargs[key] = types[key](value)
+        try:
+            kwargs[key] = types[key](value)
+        except ValueError:
+            raise ValueError(f"{key} must be {types[key].__name__}, got {value!r}") from None
     return SynthSpec(**kwargs)
 
 

@@ -62,11 +62,11 @@ class SynthSpec:
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
         if self.per_class < 2:
-            raise ValueError("need at least 2 examples per class")
+            raise ValueError("per_class must be at least 2 (examples per class)")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if not self.spread > 0:
-            raise ValueError("spread must be positive")
+        if not 0 < self.spread < float("inf"):
+            raise ValueError(f"spread must be positive and finite, got {self.spread}")
 
 
 @dataclass(frozen=True)

@@ -236,27 +236,6 @@ def _blamed_on(run: _Run, t: int):
         ) from exc
 
 
-def _fit_iteration(runs, labels, prior, reg):
-    """Each fit group of ``runs`` as ``(fit, members, stack)``: its fit kind,
-    its runs' positions and their stacked fit, row n for ``members[n]``.
-
-    Runs sharing the fit kind and basis size form a group, fitted by one
-    :func:`_fit_all` call on the rows of its members' feature tables that
-    their rows of ``labels`` mark labeled, with those labels, in candidate
-    order (every run has labeled as many); a run without a fit joins none.
-    """
-    kinds = [STRATEGY_TABLE[run.strategy].fit for run in runs]
-    groups = _groups([fit and (fit, run.state.features.shape[1]) for fit, run in zip(kinds, runs)])
-    fits = []
-    for (fit, _), members in groups.items():
-        rows = labels[members]
-        at = rows != 0
-        features = np.stack([runs[n].state.features[a] for n, a in zip(members, at)])
-        y = rows[at].reshape(len(members), -1).astype(np.float64)
-        fits.append((fit, members, _fit_all(fit, features, y, prior, reg)))
-    return fits
-
-
 def _groups(keys):
     """Positions of ``keys`` grouped by key, in first-seen order; a None key joins no group."""
     groups = {}
@@ -278,17 +257,66 @@ def _stacks(count, per_run):
 
 
 def _step(config, runs, labels, t, prior, previous):
-    """Iteration ``t`` of ``runs``, whose pool labels and predictions at
+    """Iteration ``t`` of ``runs``, whose pool labels and 1NN predictions at
     iteration t-1 are the rows of ``labels`` and ``previous``.
 
-    Returns the fit groups of :func:`_fit_iteration`, the (runs, n_test)
-    1NN predictions, the positions in ``labels`` of the runs that acquire,
-    and their rows with the batch each selects labeled by the oracle (none
-    after the last).  Nothing is written.
+    Runs sharing the fit kind and basis size form a fit group, and the step
+    takes each group in one pass.  One :func:`_fit_all` call fits it on the
+    rows of its members' feature tables that their rows of ``labels`` mark
+    labeled, with those labels, in candidate order (every run has labeled
+    ``initial_pairs + t * batch_size``).  Its ``weights`` rows replace the
+    members' predictions by stacked 1NN searches and, before the last
+    iteration, the members sharing an acquisition rule select as one stack:
+    RANDOM by seed alone, an entropy rule from their repeats' whole feature
+    tables under their rows of the fit.  A run without a fit joins no group
+    and selects nothing; it keeps its predictions of t-1, or at iteration 0
+    takes EUCLID's raw 1NN.  Stacks are cut at ``STACK_ELEMS`` elements;
+    every repeat has the same train and test sizes.
+
+    Returns the ``(fit, stack)`` pairs of the groups' fit kinds and fits, the
+    (runs, n_test) predictions, the positions in ``labels`` of the runs that
+    acquire, and their rows with the batch each selects labeled by the
+    oracle.  Nothing is written.
     """
-    fits = _fit_iteration(runs, labels, prior, config.reg)
-    predictions = _predict(runs, t, fits, previous)
-    at, picks = _select(config, runs, labels, t, fits)
+    predictions = previous.copy()
+    kinds = [STRATEGY_TABLE[run.strategy] for run in runs]
+    for n, run in enumerate(runs):
+        if kinds[n].fit is None and t == 0:
+            predictions[n] = metric.euclidean_knn(run.state.train, run.state.test)
+    fits, at, picks = [], [], []
+    groups = _groups([kind.fit and (kind.fit, run.state.features.shape[1])
+                      for kind, run in zip(kinds, runs)])
+    for (fit, _), members in groups.items():
+        labeled = labels[members] != 0
+        w = np.stack([runs[n].state.features[a] for n, a in zip(members, labeled)])
+        y = labels[members][labeled].reshape(len(members), -1).astype(np.float64)
+        fitted = _fit_all(fit, w, y, prior, config.reg)
+        del labeled, w, y  # freed before the selections, where the step peaks in memory
+        fits.append((fit, fitted))
+        first = runs[members[0]].state
+        for part in _stacks(len(members), first.train.n * first.test.n):
+            states = [runs[n].state for n in members[part]]
+            predictions[members[part]] = metric.knn_many(
+                fitted.weights[part], np.stack([s.train_proj for s in states]),
+                np.stack([s.test_proj for s in states]),
+                np.stack([s.train.labels for s in states]))
+        if t == config.iterations:
+            continue
+        for tag, tagged in _groups([kinds[n].scorer for n in members]).items():
+            for part in _stacks(len(tagged), first.features.size):
+                stack = [members[i] for i in tagged[part]]
+                features = sigma = seeds = None
+                if tag == "RANDOM":
+                    seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat,
+                                        "select", t) for n in stack]
+                else:  # a one-run stack's table is passed as a view, not copied
+                    features = (np.stack([runs[n].state.features for n in stack])
+                                if len(stack) > 1 else runs[stack[0]].state.features[None])
+                if tag == "BAYES_VAR":
+                    sigma = fitted.sigma[tagged[part]]
+                picks.append(select_many(tag, labels[stack], features, fitted.weights[tagged[part]],
+                                         sigma, config.batch_size, seeds))
+                at.extend(stack)
     relabeled = labels[at]
     if at:
         candidates = runs[0].state.pool.candidates  # every repeat's pool has all pool_size pairs
@@ -297,61 +325,6 @@ def _step(config, runs, labels, t, prior, previous):
         answers = _oracle(classes, candidates[picks, 0], candidates[picks, 1])
         label_many(relabeled, picks, answers, candidates)
     return fits, predictions, at, relabeled
-
-
-def _predict(runs, t, fits, previous):
-    """Every run's 1NN predictions at iteration ``t``: ``previous``'s of t-1 with a
-    fitted run's row replaced under its row of its group's fit, and an unfitted
-    run's by EUCLID's raw 1NN at iteration 0.  Each fit group searches as stacks
-    of its weight rows; every repeat has the same train and test sizes."""
-    predictions = previous.copy()
-    for n, run in enumerate(runs):
-        if STRATEGY_TABLE[run.strategy].fit is None and t == 0:
-            predictions[n] = metric.euclidean_knn(run.state.train, run.state.test)
-    for _, members, fitted in fits:
-        first = runs[members[0]].state
-        for part in _stacks(len(members), first.train.n * first.test.n):
-            states = [runs[n].state for n in members[part]]
-            predicted = metric.knn_many(fitted.weights[part],
-                                        np.stack([s.train_proj for s in states]),
-                                        np.stack([s.test_proj for s in states]),
-                                        np.stack([s.train.labels for s in states]))
-            predictions[members[part]] = predicted
-    return predictions
-
-
-def _select(config, runs, labels, t, fits):
-    """The batch each acquiring run selects at iteration ``t``, none after the last.
-
-    Returns the runs' positions and a list of (stack, batch) arrays of
-    their picks, in that order.  The runs of a fit group, or without a fit,
-    that share an acquisition rule select as one stack: RANDOM by seed alone,
-    an entropy rule from their repeats' whole feature tables under their
-    rows of the group's fit.  Each has labeled ``initial_pairs + t * batch_size``.
-    """
-    at, picks = [], []
-    if t == config.iterations:
-        return at, picks
-    tags = [STRATEGY_TABLE[run.strategy].scorer for run in runs]
-    unfitted = [n for n, run in enumerate(runs) if STRATEGY_TABLE[run.strategy].fit is None]
-    for _, members, fitted in fits + [(None, unfitted, None)]:
-        for tag, rows in _groups([tags[n] for n in members]).items():
-            for part in _stacks(len(rows), runs[members[0]].state.features.size):
-                stack = [members[i] for i in rows[part]]
-                features = gamma = sigma = seeds = None
-                if tag == "RANDOM":
-                    seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat,
-                                        "select", t) for n in stack]
-                else:  # a one-run stack's table is passed as a view, not copied
-                    features = (np.stack([runs[n].state.features for n in stack])
-                                if len(stack) > 1 else runs[stack[0]].state.features[None])
-                    gamma = fitted.weights[rows[part]]
-                if tag == "BAYES_VAR":
-                    sigma = fitted.sigma[rows[part]]
-                picks.append(select_many(tag, labels[stack], features, gamma, sigma,
-                                         config.batch_size, seeds))
-                at.extend(stack)
-    return at, picks
 
 
 def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) -> list:
@@ -364,23 +337,17 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
     the strategy table's ``"mle"`` or ``"vb"``.
 
     The runs move in lockstep: every repeat is prepared first, then all
-    (repeat, strategy) runs take iteration 0, then 1, and so on.  A run is
-    immutable; the loop keeps the pool labels as one int8 (runs, m) matrix,
-    the last (runs, n_test) predictions and one accuracy row per iteration.
-    Within an iteration the fits of runs that share a fit kind and basis
-    size go through one :func:`_fit_all` call on their labeled rows: one
-    ``vb.fit_many`` or ``mle.fit_many`` stack, a checked
-    ``VariationalPosterior`` or ``MleSolution``, stays the group's for the
-    iteration.  Its ``weights`` rows feed the group's stacked 1NN search
-    and, per acquisition rule, the stacked scoring of its runs' feature
-    tables, and its flags the ``fit_tally``; no per-run object is built.
-    Then the oracle answers and the labels are written for all runs at
-    once.  Stacks are cut at ``STACK_ELEMS`` elements.  Seeds derive from
-    (seed, strategy, repeat, iteration), so the order changes no result.
-    The records are built after the last iteration, ordered by repeat,
-    strategy and iteration.  A failed iteration, fit included, is retaken
-    run by run: its error names the first run, in run order, that fails
-    alone.  ``runtime_ms`` is always 0.0.
+    (repeat, strategy) runs take iteration 0, then 1, and so on, each in
+    one :func:`_step`, which fits, searches and selects one fit group at a
+    time as stacks and builds no per-run object.  A run is immutable; the
+    loop keeps the pool labels as one int8 (runs, m) matrix, the last
+    (runs, n_test) predictions and one accuracy row per iteration, and
+    after each step writes its labels and tallies its fits' ``converged``
+    flags.  Seeds derive from (seed, strategy, repeat, iteration), so the
+    order changes no result.  The records are built after the last
+    iteration, ordered by repeat, strategy and iteration.  A failed step,
+    fit included, is retaken run by run: its error names the first run, in
+    run order, that fails alone.  ``runtime_ms`` is always 0.0.
     """
     if fit_tally is None:
         fit_tally = Counter()
@@ -412,7 +379,7 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
                     _step(config, [run], labels[n : n + 1], t, prior, predictions[n : n + 1])
             raise
         accuracies.append(np.mean(predictions == truth, axis=1))
-        for fit, _, fitted in fits:
+        for fit, fitted in fits:
             fit_tally.update((fit, c) for c in fitted.converged.tolist())
         labels[at] = relabeled
     return [ResultRecord(run.strategy, run.repeat, t, config.initial_pairs + t * config.batch_size,

@@ -38,6 +38,14 @@ def test_parse_synth_spec():
         parse_synth_spec("classes")
     with pytest.raises(ValueError, match="unknown synth spec key"):
         parse_synth_spec("widgets=3")
+    with pytest.raises(ValueError, match=r"^classes must be int, got '3\.5'$"):
+        parse_synth_spec("classes=3.5")
+    with pytest.raises(ValueError, match=r"^spread must be float, got 'abc'$"):
+        parse_synth_spec("spread=abc")
+    with pytest.raises(ValueError, match=r"^spread must be positive and finite, got inf$"):
+        parse_synth_spec("spread=inf")
+    with pytest.raises(ValueError, match=r"^per_class must be at least 2 \(examples per class\)$"):
+        parse_synth_spec("per_class=1")
 
 
 def test_parse_synth_spec_takes_every_synth_spec_field():

@@ -70,8 +70,9 @@ def test_synth_spec_validation():
         SynthSpec(per_class=1)
     with pytest.raises(ValueError, match="dim"):
         SynthSpec(dim=0)
-    with pytest.raises(ValueError, match="spread"):
-        SynthSpec(spread=0.0)
+    for spread in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="spread"):
+            SynthSpec(spread=spread)
 
 
 def test_synth_data_is_seed_deterministic():
@@ -438,14 +439,14 @@ def test_loop_fits_gather_the_rows_feature_matrix_gives(monkeypatch):
     # every fit gets, bit for bit, the feature rows and labels of its run's labeled pairs
     want, got = [], []
 
-    def fit_iteration(runs, labels, *args, _fn=harness._fit_iteration):
+    def step(config, runs, labels, *args, _fn=harness._step):
         for run, row in zip(runs, labels):  # the run's row of the loop's label matrix
             if STRATEGY_TABLE[run.strategy].fit:
                 at = row != 0
                 pairs = run.state.pool.candidates[at]
                 w = feature_matrix(run.state.pool_data, run.state.basis, pairs)
                 want.append(w.tobytes() + row[at].astype(np.float64).tobytes())
-        return _fn(runs, labels, *args)
+        return _fn(config, runs, labels, *args)
 
     for module in (mle, vb):
         def fit_many(w, y, *args, _fn=module.fit_many, **kwargs):
@@ -453,7 +454,7 @@ def test_loop_fits_gather_the_rows_feature_matrix_gives(monkeypatch):
             return _fn(w, y, *args, **kwargs)
         monkeypatch.setattr(module, "fit_many", fit_many)
 
-    monkeypatch.setattr(harness, "_fit_iteration", fit_iteration)
+    monkeypatch.setattr(harness, "_step", step)
     run_active_loop(_small_config(iterations=2, repeats=2))
     assert len(want) == 2 * 4 * 3  # repeats x fitting strategies x (iterations+1)
     assert sorted(got) == sorted(want)
@@ -591,9 +592,9 @@ def test_a_one_run_stack_selects_from_its_table_itself(monkeypatch):
     assert 4950 * 4 > harness.STACK_ELEMS
     runs, seen = [], []
 
-    def fit_iteration(loop_runs, *args, _fn=harness._fit_iteration):
+    def step(config, loop_runs, *args, _fn=harness._step):
         runs[:] = loop_runs
-        return _fn(loop_runs, *args)
+        return _fn(config, loop_runs, *args)
 
     def select_many(strategy, labels, features, *args, _fn=harness.select_many):
         # a repeat's runs share its table; the tag tells them apart
@@ -602,7 +603,7 @@ def test_a_one_run_stack_selects_from_its_table_itself(monkeypatch):
         seen.append((features.shape, run.strategy, run.repeat))
         return _fn(strategy, labels, features, *args)
 
-    monkeypatch.setattr(harness, "_fit_iteration", fit_iteration)
+    monkeypatch.setattr(harness, "_step", step)
     monkeypatch.setattr(harness, "select_many", select_many)
     run_active_loop(config)
     assert sorted(seen) == [((1, 4950, 4), s, r) for s in ("BAYES_VAR", "MLE_ACT") for r in (0, 1)]
@@ -672,14 +673,14 @@ def test_stacked_step_matches_the_per_run_reference(config, stack_elems):
     # stack_elems 1 cuts every stack to one run, 60 to a few
     runs, labels = [], []
 
-    def fit_iteration(loop_runs, loop_labels, *args, _fn=harness._fit_iteration):
+    def step(config, loop_runs, loop_labels, *args, _fn=harness._step):
         runs[:] = loop_runs
         labels[:] = loop_labels  # the label matrix's rows, which end as the loop's final labels
-        return _fn(loop_runs, loop_labels, *args)
+        return _fn(config, loop_runs, loop_labels, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "STACK_ELEMS", stack_elems)
-        mp.setattr(harness, "_fit_iteration", fit_iteration)
+        mp.setattr(harness, "_step", step)
         records = run_active_loop(config)
     reference = _reference_loop(config)
     assert records == [record for run in reference for record in run.records]
@@ -736,6 +737,19 @@ def test_a_failed_fit_does_not_outrank_an_earlier_runs_failed_selection(monkeypa
     with pytest.raises(RuntimeError, match=r"^strategy=BAYES_VAR repeat=0 iteration=0: "
                                            r"synthetic selection failure$"):
         run_active_loop(config)
+
+
+def test_a_step_that_fails_only_stacked_raises_its_own_error(monkeypatch):
+    # every run passes its retake alone, so no run can be blamed: the stacked
+    # step's error comes out as it was raised
+    def select_many(strategy, labels, *args, _fn=harness.select_many):
+        if len(labels) > 1:
+            raise ValueError("synthetic stacked failure")
+        return _fn(strategy, labels, *args)
+
+    monkeypatch.setattr(harness, "select_many", select_many)
+    with pytest.raises(ValueError, match=r"^synthetic stacked failure$"):
+        run_active_loop(_small_config(strategies=("MLE_ACT",), repeats=2))
 
 
 def test_loop_leaves_numpy_ma_unimported():

@@ -246,6 +246,15 @@ def test_eigen_basis_keeps_k_equal_to_n_on_centered_rows_that_span_n_minus_1():
         eigen_basis(DataMatrix(x[[0, 1, 1]]), k=3, standardize=False)
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [1, 0, 2, 4, 3, 5]])
+def test_eigen_basis_orders_tied_eigenvalues_by_their_vectors(order):
+    # rows +-e1, +-e2, +-0.5 e3: eigenvalues 2, 2 and 0.5; the raw SVD may put
+    # either of the tied vectors first, depending on the row order
+    e = np.diag([1.0, 1.0, 0.5])
+    basis = eigen_basis(DataMatrix(np.concatenate([e, -e])[order]), k=3, standardize=False)
+    npt.assert_array_equal(basis.vectors, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+
 def test_standardize_divides_by_column_std():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(20, 3)) * np.array([1.0, 10.0, 100.0])
