@@ -3,8 +3,8 @@
 # every scorer strategy on two synthetic CSVs, eval of each saved model, one
 # score-pairs to stdout, which must match the bytes of its --out file, one
 # eval on a copy of train.csv that numpy's C reader refuses (CRLF line ends, a
-# quoted field, an underscored number), which must print the plain file's
-# accuracy, one eval of a model file without its threshold, which must exit 1
+# quoted field, an underscored number) and one on a copy whose header names
+# are quoted, each of which must print the plain file's accuracy, one eval of a model file without its threshold, which must exit 1
 # naming the missing entry (its stderr goes to a file), and one eval large
 # enough (4,000 x 1,000 rows, K=5) for a multi-leaf 1NN search.  Then two
 # `bdml run`s on train.csv, whose energy rule gives the repeats basis sizes
@@ -41,14 +41,20 @@ assert '_' in rows[1][0]
 rows[2][1] = '"' + rows[2][1] + '"'
 with open('odd_train.csv', 'w', newline='') as fh:
     fh.write(''.join(','.join(row) + '\r\n' for row in rows))
+with open('train.csv', newline='') as fh:
+    header, body = fh.read().split('\r\n', 1)
+with open('quoted_train.csv', 'w', newline='') as fh:
+    fh.write(','.join('"' + name + '"' for name in header.split(',')) + '\r\n' + body)
 EOF
 plain=$(bdml eval --model model_BAYES_VAR.json --train train.csv --test test.csv)
-odd=$(bdml eval --model model_BAYES_VAR.json --train odd_train.csv --test test.csv)
-echo "$odd"
-if [ "$odd" != "$plain" ]; then
-  echo "odd_train.csv gives '$odd', train.csv '$plain'" >&2
-  exit 1
-fi
+for copy in odd_train.csv quoted_train.csv; do
+  got=$(bdml eval --model model_BAYES_VAR.json --train "$copy" --test test.csv)
+  echo "$got"
+  if [ "$got" != "$plain" ]; then
+    echo "$copy gives '$got', train.csv '$plain'" >&2
+    exit 1
+  fi
+done
 python -c "
 import json
 with open('model_BAYES_VAR.json') as fh:

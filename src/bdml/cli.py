@@ -37,6 +37,8 @@ def parse_synth_spec(text: str) -> SynthSpec:
         key = key.strip().replace("-", "_")
         if key not in types:
             raise ValueError(f"unknown synth spec key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"synth spec key {key!r} is given twice")
         try:
             kwargs[key] = types[key](value)
         except ValueError:

@@ -76,29 +76,28 @@ def _nn1_search(train, queries, order, starts):
         block = queries[start : start + chunk]
         bound = _sq_dist(block, lo, hi)
         first = bound.argmin(axis=1)
-        best, idx = np.empty(block.shape[0]), out[start : start + block.shape[0]]
+        best, idx = np.full(block.shape[0], np.inf), out[start : start + block.shape[0]]
+        idx.fill(train.shape[0])  # above every row, so an inf distance from overflow wins too
         for leaf, (a, b) in enumerate(leaves):  # the leaf of the nearest box first
             sel = (first == leaf).nonzero()[0]
-            _merge(block, sel, rows[a:b], order[a:b], best, idx, assign=True)
+            _merge(block, sel, rows[a:b], order[a:b], best, idx)
         for leaf, (a, b) in enumerate(leaves):  # then every box as near as the best row
             sel = ((bound[:, leaf] <= best) & (first != leaf)).nonzero()[0]
             _merge(block, sel, rows[a:b], order[a:b], best, idx)
     return out
 
 
-def _merge(block, sel, rows, ids, best, idx, assign=False):
+def _merge(block, sel, rows, ids, best, idx):
     """Replace the (best, idx) of queries ``block[sel]`` by their nearest of
-    ``rows`` (training rows ``ids``): with ``assign`` always, otherwise where
-    it is nearer, or as near and lower."""
+    ``rows`` (training rows ``ids``) where it is nearer, or as near and lower."""
     chunk = max(1, BLOCK_ELEMS // rows.shape[0])
     for start in range(0, sel.size, chunk):
         q = sel[start : start + chunk]
         d2 = _sq_dist(block[q], rows)
         j = d2.argmin(axis=1)
         d, i = d2.min(axis=1), ids[j]
-        if not assign:
-            win = (d < best[q]) | ((d == best[q]) & (i < idx[q]))
-            q, d, i = q[win], d[win], i[win]
+        win = (d < best[q]) | ((d == best[q]) & (i < idx[q]))
+        q, d, i = q[win], d[win], i[win]
         best[q], idx[q] = d, i
 
 

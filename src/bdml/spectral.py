@@ -242,20 +242,15 @@ def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None], -vectors, vectors)
 
 
-def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray):
-    """Order equal eigenvalues by lexicographic order of their vectors."""
-    order = list(range(eigenvalues.shape[0]))
+def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The vectors, those of a tie in lexicographic order.  A tie is an eigenvalue
+    and the next ones within 1e-9 times the largest eigenvalue of it."""
     tol = 1e-9 * max(eigenvalues[0], 1e-300)
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while stop < len(order) and eigenvalues[start] - eigenvalues[stop] <= tol:
-            stop += 1
-        if stop - start > 1:
-            group = sorted(order[start:stop], key=lambda r: tuple(vectors[r]))
-            order[start:stop] = group
-        start = stop
-    return eigenvalues[order], vectors[order]
+    ties, anchor = [], 0
+    for i, ev in enumerate(eigenvalues):
+        anchor = anchor if eigenvalues[anchor] - ev <= tol else i
+        ties.append(anchor)
+    return vectors[np.lexsort((*vectors.T[::-1], ties))]
 
 
 def _preprocess(x: np.ndarray, center: bool, standardize: bool):
@@ -293,8 +288,9 @@ def eigen_basis(
     rejected, except ``k = n`` on centered rows that span n - 1, and so
     is data whose squares overflow or, within the rank, underflow.
     Eigenvector signs are canonicalized (first nonzero component positive)
-    and equal eigenvalues are ordered lexicographically by vector, so the
-    result is deterministic.
+    and the vectors of equal eigenvalues are ordered lexicographically, so
+    the result is deterministic; the eigenvalues stay descending, as the
+    SVD gives them.
     """
     n, d = data.n, data.d
     if n < 2:
@@ -341,9 +337,8 @@ def eigen_basis(
         k = int(np.searchsorted(frac, energy - 1e-12) + 1)
         k = min(k, MAX_ENERGY_COMPONENTS, rank)
 
-    vectors = _canonicalize_signs(vt[:k])
-    ev, vectors = _tie_break(eigenvalues[:k].copy(), vectors)
-    return EigenBasis(vectors=vectors, eigenvalues=ev, center=c, scale=s)
+    vectors = _tie_break(eigenvalues[:k], _canonicalize_signs(vt[:k]))
+    return EigenBasis(vectors=vectors, eigenvalues=eigenvalues[:k], center=c, scale=s)
 
 
 def pair_feature(data: DataMatrix, basis: EigenBasis, i: int, j: int) -> PairFeature:
@@ -392,18 +387,16 @@ def load_csv(path) -> DataMatrix:
     The data rows are parsed by one ``np.loadtxt`` call, numpy's C reader,
     which converts numbers as Python's ``float`` and ``int`` do.  Wherever
     it could read the file differently from ``csv`` (it refuses or warns, a
-    data line is blank, the header line holds a quote, a value is not
-    finite), the rows are read again one by one, and only that loop raises,
-    so values and errors are the same either way.
+    data line is blank, a value is not finite), the rows are read again one
+    by one, and only that loop raises, so values and errors are the same
+    either way.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        quoted_header = '"' in fh.readline()
-        fh.seek(0)
-        header = _read_header(csv.reader(fh), path)
-        data = None if quoted_header else _read_rows_c(fh, header)
+        reader = csv.reader(fh)  # consumes exactly the lines of the header record
+        header = _read_header(reader, path)
+        data = _read_rows_c(fh, header)
         if data is None:
             fh.seek(0)
-            reader = csv.reader(fh)
             next(reader)
             data = _read_rows(reader, header, path)
     return data

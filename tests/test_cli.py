@@ -38,6 +38,8 @@ def test_parse_synth_spec():
         parse_synth_spec("classes")
     with pytest.raises(ValueError, match="unknown synth spec key"):
         parse_synth_spec("widgets=3")
+    with pytest.raises(ValueError, match=r"^synth spec key 'classes' is given twice$"):
+        parse_synth_spec("classes=3,classes=4")
     with pytest.raises(ValueError, match=r"^classes must be int, got '3\.5'$"):
         parse_synth_spec("classes=3.5")
     with pytest.raises(ValueError, match=r"^spread must be float, got 'abc'$"):

@@ -246,13 +246,21 @@ def test_eigen_basis_keeps_k_equal_to_n_on_centered_rows_that_span_n_minus_1():
         eigen_basis(DataMatrix(x[[0, 1, 1]]), k=3, standardize=False)
 
 
-@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [1, 0, 2, 4, 3, 5]])
-def test_eigen_basis_orders_tied_eigenvalues_by_their_vectors(order):
+@pytest.mark.parametrize("order, tilt, scale", [
+    pytest.param([0, 1, 2, 3, 4, 5], 1.0, 1.0, id="order0"),
+    pytest.param([1, 0, 2, 4, 3, 5], 1.0, 1.0, id="order1"),
+    pytest.param([0, 1, 2, 3, 4, 5], 1 + 3e-11, 1.0, id="near_tie"),
+    pytest.param([0, 1, 2, 3, 4, 5], 1 + 3e-11, 1e3, id="near_tie_scaled"),
+])
+def test_eigen_basis_orders_tied_eigenvalues_by_their_vectors(order, tilt, scale):
     # rows +-e1, +-e2, +-0.5 e3: eigenvalues 2, 2 and 0.5; the raw SVD may put
-    # either of the tied vectors first, depending on the row order
-    e = np.diag([1.0, 1.0, 0.5])
+    # either of the tied vectors first, depending on the row order.  With e1
+    # tilted by 3e-11 its eigenvalue leads by 1.2e-10 of the largest, still a
+    # tie; the vectors swap, and the eigenvalues must not swap with them
+    e = np.diag([tilt, 1.0, 0.5]) * scale
     basis = eigen_basis(DataMatrix(np.concatenate([e, -e])[order]), k=3, standardize=False)
     npt.assert_array_equal(basis.vectors, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert np.all(np.diff(basis.eigenvalues) <= 0)
 
 
 def test_standardize_divides_by_column_std():
