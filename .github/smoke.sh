@@ -8,7 +8,8 @@
 # naming the missing entry (its stderr goes to a file), and one eval large
 # enough (4,000 x 1,000 rows, K=5) for a multi-leaf 1NN search.  Then two
 # `bdml run`s on train.csv, whose energy rule gives the repeats basis sizes
-# 5, 6, 5, 5, so each iteration fits two groups of one fit kind; their
+# 5, 6, 5, 5, so each iteration fits two groups of one fit kind, and two of
+# the README's `bdml run` command verbatim, at full size; each pair's
 # results.csv, summary.csv and results.json must match byte for byte.  Exits
 # nonzero at the first failing command.
 set -e
@@ -79,6 +80,14 @@ for out in csv_run csv_rerun; do
   bdml run --data train.csv --pool-size 20 --test-size 20 --initial-pairs 5 \
       --batch 5 --iterations 2 --repeats 4 --energy 0.7 --out "$out/"
 done
+for out in readme_run readme_rerun; do
+  bdml run --synth classes=3,per_class=20,dim=10,spread=0.3 \
+      --pool-size 40 --test-size 20 --initial-pairs 10 --batch 20 \
+      --iterations 5 --repeats 20 --k 2 --no-standardize --reg 5 \
+      --strategies RANDOM_MLE,MLE_ACT,BAYES_ACT,BAYES_VAR,EUCLID \
+      --out "$out/"
+done
 for f in results.csv summary.csv results.json; do
   cmp "csv_run/$f" "csv_rerun/$f"
+  cmp "readme_run/$f" "readme_rerun/$f"
 done

@@ -24,12 +24,16 @@ along a leading axis); row n of every stacked fit must equal row 0
 of the problem's one-problem fit bit for bit (the raw means and bound
 trajectories of VB, the weights, objective, iterations and converged
 flag of MLE), or the script fails.  The fifth table times the stacks of the same run's
-iteration steps, the 1NN searches (``kernels.nn1_many``) and the pair
-scorings (``active._score_rows``), against the same work run by run:
-each search must give every run the indices of ``nn1_exhaustive``, each
-Laplace scoring the probabilities of ``laplace_posterior_batch`` and
-each plug-in scoring those of ``expit(-(w @ g))``, bit for bit, or the
-script fails.  The last table times ``load_csv`` against its row loop
+iteration steps, the 1NN searches (``kernels.nn1_many``), the pair
+scorings (``active._score_rows``), the selections (``select_many``) and
+the oracle (``oracle_label`` of the stacked class labels), against the
+same work run by run: each search must give every run the indices of
+``nn1_exhaustive``, each Laplace scoring the probabilities of
+``laplace_posterior_batch``, each plug-in scoring those of
+``expit(-(w @ g))``, each selection the picks of ``active.select`` on the
+run's own pool and scorer, and each stacked oracle call the labels of
+``oracle_label`` on the run's own pool data, bit for bit, or the script
+fails.  The last table times ``load_csv`` against its row loop
 alone on a 20,000-row file shaped like ``knn_eval``'s train set (d=20
 plus a label) and on a copy holding one ``1_0`` token: the plain file
 must take numpy's C reader and the copy the row loop (``load_csv`` runs
@@ -108,9 +112,10 @@ README_CONFIG = harness.ExperimentConfig(
 
 def readme_stacks() -> dict:
     """The arguments of each call of one README ``bdml run`` to the stacked
-    fits and to the stacked search and scoring of its iteration steps, in
-    order, by recorded function."""
-    sites = (vb, "fit_many"), (mle, "fit_many"), (kernels, "nn1_many"), (active, "_score_rows")
+    fits and to the stacked search, scoring, selection and oracle of its
+    iteration steps, in order, by recorded function."""
+    sites = ((vb, "fit_many"), (mle, "fit_many"), (kernels, "nn1_many"),
+             (active, "_score_rows"), (harness, "select_many"), (harness, "oracle_label"))
     stacks = {site: [] for site in sites}
 
     def recorder(site, fn):
@@ -134,21 +139,52 @@ def _score(*args):
     return active._score_rows(*args)[0]
 
 
-# (label, recorded site, which of its calls, the stacked call, one run's call)
-STEP_SITES = (
-    ("1NN", (kernels, "nn1_many"), lambda args: True,
-     kernels.nn1_many, kernels.nn1_exhaustive),
-    ("Laplace scoring", (active, "_score_rows"), lambda args: args[0] == "BAYES_VAR",
-     _score, lambda tag, g, sigma, w: active.laplace_posterior_batch(g, sigma, w)),
-    ("plug-in scoring", (active, "_score_rows"), lambda args: args[0] != "BAYES_VAR",
-     _score, lambda tag, g, sigma, w: kernels.expit(-(w @ g))),
-)
-
-
 def _runs(args):
     """Each run's arguments of a stacked call: its slice of every array."""
     count = next(len(a) for a in args if isinstance(a, np.ndarray))
     return [[a[n] if isinstance(a, np.ndarray) else a for a in args] for n in range(count)]
+
+
+def _select_runs(args):
+    """Each run's arguments of ``active.select`` for a stacked ``select_many``
+    call: its own pool, feature table, scorer, batch and seed.  ``select``
+    reads the scorer's tag, weights and covariance; the README-sized basis
+    the scorer carries is only checked against the weights' length."""
+    tag, labels, features, gamma, sigma, batch, seeds = args
+    candidates = np.column_stack(np.triu_indices(README_CONFIG.pool_size, 1))
+    data = harness.synth_data(README_CONFIG.synth, 0)
+    basis = spectral.eigen_basis(data, k=gamma.shape[-1] - 1,
+                                 standardize=README_CONFIG.standardize)
+    runs = []
+    for n, row in enumerate(labels):
+        at = np.flatnonzero(row)
+        scorer = (active.Scorer.random() if tag == "RANDOM" else active.Scorer(
+            tag, data, basis, gamma[n], sigma[n] if tag == "BAYES_VAR" else None))
+        runs.append((active.PairPool(candidates).with_labels_at(at, row[at]), features[n],
+                     scorer, batch, seeds[n]))
+    return runs
+
+
+def _oracle_runs(args):
+    """Each run's arguments of ``oracle_label`` for a stacked call: a
+    DataMatrix of its pool's class labels and its pairs."""
+    return [(spectral.DataMatrix(np.zeros((c.size, 1)), c), a, b) for c, a, b in zip(*args)]
+
+
+# (label, recorded site, which of its calls, the stacked call, one run's call,
+# each run's arguments of that call)
+STEP_SITES = (
+    ("1NN", (kernels, "nn1_many"), lambda args: True,
+     kernels.nn1_many, kernels.nn1_exhaustive, _runs),
+    ("Laplace scoring", (active, "_score_rows"), lambda args: args[0] == "BAYES_VAR",
+     _score, lambda tag, g, sigma, w: active.laplace_posterior_batch(g, sigma, w), _runs),
+    ("plug-in scoring", (active, "_score_rows"), lambda args: args[0] != "BAYES_VAR",
+     _score, lambda tag, g, sigma, w: kernels.expit(-(w @ g)), _runs),
+    ("selection", (harness, "select_many"), lambda args: True,
+     active.select_many, active.select, _select_runs),
+    ("oracle", (harness, "oracle_label"), lambda args: isinstance(args[0], np.ndarray),
+     harness.oracle_label, harness.oracle_label, _oracle_runs),
+)
 
 
 def step_table(stacks) -> list:
@@ -157,16 +193,18 @@ def step_table(stacks) -> list:
     rows = []
     print()
     print(f"{'README step stacks':<32} {'stacked ms':>14} {'per run ms':>10}")
-    for label, site, keep, stacked, alone in STEP_SITES:
+    for label, site, keep, stacked, alone, split in STEP_SITES:
         calls = [args for args in stacks[site] if keep(args)]
-        for args in calls:
-            for got, one in zip(stacked(*args), _runs(args)):
-                if got.tobytes() != alone(*one).tobytes():
-                    raise SystemExit(f"{label}: a stacked run differs from the run alone")
+        per_run = [split(args) for args in calls]
+        for args, runs in zip(calls, per_run):
+            got = stacked(*args)
+            if len(got) != len(runs) or any(row.tobytes() != alone(*one).tobytes()
+                                            for row, one in zip(got, runs)):
+                raise SystemExit(f"{label}: a stacked run differs from the run alone")
         t_stack = sum(best_ms(stacked, args, number=3, repeat=3) for args in calls)
         t_alone = sum(best_ms(lambda: [alone(*one) for one in runs], (), number=3, repeat=3)
-                      for runs in map(_runs, calls))
-        runs = sum(len(_runs(args)) for args in calls)
+                      for runs in per_run)
+        runs = sum(map(len, per_run))
         shape = f"{label}: {runs} runs, {len(calls)} stacks"
         print(f"{shape:<32} {t_stack:>14.3f} {t_alone:>10.3f}")
         rows.append({"step": label, "runs": runs, "stacks": len(calls),

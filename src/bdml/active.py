@@ -153,7 +153,7 @@ def _row(omega) -> np.ndarray:
 
 def _plugin_rows(gamma, w):
     """sigma(-gamma.w) for each feature row: (..., m, k+1) and (..., k+1) give (..., m)."""
-    return expit(-kernels.mat_vec(w, gamma))
+    return expit(-kernels.mat_vec(kernels.as_f64(w), gamma))
 
 
 def plugin_posterior(gamma, omega) -> float:
@@ -330,19 +330,15 @@ def rank_pairs(scorer: Scorer, pairs):
 def select(pool: PairPool, features, scorer: Scorer, batch: int, rng_seed) -> np.ndarray:
     """Pick ``batch`` unlabeled pairs for the oracle: their int64 positions in ``pool.candidates``.
 
-    ``features`` is the (m, k+1) feature table of ``pool.candidates``, the
-    rows :func:`feature_matrix` gives them.  Entropy strategies score the
-    whole table and take the top of the open candidates, ties to the
-    lowest (i, j); RANDOM reads no features (None will do) and draws
-    uniformly without replacement, depending only on the seed and the
-    canonical order of the unlabeled pairs.
+    :func:`select_many` of one pool, whose candidates' rows (see
+    :func:`feature_matrix`) make the (m, k+1) ``features`` table.  Entropy
+    strategies take the top of the open candidates, ties to the lowest (i, j);
+    RANDOM reads no features (None will do) and draws uniformly without
+    replacement, by the seed alone, from the unlabeled pairs in canonical order.
     """
-    gamma = sigma = None
-    if scorer.strategy != "RANDOM":
-        features, gamma = kernels.as_f64(features)[None], scorer.gamma[None]
-        sigma = None if scorer.sigma is None else scorer.sigma[None]
-    return select_many(scorer.strategy, pool.labels[None], features, gamma, sigma, batch,
-                       [rng_seed])[0]
+    return select_many(scorer.strategy, pool.labels[None],
+                       *(None if a is None else np.asarray(a)[None]
+                         for a in (features, scorer.gamma, scorer.sigma)), batch, [rng_seed])[0]
 
 
 def select_many(strategy, labels, features, gamma, sigma, batch, seeds) -> np.ndarray:
@@ -352,7 +348,7 @@ def select_many(strategy, labels, features, gamma, sigma, batch, seeds) -> np.nd
     candidate.  An entropy strategy scores the whole (r, m, k+1) feature
     tables under the (r, k+1) weights ``gamma`` and, for BAYES_VAR, the
     (r, k+1, k+1) covariances ``sigma``, with -inf for a labeled row; RANDOM
-    reads none of them and draws pool n's batch from ``seeds[n]``.  Returns
+    reads only ``seeds``, drawing pool n's batch from ``seeds[n]``.  Returns
     the (r, batch) candidate positions picked, each row in pick order.
     """
     if strategy != "RANDOM" and features.shape[1:] != (labels.shape[1], gamma.shape[1]):

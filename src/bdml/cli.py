@@ -136,7 +136,7 @@ def cmd_score_pairs(args) -> int:
     fit = STRATEGY_TABLE[args.strategy].fit
     if args.save_model and fit is None:
         raise ValueError(f"{args.strategy} fits no model, nothing to save")
-    prior = model_prior(args.gamma0, args.delta, args.reg)
+    prior = model_prior(args.gamma0, args.delta, args.reg, args.seed)
     data = load_csv(args.data_csv)
     if data.labels is None:
         raise ValueError("score-pairs needs a labeled CSV (oracle labels)")

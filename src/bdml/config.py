@@ -38,14 +38,16 @@ EXPERIMENT_STRATEGIES = ("RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUC
 STRATEGIES = ("RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR")
 
 
-def model_prior(gamma0, delta, reg):
-    """The VB prior of ``gamma0`` and ``delta``, once they and the MLE ridge
-    ``reg`` pass their rules; ``run`` and ``score-pairs`` check all three
-    whatever strategies they fit."""
+def model_prior(gamma0, delta, reg, seed):
+    """The VB prior of ``gamma0`` and ``delta``, once they, the MLE ridge ``reg``
+    and the ``seed`` pass their rules; ``run`` and ``score-pairs`` check all
+    four whatever strategies they fit, before they read any data."""
     from . import mle, vb
 
     prior = vb.PriorConfig(gamma0=gamma0, delta=delta)
     mle._check_reg(reg)
+    if seed < 0:  # numpy's generators refuse it without naming it
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return prior
 
 
@@ -114,4 +116,4 @@ class ExperimentConfig:
         if len(set(strategies)) != len(strategies):
             raise ValueError("duplicate strategies")
         object.__setattr__(self, "strategies", strategies)
-        model_prior(self.gamma0, self.delta, self.reg)
+        model_prior(self.gamma0, self.delta, self.reg, self.seed)

@@ -73,23 +73,19 @@ def synth_data(spec: SynthSpec, seed) -> DataMatrix:
     return DataMatrix(x, labels)
 
 
-def oracle_label(data: DataMatrix, i, j):
-    """Ground-truth pair label: +1 same class, -1 different; for index arrays, one per pair."""
-    if data.labels is None:
+def oracle_label(data, i, j):
+    """Ground-truth pair label: +1 same class, -1 different; for index arrays, one per pair.
+    ``data`` is a DataMatrix or a stack's (r, n) class labels, with i and j of shape (r, b)."""
+    classes = data.labels if isinstance(data, DataMatrix) else data
+    if classes is None:
         raise ValueError("oracle needs labeled data")
-    y = _oracle(data.labels, i, j)
-    return int(y) if y.ndim == 0 else y
-
-
-def _oracle(classes, i, j) -> np.ndarray:
-    """:func:`oracle_label` over the class labels of one dataset, (n,), or of
-    each of a stack, (r, n), with i and j of shape (r, b)."""
     i, j = np.broadcast_arrays(i, j)
     spectral._check_pairs(i, j, classes.shape[-1], "oracle label")
     at = classes.shape[:-1] + (-1,)
     same = (np.take_along_axis(classes, i.reshape(at), -1)
             == np.take_along_axis(classes, j.reshape(at), -1))
-    return np.where(same, 1, -1).reshape(i.shape)
+    y = np.where(same, 1, -1).reshape(i.shape)
+    return int(y) if y.ndim == 0 else y
 
 
 def build_pool(data: DataMatrix, pool_size: int, seed):
@@ -266,12 +262,12 @@ def _step(config, runs, labels, t, prior, previous):
     labeled, with those labels, in candidate order (every run has labeled
     ``initial_pairs + t * batch_size``).  Its ``weights`` rows replace the
     members' predictions by stacked 1NN searches and, before the last
-    iteration, the members sharing an acquisition rule select as one stack:
-    RANDOM by seed alone, an entropy rule from their repeats' whole feature
-    tables under their rows of the fit.  A run without a fit joins no group
-    and selects nothing; it keeps its predictions of t-1, or at iteration 0
-    takes EUCLID's raw 1NN.  Stacks are cut at ``STACK_ELEMS`` elements;
-    every repeat has the same train and test sizes.
+    iteration, the members sharing an acquisition rule pass their feature
+    tables, fit rows and seeds as one stack to :func:`select_many`, which
+    reads what the rule needs.  A run without a fit joins no group and
+    selects nothing; it keeps its predictions of t-1, or at iteration 0 takes
+    EUCLID's raw 1NN.  Stacks are cut at ``STACK_ELEMS`` elements; every
+    repeat has the same train and test sizes.
 
     Returns the ``(fit, stack)`` pairs of the groups' fit kinds and fits, the
     (runs, n_test) predictions, the positions in ``labels`` of the runs that
@@ -305,15 +301,11 @@ def _step(config, runs, labels, t, prior, previous):
         for tag, tagged in _groups([kinds[n].scorer for n in members]).items():
             for part in _stacks(len(tagged), first.features.size):
                 stack = [members[i] for i in tagged[part]]
-                features = sigma = seeds = None
-                if tag == "RANDOM":
-                    seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat,
-                                        "select", t) for n in stack]
-                else:  # a one-run stack's table is passed as a view, not copied
-                    features = (np.stack([runs[n].state.features for n in stack])
-                                if len(stack) > 1 else runs[stack[0]].state.features[None])
-                if tag == "BAYES_VAR":
-                    sigma = fitted.sigma[tagged[part]]
+                features = (np.stack([runs[n].state.features for n in stack]) if len(stack) > 1
+                            else runs[stack[0]].state.features[None])  # a view, not a copy
+                sigma = fitted.sigma[tagged[part]] if fit == "vb" else None
+                seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat, "select", t)
+                         for n in stack]
                 picks.append(select_many(tag, labels[stack], features, fitted.weights[tagged[part]],
                                          sigma, config.batch_size, seeds))
                 at.extend(stack)
@@ -322,7 +314,7 @@ def _step(config, runs, labels, t, prior, previous):
         candidates = runs[0].state.pool.candidates  # every repeat's pool has all pool_size pairs
         picks = np.concatenate(picks)
         classes = np.stack([runs[n].state.pool_data.labels for n in at])
-        answers = _oracle(classes, candidates[picks, 0], candidates[picks, 1])
+        answers = oracle_label(classes, candidates[picks, 0], candidates[picks, 1])
         label_many(relabeled, picks, answers, candidates)
     return fits, predictions, at, relabeled
 

@@ -686,6 +686,40 @@ def test_select_validation(clusters, clusters_basis):
         select(open_pool, table[:, :3], scorer, batch=1, rng_seed=0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tag=st.sampled_from(["RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR"]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_select_is_row_0_of_select_many(tag, seed, data):
+    rng = np.random.default_rng(seed)
+    points = DataMatrix(rng.normal(size=(8, 2)))
+    basis = EigenBasis(vectors=np.eye(2), eigenvalues=[2.0, 1.0],
+                       center=np.zeros(2), scale=np.ones(2))
+    pairs = np.column_stack(np.triu_indices(8, 1))
+    labeled = data.draw(st.lists(st.integers(0, len(pairs) - 1), unique=True,
+                                 max_size=len(pairs) - 1))
+    pool = PairPool(pairs).with_labels_at(labeled, rng.choice([-1, 1], size=len(labeled)))
+    batch = data.draw(st.integers(1, len(pairs) - len(labeled)))
+    a = rng.normal(size=(3, 3))
+    gamma, sigma = rng.uniform(0.0, 2.0, size=3), a @ a.T + np.eye(3)
+    if tag == "RANDOM":
+        scorer, features, stacked = Scorer.random(), None, (None, None, None)
+    else:  # every other column of a wider array: a table that is not contiguous
+        scorer = Scorer(tag, points, basis, gamma, sigma if tag == "BAYES_VAR" else None)
+        wide = np.zeros((len(pairs), 6))
+        wide[:, ::2] = feature_matrix(points, basis, pairs)
+        features = wide[:, ::2]
+        assert not features.flags.c_contiguous
+        stacked = (features[None], gamma[None], None if scorer.sigma is None else sigma[None])
+    picked = select(pool, features, scorer, batch, seed)
+    npt.assert_array_equal(
+        picked, select_many(tag, pool.labels[None], *stacked, batch, [seed])[0], strict=True)
+    if tag != "RANDOM":  # the table's layout changes no bit of the scores
+        contiguous = (np.ascontiguousarray(stacked[0]),) + stacked[1:]
+        npt.assert_array_equal(
+            picked, select_many(tag, pool.labels[None], *contiguous, batch, [seed])[0],
+            strict=True)
+
+
 def _plugin_stack(margins):
     """Label rows, k=1 feature tables and weights whose plug-in entropy falls
     as |margin| grows, plus the open positions: every third candidate is open,

@@ -88,6 +88,15 @@ def test_an_infinite_reg_is_named_before_any_fit(tmp_path, data_csv, capsys):
         assert printed.out == ""
 
 
+def test_run_names_a_negative_seed_before_writing(tmp_path, data_csv, capsys):
+    out = tmp_path / "out"
+    assert main(_run_args(data_csv, out, ["--seed", "-1"])) == 1
+    printed = capsys.readouterr()
+    assert printed.err == "error: seed must be >= 0, got -1\n"
+    assert printed.out == ""
+    assert not out.exists()
+
+
 def test_run_writes_the_three_artifacts(tmp_path, data_csv, capsys):
     out = tmp_path / "out"
     assert main(_run_args(data_csv, out)) == 0
@@ -223,6 +232,18 @@ def test_score_pairs_checks_every_model_option(strategy, option, message, tmp_pa
     assert printed.err == f"error: {message}\n"
     assert printed.out == ""
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_score_pairs_names_a_negative_seed_before_reading_the_csv(tmp_path, capsys):
+    # the CSV does not exist, so any read of it would fail with another message
+    out, model = tmp_path / "s.csv", tmp_path / "m.json"
+    code = main(["score-pairs", "--data", str(tmp_path / "missing.csv"), "--seed", "-5",
+                 "--out", str(out), "--save-model", str(model)])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert printed.err == "error: seed must be >= 0, got -5\n"
+    assert printed.out == ""
+    assert not out.exists() and not model.exists()
 
 
 @pytest.mark.parametrize("strategy, module, attr, tag", [

@@ -130,6 +130,19 @@ def test_oracle_label_answers_index_arrays_by_the_same_rule():
         oracle_label(data, np.array([0, 2, 3]), np.array([1, 2, 3]))
     with pytest.raises(IndexError, match=r"^pair \(1, 4\) out of bounds for 4 rows$"):
         oracle_label(data, np.array([2, 1]), np.array([2, 4]))
+    # the (r, n) class labels of a stack, asked with (r, b) index arrays: row by row
+    classes = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [2, 2, 2, 5]])
+    si, sj = np.array([[0, 1, 3], [0, 2, 1], [3, 0, 1]]), np.array([[1, 2, 2], [2, 3, 3], [2, 2, 2]])
+    got = oracle_label(classes, si, sj)
+    assert got.shape == (3, 3)
+    for row, c, a, b in zip(got, classes, si, sj):
+        npt.assert_array_equal(row, oracle_label(DataMatrix(np.zeros((4, 2)), labels=c), a, b),
+                               strict=True)
+    npt.assert_array_equal(got, [[1, -1, 1], [1, -1, 1], [-1, 1, 1]])
+    with pytest.raises(ValueError, match=r"^self-pair \(2, 2\) has no oracle label$"):
+        oracle_label(classes, si, np.array([[1, 2, 2], [2, 2, 3], [2, 2, 2]]))
+    with pytest.raises(IndexError, match=r"^pair \(1, 4\) out of bounds for 4 rows$"):
+        oracle_label(classes, si, np.array([[1, 2, 2], [2, 3, 4], [2, 2, 2]]))
 
 
 # ---------------------------------------------------------------------------
