@@ -4,12 +4,15 @@
 # score-pairs to stdout, which must match the bytes of its --out file, one
 # eval on a copy of train.csv that numpy's C reader refuses (CRLF line ends, a
 # quoted field, an underscored number) and one on a copy whose header names
-# are quoted, each of which must print the plain file's accuracy, one eval of a model file without its threshold, which must exit 1
-# naming the missing entry (its stderr goes to a file), and one eval large
-# enough (4,000 x 1,000 rows, K=5) for a multi-leaf 1NN search.  Then two
-# `bdml run`s on train.csv, whose energy rule gives the repeats basis sizes
-# 5, 6, 5, 5, so each iteration fits two groups of one fit kind, and two of
-# the README's `bdml run` command verbatim, at full size; each pair's
+# are quoted, each of which must print the plain file's accuracy, one eval of
+# a model file without its threshold, which must exit 1 naming the missing
+# entry (its stderr goes to a file), and one eval large enough (4,000 x 1,000
+# rows, K=5) for a multi-leaf 1NN search.  Then one `bdml run` on
+# big_train.csv, whose 3,950 training rows, more than LEAF_ROWS, send EUCLID's
+# raw search and the fit groups' searches through the kd leaves end to end,
+# two `bdml run`s on train.csv, whose energy rule gives the repeats basis
+# sizes 5, 6, 5, 5, so each iteration fits two groups of one fit kind, and two
+# of the README's `bdml run` command verbatim, at full size; each pair's
 # results.csv, summary.csv and results.json must match byte for byte.  Exits
 # nonzero at the first failing command.
 set -e
@@ -76,6 +79,9 @@ bdml score-pairs --data train.csv --strategy RANDOM --k 2 \
 bdml score-pairs --data train.csv --strategy BAYES_ACT --k 5 \
     --no-standardize --out scores_k5.csv --save-model model_k5.json
 bdml eval --model model_k5.json --train big_train.csv --test big_test.csv
+bdml run --data big_train.csv --pool-size 20 --test-size 50 --initial-pairs 5 \
+    --batch 5 --iterations 1 --repeats 2 --k 3 --no-standardize \
+    --strategies EUCLID,MLE_ACT,BAYES_VAR --out big_run/
 for out in csv_run csv_rerun; do
   bdml run --data train.csv --pool-size 20 --test-size 20 --initial-pairs 5 \
       --batch 5 --iterations 2 --repeats 4 --energy 0.7 --out "$out/"

@@ -6,11 +6,11 @@ Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py
 PATH, with the environment: the python and numpy versions, numpy's BLAS,
 the usable CPU count and the BLAS/OpenMP thread variables.
 The first table times each public kernel at a fixed size.  The second
-times ``nn1_exhaustive`` against ``nn1_indices``, the search pruned by kd
-leaves, at four shapes: the ``knn_eval`` benchmark search, a README
-``bdml run`` search (40 training rows, at most ``LEAF_ROWS``, so
-``nn1_indices`` hands it to ``nn1_exhaustive`` and the leaves column
-reads 0), a large training set with few queries, and raw d=20
+times ``nn1_exhaustive`` against ``nn1_indices`` (``nn1_many`` of one
+search), the search pruned by kd leaves, at four shapes: the ``knn_eval``
+benchmark search, a README ``bdml run`` search (40 training rows, at most
+``LEAF_ROWS``, so ``nn1_many`` hands it to ``nn1_exhaustive`` and the leaves
+column reads 0), a large training set with few queries, and raw d=20
 features, as EUCLID searches them at scale, where the boxes prune
 least.  The two searches must return identical indices at every shape,
 or the script fails.  The third and fourth time each iteration's stacked
@@ -158,8 +158,7 @@ def _select_runs(args):
     runs = []
     for n, row in enumerate(labels):
         at = np.flatnonzero(row)
-        scorer = (active.Scorer.random() if tag == "RANDOM" else active.Scorer(
-            tag, data, basis, gamma[n], sigma[n] if tag == "BAYES_VAR" else None))
+        scorer = active.Scorer(tag, data, basis, gamma[n], None if sigma is None else sigma[n])
         runs.append((active.PairPool(candidates).with_labels_at(at, row[at]), features[n],
                      scorer, batch, seeds[n]))
     return runs

@@ -78,7 +78,7 @@ class PairPool:
 
     def with_labels_at(self, positions, labels) -> "PairPool":
         """A new pool with the open candidates at ``positions`` labeled ``labels`` (±1)."""
-        pos, y = np.asarray(positions, dtype=np.int64).ravel(), np.asarray(labels).ravel()
+        pos, y = _as_rows(np.reshape(positions, (-1, 1)), 1, "positions")[:, 0], np.ravel(labels)
         labels = self.labels.copy()
         label_many(labels[None], pos[None], y[None], self.candidates)
         return _replaced(self, labels=_freeze(labels))  # shares the read-only candidates
@@ -306,11 +306,11 @@ def score_pairs(scorer: Scorer, pairs) -> list:
     RANDOM expresses no preference and scores every pair at maximum
     entropy; the entropy strategies evaluate their posterior per pair.
     """
-    pairs = [(int(i), int(j)) for i, j in pairs]
-    p_plus, h = _score_arrays(scorer, _as_rows(pairs, 2, "pairs"))
+    pairs = _as_rows(pairs, 2, "pairs")
+    p_plus, h = _score_arrays(scorer, pairs)
     return [
         PairScore(pair=p, p_plus=pr, entropy=hr, strategy=scorer.strategy)
-        for p, pr, hr in zip(pairs, p_plus.tolist(), h.tolist())
+        for p, pr, hr in zip(pairs.tolist(), p_plus.tolist(), h.tolist())
     ]
 
 

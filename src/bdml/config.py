@@ -7,6 +7,7 @@ rules, which are imported when a config is built (see :func:`model_prior`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +52,16 @@ def model_prior(gamma0, delta, reg, seed):
     return prior
 
 
+def _check_counts(obj, *names) -> None:
+    """Name the first field of ``names`` that is a bool or not an integer; numpy integers pass."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            operator.index(None if isinstance(value, bool) else value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Gaussian clusters: class means on unit axes, isotropic spread."""
@@ -61,6 +72,7 @@ class SynthSpec:
     spread: float = 0.4
 
     def __post_init__(self):
+        _check_counts(self, "classes", "per_class", "dim")
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
         if self.per_class < 2:
@@ -94,6 +106,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.data_csv is None) == (self.synth is None):
             raise ValueError("exactly one of data_csv and synth must be given")
+        _check_counts(self, "pool_size", "n_test", "initial_pairs", "batch_size", "iterations",
+                      "repeats", *(("k",) if self.k is not None else ()))
         if self.pool_size < 2:
             raise ValueError("pool_size must be at least 2")
         if self.n_test < 1 or self.initial_pairs < 1 or self.batch_size < 1:

@@ -142,17 +142,15 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     read by the ``vb`` fit only, ``reg`` by the ``mle`` fit only.
     """
     fit, tag = STRATEGY_TABLE[name]
-    model = scorer = estimate = None
+    model = scorer = estimate = gamma = sigma = None
     if fit is not None:
         w = feature_matrix(data, basis, constraints.pairs)
         fitted = _fit_all(fit, w[None], constraints.labels[None], prior, reg)
         estimate = fitted.row(0)
         model = metric.from_augmented(fitted.weights[0], basis)
-    if tag == "RANDOM":
-        scorer = Scorer.random()
-    elif tag is not None:
-        scorer = Scorer(tag, data, basis, fitted.weights[0],
-                        fitted.sigma[0] if tag == "BAYES_VAR" else None)
+        gamma, sigma = fitted.weights[0], fitted.sigma[0] if fit == "vb" else None
+    if tag is not None:  # the scorer reads what its rule needs
+        scorer = Scorer(tag, data, basis, gamma, sigma)
     return model, scorer, estimate
 
 

@@ -1,12 +1,11 @@
 """Hot numeric kernels, one numpy implementation each.
 
-``nn1_indices`` is an exact branch-and-bound search over kd leaves
-(Friedman, Bentley & Finkel, ACM TOMS 3(3), 1977) in numpy alone.  Each
-query searches the leaf with the nearest bounding box first, then every
-leaf whose box is no farther than its best row.  Box and row distances
-come from the same operations in the same coordinate order, and rounding
-is monotone, so a box is never computed farther than a row inside it:
-the search returns exactly the rows of :func:`nn1_exhaustive`, ties to
+Every 1NN search takes ``nn1_many``: :func:`nn1_exhaustive`, or an exact branch-and-bound
+search over kd leaves (Friedman, Bentley & Finkel, ACM TOMS 3(3), 1977) in numpy alone.
+Each query searches the leaf with the nearest bounding box first, then every leaf whose
+box is no farther than its best row.  Box and row distances come from the same operations
+in the same coordinate order, and rounding is monotone, so a box is never computed farther
+than a row inside it: the kd search returns exactly :func:`nn1_exhaustive`'s rows, ties to
 the lowest training row included.
 """
 
@@ -115,20 +114,17 @@ def nn1_exhaustive(train, queries):
 
 
 def nn1_indices(train, queries):
-    """:func:`nn1_exhaustive`'s rows through the kd leaves.  Up to ``LEAF_ROWS``
-    training rows (one leaf), and inf or nan, which no box bounds, go to it."""
-    if train.shape[0] > LEAF_ROWS and np.isfinite(train).all() and np.isfinite(queries).all():
-        return _nn1_search(train, queries, *_kd_leaves(train))
-    return nn1_exhaustive(train, queries)
+    """:func:`nn1_many` of one search: (n, K) rows and (q, K) queries give (q,)."""
+    return nn1_many(train[None], queries[None])[0]
 
 
 def nn1_many(train, queries):
-    """:func:`nn1_indices` for each search of a stack: (r, n, K) rows and
-    (r, q, K) queries give (r, q).  Searches of one leaf go to
-    :func:`nn1_exhaustive` as one stack, larger ones one by one."""
-    if train.shape[1] <= LEAF_ROWS:
+    """:func:`nn1_exhaustive`'s rows for each search of a stack: (r, n, K) rows and (r, q, K)
+    queries give (r, q).  A stack of one leaf (``LEAF_ROWS`` rows or fewer), or with an inf or
+    nan, which no box bounds, goes to it whole; any other takes the kd search once per search."""
+    if train.shape[1] <= LEAF_ROWS or not (np.isfinite(train).all() and np.isfinite(queries).all()):
         return nn1_exhaustive(train, queries)
-    return np.stack([nn1_indices(t, q) for t, q in zip(train, queries)])
+    return np.stack([_nn1_search(t, q, *_kd_leaves(t)) for t, q in zip(train, queries)])
 
 
 def weighted_gram(rows, coef, ridge):

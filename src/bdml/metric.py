@@ -131,9 +131,8 @@ def knn_classify(model: MetricModel, train: DataMatrix, queries: DataMatrix) -> 
     """
     _check_1nn_data(train, queries, model.basis.d)
     proj = model.basis.project
-    [labels] = knn_many(model.augmented[None], proj(train.x)[None], proj(queries.x)[None],
-                        train.labels[None])
-    return labels
+    return knn_many(model.augmented[None], proj(train.x)[None], proj(queries.x)[None],
+                    train.labels[None])[0]
 
 
 def knn_many(augmented, train_proj, query_proj, train_labels) -> np.ndarray:
@@ -151,10 +150,10 @@ def knn_many(augmented, train_proj, query_proj, train_labels) -> np.ndarray:
 
 
 def euclidean_knn(train: DataMatrix, queries: DataMatrix) -> np.ndarray:
-    """1NN on raw features under the ordinary Euclidean distance."""
+    """Euclidean 1NN: :func:`knn_many` of unit weights (threshold unread) on the raw rows."""
     _check_1nn_data(train, queries, train.d)
-    idx = kernels.nn1_indices(kernels.as_f64(train.x), kernels.as_f64(queries.x))
-    return train.labels[idx]
+    return knn_many(np.ones((1, train.d + 1)), train.x[None], queries.x[None],
+                    train.labels[None])[0]
 
 
 def accuracy(predicted, truth) -> float:

@@ -158,12 +158,15 @@ class PairFeature:
 
 
 def _as_rows(items, width: int, what: str) -> np.ndarray:
-    a = np.asarray(items, dtype=np.int64)
+    """``items`` as int64 (m, width) rows; a non-integer input is refused, not truncated."""
+    a = np.asarray(items)
     if a.size == 0:
-        return a.reshape(0, width)
+        return np.empty((0, width), dtype=np.int64)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got {a.dtype}")
     if a.ndim != 2 or a.shape[1] != width:
         raise ValueError(f"{what} must be rows of {width} integers")
-    return a
+    return a.astype(np.int64, copy=False)
 
 
 def _canonical(rows: np.ndarray):

@@ -19,6 +19,7 @@ from bdml.active import (
     laplace_posterior_batch,
     label_many,
     plugin_posterior,
+    rank_pairs,
     score_pairs,
     select,
     select_many,
@@ -79,6 +80,17 @@ def test_pair_pool_validation():
         PairPool(candidates=((0, 1),), labeled=((0, 1, 0),))
     with pytest.raises(ValueError, match="rows of 2"):
         PairPool(candidates=((0, 1, 2),))
+    # a non-integer index or label is refused, not truncated, wherever pairs come in
+    with pytest.raises(ValueError, match="^candidates must be integers, got float64$"):
+        PairPool(candidates=((0.5, 2.9),))
+    with pytest.raises(ValueError, match="^labeled must be integers, got float64$"):
+        PairPool(candidates=((0, 1),), labeled=((0, 1.0, 1),))
+    with pytest.raises(ValueError, match="^labeled must be integers, got float64$"):
+        PairPool(candidates=((0, 1),)).with_labels(((0, 1, 0.9),))
+    for score in (score_pairs, rank_pairs):
+        with pytest.raises(ValueError, match="^pairs must be integers, got float64$"):
+            score(Scorer.random(), [(0, 1), (0.5, 2.9)])
+    assert len(PairPool(candidates=()).candidates) == 0
 
 
 def test_pair_pool_round_trips_a_large_pool():
@@ -204,6 +216,10 @@ def test_labeling_by_position_validation():
         pool.with_labels_at([-1], [1])
     with pytest.raises(ValueError, match="2 positions but 1 labels"):
         pool.with_labels_at([0, 1], [1])
+    for positions in ([0.9], np.array([1.0]), [True]):
+        with pytest.raises(ValueError, match="^positions must be integers, got "):
+            pool.with_labels_at(positions, [1])
+    npt.assert_array_equal(pool.with_labels_at(np.array([1], np.int8), [-1]).labels, [0, -1])
 
 
 def test_label_many_labels_each_row_as_with_labels_at_does():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import zlib
@@ -73,6 +74,10 @@ def test_synth_spec_validation():
     for spread in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="spread"):
             SynthSpec(spread=spread)
+    for field, bad in (("classes", 2.5), ("per_class", 3.0), ("dim", True)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad}$"):
+            SynthSpec(**{field: bad})
+    assert SynthSpec(classes=np.int64(2)).classes == 2
 
 
 def test_synth_data_is_seed_deterministic():
@@ -219,6 +224,13 @@ def test_config_validates_budget_and_strategies():
         ExperimentConfig(synth=spec, n_test=0)
     with pytest.raises(ValueError, match="repeats"):
         ExperimentConfig(synth=spec, repeats=0)
+    # a count that is no integer is named before any rule compares it
+    for field, bad in (("batch_size", 2.5), ("iterations", 1.5), ("repeats", 2.0),
+                       ("pool_size", 10.0), ("n_test", np.float64(5)), ("initial_pairs", True),
+                       ("k", 2.0)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+            ExperimentConfig(synth=spec, **{field: bad})
+    assert ExperimentConfig(synth=spec, pool_size=np.int64(50), k=np.int32(3)).k == 3
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="delta must be finite and > 0"):
             ExperimentConfig(synth=spec, delta=bad)

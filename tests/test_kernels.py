@@ -175,6 +175,26 @@ def test_nn1_searches_of_a_stack_match_each_search_alone(leaf_rows, monkeypatch)
             npt.assert_array_equal(kernels.nn1_indices(train[n], queries[n]), alone)
 
 
+def test_nn1_stack_with_a_non_finite_search_goes_to_the_exhaustive_search():
+    # no box bounds an inf or nan, so the whole stack takes the exhaustive search,
+    # the finite multi-leaf search beside them included
+    def no_leaves(train):
+        raise AssertionError("kd leaves built")
+
+    rng = np.random.default_rng(10)
+    train = rng.integers(-2, 3, size=(3, 2 * kernels.LEAF_ROWS + 1, 3)).astype(np.float64)
+    queries = rng.integers(-2, 3, size=(3, 7, 3)).astype(np.float64)
+    for n, spot, bad in ((0, train, np.nan), (2, queries, -np.inf)):
+        spot[n, 1, 2] = bad
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            mp.setattr(kernels, "_kd_leaves", no_leaves)
+            got = kernels.nn1_many(train, queries)
+            npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
+            for row, (t, q) in enumerate(zip(train, queries)):
+                npt.assert_array_equal(got[row], _brute_nn1(t, q))
+        spot[n, 1, 2] = 0.0
+
+
 def _counting_distances(monkeypatch):
     """Record (n_query, n_rows) of every row-distance computation."""
     shapes, sq_dist = [], kernels._sq_dist

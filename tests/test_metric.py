@@ -246,14 +246,23 @@ def test_check_weights_checks_every_model_of_a_stack():
             check_weights(np.array(weights), np.array(threshold))
 
 
-def test_euclidean_knn_matches_brute_force(clusters):
+def test_euclidean_knn_matches_brute_force(clusters, monkeypatch):
     rng = np.random.default_rng(56)
     queries = DataMatrix(rng.normal(size=(5, clusters.d)))
-    expected = [
-        clusters.labels[int(np.argmin(((q - clusters.x) ** 2).sum(axis=1)))]
-        for q in queries.x
-    ]
-    npt.assert_array_equal(euclidean_knn(clusters, queries), expected)
+
+    def expected(train):
+        return [train.labels[int(np.argmin(((q - train.x) ** 2).sum(axis=1)))] for q in queries.x]
+
+    npt.assert_array_equal(euclidean_knn(clusters, queries), expected(clusters))
+    # more rows than LEAF_ROWS: the kd search of knn_many, as the learned metrics take it
+    leaves = []
+    monkeypatch.setattr(kernels, "_kd_leaves",
+                        lambda train, _built=kernels._kd_leaves: leaves.append(train.shape)
+                        or _built(train))
+    big = DataMatrix(rng.normal(size=(2 * kernels.LEAF_ROWS + 7, clusters.d)),
+                     rng.integers(0, 4, size=2 * kernels.LEAF_ROWS + 7))
+    npt.assert_array_equal(euclidean_knn(big, queries), expected(big))
+    assert leaves == [big.x.shape]
     with pytest.raises(ValueError, match="labeled"):
         euclidean_knn(DataMatrix(clusters.x), queries)
     with pytest.raises(ValueError, match="dimension"):

@@ -108,6 +108,12 @@ def test_constraint_set_canonicalizes_and_validates():
         ConstraintSet(((-1, 2, 1),))
     with pytest.raises(ValueError, match=r"\+1 or -1"):
         ConstraintSet(((0, 1, 2),))
+    # refused, where they used to be truncated to (0, 1, 1) and a label of -1
+    for items in (((0.7, 1, 1.5),), ((0, 1, -1.9),), np.array([[0, 1, 1]], dtype=float)):
+        with pytest.raises(ValueError, match="^constraints must be integers, got float64$"):
+            ConstraintSet(items)
+    npt.assert_array_equal(ConstraintSet(np.array([[3, 1, -1]], np.int8)).items, [(1, 3, -1)],
+                           strict=True)
 
 
 # ---------------------------------------------------------------------------
