@@ -6,8 +6,8 @@ Run as a script: ``PYTHONPATH=src python3 benchmarks/bench_kernels.py
 PATH, with the environment: the python and numpy versions, numpy's BLAS,
 the usable CPU count and the BLAS/OpenMP thread variables.
 The first table times each public kernel at a fixed size.  The second
-times ``nn1_exhaustive`` against ``nn1_indices`` (``nn1_many`` of one
-search), the search pruned by kd leaves, at four shapes: the ``knn_eval``
+times ``nn1_exhaustive`` against ``nn1_many`` of one search, the search
+pruned by kd leaves, at four shapes: the ``knn_eval``
 benchmark search, a README ``bdml run`` search (40 training rows, at most
 ``LEAF_ROWS``, so ``nn1_many`` hands it to ``nn1_exhaustive`` and the leaves
 column reads 0), a large training set with few queries, and raw d=20
@@ -58,7 +58,8 @@ from bdml import active, harness, kernels, mle, spectral, vb
 
 SIZES = {
     "pair_sq_proj": dict(n=400, k=10, m=5000),
-    "nn1_indices": dict(n_train=2000, n_query=500, k=10),
+    # one search, as a stack of one
+    "nn1_many": dict(n_train=2000, n_query=500, k=10),
     # the margins of a README MLE stack: 40 problems of 110 constraints
     "mat_vec": dict(r=40, m=110, k=3),
     # one margin or probability per pair of a 100-example pool
@@ -83,10 +84,8 @@ def make_inputs(rng):
     ii = kernels.as_i64(rng.integers(0, proj.shape[0], size=s["pair_sq_proj"]["m"]))
     jj = kernels.as_i64((ii + 1 + rng.integers(0, proj.shape[0] - 1,
                                                size=ii.size)) % proj.shape[0])
-    train = kernels.as_f64(rng.normal(size=(s["nn1_indices"]["n_train"],
-                                            s["nn1_indices"]["k"])))
-    queries = kernels.as_f64(rng.normal(size=(s["nn1_indices"]["n_query"],
-                                              s["nn1_indices"]["k"])))
+    train = kernels.as_f64(rng.normal(size=(1, s["nn1_many"]["n_train"], s["nn1_many"]["k"])))
+    queries = kernels.as_f64(rng.normal(size=(1, s["nn1_many"]["n_query"], s["nn1_many"]["k"])))
     r, m, k = (s["mat_vec"][key] for key in ("r", "m", "k"))
     stack = kernels.as_f64(rng.normal(size=(r, m, k)))
     vectors = kernels.as_f64(rng.normal(size=(r, k)))
@@ -95,7 +94,7 @@ def make_inputs(rng):
     probs = kernels.expit(rng.normal(scale=10.0, size=s["xlogx"]["m"]))
     return {
         "pair_sq_proj": (proj, ii, jj),
-        "nn1_indices": (train, queries),
+        "nn1_many": (train, queries),
         "mat_vec": (stack, vectors),
         "expit": (margins,),
         "log_expit": (log_margins,),
@@ -302,15 +301,15 @@ def main(argv=None):
     print(f"{'nn1 shape':<32} {'exhaustive ms':>14} {'pruned ms':>10} {'leaves':>7}")
     record["nn1"] = []
     for label, n_train, n_query, k in NN1_SHAPES:
-        inputs = (kernels.as_f64(rng.normal(size=(n_train, k))),
-                  kernels.as_f64(rng.normal(size=(n_query, k))))
-        if not np.array_equal(kernels.nn1_exhaustive(*inputs), kernels.nn1_indices(*inputs)):
+        inputs = (kernels.as_f64(rng.normal(size=(1, n_train, k))),
+                  kernels.as_f64(rng.normal(size=(1, n_query, k))))
+        if not np.array_equal(kernels.nn1_exhaustive(*inputs), kernels.nn1_many(*inputs)):
             raise SystemExit(f"{label}: exhaustive and pruned searches disagree")
         # the exhaustive knn_eval search takes seconds: time it once per sample
         number = max(1, min(20, (1 << 22) // (n_train * n_query)))
         t_exh = best_ms(kernels.nn1_exhaustive, inputs, number=number, repeat=3)
-        t_pruned = best_ms(kernels.nn1_indices, inputs, number=number, repeat=3)
-        leaves = len(kernels._kd_leaves(inputs[0])[1]) - 1 if n_train > kernels.LEAF_ROWS else 0
+        t_pruned = best_ms(kernels.nn1_many, inputs, number=number, repeat=3)
+        leaves = len(kernels._kd_leaves(inputs[0][0])[1]) - 1 if n_train > kernels.LEAF_ROWS else 0
         shape = f"{label} {n_train}x{n_query}x{k}"
         print(f"{shape:<32} {t_exh:>14.3f} {t_pruned:>10.3f} {leaves:>7}")
         record["nn1"].append({"shape": label, "n_train": n_train, "n_query": n_query, "k": k,

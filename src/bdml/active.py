@@ -124,10 +124,6 @@ class PairScore:
     def __post_init__(self):
         i, j = self.pair
         object.__setattr__(self, "pair", (int(i), int(j)))
-        if not 0.0 <= self.p_plus <= 1.0:
-            raise ValueError(f"p_plus must lie in [0, 1], got {self.p_plus}")
-        if not -1e-12 <= self.entropy <= MAX_ENTROPY + 1e-12:
-            raise ValueError(f"entropy must lie in [0, log 2], got {self.entropy}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy tag {self.strategy!r}")
 

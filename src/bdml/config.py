@@ -107,7 +107,7 @@ class ExperimentConfig:
         if (self.data_csv is None) == (self.synth is None):
             raise ValueError("exactly one of data_csv and synth must be given")
         _check_counts(self, "pool_size", "n_test", "initial_pairs", "batch_size", "iterations",
-                      "repeats", *(("k",) if self.k is not None else ()))
+                      "repeats", "seed", *(("k",) if self.k is not None else ()))
         if self.pool_size < 2:
             raise ValueError("pool_size must be at least 2")
         if self.n_test < 1 or self.initial_pairs < 1 or self.batch_size < 1:

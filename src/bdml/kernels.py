@@ -113,11 +113,6 @@ def nn1_exhaustive(train, queries):
     return out
 
 
-def nn1_indices(train, queries):
-    """:func:`nn1_many` of one search: (n, K) rows and (q, K) queries give (q,)."""
-    return nn1_many(train[None], queries[None])[0]
-
-
 def nn1_many(train, queries):
     """:func:`nn1_exhaustive`'s rows for each search of a stack: (r, n, K) rows and (r, q, K)
     queries give (r, q).  A stack of one leaf (``LEAF_ROWS`` rows or fewer), or with an inf or

@@ -57,10 +57,6 @@ class MleSolution:
         object.__setattr__(self, "gamma", _freeze(g))
 
     @property
-    def k(self) -> int:
-        return self.gamma.shape[-1] - 1
-
-    @property
     def weights(self) -> np.ndarray:
         return self.gamma
 
@@ -167,10 +163,9 @@ def _newton_direction(gamma, grad, neg_hess) -> np.ndarray:
         pivots = np.diagonal(factors, axis1=-2, axis2=-1)
         nonsingular = (pivots.min(axis=-1) ** 2
                        > SINGULAR_RTOL * np.diagonal(block, axis1=-2, axis2=-1).max(axis=-1))
-        if nonsingular.any():
-            solved = members[nonsingular][:, None], at
-            steps = np.linalg.solve(block[nonsingular], grad[solved][..., None])
-            direction[solved] = steps[..., 0]
+        solved = members[nonsingular][:, None], at
+        steps = np.linalg.solve(block[nonsingular], grad[solved][..., None])
+        direction[solved] = steps[..., 0]
     return direction
 
 

@@ -152,10 +152,6 @@ class PairFeature:
             raise ValueError("squared projections must be nonnegative")
         object.__setattr__(self, "omega", _freeze(w))
 
-    @property
-    def k(self) -> int:
-        return self.omega.shape[0] - 1
-
 
 def _as_rows(items, width: int, what: str) -> np.ndarray:
     """``items`` as int64 (m, width) rows; a non-integer input is refused, not truncated."""

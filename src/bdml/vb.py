@@ -77,10 +77,6 @@ class VariationalPosterior:
             object.__setattr__(self, name, _freeze(value))
 
     @property
-    def k(self) -> int:
-        return self.mu.shape[-1] - 1
-
-    @property
     def weights(self) -> np.ndarray:
         return self.mu
 
@@ -248,15 +244,12 @@ def _elbo(w, y, mu, sigma, x, lam, prior: PriorConfig) -> np.ndarray:
         - dim * np.log(prior.delta)
         - logdet
     )
-    total = -kl
-    if w.shape[1]:
-        zm = kernels.mat_vec(w, mu)
-        quad = _row_quad_forms(w, sigma)
-        total = total + np.sum(
-            kernels.log_expit(x) - (y * zm + x) / 2.0 - lam * (quad + zm * zm - x * x),
-            axis=-1,
-        )
-    return total
+    zm = kernels.mat_vec(w, mu)
+    quad = _row_quad_forms(w, sigma)
+    return np.sum(
+        kernels.log_expit(x) - (y * zm + x) / 2.0 - lam * (quad + zm * zm - x * x),
+        axis=-1,
+    ) - kl
 
 
 def fit(constraints: ConstraintSet, data: DataMatrix, basis: EigenBasis,
@@ -291,7 +284,7 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
     if not tol > 0 or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise ValueError("tol must be positive and max_iters an integer of at least 1")
     w, y, xi = _checked(features, labels, np.full(np.shape(labels), float(xi0)))
-    r, m, dim = w.shape
+    r, _, dim = w.shape
 
     mu = np.full((r, dim), float(prior.gamma0))
     sigma = np.broadcast_to(np.eye(dim) / prior.delta, (r, dim, dim)).copy()
@@ -304,12 +297,11 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
     for it in range(1, max_iters + 1):
         w_l, y_l = (w, y) if live.size == r else (w[live], y[live])
         mu_l, sigma_l = _e_step(w_l, y_l, lam[live], prior)
-        if m:
-            xi_l = m_step(w_l, mu_l, sigma_l)
-            if np.any(xi_l <= 0):
-                raise ValueError("all xi must be strictly positive")
-            xi[live] = xi_l
-            lam[live] = lambda_xi(xi_l)
+        xi_l = m_step(w_l, mu_l, sigma_l)
+        if np.any(xi_l <= 0):
+            raise ValueError("all xi must be strictly positive")
+        xi[live] = xi_l
+        lam[live] = lambda_xi(xi_l)
         previous = bound[live]
         bound_l = _elbo(w_l, y_l, mu_l, sigma_l, xi[live], lam[live], prior)
         mu[live], sigma[live], bound[live], iterations[live] = mu_l, sigma_l, bound_l, it

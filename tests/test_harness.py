@@ -227,7 +227,7 @@ def test_config_validates_budget_and_strategies():
     # a count that is no integer is named before any rule compares it
     for field, bad in (("batch_size", 2.5), ("iterations", 1.5), ("repeats", 2.0),
                        ("pool_size", 10.0), ("n_test", np.float64(5)), ("initial_pairs", True),
-                       ("k", 2.0)):
+                       ("k", 2.0), ("seed", 1.5), ("seed", True)):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
             ExperimentConfig(synth=spec, **{field: bad})
     assert ExperimentConfig(synth=spec, pool_size=np.int64(50), k=np.int32(3)).k == 3

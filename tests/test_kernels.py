@@ -1,8 +1,9 @@
 """The kernels must match their dense and exhaustive oracles exactly.
 
-``nn1_indices`` prunes kd leaves by their bounding boxes; with leaves of
+``nn1_many`` prunes kd leaves by their bounding boxes; with leaves of
 one to many rows it must return the same indices as ``nn1_exhaustive``
-and a brute-force argmin, ties to the lowest training row.  The
+and a brute-force argmin, ties to the lowest training row, for a stack
+of searches and for a stack of one search.  The
 sigmoid and entropy kernels are checked against ``scipy.special``: bit
 for bit where numpy has the same formula, within a stated number of
 units in the last place (ulp) where it does not.
@@ -49,6 +50,11 @@ def _brute_nn1(train, queries):
     )
 
 
+def _nn1(train, queries):
+    """``nn1_many`` of one search: (n, K) rows and (q, K) queries give (q,)."""
+    return kernels.nn1_many(train[None], queries[None])[0]
+
+
 def test_pair_sq_proj_variants_agree():
     proj, ii, jj = _instance(0)
     out = kernels.pair_sq_proj(kernels.as_f64(proj), ii, jj)
@@ -71,7 +77,7 @@ def test_nn1_variants_agree_with_brute_force():
     train = kernels.as_f64(rng.normal(size=(9, 3)))
     queries = kernels.as_f64(rng.normal(size=(5, 3)))
     expected = _brute_nn1(train, queries)
-    npt.assert_array_equal(kernels.nn1_indices(train, queries), expected)
+    npt.assert_array_equal(_nn1(train, queries), expected)
     npt.assert_array_equal(kernels.nn1_exhaustive(train, queries), expected)
 
 
@@ -81,7 +87,7 @@ def test_nn1_tie_goes_to_lowest_index(monkeypatch):
     queries = kernels.as_f64(np.stack([row, row + 1.0, row + 0.5]))
     for leaf_rows in (256, 1):  # one leaf, then one leaf per row
         monkeypatch.setattr(kernels, "LEAF_ROWS", leaf_rows)
-        for search in (kernels.nn1_indices, kernels.nn1_exhaustive):
+        for search in (_nn1, kernels.nn1_exhaustive):
             npt.assert_array_equal(search(train, queries), [1, 0, 0])
 
 
@@ -90,12 +96,12 @@ def test_nn1_numpy_chunking_boundary(monkeypatch):
     train = kernels.as_f64(rng.normal(size=(4, 2)))
     queries = kernels.as_f64(rng.normal(size=(7, 2)))
     expected = _brute_nn1(train, queries)
-    monkeypatch.setattr(kernels, "LEAF_ROWS", 1)  # nn1_indices: four one-row leaves
+    monkeypatch.setattr(kernels, "LEAF_ROWS", 1)  # nn1_many: four one-row leaves
     # blocks of 3, 3 and 1 queries of 4 rows (or leaves); then one query per block
     for budget in (3 * 4, 1):
         monkeypatch.setattr(kernels, "BLOCK_ELEMS", budget)
         npt.assert_array_equal(kernels.nn1_exhaustive(train, queries), expected)
-        npt.assert_array_equal(kernels.nn1_indices(train, queries), expected)
+        npt.assert_array_equal(_nn1(train, queries), expected)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -149,7 +155,7 @@ def test_nn1_tree_matches_the_exhaustive_oracle_on_ties(search):
     train, queries, leaf_rows = search
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(kernels, "LEAF_ROWS", leaf_rows)
-        got = kernels.nn1_indices(train, queries)
+        got = _nn1(train, queries)
         assert got.dtype == np.int64 and got.shape == (queries.shape[0],)
         npt.assert_array_equal(got, _brute_nn1(train, queries))
         npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
@@ -172,7 +178,7 @@ def test_nn1_searches_of_a_stack_match_each_search_alone(leaf_rows, monkeypatch)
             alone = _brute_nn1(train[n], queries[n])
             npt.assert_array_equal(exhaustive[n], alone)
             npt.assert_array_equal(many[n], alone)
-            npt.assert_array_equal(kernels.nn1_indices(train[n], queries[n]), alone)
+            npt.assert_array_equal(_nn1(train[n], queries[n]), alone)
 
 
 def test_nn1_stack_with_a_non_finite_search_goes_to_the_exhaustive_search():
@@ -217,7 +223,7 @@ def test_nn1_large_search_takes_the_tree_and_stays_exact(monkeypatch):
     assert len(starts) - 1 == 8 and np.diff(starts).max() <= kernels.LEAF_ROWS
     npt.assert_array_equal(np.sort(order), np.arange(2048))
     shapes = _counting_distances(monkeypatch)
-    got = kernels.nn1_indices(kernels.as_f64(train), kernels.as_f64(queries))
+    got = _nn1(kernels.as_f64(train), kernels.as_f64(queries))
     npt.assert_array_equal(got, _brute_nn1(train, queries))
     # the boxes prune: far fewer distances than the exhaustive 2048 per query
     assert sum(q * r for q, r in shapes) < train.shape[0] * queries.shape[0] / 2
@@ -231,10 +237,9 @@ def test_nn1_searches_of_one_leaf_go_to_the_exhaustive_search(monkeypatch):
     rng = np.random.default_rng(8)
     train = rng.normal(size=(kernels.LEAF_ROWS + 1, 2))
     queries = rng.normal(size=(5, 2))
-    npt.assert_array_equal(kernels.nn1_indices(train[:-1], queries),
-                           _brute_nn1(train[:-1], queries))
+    npt.assert_array_equal(_nn1(train[:-1], queries), _brute_nn1(train[:-1], queries))
     with pytest.raises(AssertionError, match="kd leaves built"):
-        kernels.nn1_indices(train, queries)
+        _nn1(train, queries)
 
 
 def test_nn1_small_few_query_and_wide_searches_match_the_exhaustive_search():
@@ -249,7 +254,7 @@ def test_nn1_small_few_query_and_wide_searches_match_the_exhaustive_search():
         queries = rng.normal(size=(n_query, k))
         leaves = len(kernels._kd_leaves(train)[1]) - 1
         assert (leaves == 1) == (n_train <= kernels.LEAF_ROWS)
-        got = kernels.nn1_indices(train, queries)
+        got = _nn1(train, queries)
         npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))
 
 

@@ -447,7 +447,7 @@ def test_fit_many_returns_one_checked_solution_whose_rows_are_not_rechecked(monk
                         lambda self, _fn=MleSolution.__post_init__: built.append(1) or _fn(self))
     stack = fit_many(w, y)
     assert type(stack) is MleSolution and stack.gamma.shape == (3, 3) and built == [1]
-    assert stack.weights is stack.gamma and stack.k == 2
+    assert stack.weights is stack.gamma and stack.gamma.shape[-1] == 3
     for n in range(3):
         row = stack.row(n)
         assert (type(row.objective), type(row.converged), type(row.iterations)) == (
@@ -467,4 +467,4 @@ def test_solution_container_validation():
     with pytest.raises(ValueError, match="vector"):
         MleSolution(gamma=np.zeros((2, 2)), objective=0.0,
                     converged=False, iterations=0)
-    assert MleSolution(np.zeros(4), 0.0, True, 1).k == 3
+    assert MleSolution(np.zeros(4), 0.0, True, 1).gamma.shape == (4,)

@@ -89,7 +89,7 @@ def test_pair_feature_validation():
         PairFeature([-1.0, -0.5])
     with pytest.raises(ValueError, match="k\\+1"):
         PairFeature([-1.0])
-    assert PairFeature([-1.0, 1.0, 2.0, 3.0]).k == 3
+    assert PairFeature([-1.0, 1.0, 2.0, 3.0]).omega.shape == (4,)
 
 
 def test_constraint_set_canonicalizes_and_validates():
@@ -418,7 +418,7 @@ def test_pair_feature_hand_example():
     data = DataMatrix(np.array([[0.0, 0.0], [2.0, 5.0]]))
     feat = pair_feature(data, _manual_basis(), 0, 1)
     npt.assert_array_equal(feat.omega, [-1.0, 4.0])
-    assert feat.k == 1
+    assert feat.omega.shape == (2,)
 
 
 def test_pair_feature_is_symmetric(clusters, clusters_basis):

@@ -250,6 +250,12 @@ def test_fit_with_no_constraints_returns_prior_immediately(clusters, clusters_ba
     npt.assert_allclose(post.mu, np.full(4, 0.8), atol=1e-12)
     npt.assert_allclose(post.sigma, np.eye(4) / 2.0, atol=1e-12)
     assert post.bound_trajectory == (0.0, 0.0)
+    stack = fit_many(np.zeros((3, 0, 4)), np.zeros((3, 0)), prior)
+    for n in range(3):
+        row = stack.row(n)
+        assert row.iterations == 1 and row.converged and row.bound == 0.0
+        npt.assert_allclose(row.mu, np.full(4, 0.8), atol=1e-12)
+        npt.assert_allclose(row.sigma, np.eye(4) / 2.0, atol=1e-12)
 
 
 def test_fit_trajectory_is_monotone(clusters, clusters_basis):
@@ -298,7 +304,7 @@ def test_fit_covariance_never_exceeds_prior(clusters, clusters_basis):
     items = ((0, 2, 1), (8, 20, -1), (9, 11, 1))
     prior = PriorConfig(delta=2.0)
     post = fit(ConstraintSet(items), clusters, clusters_basis, prior)
-    assert post.k == clusters_basis.k
+    assert post.mu.shape == (clusters_basis.k + 1,)
     gap = np.linalg.eigvalsh(np.eye(post.mu.shape[0]) / 2.0 - post.sigma)
     assert gap.min() >= -1e-10
 
@@ -516,7 +522,7 @@ def test_fit_checks_its_one_posterior_once(clusters, clusters_basis, monkeypatch
     assert calls == [(1, 4, 4)] and built == [1]  # the stack of one, not its row again
     _assert_bitwise_equal(stack.row(0), post)
     assert built == [1]  # row(n) reruns no check
-    assert (post.k, post.weights is post.mu) == (3, True)
+    assert (post.mu.shape, post.weights is post.mu) == ((4,), True)
 
 
 def test_prior_validation():
