@@ -309,7 +309,7 @@ def main(argv=None):
         number = max(1, min(20, (1 << 22) // (n_train * n_query)))
         t_exh = best_ms(kernels.nn1_exhaustive, inputs, number=number, repeat=3)
         t_pruned = best_ms(kernels.nn1_many, inputs, number=number, repeat=3)
-        leaves = len(kernels._kd_leaves(inputs[0][0])[1]) - 1 if n_train > kernels.LEAF_ROWS else 0
+        leaves = len(kernels._kd_leaves(inputs[0][0].T)[1]) - 1 if n_train > kernels.LEAF_ROWS else 0
         shape = f"{label} {n_train}x{n_query}x{k}"
         print(f"{shape:<32} {t_exh:>14.3f} {t_pruned:>10.3f} {leaves:>7}")
         record["nn1"].append({"shape": label, "n_train": n_train, "n_query": n_query, "k": k,

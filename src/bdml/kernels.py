@@ -14,8 +14,8 @@ import numpy as np
 # rows per kd leaf of the 1NN search; the splits stop at this many or fewer
 LEAF_ROWS = 256
 # query x row (or leaf) elements of one block of distances (2 MB).  _sq_dist sums
-# coordinate by coordinate, so each of its temporaries holds that many whatever K
-# is; the kd search keeps a block's box distances while it merges rows into it
+# coordinate by coordinate, so its result and its one temporary hold that many
+# whatever K is; the kd search keeps a block's box distances while it merges rows into it
 BLOCK_ELEMS = 1 << 18
 
 
@@ -27,28 +27,25 @@ def pair_sq_proj(proj, ii, jj):
     return out
 
 
-def _sq_dist(queries, rows, hi=None):
-    """Squared distances (..., n_query, n_rows) for one search or each of a
-    stack, summed coordinate by coordinate as numpy's ``sum`` does below 8
-    coordinates; with ``hi``, to each box of corners ``rows`` and ``hi`` at
-    its point nearest the query."""
-    out = np.zeros(queries.shape[:-1] + rows.shape[-2:-1])
+def _sq_dist(queries, cols, hi=None):
+    """Squared distances (..., n_query, n) from (..., n_query, K) queries to the
+    coordinate-major (..., K, n) rows of one search or each of a stack, summed
+    coordinate by coordinate as numpy's ``sum`` does below 8 coordinates; with
+    ``hi``, to each box of corners ``cols`` and ``hi`` at its point nearest the query."""
+    out = np.zeros(queries.shape[:-1] + cols.shape[-1:])
+    diff = np.empty_like(out)
     for k in range(queries.shape[-1]):
-        q = queries[..., k, None]
-        if hi is None:
-            diff = q - rows[..., None, :, k]
-        else:
-            diff = np.maximum(q, rows[..., None, :, k])
-            np.minimum(diff, hi[..., None, :, k], out=diff)  # one temporary, not two
-            np.subtract(q, diff, out=diff)
+        q, row = queries[..., k, None], cols[..., None, k, :]
+        near = row if hi is None else np.clip(q, row, hi[..., None, k, :], out=diff)
+        np.subtract(q, near, out=diff)
         out += np.multiply(diff, diff, out=diff)
     return out
 
 
-def _kd_leaves(train):
-    """Row order and leaf starts of median splits on the widest coordinate
-    down to LEAF_ROWS rows; each leaf keeps its rows in index order."""
-    n, cols = train.shape[0], np.ascontiguousarray(train.T)
+def _kd_leaves(cols):
+    """Row order and leaf starts of median splits of the (K, n) rows on the widest
+    coordinate down to LEAF_ROWS rows; each leaf keeps its rows in index order."""
+    n = cols.shape[1]
     order, starts, spans = np.arange(n), [], [(0, n)]
     while spans:
         lo, hi = spans.pop()
@@ -64,10 +61,10 @@ def _kd_leaves(train):
     return order, np.array(starts + [n])
 
 
-def _nn1_search(train, queries, order, starts):
-    """Nearest training row of each query; leaf i is ``order[starts[i]:starts[i + 1]]``."""
-    rows = train[order]
-    lo, hi = np.minimum.reduceat(rows, starts[:-1]), np.maximum.reduceat(rows, starts[:-1])
+def _nn1_search(cols, queries, order, starts):
+    """Nearest of the (K, n) rows to each query; leaf i is ``order[starts[i]:starts[i + 1]]``."""
+    rows = cols[:, order]
+    lo, hi = (f.reduceat(rows, starts[:-1], axis=1) for f in (np.minimum, np.maximum))
     leaves = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
     out = np.empty(queries.shape[0], dtype=np.int64)
     chunk = max(1, BLOCK_ELEMS // len(leaves))
@@ -76,25 +73,25 @@ def _nn1_search(train, queries, order, starts):
         bound = _sq_dist(block, lo, hi)
         first = bound.argmin(axis=1)
         best, idx = np.full(block.shape[0], np.inf), out[start : start + block.shape[0]]
-        idx.fill(train.shape[0])  # above every row, so an inf distance from overflow wins too
+        idx.fill(cols.shape[1])  # above every row, so an inf distance from overflow wins too
         for leaf, (a, b) in enumerate(leaves):  # the leaf of the nearest box first
             sel = (first == leaf).nonzero()[0]
-            _merge(block, sel, rows[a:b], order[a:b], best, idx)
+            _merge(block, sel, rows[:, a:b], order[a:b], best, idx)
         for leaf, (a, b) in enumerate(leaves):  # then every box as near as the best row
             sel = ((bound[:, leaf] <= best) & (first != leaf)).nonzero()[0]
-            _merge(block, sel, rows[a:b], order[a:b], best, idx)
+            _merge(block, sel, rows[:, a:b], order[a:b], best, idx)
     return out
 
 
-def _merge(block, sel, rows, ids, best, idx):
-    """Replace the (best, idx) of queries ``block[sel]`` by their nearest of
-    ``rows`` (training rows ``ids``) where it is nearer, or as near and lower."""
-    chunk = max(1, BLOCK_ELEMS // rows.shape[0])
+def _merge(block, sel, cols, ids, best, idx):
+    """Replace the (best, idx) of queries ``block[sel]`` by their nearest of the
+    (K, n) rows ``cols`` (training rows ``ids``) where it is nearer, or as near and lower."""
+    chunk = max(1, BLOCK_ELEMS // cols.shape[1])
     for start in range(0, sel.size, chunk):
         q = sel[start : start + chunk]
-        d2 = _sq_dist(block[q], rows)
+        d2 = _sq_dist(block[q], cols)
         j = d2.argmin(axis=1)
-        d, i = d2.min(axis=1), ids[j]
+        d, i = d2[np.arange(q.size), j], ids[j]
         win = (d < best[q]) | ((d == best[q]) & (i < idx[q]))
         q, d, i = q[win], d[win], i[win]
         best[q], idx[q] = d, i
@@ -105,11 +102,12 @@ def nn1_exhaustive(train, queries):
     for one search or each of a stack: (..., n, K) rows and (..., q, K)
     queries give (..., q).  Every query against every row, in blocks of at
     most ``BLOCK_ELEMS`` query-row distances."""
+    cols = np.ascontiguousarray(np.swapaxes(train, -1, -2))
     out = np.empty(queries.shape[:-1], dtype=np.int64)
-    chunk = max(1, BLOCK_ELEMS // (train.size // train.shape[-1]))
+    chunk = max(1, BLOCK_ELEMS // (cols.size // cols.shape[-2]))
     for start in range(0, queries.shape[-2], chunk):
         block = queries[..., start : start + chunk, :]
-        out[..., start : start + chunk] = _sq_dist(block, train).argmin(axis=-1)
+        out[..., start : start + chunk] = _sq_dist(block, cols).argmin(axis=-1)
     return out
 
 
@@ -119,7 +117,8 @@ def nn1_many(train, queries):
     nan, which no box bounds, goes to it whole; any other takes the kd search once per search."""
     if train.shape[1] <= LEAF_ROWS or not (np.isfinite(train).all() and np.isfinite(queries).all()):
         return nn1_exhaustive(train, queries)
-    return np.stack([_nn1_search(t, q, *_kd_leaves(t)) for t, q in zip(train, queries)])
+    cols = np.ascontiguousarray(np.swapaxes(train, 1, 2))
+    return np.stack([_nn1_search(c, q, *_kd_leaves(c)) for c, q in zip(cols, queries)])
 
 
 def weighted_gram(rows, coef, ridge):

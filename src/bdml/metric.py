@@ -109,9 +109,8 @@ def from_mle(sol: MleSolution, basis: EigenBasis) -> MetricModel:
 
 def distance(model: MetricModel, x, z) -> float:
     """Squared metric distance between two raw feature vectors."""
-    proj = model.basis.project_diff(
-        np.asarray(x, dtype=np.float64) - np.asarray(z, dtype=np.float64)
-    )
+    diff = np.asarray(x, dtype=np.float64) - np.asarray(z, dtype=np.float64)
+    proj = (diff / model.basis.scale) @ model.basis.vectors.T  # the center cancels
     return float(model.weights @ (proj * proj))
 
 

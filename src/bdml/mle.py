@@ -273,16 +273,13 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
         if not going.all():
             live, w_l, y_l, g_l, v_l, grad, curvature = (
                 a[going] for a in (live, w_l, y_l, g_l, v_l, grad, curvature))
-            if not live.size:
-                break
         iterations[live] += 1
         direction = _newton_direction(g_l, grad, kernels.weighted_gram(w_l, curvature, reg))
         trial, trial_value = _line_search(g_l, v_l, grad, direction, w_l, y_l, reg)
         stalled = trial_value <= v_l
-        if stalled.any():
-            g_s = g_l[stalled]
-            promised = 0.5 * _dot(grad[stalled], np.maximum(g_s + direction[stalled], 0.0) - g_s)
-            converged[live[stalled]] = promised <= STALL_ULPS * np.spacing(np.abs(v_l[stalled]))
+        g_s = g_l[stalled]
+        promised = 0.5 * _dot(grad[stalled], np.maximum(g_s + direction[stalled], 0.0) - g_s)
+        converged[live[stalled]] = promised <= STALL_ULPS * np.spacing(np.abs(v_l[stalled]))
         moved = ~stalled
         gamma[live[moved]], value[live[moved]] = trial[moved], trial_value[moved]
         live = live[moved]

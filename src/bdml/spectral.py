@@ -131,10 +131,6 @@ class EigenBasis:
         x = np.asarray(x, dtype=np.float64)
         return ((x - self.center) / self.scale) @ self.vectors.T
 
-    def project_diff(self, diff: np.ndarray) -> np.ndarray:
-        """Project a difference vector; the center cancels, the scale not."""
-        return (np.asarray(diff, dtype=np.float64) / self.scale) @ self.vectors.T
-
 
 @dataclass(frozen=True)
 class PairFeature:
@@ -284,8 +280,9 @@ def eigen_basis(
     rounding (√d·eps/2 times the largest scaled value) and the column
     means' error (the norm of the centered columns' residual mean).
     Below that a singular value is rounding noise, so an explicit ``k`` past the rank is
-    rejected, except ``k = n`` on centered rows that span n - 1, and so
-    is data whose squares overflow or, within the rank, underflow.
+    rejected, and so is data whose squares overflow or, within the rank,
+    underflow.  ``k = n`` on centered rows that span n - 1 is accepted; its
+    last direction is then rounding noise.
     Eigenvector signs are canonicalized (first nonzero component positive)
     and the vectors of equal eigenvalues are ordered lexicographically, so
     the result is deterministic; the eigenvalues stay descending, as the

@@ -110,7 +110,14 @@ def test_nn1_distances_match_numpy_sum_below_8_coordinates(k):
     rng = np.random.default_rng(k)
     queries, rows = rng.normal(size=(6, k)) * 1e3, rng.normal(size=(9, k))
     want = ((queries[:, None, :] - rows[None, :, :]) ** 2).sum(axis=-1)
-    npt.assert_array_equal(kernels._sq_dist(queries, rows), want)
+    npt.assert_array_equal(kernels._sq_dist(queries, rows.T), want)
+    # box mode: queries inside, on the corners of and outside random boxes
+    corners = rng.normal(size=(2, 5, k))
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    inside = lo[:3] + rng.random((3, k)) * (hi[:3] - lo[:3])
+    queries = np.concatenate([inside, lo[:2], hi[2:4], rng.normal(size=(8, k)) * 3])
+    want = ((queries[:, None] - np.clip(queries[:, None], lo, hi)) ** 2).sum(axis=-1)
+    npt.assert_array_equal(kernels._sq_dist(queries, lo.T, hi.T), want)
 
 
 _grid = st.integers(-2, 2).map(float)
@@ -168,13 +175,13 @@ def test_nn1_searches_of_a_stack_match_each_search_alone(leaf_rows, monkeypatch)
     rng = np.random.default_rng(9)
     train = kernels.as_f64(rng.integers(-2, 3, size=(4, 9, 3)))
     queries = kernels.as_f64(rng.integers(-2, 3, size=(4, 6, 3)))
-    dist = kernels._sq_dist(queries, train)
+    dist = kernels._sq_dist(queries, np.swapaxes(train, 1, 2))
     assert dist.shape == (4, 6, 9)
     for budget in (kernels.BLOCK_ELEMS, 1):  # one block, then one query per block
         monkeypatch.setattr(kernels, "BLOCK_ELEMS", budget)
         exhaustive, many = kernels.nn1_exhaustive(train, queries), kernels.nn1_many(train, queries)
         for n in range(4):
-            npt.assert_array_equal(dist[n], kernels._sq_dist(queries[n], train[n]))
+            npt.assert_array_equal(dist[n], kernels._sq_dist(queries[n], train[n].T))
             alone = _brute_nn1(train[n], queries[n])
             npt.assert_array_equal(exhaustive[n], alone)
             npt.assert_array_equal(many[n], alone)
@@ -207,7 +214,7 @@ def _counting_distances(monkeypatch):
 
     def counted(queries, rows, hi=None):
         if hi is None:
-            shapes.append((queries.shape[0], rows.shape[0]))
+            shapes.append((queries.shape[0], rows.shape[-1]))
         return sq_dist(queries, rows, hi)
 
     monkeypatch.setattr(kernels, "_sq_dist", counted)
@@ -219,7 +226,7 @@ def test_nn1_large_search_takes_the_tree_and_stays_exact(monkeypatch):
     train = rng.normal(size=(2048, 3)).round(1)
     train[1000:1100] = train[:100]  # duplicate rows: exact ties
     queries = np.concatenate([rng.normal(size=(448, 3)), train[rng.integers(0, 2048, 64)]])
-    order, starts = kernels._kd_leaves(kernels.as_f64(train))
+    order, starts = kernels._kd_leaves(kernels.as_f64(train.T))
     assert len(starts) - 1 == 8 and np.diff(starts).max() <= kernels.LEAF_ROWS
     npt.assert_array_equal(np.sort(order), np.arange(2048))
     shapes = _counting_distances(monkeypatch)
@@ -252,7 +259,7 @@ def test_nn1_small_few_query_and_wide_searches_match_the_exhaustive_search():
     ):
         train = rng.normal(size=(n_train, k))
         queries = rng.normal(size=(n_query, k))
-        leaves = len(kernels._kd_leaves(train)[1]) - 1
+        leaves = len(kernels._kd_leaves(train.T)[1]) - 1
         assert (leaves == 1) == (n_train <= kernels.LEAF_ROWS)
         got = _nn1(train, queries)
         npt.assert_array_equal(got, kernels.nn1_exhaustive(train, queries))

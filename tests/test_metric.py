@@ -262,7 +262,7 @@ def test_euclidean_knn_matches_brute_force(clusters, monkeypatch):
     big = DataMatrix(rng.normal(size=(2 * kernels.LEAF_ROWS + 7, clusters.d)),
                      rng.integers(0, 4, size=2 * kernels.LEAF_ROWS + 7))
     npt.assert_array_equal(euclidean_knn(big, queries), expected(big))
-    assert leaves == [big.x.shape]
+    assert leaves == [big.x.T.shape]
     with pytest.raises(ValueError, match="labeled"):
         euclidean_knn(DataMatrix(clusters.x), queries)
     with pytest.raises(ValueError, match="dimension"):
@@ -298,7 +298,7 @@ def test_eval_runs_without_scipy_and_matches_the_exhaustive_search(tmp_path):
     root = np.sqrt(model.weights)
     t = kernels.as_f64(basis.project(train.x) * root)
     q = kernels.as_f64(basis.project(test.x) * root)
-    assert len(kernels._kd_leaves(t)[1]) - 1 > 1
+    assert len(kernels._kd_leaves(t.T)[1]) - 1 > 1
     want = accuracy(train.labels[kernels.nn1_exhaustive(t, q)], test.labels)
     assert 0.5 < want < 1.0  # wrong rows would show in the accuracy
     code = (

@@ -442,7 +442,7 @@ def test_augmented_inner_product_is_distance_minus_threshold(
     mu = 0.7
     gamma = np.concatenate(([mu], weights))
     omega = pair_feature(clusters, clusters_basis, 4, 19).omega
-    diff = clusters_basis.project_diff(clusters.x[4] - clusters.x[19])
+    diff = ((clusters.x[4] - clusters.x[19]) / clusters_basis.scale) @ clusters_basis.vectors.T
     npt.assert_allclose(gamma @ omega, weights @ (diff * diff) - mu, atol=1e-10)
 
 
