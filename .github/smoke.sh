@@ -12,7 +12,8 @@
 # raw search and the fit groups' searches through the kd leaves end to end,
 # two `bdml run`s on train.csv, whose energy rule gives the repeats basis
 # sizes 5, 6, 5, 5, so each iteration fits two groups of one fit kind, and two
-# of the README's `bdml run` command verbatim, at full size; each pair's
+# of the README's `bdml run` command verbatim, at full size, the first through
+# the `bdml` script and the second through `python -m bdml.cli`; each pair's
 # results.csv, summary.csv and results.json must match byte for byte.  Exits
 # nonzero at the first failing command.
 set -e
@@ -86,13 +87,17 @@ for out in csv_run csv_rerun; do
   bdml run --data train.csv --pool-size 20 --test-size 20 --initial-pairs 5 \
       --batch 5 --iterations 2 --repeats 4 --energy 0.7 --out "$out/"
 done
-for out in readme_run readme_rerun; do
-  bdml run --synth classes=3,per_class=20,dim=10,spread=0.3 \
+readme_pass() {  # the README's command into directory $1, run by the entry the rest names
+  out=$1
+  shift
+  "$@" run --synth classes=3,per_class=20,dim=10,spread=0.3 \
       --pool-size 40 --test-size 20 --initial-pairs 10 --batch 20 \
       --iterations 5 --repeats 20 --k 2 --no-standardize --reg 5 \
       --strategies RANDOM_MLE,MLE_ACT,BAYES_ACT,BAYES_VAR,EUCLID \
       --out "$out/"
-done
+}
+readme_pass readme_run bdml
+readme_pass readme_rerun python -m bdml.cli
 for f in results.csv summary.csv results.json; do
   cmp "csv_run/$f" "csv_rerun/$f"
   cmp "readme_run/$f" "readme_rerun/$f"

@@ -8,14 +8,13 @@ experiment, ``score-pairs`` dumps per-pair scores for one fitted model,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import metric
 from .config import STRATEGIES as SCORER_STRATEGIES
@@ -131,7 +130,7 @@ def cmd_run(args) -> int:
 
 def cmd_score_pairs(args) -> int:
     from . import harness
-    from .active import PairPool, rank_pairs
+    from .active import rank_pairs
 
     fit = STRATEGY_TABLE[args.strategy].fit
     if args.save_model and fit is None:
@@ -140,7 +139,7 @@ def cmd_score_pairs(args) -> int:
     data = load_csv(args.data_csv)
     if data.labels is None:
         raise ValueError("score-pairs needs a labeled CSV (oracle labels)")
-    pool = PairPool(candidates=np.column_stack(np.triu_indices(data.n, 1)))
+    pool = harness._all_pairs(data.n)
     if not 1 <= args.initial_pairs <= len(pool.candidates):
         raise ValueError(
             f"--initial-pairs must lie in [1, {len(pool.candidates)}], "
@@ -201,5 +200,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The ``bdml`` script and ``python -m bdml.cli``: :func:`main`'s exit status, with the
+    heap frozen after it, so the collections at interpreter exit skip every object made
+    since start-up.  ``main`` freezes nothing, since tests call it in-process."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

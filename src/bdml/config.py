@@ -8,6 +8,7 @@ rules, which are imported when a config is built (see :func:`model_prior`).
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,13 +54,15 @@ def model_prior(gamma0, delta, reg, seed):
 
 
 def _check_counts(obj, *names) -> None:
-    """Name the first field of ``names`` that is a bool or not an integer; numpy integers pass."""
+    """Name the first field of ``names`` that is a bool or not an integer, and store
+    each as a Python int: a numpy integer passes and is written to JSON as an int."""
     for name in names:
         value = getattr(obj, name)
         try:
-            operator.index(None if isinstance(value, bool) else value)
+            count = operator.index(None if isinstance(value, bool) else value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(obj, name, count)
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.data_csv is None) == (self.synth is None):
             raise ValueError("exactly one of data_csv and synth must be given")
+        if self.data_csv is not None:  # a path object is kept as its str, which JSON can write
+            object.__setattr__(self, "data_csv", os.fspath(self.data_csv))
         _check_counts(self, "pool_size", "n_test", "initial_pairs", "batch_size", "iterations",
                       "repeats", "seed", *(("k",) if self.k is not None else ()))
         if self.pool_size < 2:

@@ -89,12 +89,22 @@ def oracle_label(data, i, j):
 
 
 def build_pool(data: DataMatrix, pool_size: int, seed):
-    """Stratified example sample plus the complete pair pool over it.
+    """The stratified sample of :func:`_pool_rows` as its own DataMatrix, and the
+    PairPool of all its m(m-1)/2 local pairs."""
+    return data.subset(_pool_rows(data, pool_size, seed)), _all_pairs(pool_size)
+
+
+def _all_pairs(m: int) -> PairPool:
+    """The unlabeled PairPool of every pair of ``m`` examples, in canonical order."""
+    return PairPool(candidates=np.column_stack(np.triu_indices(m, 1)))
+
+
+def _pool_rows(data: DataMatrix, pool_size: int, seed) -> np.ndarray:
+    """The sorted rows of ``data`` drawn as a stratified pool of ``pool_size``.
 
     Allocation is round-robin across classes, so per-class counts differ
     by at most one whenever availability allows; the partial last round
-    goes to seeded-random classes.  Returns the pool examples as their
-    own DataMatrix and a PairPool of all m(m-1)/2 local pairs.
+    goes to seeded-random classes.
     """
     if data.labels is None:
         raise ValueError("stratified pool needs labeled data")
@@ -121,9 +131,7 @@ def build_pool(data: DataMatrix, pool_size: int, seed):
         for c in alloc
         if alloc[c]
     ]
-    rows = np.sort(np.concatenate(chosen))
-    pairs = np.column_stack(np.triu_indices(pool_size, 1))
-    return data.subset(rows), PairPool(candidates=pairs)
+    return np.sort(np.concatenate(chosen))
 
 
 def label_initial_pairs(pool: PairPool, data: DataMatrix, n: int, seed) -> PairPool:
@@ -185,7 +193,10 @@ def _repeat_data(config: ExperimentConfig, fixed: DataMatrix | None, repeat: int
     return synth_data(config.synth, _seed_ints(config.seed, repeat, "data"))
 
 
-def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> _RepeatState:
+def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int,
+                    pool: PairPool) -> _RepeatState:
+    """One repeat's state; ``pool`` is the run's unlabeled pool of all
+    ``pool_size`` pairs, whose read-only candidates every repeat shares."""
     n = data.n
     rng_split = np.random.default_rng(_seed_ints(config.seed, repeat, "split"))
     test_rows = np.sort(rng_split.choice(n, size=config.n_test, replace=False))
@@ -198,8 +209,8 @@ def _prepare_repeat(config: ExperimentConfig, data: DataMatrix, repeat: int) -> 
         train, k=config.k, energy=config.energy,
         center=config.center, standardize=config.standardize,
     )
-    pool_data, pool = build_pool(
-        train, config.pool_size, _seed_ints(config.seed, repeat, "pool")
+    pool_data = train.subset(
+        _pool_rows(train, config.pool_size, _seed_ints(config.seed, repeat, "pool"))
     )
     pool = label_initial_pairs(
         pool, pool_data, config.initial_pairs, _seed_ints(config.seed, repeat, "init")
@@ -309,7 +320,7 @@ def _step(config, runs, labels, t, prior, previous):
                 at.extend(stack)
     relabeled = labels[at]
     if at:
-        candidates = runs[0].state.pool.candidates  # every repeat's pool has all pool_size pairs
+        candidates = runs[0].state.pool.candidates  # every repeat shares them
         picks = np.concatenate(picks)
         classes = np.stack([runs[n].state.pool_data.labels for n in at])
         answers = oracle_label(classes, candidates[picks, 0], candidates[picks, 1])
@@ -351,7 +362,8 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
             f"exceeds the {n} available examples"
         )
     prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
-    states = [_prepare_repeat(config, _repeat_data(config, fixed, repeat), repeat)
+    pool = _all_pairs(config.pool_size)
+    states = [_prepare_repeat(config, _repeat_data(config, fixed, repeat), repeat, pool)
               for repeat in range(config.repeats)]
     runs = [_Run(strategy, repeat, state,
                  zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode("utf-8")))
@@ -440,7 +452,9 @@ def write_summary_csv(summary, path) -> None:
 
 
 def write_results_json(records, config: ExperimentConfig, path) -> None:
-    _write_json({"config": asdict(config), "records": [asdict(r) for r in records]}, path)
+    """The config and one object per record, its fields read, not deep-copied by ``asdict``."""
+    _write_json({"config": asdict(config),
+                 "records": [{c: getattr(r, c) for c in RESULT_COLUMNS} for r in records]}, path)
 
 
 def _write_json(doc, path) -> None:

@@ -1,10 +1,16 @@
 import dataclasses
+import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bdml
 from bdml import harness, mle, vb
 from bdml.cli import build_parser, main, parse_synth_spec
 from bdml.harness import ExperimentConfig, SynthSpec, synth_data
@@ -142,6 +148,35 @@ def test_run_reports_non_converged_fits_on_stderr_only(tmp_path, data_csv, capsy
     assert flagged.out.replace(str(outs[1]), str(outs[0])) == plain.out
     for name in ("results.csv", "summary.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def _cli_process(argv, cwd):
+    """``python -m bdml.cli`` with ``argv`` in a fresh interpreter."""
+    src = str(Path(bdml.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "bdml.cli", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_the_process_entry_writes_what_main_writes(tmp_path, capsys):
+    # the entry freezes the heap after main returns; main, called in-process, never does
+    argv = ["run", "--synth", "classes=3,per_class=8,dim=4,spread=0.3", "--pool-size", "10",
+            "--test-size", "5", "--initial-pairs", "4", "--batch", "3", "--iterations", "1",
+            "--repeats", "2", "--k", "2", "--no-standardize",
+            "--strategies", "EUCLID,MLE_ACT,BAYES_VAR", "--out"]
+    frozen = gc.get_freeze_count()
+    assert main([*argv, str(tmp_path / "main")]) == 0
+    assert gc.get_freeze_count() == frozen
+    printed = capsys.readouterr().out
+    proc = _cli_process([*argv, str(tmp_path / "process")], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == printed.replace(str(tmp_path / "main"), str(tmp_path / "process"))
+    for name in ("results.csv", "summary.csv", "results.json"):
+        assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    missing = _cli_process(["run", "--data", "missing.csv", "--out", "out"], tmp_path)
+    assert missing.returncode == 1 and missing.stderr.startswith("error: ")
+    assert _cli_process(["run", "--pool-size", "ten"], tmp_path).returncode == 2
 
 
 def test_run_accepts_synthetic_source(tmp_path, capsys):

@@ -60,6 +60,12 @@ def _small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def _prepared(config, repeat):
+    """Repeat ``repeat`` of a synthetic ``config`` as the loop prepares it."""
+    return harness._prepare_repeat(config, _repeat_data(config, None, repeat), repeat,
+                                   harness._all_pairs(config.pool_size))
+
+
 # ---------------------------------------------------------------------------
 # synthetic data and oracle
 
@@ -245,6 +251,25 @@ def test_config_validates_budget_and_strategies():
     # the prior is checked whatever strategies run, before any fit
     with pytest.raises(ValueError, match="delta"):
         ExperimentConfig(synth=spec, strategies=("EUCLID",), delta=0.0)
+
+
+@pytest.mark.parametrize("source, overrides", [
+    ("csv", dict(seed=5)),
+    ("synth", dict(seed=np.int64(3))),
+    ("synth", dict(synth=SynthSpec(classes=3, per_class=np.int64(8), dim=5, spread=0.3))),
+], ids=["path", "numpy_seed", "numpy_per_class"])
+def test_config_values_the_loop_accepts_are_written_to_json(source, overrides, tmp_path):
+    # a path object and numpy integers are stored as the str and ints JSON can write
+    path = tmp_path / "data.csv"
+    if source == "csv":
+        save_csv(synth_data(SynthSpec(classes=3, per_class=8, dim=5, spread=0.3), seed=1), path)
+        overrides = dict(overrides, synth=None, data_csv=path)
+    config = _small_config(repeats=1, **overrides)
+    assert type(config.seed) is int
+    assert config.data_csv == str(path) if source == "csv" else type(config.synth.per_class) is int
+    write_results_json(run_active_loop(config), config, tmp_path / "results.json")
+    doc = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))
+    assert doc["config"] == dataclasses.asdict(config) | {"strategies": list(config.strategies)}
 
 
 def test_config_accepts_exactly_the_experiment_strategies():
@@ -485,6 +510,27 @@ def test_loop_fits_gather_the_rows_feature_matrix_gives(monkeypatch):
     assert sorted(got) == sorted(want)
 
 
+def test_loop_repeats_share_one_read_only_candidate_array(monkeypatch):
+    # the run builds its all-pairs pool once; every repeat labels a row of its own
+    states = []
+
+    def step(config, runs, *args, _fn=harness._step):
+        if not states:
+            states.extend({id(run.state): run.state for run in runs}.values())
+        return _fn(config, runs, *args)
+
+    monkeypatch.setattr(harness, "_step", step)
+    run_active_loop(_small_config(repeats=3))
+    assert len(states) == 3
+    candidates = states[0].pool.candidates
+    assert all(state.pool.candidates is candidates for state in states)
+    labels = [state.pool.labels for state in states]
+    assert [int(np.count_nonzero(row)) for row in labels] == [4, 4, 4]
+    assert not any(np.shares_memory(labels[a], labels[b]) for a in range(3) for b in range(a))
+    with pytest.raises(ValueError, match="read-only"):
+        candidates[0, 0] = 1
+
+
 def test_loop_wraps_failures_with_context(monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("synthetic failure")
@@ -503,7 +549,7 @@ def test_loop_blames_a_failed_stacked_fit_on_its_run(strategy, partner, message,
     # the partner fits by the other kind or not at all, so only the fits of ``strategy``
     # fail; EUCLID's retake at iteration 1 reads its iteration-0 predictions
     config = _small_config(strategies=(partner, strategy), repeats=3, iterations=2)
-    state = harness._prepare_repeat(config, _repeat_data(config, None, 1), 1)
+    state = _prepared(config, 1)
     marker = feature_matrix(state.pool_data, state.basis, state.pool.labeled.pairs)[0]
     real_m_step, real_fit_many = vb.m_step, mle.fit_many
 
@@ -598,7 +644,7 @@ def test_the_loop_builds_no_per_run_posterior_or_solution(monkeypatch):
     assert built == Counter({"MleSolution": 6, "VariationalPosterior": 6})  # one per iteration
     assert rows == Counter()
 
-    state = harness._prepare_repeat(config, _repeat_data(config, None, 0), 0)
+    state = _prepared(config, 0)
     prior = vb.PriorConfig()
     for name in ("MLE_ACT", "BAYES_VAR", "EUCLID"):
         fit_strategy(name, state.pool.labeled, state.pool_data, state.basis, prior, config.reg)
@@ -661,7 +707,7 @@ def _reference_loop(config):
     prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
     runs = []
     for repeat in range(config.repeats):
-        state = harness._prepare_repeat(config, _repeat_data(config, None, repeat), repeat)
+        state = _prepared(config, repeat)
         runs.extend(
             SimpleNamespace(strategy=strategy, repeat=repeat, state=state, pool=state.pool,
                             seed=zlib.crc32(f"{config.seed}|{strategy}|{repeat}".encode()),
@@ -719,8 +765,7 @@ def test_a_failed_step_names_the_first_failing_run_in_run_order(monkeypatch):
     # repeat 0's BAYES_VAR and repeat 1's MLE_ACT fail to select at iteration 0; the
     # MLE_ACT stack is selected first, but repeat 0's BAYES_VAR comes first in run order
     config = _small_config(strategies=("MLE_ACT", "BAYES_VAR"), repeats=3)
-    initial = [harness._prepare_repeat(config, _repeat_data(config, None, r), r).pool.labels
-               for r in range(3)]
+    initial = [_prepared(config, r).pool.labels for r in range(3)]
     failing = {("BAYES_VAR", 0), ("MLE_ACT", 1)}
 
     def select_many(strategy, labels, *args, _fn=harness.select_many):
@@ -743,7 +788,7 @@ def test_a_failed_fit_does_not_outrank_an_earlier_runs_failed_selection(monkeypa
     # repeat 2's MLE_ACT fit and repeat 0's BAYES_VAR selection fail at iteration 0; the
     # stacked fit fails first, but repeat 0's BAYES_VAR comes first in run order
     config = _small_config(strategies=("MLE_ACT", "BAYES_VAR"), repeats=3)
-    states = [harness._prepare_repeat(config, _repeat_data(config, None, r), r) for r in (0, 2)]
+    states = [_prepared(config, r) for r in (0, 2)]
     marker = feature_matrix(states[1].pool_data, states[1].basis, states[1].pool.labeled.pairs)
 
     def fit_many(w, *args, _fn=mle.fit_many, **kwargs):
@@ -897,3 +942,15 @@ def test_write_results_json_echoes_the_config(tmp_path):
     assert doc["config"]["pool_size"] == 12
     assert len(doc["records"]) == len(records)
     assert doc["records"][0]["strategy"] == records[0].strategy
+
+
+def test_write_results_json_writes_the_bytes_asdict_gave(tmp_path):
+    # the records' objects are read field by field; the file is the one asdict and json.dump wrote
+    config = _small_config(synth=None, data_csv='da"tä/x.csv', repeats=1)
+    records = run_active_loop(_small_config(repeats=1))
+    write_results_json(records, config, tmp_path / "results.json")
+    with open(tmp_path / "oracle.json", "w", encoding="utf-8") as fh:
+        json.dump({"config": dataclasses.asdict(config),
+                   "records": [dataclasses.asdict(r) for r in records]}, fh, indent=2)
+        fh.write("\n")
+    assert (tmp_path / "results.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
