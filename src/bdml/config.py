@@ -65,6 +65,17 @@ def _check_counts(obj, *names) -> None:
         object.__setattr__(obj, name, count)
 
 
+def _check_scalars(obj, flags=(), numbers=()) -> None:
+    """Name the first field that is not what JSON writes: each of ``flags`` must be a
+    Python bool, each of ``numbers`` a Python int or float and no bool.  A numpy bool
+    or float32 is refused, not converted; an np.float64 is a float and passes."""
+    for name in (*flags, *numbers):
+        value = getattr(obj, name)
+        if isinstance(value, bool) != (name in flags) or not isinstance(value, (int, float)):
+            kind = "a bool" if name in flags else "an int or float"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Gaussian clusters: class means on unit axes, isotropic spread."""
@@ -76,6 +87,7 @@ class SynthSpec:
 
     def __post_init__(self):
         _check_counts(self, "classes", "per_class", "dim")
+        _check_scalars(self, numbers=("spread",))
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
         if self.per_class < 2:
@@ -113,6 +125,7 @@ class ExperimentConfig:
             object.__setattr__(self, "data_csv", os.fspath(self.data_csv))
         _check_counts(self, "pool_size", "n_test", "initial_pairs", "batch_size", "iterations",
                       "repeats", "seed", *(("k",) if self.k is not None else ()))
+        _check_scalars(self, ("center", "standardize"), ("gamma0", "delta", "energy", "reg"))
         if self.pool_size < 2:
             raise ValueError("pool_size must be at least 2")
         if self.n_test < 1 or self.initial_pairs < 1 or self.batch_size < 1:

@@ -102,35 +102,26 @@ def _all_pairs(m: int) -> PairPool:
 def _pool_rows(data: DataMatrix, pool_size: int, seed) -> np.ndarray:
     """The sorted rows of ``data`` drawn as a stratified pool of ``pool_size``.
 
-    Allocation is round-robin across classes, so per-class counts differ
-    by at most one whenever availability allows; the partial last round
-    goes to seeded-random classes.
+    Allocation water-fills the classes: with L the largest level where
+    sum(min(size_c, L)) <= pool_size, class c takes min(size_c, L) rows, so
+    per-class counts differ by at most one whenever availability allows, and
+    the rows left go one each to seeded-random classes larger than L.
     """
     if data.labels is None:
         raise ValueError("stratified pool needs labeled data")
     if not 2 <= pool_size <= data.n:
         raise ValueError(f"pool_size must lie in [2, {data.n}], got {pool_size}")
     rng = np.random.default_rng(seed)
-    ordered = np.sort(data.labels)
-    classes = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
-    rows_by_class = {int(c): np.flatnonzero(data.labels == c) for c in classes}
-    alloc = {int(c): 0 for c in classes}
-    remaining = pool_size
-    while remaining:
-        eligible = [c for c in alloc if alloc[c] < rows_by_class[c].size]
-        if len(eligible) <= remaining:
-            for c in eligible:
-                alloc[c] += 1
-            remaining -= len(eligible)
-        else:
-            for pick in rng.permutation(len(eligible))[:remaining]:
-                alloc[eligible[int(pick)]] += 1
-            remaining = 0
-    chosen = [
-        rng.choice(rows_by_class[c], size=alloc[c], replace=False)
-        for c in alloc
-        if alloc[c]
-    ]
+    class_of = np.unique(data.labels, return_inverse=True)[1]
+    sizes = np.bincount(class_of)
+    # L is the largest of (pool_size - the i smallest sizes) // (the classes left)
+    ordered = np.sort(sizes)
+    level = ((pool_size - np.cumsum(ordered) + ordered) // np.arange(len(sizes), 0, -1)).max()
+    alloc, eligible = np.minimum(sizes, level), np.flatnonzero(sizes > level)
+    if remaining := pool_size - alloc.sum():
+        alloc[eligible[rng.permutation(len(eligible))[:remaining]]] += 1
+    chosen = [rng.choice(np.flatnonzero(class_of == c), size=alloc[c], replace=False)
+              for c in np.flatnonzero(alloc)]
     return np.sort(np.concatenate(chosen))
 
 

@@ -204,6 +204,57 @@ def test_build_pool_validation():
         build_pool(data, 5, seed=0)
 
 
+def _round_robin_pool_rows(data, pool_size, seed):
+    """The stratified rows as a per-round loop drew them: each round gives every class
+    with rows left one more, and a partial round goes to seeded-random classes."""
+    if data.labels is None:
+        raise ValueError("stratified pool needs labeled data")
+    if not 2 <= pool_size <= data.n:
+        raise ValueError(f"pool_size must lie in [2, {data.n}], got {pool_size}")
+    rng = np.random.default_rng(seed)
+    ordered = np.sort(data.labels)
+    classes = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
+    rows_by_class = {int(c): np.flatnonzero(data.labels == c) for c in classes}
+    alloc = {int(c): 0 for c in classes}
+    remaining = pool_size
+    while remaining:
+        eligible = [c for c in alloc if alloc[c] < rows_by_class[c].size]
+        if len(eligible) <= remaining:
+            for c in eligible:
+                alloc[c] += 1
+            remaining -= len(eligible)
+        else:
+            for pick in rng.permutation(len(eligible))[:remaining]:
+                alloc[eligible[int(pick)]] += 1
+            remaining = 0
+    chosen = [
+        rng.choice(rows_by_class[c], size=alloc[c], replace=False)
+        for c in alloc
+        if alloc[c]
+    ]
+    return np.sort(np.concatenate(chosen))
+
+
+def test_pool_rows_draw_the_rows_the_round_robin_drew():
+    # imbalanced classes with scattered labels and rows, every pool size, several seeds
+    rng = np.random.default_rng(35)
+    for _ in range(40):
+        sizes = rng.integers(1, 12, size=rng.integers(2, 6))
+        labels = rng.permutation(np.repeat(rng.choice(50, sizes.size, replace=False) - 20, sizes))
+        data = DataMatrix(np.zeros((labels.size, 1)), labels=labels)
+        for pool_size in range(2, data.n + 1):
+            for seed in (0, 7, [3, 1, 4]):
+                want = _round_robin_pool_rows(data, pool_size, seed)
+                got = harness._pool_rows(data, pool_size, seed)
+                npt.assert_array_equal(got, want, strict=True, err_msg=f"{sizes} {pool_size}")
+    data = DataMatrix(np.zeros((4, 2)), labels=[0, 0, 1, 1])
+    for args in ((DataMatrix(np.zeros((4, 2))), 2, 0), (data, 1, 0), (data, 5, 0)):
+        with pytest.raises(ValueError) as want:
+            _round_robin_pool_rows(*args)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            harness._pool_rows(*args)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -257,7 +308,8 @@ def test_config_validates_budget_and_strategies():
     ("csv", dict(seed=5)),
     ("synth", dict(seed=np.int64(3))),
     ("synth", dict(synth=SynthSpec(classes=3, per_class=np.int64(8), dim=5, spread=0.3))),
-], ids=["path", "numpy_seed", "numpy_per_class"])
+    ("synth", dict(gamma0=2, delta=np.float64(0.5))),
+], ids=["path", "numpy_seed", "numpy_per_class", "int_gamma0"])
 def test_config_values_the_loop_accepts_are_written_to_json(source, overrides, tmp_path):
     # a path object and numpy integers are stored as the str and ints JSON can write
     path = tmp_path / "data.csv"
@@ -270,6 +322,22 @@ def test_config_values_the_loop_accepts_are_written_to_json(source, overrides, t
     write_results_json(run_active_loop(config), config, tmp_path / "results.json")
     doc = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))
     assert doc["config"] == dataclasses.asdict(config) | {"strategies": list(config.strategies)}
+    assert type(doc["config"]["gamma0"]) is type(config.gamma0)  # an int gamma0 is written 2, not 2.0
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("center", np.True_), ("standardize", np.False_), ("gamma0", np.float32(1.0)),
+    ("delta", np.float32(1.0)), ("energy", np.float32(0.9)), ("reg", np.float32(1e-6)),
+    ("spread", np.float32(0.3)),
+])
+def test_config_refuses_values_json_cannot_write(field, bad):
+    # refused when built, naming the field, not after the loop by write_results_json
+    kind = "a bool" if field in ("center", "standardize") else "an int or float"
+    build = SynthSpec if field == "spread" else _small_config
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {re.escape(repr(bad))}$"):
+        build(**{field: bad})
+    good = build(**{field: bool(bad) if kind == "a bool" else np.float64(bad)})
+    assert json.loads(json.dumps(dataclasses.asdict(good)))[field] == getattr(good, field)
 
 
 def test_config_accepts_exactly_the_experiment_strategies():

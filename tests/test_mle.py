@@ -389,6 +389,18 @@ def test_fit_many_gives_every_problem_its_alone_fit_bit_for_bit(seed, r, m, k, r
                                           alone.iterations, alone.converged), n
 
 
+@pytest.mark.parametrize("reg", [5.0, 0.5, 1e-6])
+def test_fit_many_reports_the_objective_at_the_weights_it_returns(reg):
+    # each problem's objective is the public mle_objective at its returned gamma, bit for bit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        r, m, k = (int(v) for v in (rng.integers(1, 8), rng.integers(1, 41), rng.integers(1, 5)))
+        w, y = _stack(seed, r, m, k)
+        stack = fit_many(w, y, reg=reg)
+        for n in range(r):
+            assert stack.objective[n] == mle_objective(stack.gamma[n], w[n], y[n], reg), (seed, n)
+
+
 def test_fit_many_fails_whole_on_an_error_in_any_problem():
     w, y = _stack(5, 3, 8, 2)
     y[1, 4] = np.nan

@@ -506,6 +506,22 @@ def test_fit_many_returns_read_only_arrays(clusters, clusters_basis):
             getattr(stack, field.name)[...] = 0
 
 
+def test_fit_many_reports_the_elbo_at_the_state_it_returns():
+    # each problem's bound is the public elbo at its returned raw mean, covariance
+    # and xi, bit for bit, and its trajectory ends there
+    prior = PriorConfig()
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        r, m, k = (int(v) for v in (rng.integers(1, 8), rng.integers(1, 41), rng.integers(1, 5)))
+        w = np.stack([random_features(rng, m, k) for _ in range(r)])
+        y = rng.choice([-1.0, 1.0], size=(r, m))
+        stack = fit_many(w, y, prior)
+        for n in range(r):
+            assert stack.bound[n] == elbo(w[n], y[n], stack.mu_raw[n], stack.sigma[n],
+                                          stack.xi[n], prior), (seed, n)
+        assert (stack.bound_trajectory[:, -1] == stack.bound).all(), seed
+
+
 def test_fit_checks_its_one_posterior_once(clusters, clusters_basis, monkeypatch):
     constraints = ConstraintSet(((0, 1, 1), (0, 20, -1), (3, 21, -1)))
     stack = fit_many(feature_matrix(clusters, clusters_basis, constraints.pairs)[None],
