@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .config import STRATEGIES
 from .kernels import expit, log_expit, xlogx
 from .spectral import (
     ConstraintSet, DataMatrix, EigenBasis, PairFeature, _as_rows, _canonical, _checked_pairs,
@@ -124,7 +123,7 @@ class PairScore:
     def __post_init__(self):
         i, j = self.pair
         object.__setattr__(self, "pair", (int(i), int(j)))
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in RULES:
             raise ValueError(f"unknown strategy tag {self.strategy!r}")
 
 
@@ -147,14 +146,14 @@ def _row(omega) -> np.ndarray:
     return w[None]
 
 
-def _plugin_rows(gamma, w):
-    """sigma(-gamma.w) for each feature row: (..., m, k+1) and (..., k+1) give (..., m)."""
+def _plugin_rows(gamma, _sigma, w):
+    """sigma(-gamma.w) per row, any covariance unread: (..., m, k+1), (..., k+1) give (..., m)."""
     return expit(-kernels.mat_vec(kernels.as_f64(w), gamma))
 
 
 def plugin_posterior(gamma, omega) -> float:
     """Similarity probability at a point estimate: sigma(-gamma.omega)."""
-    return float(_plugin_rows(np.asarray(gamma, dtype=np.float64), _row(omega))[0])
+    return float(_plugin_rows(np.asarray(gamma, dtype=np.float64), None, _row(omega))[0])
 
 
 def _modes(mu, sigma, w):
@@ -214,13 +213,21 @@ def laplace_posterior_batch(mu, sigma, features) -> np.ndarray:
     return expit(log_mass_plus - log_mass_minus)
 
 
+# each Scorer tag's p_plus of (..., m, k+1) feature rows, (..., k+1) weights and (..., k+1, k+1)
+# covariances, None for RANDOM; only the rules in READS_SIGMA read covariances and are given them
+RULES = {"RANDOM": None, "MLE_ACT": _plugin_rows, "BAYES_ACT": _plugin_rows,
+         "BAYES_VAR": laplace_posterior_batch}
+READS_SIGMA = frozenset({"BAYES_VAR"})
+STRATEGIES = tuple(RULES)  # the Scorer tags, which are also the strategies score-pairs offers
+
+
 @dataclass(frozen=True)
 class Scorer:
     """A strategy tag bundled with whatever model state it needs.
 
-    RANDOM carries nothing.  The plug-in strategies carry a point weight
-    vector (the MLE solution or the posterior mean); BAYES_VAR also
-    carries the posterior covariance.
+    RANDOM carries nothing.  The scoring rules carry a point weight vector
+    (the MLE solution or the posterior mean); those in ``READS_SIGMA``
+    also carry the posterior covariance.
     """
 
     strategy: str
@@ -230,9 +237,9 @@ class Scorer:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in RULES:
             raise ValueError(f"unknown strategy tag {self.strategy!r}")
-        if self.strategy == "RANDOM":
+        if RULES[self.strategy] is None:
             return
         if self.data is None or self.basis is None or self.gamma is None:
             raise ValueError(f"{self.strategy} needs data, basis and weights")
@@ -242,9 +249,9 @@ class Scorer:
                 f"weights must have length {self.basis.k + 1}, got {g.shape}"
             )
         object.__setattr__(self, "gamma", g)
-        if self.strategy == "BAYES_VAR":
+        if self.strategy in READS_SIGMA:
             if self.sigma is None:
-                raise ValueError("BAYES_VAR needs the posterior covariance")
+                raise ValueError(f"{self.strategy} needs the posterior covariance")
             s = kernels.as_f64(self.sigma)
             if s.shape != (g.shape[0], g.shape[0]):
                 raise ValueError("covariance shape does not match the weights")
@@ -275,7 +282,7 @@ class Scorer:
 
 def _score_arrays(scorer: Scorer, pairs: np.ndarray):
     """``(p_plus, entropy)`` arrays for an int64 (m, 2) array of pairs."""
-    if scorer.strategy == "RANDOM":
+    if RULES[scorer.strategy] is None:
         m = pairs.shape[0]
         return np.full(m, 0.5), np.full(m, MAX_ENTROPY)
     w = feature_matrix(scorer.data, scorer.basis, pairs)
@@ -283,16 +290,13 @@ def _score_arrays(scorer: Scorer, pairs: np.ndarray):
 
 
 def _score_rows(strategy, gamma, sigma, w):
-    """``(p_plus, entropy)`` arrays of an entropy strategy for pair feature rows.
+    """``(p_plus, entropy)`` arrays of a scoring rule of :data:`RULES` for pair feature rows.
 
     Takes one problem or a stack: (..., m, k+1) rows ``w`` with (..., k+1)
-    weights ``gamma`` and, for BAYES_VAR, (..., k+1, k+1) covariances
-    ``sigma`` give (..., m) arrays.
+    weights ``gamma`` and, for a rule in ``READS_SIGMA``, (..., k+1, k+1)
+    covariances ``sigma`` give (..., m) arrays.
     """
-    if strategy == "BAYES_VAR":
-        p_plus = laplace_posterior_batch(gamma, sigma, w)
-    else:
-        p_plus = _plugin_rows(gamma, w)
+    p_plus = RULES[strategy](gamma, sigma, w)
     return p_plus, entropy(p_plus)
 
 
@@ -341,13 +345,13 @@ def select_many(strategy, labels, features, gamma, sigma, batch, seeds) -> np.nd
     """:func:`select` for each of a stack of r pools over the same m candidates.
 
     ``labels`` holds the pools' int8 (r, m) label rows, 0 for an open
-    candidate.  An entropy strategy scores the whole (r, m, k+1) feature
-    tables under the (r, k+1) weights ``gamma`` and, for BAYES_VAR, the
-    (r, k+1, k+1) covariances ``sigma``, with -inf for a labeled row; RANDOM
-    reads only ``seeds``, drawing pool n's batch from ``seeds[n]``.  Returns
-    the (r, batch) candidate positions picked, each row in pick order.
+    candidate.  A scoring rule scores the whole (r, m, k+1) feature tables
+    under the (r, k+1) weights ``gamma`` and, if in ``READS_SIGMA``, the (r, k+1,
+    k+1) covariances ``sigma``, with -inf for a labeled row; RANDOM reads only
+    ``seeds``, drawing pool n's batch from ``seeds[n]``.  Returns the (r, batch)
+    candidate positions picked, each row in pick order.
     """
-    if strategy != "RANDOM" and features.shape[1:] != (labels.shape[1], gamma.shape[1]):
+    if RULES[strategy] is not None and features.shape[1:] != (labels.shape[1], gamma.shape[1]):
         raise ValueError(f"features must hold one row of {gamma.shape[1]} per candidate, "
                          f"got shape {features.shape[1:]}")
     is_open = labels == 0
@@ -356,7 +360,7 @@ def select_many(strategy, labels, features, gamma, sigma, batch, seeds) -> np.nd
         raise ValueError("no unlabeled pairs left to select from")
     if not 1 <= batch <= u:
         raise ValueError(f"batch must lie in [1, {u}], got {batch}")
-    if strategy == "RANDOM":
+    if RULES[strategy] is None:
         return np.stack([o[np.random.default_rng(s).choice(o.size, size=batch, replace=False)]
                          for o, s in zip(map(np.flatnonzero, is_open), seeds)])
     h = _score_rows(strategy, gamma, sigma, features)[1]

@@ -17,7 +17,6 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import metric
-from .config import STRATEGIES as SCORER_STRATEGIES
 from .config import EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, SynthSpec, model_prior
 from .spectral import _write_rows, eigen_basis, load_csv
 
@@ -90,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fit one model and dump scores for all unlabeled pairs")
     score.add_argument("--data", dest="data_csv", metavar="DATA", required=True,
                        help="labeled dataset CSV")
-    score.add_argument("--strategy", default="BAYES_VAR", choices=sorted(SCORER_STRATEGIES))
+    scorers = sorted({row.scorer for row in STRATEGY_TABLE.values()} - {None})
+    score.add_argument("--strategy", default="BAYES_VAR", choices=scorers)
     score.add_argument("--initial-pairs", type=int,
                        help="oracle-labeled pairs the model is fitted on")
     score.add_argument("--seed", type=int)

@@ -19,8 +19,8 @@ class Strategy(NamedTuple):
     ``fit`` names the estimator: ``"mle"`` fits a stack of problems by ``mle.fit_many``
     into one ``MleSolution``, ``"vb"`` by ``vb.fit_many`` into one
     ``VariationalPosterior`` (see ``harness._fit_all``), and None fits nothing.
-    ``scorer`` is the ``Scorer`` tag of the acquisition rule, None for a
-    strategy that never acquires.
+    ``scorer`` is the ``Scorer`` tag of the acquisition rule, an ``active.RULES`` key, None
+    for a strategy that never acquires; ``score-pairs`` offers this column's tags.
     """
 
     fit: str | None
@@ -36,8 +36,6 @@ STRATEGY_TABLE = {
     "EUCLID": Strategy(None, None),
 }
 EXPERIMENT_STRATEGIES = ("RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID")
-# the Scorer tags, which are also the strategies score-pairs offers
-STRATEGIES = ("RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR")
 
 
 def model_prior(gamma0, delta, reg, seed):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import metric, mle, spectral, vb
-from .active import PairPool, Scorer, label_many, select_many
+from .active import READS_SIGMA, PairPool, Scorer, label_many, select_many
 from .config import (  # the run options and strategy table, kept importable from here
     EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, Strategy, SynthSpec,
 )
@@ -137,8 +137,8 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
     Returns ``(model, scorer, estimate)``: the metric model, the scorer,
     and the fit's own result, an ``MleSolution`` or a ``VariationalPosterior``
     of one problem: ``row(0)`` of the checked stack of one.  Each is None
-    where the strategy's table row has no fit or no scorer.  ``prior`` is
-    read by the ``vb`` fit only, ``reg`` by the ``mle`` fit only.
+    where the strategy's table row has no fit or no scorer.  ``prior`` is read by
+    the ``vb`` fit only, ``reg`` by the ``mle`` fit only, sigma by a rule reading it.
     """
     fit, tag = STRATEGY_TABLE[name]
     model = scorer = estimate = gamma = sigma = None
@@ -147,7 +147,7 @@ def fit_strategy(name, constraints, data, basis, prior, reg):
         fitted = _fit_all(fit, w[None], constraints.labels[None], prior, reg)
         estimate = fitted.row(0)
         model = metric.from_augmented(fitted.weights[0], basis)
-        gamma, sigma = fitted.weights[0], fitted.sigma[0] if fit == "vb" else None
+        gamma, sigma = fitted.weights[0], fitted.sigma[0] if tag in READS_SIGMA else None
     if tag is not None:  # the scorer reads what its rule needs
         scorer = Scorer(tag, data, basis, gamma, sigma)
     return model, scorer, estimate
@@ -303,7 +303,7 @@ def _step(config, runs, labels, t, prior, previous):
                 stack = [members[i] for i in tagged[part]]
                 features = (np.stack([runs[n].state.features for n in stack]) if len(stack) > 1
                             else runs[stack[0]].state.features[None])  # a view, not a copy
-                sigma = fitted.sigma[tagged[part]] if fit == "vb" else None
+                sigma = fitted.sigma[tagged[part]] if tag in READS_SIGMA else None
                 seeds = [_seed_ints(config.seed, runs[n].strategy, runs[n].repeat, "select", t)
                          for n in stack]
                 picks.append(select_many(tag, labels[stack], features, fitted.weights[tagged[part]],

@@ -9,7 +9,7 @@ and its negative Hessian is at most 51x51, so every iteration can afford a
 Newton solve.  :func:`fit_many` runs the method on a stack of same-shape
 problems in lockstep, as ``vb.fit_many`` does for the variational fits.
 :func:`mle_objective` and :func:`mle_gradient` check and evaluate their
-one problem as a stack of one, by the fit's own input check.
+one problem as a stack of one, by the input check ``vb`` shares.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, spectral
 from .spectral import ConstraintSet, DataMatrix, EigenBasis, _freeze, _replaced, feature_matrix
 
 DEFAULT_REG = 1e-6
@@ -72,22 +72,10 @@ def _check_reg(reg) -> None:
         raise ValueError(f"reg must be {'finite' if reg > 0 else '>= 0'}, got {reg}")
 
 
-def _checked(features, labels, reg):
-    """Features and labels of a stack of problems as float64 arrays, (r, m, k+1)
-    and (r, m), once they and ``reg`` pass the checks of a fit's input."""
-    _check_reg(reg)
-    w, y = kernels.as_f64(features), np.asarray(labels, dtype=np.float64)
-    if w.ndim != 3 or y.shape != w.shape[:2]:
-        raise ValueError("need (r, m, k+1) features and (r, m) labels of the same problem and "
-                         f"constraint count, got {w.shape} and {y.shape}")
-    if not (np.isfinite(w).all() and np.isfinite(y).all()):
-        raise ValueError("features and labels must be finite")
-    return w, y
-
-
 def _one(gamma, features, labels, reg):
     """One problem's weights, (m, k+1) features and m labels as a checked stack of one."""
-    w, y = _checked(np.asarray(features)[None], np.ravel(labels)[None], reg)
+    _check_reg(reg)
+    w, y = spectral._fit_input(np.asarray(features)[None], np.ravel(labels)[None])
     g = np.asarray(gamma, dtype=np.float64)
     if w.shape[2] != g.shape[0] or g.ndim != 1:
         raise ValueError(f"features need one column per weight: {w.shape[2]} for {g.shape}")
@@ -123,13 +111,13 @@ def _derivatives(g, w, y, reg):
     """Gradient of the objective and the curvature weights of its negative Hessian.
 
     Both come from one pass over the margins: with s = sigma(margins) the
-    curvature weights c are y^2 s (1 - s).  The negative Hessian is then
+    curvature weights c are s (1 - s), as y^2 = 1.  The negative Hessian is then
     W^T diag(c) W + reg*I, positive semidefinite and definite when
     reg > 0, formed only when a Newton step needs it.
     """
     s = kernels.expit(y * kernels.mat_vec(w, g))
     grad = kernels.mat_vec(-np.swapaxes(w, -1, -2), y * s) - reg * g
-    return grad, y * y * s * (1.0 - s)
+    return grad, s * (1.0 - s)
 
 
 def _projected_gradient(gamma, grad):
@@ -249,9 +237,8 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
     whose checks run once, when it is built: an error in any problem, those
     checks included, fails the whole call.
     """
-    if not tol > 0 or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise ValueError("tol must be positive and max_iters an integer of at least 1")
-    w, y = _checked(features, labels, reg)
+    _check_reg(reg)
+    w, y = spectral._fit_input(features, labels, tol, max_iters)
     r, _, dim = w.shape
 
     starts = np.stack([np.zeros((r, dim)), _start_point(w)])

@@ -226,6 +226,23 @@ class ConstraintSet:
         return self.items[:, 2].astype(np.float64)
 
 
+def _fit_input(features, labels, tol=None, max_iters=None):
+    """Features and labels of a stack of fit problems as float64 (r, m, k+1) and (r, m) arrays,
+    once they pass the checks ``vb`` and ``mle`` share, and a fit's ``tol`` and ``max_iters``."""
+    if tol is not None and not (tol > 0 and isinstance(max_iters, (int, np.integer))
+                                and max_iters >= 1):
+        raise ValueError("tol must be positive and max_iters an integer of at least 1")
+    w, y = kernels.as_f64(features), np.asarray(labels, np.float64)
+    if w.ndim != 3 or y.shape != w.shape[:2]:
+        raise ValueError("need (r, m, k+1) features and (r, m) labels of the same problem and "
+                         f"constraint count, got {w.shape} and {y.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("features must be finite")
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("labels must be +1 or -1")
+    return w, y
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -489,6 +506,7 @@ def save_csv(data: DataMatrix, path) -> None:
 def _write_rows(fh, header, *columns) -> None:
     """Write ``header``, then one row per entry of the equal-length ``columns`` of Python
     ints, floats and strings, byte for byte as the ``csv`` module writes them: commas, CRLF
-    line ends, each float as its shortest repr.  No field may need quotes."""
+    line ends, each float as its shortest repr (``%s`` is ``str``).  No field may need quotes."""
     fh.write(",".join(header) + "\r\n")
-    fh.writelines(",".join(map(str, row)) + "\r\n" for row in zip(*columns, strict=True))
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    fh.writelines(line % row for row in zip(*columns, strict=True))

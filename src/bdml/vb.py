@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, spectral
 from .spectral import ConstraintSet, DataMatrix, EigenBasis, _freeze, _replaced, feature_matrix
 
 LAMBDA_SERIES_CUTOFF = 1e-4
@@ -115,17 +115,11 @@ def jj_bound(z, xi):
     return out
 
 
-def _checked(features, labels, xi):
-    """Features, labels and xi of a stack of problems as float64 arrays,
-    (r, m, k+1), (r, m) and (r, m), once they pass the checks of a fit's input."""
-    w, y, x = kernels.as_f64(features), np.asarray(labels, np.float64), np.asarray(xi, np.float64)
-    if w.ndim != 3 or y.shape != w.shape[:2]:
-        raise ValueError("need (r, m, k+1) features and (r, m) labels of the same problem and "
-                         f"constraint count, got {w.shape} and {y.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("features must be finite")
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("labels must be +1 or -1")
+def _checked(features, labels, xi, tol=None, max_iters=None):
+    """Features, labels and xi of a stack of problems as float64 arrays, once they pass
+    :func:`spectral._fit_input` (a fit's ``tol`` and ``max_iters`` too) and xi its own checks."""
+    w, y = spectral._fit_input(features, labels, tol, max_iters)
+    x = np.asarray(xi, np.float64)
     if x.shape != y.shape:
         raise ValueError("xi must have one entry per constraint")
     if not (np.isfinite(x) & (x > 0)).all():
@@ -281,9 +275,7 @@ def fit_many(features, labels, prior: PriorConfig | None = None, tol: float = DE
     """
     if prior is None:
         prior = PriorConfig()
-    if not tol > 0 or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise ValueError("tol must be positive and max_iters an integer of at least 1")
-    w, y, xi = _checked(features, labels, np.full(np.shape(labels), float(xi0)))
+    w, y, xi = _checked(features, labels, np.full(np.shape(labels), float(xi0)), tol, max_iters)
     r, _, dim = w.shape
 
     mu = np.full((r, dim), float(prior.gamma0))

@@ -8,6 +8,7 @@ from scipy.special import expit, log_expit
 
 from bdml.active import (
     MAX_ENTROPY,
+    READS_SIGMA,
     PairPool,
     PairScore,
     Scorer,
@@ -476,7 +477,7 @@ def test_one_pair_functions_are_rows_of_the_batch_core(seed, sigma_scale, margin
     for sign, modes in ((1, g_plus), (-1, g_minus)):
         npt.assert_array_equal([laplace_gamma(mu, sigma, row, sign) for row in w], modes[:, 0])
     npt.assert_array_equal([plugin_posterior(mu, row) for row in w],
-                           _plugin_rows(mu, rows)[:, 0])
+                           _plugin_rows(mu, None, rows)[:, 0])
 
 
 def test_one_pair_functions_take_pair_features_lists_and_nan():
@@ -730,6 +731,22 @@ def test_select_is_row_0_of_select_many(tag, seed, data):
         npt.assert_array_equal(
             picked, select_many(tag, pool.labels[None], *contiguous, batch, [seed])[0],
             strict=True)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bayes_act_select_many_reads_no_covariance(seed):
+    # a rule outside READS_SIGMA picks the same pairs with the covariances as without them
+    rng = np.random.default_rng(seed)
+    r, m, k = 3, 28, 2
+    features = np.concatenate([-np.ones((r, m, 1)), rng.gamma(1.0, size=(r, m, k))], axis=-1)
+    labels = np.where(rng.uniform(size=(r, m)) < 0.3, rng.choice([-1, 1], size=(r, m)), 0)
+    labels = labels.astype(np.int8)
+    gamma, a = rng.uniform(0.0, 2.0, size=(r, k + 1)), rng.normal(size=(r, k + 1, k + 1))
+    sigma = a @ np.swapaxes(a, -1, -2) + np.eye(k + 1)
+    picked = select_many("BAYES_ACT", labels, features, gamma, None, 5, None)
+    npt.assert_array_equal(
+        picked, select_many("BAYES_ACT", labels, features, gamma, sigma, 5, None), strict=True)
+    assert "BAYES_ACT" not in READS_SIGMA and "BAYES_VAR" in READS_SIGMA
 
 
 def _plugin_stack(margins):

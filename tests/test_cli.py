@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import bdml
-from bdml import harness, mle, vb
+from bdml import active, harness, mle, vb
 from bdml.cli import build_parser, main, parse_synth_spec
-from bdml.harness import ExperimentConfig, SynthSpec, synth_data
-from bdml.spectral import save_csv
+from bdml.harness import STRATEGY_TABLE, ExperimentConfig, SynthSpec, synth_data
+from bdml.spectral import DataMatrix, load_csv, save_csv
 
 
 @pytest.fixture
@@ -331,6 +331,23 @@ def test_score_pairs_offers_exactly_the_scorer_strategies():
     strategy = next(a for a in sub.choices["score-pairs"]._actions
                     if a.dest == "strategy")
     assert strategy.choices == ["BAYES_ACT", "BAYES_VAR", "MLE_ACT", "RANDOM"]
+    # one set of tags: the rule table's, the strategy table's scorer column and these choices
+    scorers = {row.scorer for row in STRATEGY_TABLE.values()} - {None}
+    assert set(active.RULES) == set(strategy.choices) == scorers
+
+
+def _unlabeled(data_csv, tmp_path):
+    path = tmp_path / "unlabeled.csv"
+    save_csv(DataMatrix(load_csv(data_csv).x), path)
+    return str(path)
+
+
+def test_score_pairs_names_an_unlabeled_csv(tmp_path, data_csv, capsys):
+    code = main(["score-pairs", "--data", _unlabeled(data_csv, tmp_path), "--k", "2"])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert printed.err == "error: score-pairs needs a labeled CSV (oracle labels)\n"
+    assert printed.out == ""
 
 
 def test_eval_round_trip(tmp_path, data_csv, capsys):
@@ -355,6 +372,43 @@ def test_eval_round_trip(tmp_path, data_csv, capsys):
     assert "(n=12)" in printed
     acc = float(printed.split()[1])
     assert 0.0 <= acc <= 1.0
+
+
+def test_eval_names_an_unlabeled_train_or_test_csv(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "model.json"
+    main(["score-pairs", "--data", data_csv, "--strategy", "BAYES_ACT", "--k", "2",
+          "--save-model", str(model_path), "--out", str(tmp_path / "s.csv")])
+    unlabeled = _unlabeled(data_csv, tmp_path)
+    for train, test in ((unlabeled, data_csv), (data_csv, unlabeled)):
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model_path), "--train", train, "--test", test])
+        assert code == 1
+        printed = capsys.readouterr()
+        assert printed.err == "error: eval needs labeled train and test CSVs\n"
+        assert printed.out == ""
+
+
+def test_eval_names_a_model_basis_of_the_wrong_shape(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "model.json"
+    main(["score-pairs", "--data", data_csv, "--strategy", "BAYES_ACT", "--k", "2",
+          "--save-model", str(model_path), "--out", str(tmp_path / "s.csv")])
+    saved = json.loads(model_path.read_text())
+    d = len(saved["basis"]["center"])
+    bad = (("vectors", [1.0] * d, "vectors must be 2-d (k, d)"),
+           ("vectors", [[1.0] + [0.0] * (d - 1)] * (d + 1),
+            f"need 1 <= k <= d, got k={d + 1}, d={d}"),
+           ("eigenvalues", [1.0], "inconsistent basis shapes"),
+           ("center", [0.0] * (d + 1), "inconsistent basis shapes"),
+           ("scale", [1.0] * (d - 1), "inconsistent basis shapes"))
+    for entry, value, message in bad:
+        doc = json.loads(model_path.read_text())
+        doc["basis"][entry] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--model", str(bad_path), "--train", data_csv, "--test", data_csv])
+        assert code == 1, entry
+        assert capsys.readouterr().err == f"error: {message}\n", entry
 
 
 def test_eval_rejects_an_overflowing_weight(tmp_path, data_csv, capsys):

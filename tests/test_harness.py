@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bdml
 from bdml import harness, metric, mle, vb
-from bdml.active import Scorer, rank_pairs, select
+from bdml.active import READS_SIGMA, Scorer, rank_pairs, select
 from bdml.harness import (
     EXPERIMENT_STRATEGIES,
     RESULT_COLUMNS,
@@ -271,6 +271,8 @@ def test_config_validates_budget_and_strategies():
     with pytest.raises(ValueError, match="label budget"):
         ExperimentConfig(synth=spec, pool_size=5, initial_pairs=5,
                          batch_size=10, iterations=1)
+    with pytest.raises(ValueError, match="^pool_size must be at least 2$"):
+        ExperimentConfig(synth=spec, pool_size=1, initial_pairs=1, iterations=0)
     with pytest.raises(ValueError, match="unknown strategy"):
         ExperimentConfig(synth=spec, strategies=("RANDOM",))
     with pytest.raises(ValueError, match="duplicate"):
@@ -718,6 +720,29 @@ def test_the_loop_builds_no_per_run_posterior_or_solution(monkeypatch):
         fit_strategy(name, state.pool.labeled, state.pool_data, state.basis, prior, config.reg)
     assert built == Counter({"MleSolution": 7, "VariationalPosterior": 7})
     assert rows == Counter({"MleSolution": 1, "VariationalPosterior": 1})
+
+
+def test_covariances_reach_only_the_rules_that_read_them(monkeypatch):
+    # both hand-offs, the loop's stacked selections and fit_strategy's scorer
+    seen = []
+
+    def select_many(strategy, labels, features, gamma, sigma, *args, _fn=harness.select_many):
+        seen.append((strategy, sigma is None or sigma.shape))
+        return _fn(strategy, labels, features, gamma, sigma, *args)
+
+    monkeypatch.setattr(harness, "select_many", select_many)
+    config = _small_config()
+    run_active_loop(config)
+    assert sorted(set(seen)) == [("BAYES_ACT", True), ("BAYES_VAR", (2, 3, 3)),
+                                 ("MLE_ACT", True), ("RANDOM", True)]
+    state = _prepared(config, 0)
+    prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
+    for name in ("BAYES_ACT", "BAYES_VAR"):
+        _, scorer, post = fit_strategy(name, state.pool.labeled, state.pool_data, state.basis,
+                                       prior, config.reg)
+        assert (scorer.sigma is not None) == (name in READS_SIGMA)
+        if scorer.sigma is not None:
+            assert np.array_equal(scorer.sigma, post.sigma)
 
 
 def test_a_one_run_stack_selects_from_its_table_itself(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from bdml import kernels, mle
+from bdml import kernels, mle, vb
 from bdml.active import PairPool
 from bdml.harness import label_initial_pairs
 from bdml.mle import (
@@ -148,12 +149,28 @@ def test_input_validation():
         mle_objective(np.zeros(3), np.zeros((1, 3)), [1.0], reg=-0.1)
     with pytest.raises(ValueError, match="reg must be >= 0, got nan"):
         mle_objective(np.zeros(3), np.zeros((1, 3)), [1.0], reg=float("nan"))
-    # one problem is checked as a stack of one, finiteness included
+    # one problem is checked as a stack of one, by the check vb shares
     for bad in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="features and labels must be finite"):
+        with pytest.raises(ValueError, match="features must be finite"):
             mle_objective(np.zeros(3), np.array([[-1.0, bad, 0.0]]), [1.0])
-        with pytest.raises(ValueError, match="features and labels must be finite"):
+        with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
             mle_gradient(np.zeros(3), np.zeros((1, 3)), [bad])
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0])
+def test_mle_refuses_a_label_other_than_plus_or_minus_one_as_vb_does(bad, clusters,
+                                                                     clusters_basis):
+    w, y = _stack(9, 2, 3, clusters_basis.k)
+    y[1, 1] = bad
+    # stands in for a ConstraintSet, which refuses such a label itself
+    constraints = SimpleNamespace(pairs=np.array([[0, 1], [0, 2], [1, 2]]), labels=y[1])
+    for call in (lambda: fit_many(w, y), lambda: vb.fit_many(w, y),
+                 lambda: mle_fit(constraints, clusters, clusters_basis),
+                 lambda: vb.fit(constraints, clusters, clusters_basis),
+                 lambda: mle_objective(np.zeros(w.shape[2]), w[1], y[1]),
+                 lambda: mle_gradient(np.zeros(w.shape[2]), w[1], y[1])):
+        with pytest.raises(ValueError, match=r"^labels must be \+1 or -1$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +424,11 @@ def test_fit_many_fails_whole_on_an_error_in_any_problem():
     for n in (0, 2):
         fit_many(w[n:n+1], y[n:n+1])
     for args in ((w, y), (w[1:2], y[1:2])):
-        with pytest.raises(ValueError, match="features and labels must be finite"):
+        with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
             fit_many(*args)
     w, y = _stack(5, 3, 8, 2)
     w[2, 0, 1] = np.inf
-    with pytest.raises(ValueError, match="features and labels must be finite"):
+    with pytest.raises(ValueError, match="features must be finite"):
         fit_many(w, y)
 
 
