@@ -10,9 +10,12 @@ that tree and under this checkout, each in a directory of its own with
 thread, the script runs:
 
 - the README ``bdml run`` command once per seed;
-- ``score-pairs`` per seed for each scorer strategy on a generated
-  labeled CSV, with ``--save-model`` for every strategy that fits one
-  (RANDOM fits none, so it writes the scores only);
+- ``score-pairs`` per seed on a generated labeled CSV, for each strategy
+  that either tree's ``score-pairs --strategy`` offers (read from its
+  ``--help``), with ``--save-model`` where the strategy's row in either
+  tree's ``bdml.config.STRATEGY_TABLE`` fits a model; the others write
+  the scores only, and a strategy one tree lacks fails there, so it
+  shows as a difference;
 - ``eval`` of one saved model per seed.
 
 It compares every file the commands wrote, and each command's exit
@@ -34,6 +37,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -43,7 +47,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SCORERS = ("RANDOM", "MLE_ACT", "BAYES_ACT", "BAYES_VAR")
 README_RUN = (
     "run", "--synth", "classes=3,per_class=20,dim=10,spread=0.3",
     "--pool-size", "40", "--test-size", "20", "--initial-pairs", "10",
@@ -53,6 +56,9 @@ README_RUN = (
 )
 SCORE_FLAGS = ("--initial-pairs", "10", "--k", "2", "--no-standardize")
 SHOWN = 10  # differing values listed per differing file
+# prints the names of the strategy-table rows that fit a model, as JSON
+FITTED = ("import json, sys; from bdml.config import STRATEGY_TABLE as table; "
+          "json.dump(sorted(name for name, row in table.items() if row.fit), sys.stdout)")
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -75,15 +81,34 @@ def write_clusters(path: Path, seed: int, per_class: int) -> None:
             fh.write(",".join(map(repr, row)) + f",{label}\n")
 
 
-def commands(seeds, inputs: Path) -> list:
+def environment(tree: Path) -> dict:
+    """Run ``tree``'s sources with BLAS pinned to one thread."""
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def strategy_choices(tree: Path) -> tuple:
+    """``tree``'s ``score-pairs --strategy`` choices, read from its ``--help``, and
+    the names of its strategy-table rows that fit a model and so can save one."""
+    def output(*args):
+        return subprocess.run([sys.executable, *args], cwd=tree, env=environment(tree),
+                              capture_output=True, text=True, check=True).stdout
+    usage = output("-m", "bdml.cli", "score-pairs", "--help")
+    choices = re.search(r"--strategy \{([^}]*)\}", usage).group(1).split(",")
+    return sorted(choices), json.loads(output("-c", FITTED))
+
+
+def commands(seeds, inputs: Path, scorers, fitted) -> list:
+    """The commands run under both trees: ``score-pairs`` for each of ``scorers``,
+    with ``--save-model`` for those among ``fitted``."""
     data, test = str(inputs / "data.csv"), str(inputs / "test.csv")
     cmds = []
     for seed in seeds:
         cmds.append(README_RUN + ("--seed", str(seed), "--out", f"run_{seed}"))
-        for name in SCORERS:
+        for name in scorers:
             cmd = ("score-pairs", "--data", data, "--strategy", name,
                    "--seed", str(seed), *SCORE_FLAGS, "--out", f"scores_{name}_{seed}.csv")
-            if name != "RANDOM":
+            if name in fitted:
                 cmd += ("--save-model", f"model_{name}_{seed}.json")
             cmds.append(cmd)
         cmds.append(("eval", "--model", f"model_BAYES_VAR_{seed}.json",
@@ -94,8 +119,7 @@ def commands(seeds, inputs: Path) -> list:
 def run_all(tree: Path, work: Path, cmds) -> list:
     """Run each command under ``tree``'s sources in ``work``; return what it printed."""
     work.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = environment(tree)
     printed = []
     for cmd in cmds:
         proc = subprocess.run([sys.executable, "-m", "bdml.cli", *cmd], cwd=work,
@@ -199,7 +223,10 @@ def main(argv=None) -> int:
         inputs.mkdir()
         write_clusters(inputs / "data.csv", seed=1, per_class=10)
         write_clusters(inputs / "test.csv", seed=2, per_class=5)
-        cmds = commands(seeds, inputs)
+        old_scorers, old_fitted = strategy_choices(tmp / "rev")
+        new_scorers, new_fitted = strategy_choices(ROOT)
+        cmds = commands(seeds, inputs, sorted({*old_scorers, *new_scorers}),
+                        {*old_fitted, *new_fitted})
         old = run_all(tmp / "rev", tmp / "old", cmds)
         new = run_all(ROOT, tmp / "new", cmds)
         old_files, new_files = files(tmp / "old"), files(tmp / "new")

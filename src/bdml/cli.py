@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import metric
-from .config import EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, SynthSpec, model_prior
+from .config import STRATEGY_TABLE, ExperimentConfig, SynthSpec, model_prior, run_strategies
 from .spectral import _write_rows, eigen_basis, load_csv
 
 
@@ -25,10 +25,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
     """Parse 'classes=3,per_class=20,dim=10,spread=0.4': any of SynthSpec's fields."""
     types = {f.name: type(f.default) for f in fields(SynthSpec)}
     kwargs = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         if "=" not in chunk:
             raise ValueError(f"synth spec entries must be key=value, got {chunk!r}")
         key, value = chunk.split("=", 1)
@@ -73,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="synthetic spec, e.g. classes=3,per_class=20,dim=10,spread=0.4")
     run.add_argument("--strategies",
                      type=lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
-                     help="comma-separated subset of " + ",".join(EXPERIMENT_STRATEGIES))
+                     help="comma-separated subset of " + ",".join(run_strategies()))
     run.add_argument("--pool-size", type=int)
     run.add_argument("--test-size", dest="n_test", metavar="TEST_SIZE", type=int)
     run.add_argument("--initial-pairs", type=int)

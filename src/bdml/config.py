@@ -38,6 +38,12 @@ STRATEGY_TABLE = {
 EXPERIMENT_STRATEGIES = ("RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID")
 
 
+def run_strategies() -> list:
+    """The table rows ``run`` accepts, read at each call: each that fits or acquires nothing,
+    as a run without a fit selects nothing (``EXPERIMENT_STRATEGIES`` is only the default)."""
+    return [name for name, row in STRATEGY_TABLE.items() if row.fit or row.scorer is None]
+
+
 def model_prior(gamma0, delta, reg, seed):
     """The VB prior of ``gamma0`` and ``delta``, once they, the MLE ridge ``reg``
     and the ``seed`` pass their rules; ``run`` and ``score-pairs`` check all
@@ -141,7 +147,7 @@ class ExperimentConfig:
         if not strategies:
             raise ValueError("at least one strategy required")
         for s in strategies:
-            if s not in EXPERIMENT_STRATEGIES:
+            if s not in run_strategies():
                 raise ValueError(f"unknown strategy {s!r}")
         if len(set(strategies)) != len(strategies):
             raise ValueError("duplicate strategies")

@@ -20,9 +20,7 @@ import numpy as np
 
 from . import metric, mle, spectral, vb
 from .active import READS_SIGMA, PairPool, Scorer, label_many, select_many
-from .config import (  # the run options and strategy table, kept importable from here
-    EXPERIMENT_STRATEGIES, STRATEGY_TABLE, ExperimentConfig, Strategy, SynthSpec,
-)
+from .config import STRATEGY_TABLE, ExperimentConfig, SynthSpec
 from .spectral import DataMatrix, EigenBasis, _freeze, eigen_basis, feature_matrix, load_csv
 
 

@@ -40,9 +40,9 @@ def random_labels(rng, m):
     return rng.choice([-1.0, 1.0], size=m)
 
 
-def benchmark_module(name):
-    """Import ``benchmarks/<name>.py``; the directory is not a package."""
-    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+def benchmark_module(name, directory=BENCHMARKS):
+    """Import ``<directory>/<name>.py``; ``benchmarks`` and ``perfbench`` are not packages."""
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

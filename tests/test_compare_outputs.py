@@ -1,5 +1,7 @@
 import pytest
 
+from bdml.active import RULES
+from bdml.config import STRATEGY_TABLE
 from conftest import benchmark_module
 
 compare_outputs = benchmark_module("compare_outputs")
@@ -35,3 +37,13 @@ def test_number_diff_walks_json_key_paths():
         "  4 values differ, max abs 0.5, max rel 0.2",
         "  weights[1]: 2.0 -> 2.5", "  kind: 'mle' -> 'vb'", "  n: 3 -> None",
         "  extra: None -> 0.001"]
+
+
+def test_scorers_and_saved_models_are_read_from_the_checked_tree(tmp_path):
+    scorers, fitted = compare_outputs.strategy_choices(compare_outputs.ROOT)
+    assert scorers == sorted(RULES)
+    cmds = compare_outputs.commands([0], tmp_path, scorers, fitted)
+    saves = {cmd[cmd.index("--strategy") + 1]: "--save-model" in cmd
+             for cmd in cmds if cmd[0] == "score-pairs"}
+    # a tag whose row fits nothing writes the scores only
+    assert saves == {tag: STRATEGY_TABLE[tag].fit is not None for tag in RULES}

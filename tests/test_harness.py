@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdml
-from bdml import harness, metric, mle, vb
+from bdml import cli, harness, metric, mle, vb
 from bdml.active import READS_SIGMA, Scorer, rank_pairs, select
+from bdml.config import EXPERIMENT_STRATEGIES, Strategy
 from bdml.harness import (
-    EXPERIMENT_STRATEGIES,
     RESULT_COLUMNS,
     STRATEGY_TABLE,
     ExperimentConfig,
@@ -353,6 +353,25 @@ def test_config_accepts_exactly_the_experiment_strategies():
     assert accepted == set(EXPERIMENT_STRATEGIES) == {
         "RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID",
     }
+
+
+def test_a_new_table_row_joins_run_without_joining_the_default(monkeypatch, tmp_path):
+    # one STRATEGY_TABLE row is all a strategy needs; the default stays the paper's five
+    monkeypatch.setitem(STRATEGY_TABLE, "RANDOM_VB", Strategy("vb", "RANDOM"))
+    config = _small_config(strategies=("RANDOM_VB", "EUCLID"), repeats=1)
+    records = run_active_loop(config)
+    assert {r.strategy for r in records} == {"RANDOM_VB", "EUCLID"}
+    assert [r.n_pairs for r in records if r.strategy == "RANDOM_VB"] == [4, 7]
+    assert cli.main(["run", "--synth", "classes=3,per_class=8,dim=5,spread=0.3",
+                     "--pool-size", "12", "--test-size", "6", "--initial-pairs", "4",
+                     "--batch", "3", "--iterations", "1", "--repeats", "1", "--k", "2",
+                     "--no-standardize", "--strategies", "RANDOM_VB,EUCLID",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert "RANDOM_VB" in (tmp_path / "out" / "results.csv").read_text(encoding="utf-8")
+    assert ExperimentConfig(synth=SynthSpec()).strategies == (
+        "RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID")
+    with pytest.raises(ValueError, match="unknown strategy 'RANDOM'"):
+        ExperimentConfig(synth=SynthSpec(), strategies=("RANDOM",))
 
 
 # ---------------------------------------------------------------------------

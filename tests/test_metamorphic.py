@@ -19,8 +19,8 @@ basis changes.  Seeds and transforms were fixed before the first run.
 import numpy as np
 import pytest
 
+from bdml.config import EXPERIMENT_STRATEGIES
 from bdml.harness import (
-    EXPERIMENT_STRATEGIES,
     ExperimentConfig,
     SynthSpec,
     run_active_loop,
