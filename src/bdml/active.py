@@ -280,15 +280,6 @@ class Scorer:
         )
 
 
-def _score_arrays(scorer: Scorer, pairs: np.ndarray):
-    """``(p_plus, entropy)`` arrays for an int64 (m, 2) array of pairs."""
-    if RULES[scorer.strategy] is None:
-        m = pairs.shape[0]
-        return np.full(m, 0.5), np.full(m, MAX_ENTROPY)
-    w = feature_matrix(scorer.data, scorer.basis, pairs)
-    return _score_rows(scorer.strategy, scorer.gamma, scorer.sigma, w)
-
-
 def _score_rows(strategy, gamma, sigma, w):
     """``(p_plus, entropy)`` arrays of a scoring rule of :data:`RULES` for pair feature rows.
 
@@ -307,24 +298,15 @@ def score_pairs(scorer: Scorer, pairs) -> list:
     entropy; the entropy strategies evaluate their posterior per pair.
     """
     pairs = _as_rows(pairs, 2, "pairs")
-    p_plus, h = _score_arrays(scorer, pairs)
+    if RULES[scorer.strategy] is None:
+        p_plus, h = np.full(len(pairs), 0.5), np.full(len(pairs), MAX_ENTROPY)
+    else:
+        w = feature_matrix(scorer.data, scorer.basis, pairs)
+        p_plus, h = _score_rows(scorer.strategy, scorer.gamma, scorer.sigma, w)
     return [
         PairScore(pair=p, p_plus=pr, entropy=hr, strategy=scorer.strategy)
         for p, pr, hr in zip(pairs.tolist(), p_plus.tolist(), h.tolist())
     ]
-
-
-def rank_pairs(scorer: Scorer, pairs):
-    """Score pairs and order them most uncertain first.
-
-    ``pairs`` is an (m, 2) array or a sequence of (i, j).  Returns the
-    pairs as an int64 (m, 2) array with their ``p_plus`` and entropy,
-    ordered by descending entropy, ties to the lowest (i, j).
-    """
-    pairs = _as_rows(pairs, 2, "pairs")
-    p_plus, h = _score_arrays(scorer, pairs)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0], -h))
-    return pairs[order], p_plus[order], h[order]
 
 
 def select(pool: PairPool, features, scorer: Scorer, batch: int, rng_seed) -> np.ndarray:

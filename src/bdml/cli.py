@@ -16,9 +16,11 @@ from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import metric
 from .config import STRATEGY_TABLE, ExperimentConfig, SynthSpec, model_prior, run_strategies
-from .spectral import _write_rows, eigen_basis, load_csv
+from .spectral import _write_rows, eigen_basis, feature_matrix, load_csv
 
 
 def parse_synth_spec(text: str) -> SynthSpec:
@@ -126,10 +128,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_score_pairs(args) -> int:
+    """Fit and score as the loop does: one ``_fit_all`` stack of one and ``_score_rows``."""
     from . import harness
-    from .active import rank_pairs
+    from .active import MAX_ENTROPY, READS_SIGMA, RULES, _score_rows
 
-    fit = STRATEGY_TABLE[args.strategy].fit
+    fit, tag = STRATEGY_TABLE[args.strategy]
     if args.save_model and fit is None:
         raise ValueError(f"{args.strategy} fits no model, nothing to save")
     prior = model_prior(args.gamma0, args.delta, args.reg, args.seed)
@@ -145,22 +148,31 @@ def cmd_score_pairs(args) -> int:
     basis = eigen_basis(data, k=args.k, energy=args.energy,
                         center=args.center, standardize=args.standardize)
     pool = harness.label_initial_pairs(pool, data, args.initial_pairs, args.seed)
-    model, scorer, estimate = harness.fit_strategy(
-        args.strategy, pool.labeled, data, basis, prior, args.reg
-    )
-    if estimate is not None and not estimate.converged:
-        print(f"warning: {fit} fit did not converge after "
-              f"{estimate.iterations} iterations", file=sys.stderr)
+    if fit is not None:
+        labeled = pool.labels != 0
+        w = feature_matrix(data, basis, pool.candidates[labeled])
+        fitted = harness._fit_all(fit, w[None], pool.labels[labeled][None], prior, args.reg)
+        if not fitted.converged[0]:
+            print(f"warning: {fit} fit did not converge after "
+                  f"{fitted.iterations[0]} iterations", file=sys.stderr)
 
-    ranked, p_plus, h = rank_pairs(scorer, pool.unlabeled)
+    pairs = pool.unlabeled
+    if RULES[tag] is None:
+        p_plus, h = np.full(len(pairs), 0.5), np.full(len(pairs), MAX_ENTROPY)
+    else:
+        sigma = fitted.sigma[0] if tag in READS_SIGMA else None
+        w = feature_matrix(data, basis, pairs)
+        p_plus, h = _score_rows(tag, fitted.weights[0], sigma, w)
+    order = np.argsort(-h, kind="stable")  # stable on sorted pairs: ties to the lowest (i, j)
     with (open(args.out, "w", newline="", encoding="utf-8") if args.out
           else nullcontext(sys.stdout)) as fh:
-        _write_rows(fh, ("i", "j", "p_plus", "entropy", "strategy"), *ranked.T.tolist(),
-                    p_plus.tolist(), h.tolist(), [args.strategy] * len(ranked))
+        _write_rows(fh, ("i", "j", "p_plus", "entropy", "strategy"), *pairs[order].T.tolist(),
+                    p_plus[order].tolist(), h[order].tolist(), [args.strategy] * len(pairs))
     if args.out:
-        print(f"{len(ranked)} pair scores written to {args.out}")
+        print(f"{len(pairs)} pair scores written to {args.out}")
 
     if args.save_model:
+        model = metric.from_augmented(fitted.weights[0], basis)
         harness._write_json(model.to_dict(), args.save_model)
         print(f"model written to {args.save_model}")
     return 0

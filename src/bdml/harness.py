@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import metric, mle, spectral, vb
-from .active import READS_SIGMA, PairPool, Scorer, label_many, select_many
+from .active import READS_SIGMA, PairPool, label_many, select_many
 from .config import STRATEGY_TABLE, ExperimentConfig, SynthSpec
 from .spectral import DataMatrix, EigenBasis, _freeze, eigen_basis, feature_matrix, load_csv
 
@@ -127,28 +127,6 @@ def label_initial_pairs(pool: PairPool, data: DataMatrix, n: int, seed) -> PairP
     """Have the oracle label ``n`` candidates of ``pool``, drawn without replacement."""
     picks = np.random.default_rng(seed).choice(len(pool.candidates), size=n, replace=False)
     return pool.with_labels_at(picks, oracle_label(data, *pool.candidates[picks].T))
-
-
-def fit_strategy(name, constraints, data, basis, prior, reg):
-    """Run the fit of strategy ``name`` and build its scorer.
-
-    Returns ``(model, scorer, estimate)``: the metric model, the scorer,
-    and the fit's own result, an ``MleSolution`` or a ``VariationalPosterior``
-    of one problem: ``row(0)`` of the checked stack of one.  Each is None
-    where the strategy's table row has no fit or no scorer.  ``prior`` is read by
-    the ``vb`` fit only, ``reg`` by the ``mle`` fit only, sigma by a rule reading it.
-    """
-    fit, tag = STRATEGY_TABLE[name]
-    model = scorer = estimate = gamma = sigma = None
-    if fit is not None:
-        w = feature_matrix(data, basis, constraints.pairs)
-        fitted = _fit_all(fit, w[None], constraints.labels[None], prior, reg)
-        estimate = fitted.row(0)
-        model = metric.from_augmented(fitted.weights[0], basis)
-        gamma, sigma = fitted.weights[0], fitted.sigma[0] if tag in READS_SIGMA else None
-    if tag is not None:  # the scorer reads what its rule needs
-        scorer = Scorer(tag, data, basis, gamma, sigma)
-    return model, scorer, estimate
 
 
 def _fit_all(fit, features, labels, prior, reg):

@@ -58,15 +58,15 @@ class MetricModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricModel":
         threshold, weights, b = _entries(doc, "model", "threshold", "weights", "basis")
+        names = ("vectors", "eigenvalues", "center", "scale")
+        arrays = _entries(b, "model basis", *names)
+        for name, value in zip(names, arrays):
+            _check_numbers(value, f"basis {name!r}", nested=True)
         # the constructors convert the lists to float64 arrays
-        basis = EigenBasis(*_entries(b, "model basis", "vectors", "eigenvalues", "center", "scale"))
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise ValueError(f"model 'threshold' entry must be a number, got {threshold!r}")
-        try:
-            threshold = float(threshold)
-        except OverflowError:  # an int past float's range; a float that far parses as inf
-            raise ValueError("model 'threshold' entry is an integer too large for a float") from None
-        return cls(basis, weights, threshold)
+        basis = EigenBasis(*arrays)
+        _check_numbers(threshold, "'threshold'")
+        _check_numbers(weights, "'weights'", nested=True)
+        return cls(basis, weights, float(threshold))
 
 
 def _entries(doc, what: str, *names) -> list:
@@ -76,6 +76,26 @@ def _entries(doc, what: str, *names) -> list:
     if missing:
         raise ValueError(f"{what} has no {missing[0]!r} entry")
     return [doc[name] for name in names]
+
+
+def _check_numbers(value, entry: str, nested: bool = False) -> None:
+    """Refuse a model ``entry`` that is not a JSON number or, if ``nested``, not nested
+    lists of numbers: a string, a bool or null is refused, not converted by numpy, and
+    an integer past float's range is named (a float that far parses as inf)."""
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if nested and isinstance(leaf, list):
+            leaves.extend(reversed(leaf))
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ValueError(f"model {entry} entry must "
+                             f"{'hold only numbers' if nested else 'be a number'}, got {leaf!r}")
+        elif isinstance(leaf, int):
+            try:
+                float(leaf)
+            except OverflowError:
+                raise ValueError(f"model {entry} entry {'holds' if nested else 'is'} "
+                                 "an integer too large for a float") from None
 
 
 def check_weights(weights, threshold) -> None:

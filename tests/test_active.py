@@ -20,7 +20,6 @@ from bdml.active import (
     laplace_posterior_batch,
     label_many,
     plugin_posterior,
-    rank_pairs,
     score_pairs,
     select,
     select_many,
@@ -88,9 +87,8 @@ def test_pair_pool_validation():
         PairPool(candidates=((0, 1),), labeled=((0, 1.0, 1),))
     with pytest.raises(ValueError, match="^labeled must be integers, got float64$"):
         PairPool(candidates=((0, 1),)).with_labels(((0, 1, 0.9),))
-    for score in (score_pairs, rank_pairs):
-        with pytest.raises(ValueError, match="^pairs must be integers, got float64$"):
-            score(Scorer.random(), [(0, 1), (0.5, 2.9)])
+    with pytest.raises(ValueError, match="^pairs must be integers, got float64$"):
+        score_pairs(Scorer.random(), [(0, 1), (0.5, 2.9)])
     assert len(PairPool(candidates=()).candidates) == 0
 
 

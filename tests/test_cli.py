@@ -334,6 +334,27 @@ def test_score_pairs_offers_exactly_the_scorer_strategies():
     # one set of tags: the rule table's, the strategy table's scorer column and these choices
     scorers = {row.scorer for row in STRATEGY_TABLE.values()} - {None}
     assert set(active.RULES) == set(strategy.choices) == scorers
+    # score-pairs, smoke.sh and compare_outputs.py look a tag's row up by the tag itself
+    for tag in strategy.choices:
+        assert STRATEGY_TABLE[tag].scorer == tag
+
+
+@pytest.mark.parametrize("strategy", sorted(active.RULES))
+def test_score_pairs_with_every_pair_labeled_writes_the_header_alone(strategy, tmp_path,
+                                                                     data_csv, capsys):
+    out, model = tmp_path / "s.csv", tmp_path / "m.json"
+    fits = STRATEGY_TABLE[strategy].fit is not None
+    code = main(["score-pairs", "--data", data_csv, "--strategy", strategy,
+                 "--initial-pairs", "276", "--k", "2", "--out", str(out),
+                 *(["--save-model", str(model)] if fits else [])])
+    assert code == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed.out == (f"0 pair scores written to {out}\n"
+                           + (f"model written to {model}\n" if fits else ""))
+    assert out.read_bytes() == b"i,j,p_plus,entropy,strategy\r\n"
+    if fits:
+        assert len(json.loads(model.read_text())["weights"]) == 2
 
 
 def _unlabeled(data_csv, tmp_path):
@@ -461,6 +482,28 @@ def test_eval_names_what_a_malformed_model_file_lacks(tmp_path, data_csv, capsys
         assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("entry", ["weights", "vectors", "eigenvalues", "center", "scale"])
+@pytest.mark.parametrize("kind", [str, bool])
+def test_eval_refuses_a_model_array_holding_a_string_or_bool(entry, kind, tmp_path, data_csv,
+                                                              capsys):
+    # numpy would convert either, the number as text to itself; the threshold refuses both too
+    model_path = tmp_path / "model.json"
+    main(["score-pairs", "--data", data_csv, "--strategy", "BAYES_ACT", "--k", "2",
+          "--save-model", str(model_path), "--out", str(tmp_path / "s.csv")])
+    doc = json.loads(model_path.read_text())
+    holder = doc if entry == "weights" else doc["basis"]
+    values = holder[entry]
+    row = values[-1] if entry == "vectors" else values
+    leaf = row[-1] = kind(row[-1])
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_path), "--train", data_csv, "--test", data_csv])
+    assert code == 1
+    where = "'weights'" if entry == "weights" else f"basis {entry!r}"
+    assert capsys.readouterr().err == (
+        f"error: model {where} entry must hold only numbers, got {leaf!r}\n")
+
+
 def test_eval_names_a_threshold_too_large_for_a_float(tmp_path, data_csv, capsys):
     model_path = tmp_path / "model.json"
     main([
@@ -468,14 +511,20 @@ def test_eval_names_a_threshold_too_large_for_a_float(tmp_path, data_csv, capsys
         "--initial-pairs", "8", "--k", "2", "--no-standardize",
         "--save-model", str(model_path), "--out", str(tmp_path / "s.csv"),
     ])
-    doc = json.loads(model_path.read_text())
-    doc["threshold"] = 10**400
-    model_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    code = main(["eval", "--model", str(model_path), "--train", data_csv, "--test", data_csv])
-    assert code == 1
-    assert (capsys.readouterr().err
-            == "error: model 'threshold' entry is an integer too large for a float\n")
+    saved = model_path.read_text()
+    # and an integer as large inside an array entry, by the same check
+    for where, verb in (("'threshold'", "is"), ("'weights'", "holds"), ("basis 'center'", "holds")):
+        doc = json.loads(saved)
+        if verb == "is":
+            doc["threshold"] = 10**400
+        else:
+            (doc["basis"]["center"] if "basis" in where else doc["weights"])[0] = 10**400
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model_path), "--train", data_csv, "--test", data_csv])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: model {where} entry {verb} an integer too large for a float\n")
 
 
 def test_eval_names_a_model_file_that_is_not_utf8(tmp_path, data_csv, capsys):

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdml
-from bdml import cli, harness, metric, mle, vb
-from bdml.active import READS_SIGMA, Scorer, rank_pairs, select
+from bdml import active, cli, harness, metric, mle, vb
+from bdml.active import READS_SIGMA, STRATEGIES, Scorer, score_pairs, select
 from bdml.config import EXPERIMENT_STRATEGIES, Strategy
 from bdml.harness import (
     RESULT_COLUMNS,
@@ -28,7 +28,6 @@ from bdml.harness import (
     _seed_ints,
     build_pool,
     convergence_warnings,
-    fit_strategy,
     label_initial_pairs,
     format_report,
     oracle_label,
@@ -39,7 +38,7 @@ from bdml.harness import (
     write_results_json,
     write_summary_csv,
 )
-from bdml.spectral import DataMatrix, eigen_basis, feature_matrix, save_csv
+from bdml.spectral import DataMatrix, eigen_basis, feature_matrix, load_csv, save_csv
 
 
 def _small_config(**overrides):
@@ -378,76 +377,107 @@ def test_a_new_table_row_joins_run_without_joining_the_default(monkeypatch, tmp_
 # the strategy table
 
 
-def _fit_inputs():
-    data = synth_data(SynthSpec(classes=3, per_class=6, dim=4, spread=0.3), seed=11)
+# each strategy's fit kind and scorer, written out over the one-problem API (mle.mle_fit,
+# vb.fit and the Scorer classmethods), so the checks below share no dispatch with bdml's
+_ONE_PROBLEM = {
+    "RANDOM": (None, lambda data, basis, estimate: Scorer.random()),
+    "RANDOM_MLE": ("mle", lambda data, basis, sol: Scorer.random()),
+    "MLE_ACT": ("mle", lambda data, basis, sol: Scorer.mle_act(data, basis, sol.gamma)),
+    "BAYES_ACT": ("vb", Scorer.bayes_act),
+    "BAYES_VAR": ("vb", Scorer.bayes_var),
+    "EUCLID": (None, None),
+}
+
+
+def _fit_one(name, constraints, data, basis, prior, reg):
+    """``(model, scorer, estimate)`` of strategy ``name`` by :data:`_ONE_PROBLEM`, each None
+    where the strategy has no fit or no scorer."""
+    fit, make_scorer = _ONE_PROBLEM[name]
+    model = estimate = None
+    if fit == "mle":
+        estimate = mle.mle_fit(constraints, data, basis, reg=reg)
+        model = metric.from_mle(estimate, basis)
+    elif fit == "vb":
+        estimate = vb.fit(constraints, data, basis, prior)
+        model = metric.from_posterior(estimate, basis)
+    return model, make_scorer and make_scorer(data, basis, estimate), estimate
+
+
+# score-pairs options that give _fit_inputs' basis, initial pairs, prior and reg
+_FIT_FLAGS = ["--initial-pairs", "8", "--seed", "3", "--k", "2", "--no-standardize",
+              "--gamma0", "0.5", "--delta", "2.0", "--reg", "0.3"]
+
+
+def _fit_inputs(tmp_path):
+    """A labeled dataset read back from its CSV at ``tmp_path``, its basis, and the pool of
+    all its pairs with 8 labeled, as ``score-pairs`` builds them under ``_FIT_FLAGS``."""
+    path = tmp_path / "data.csv"
+    save_csv(synth_data(SynthSpec(classes=3, per_class=6, dim=4, spread=0.3), seed=11), path)
+    data = load_csv(path)
     basis = eigen_basis(data, k=2, standardize=False)
     _, pool = build_pool(data, data.n, seed=0)
-    pool = label_initial_pairs(pool, data, 8, seed=3)
-    return data, basis, pool
+    return data, basis, label_initial_pairs(pool, data, 8, seed=3)
 
 
-@pytest.mark.parametrize("name", sorted(STRATEGY_TABLE))
-def test_fit_strategy_follows_the_table(name, monkeypatch):
-    data, basis, pool = _fit_inputs()
-    constraints = pool.labeled
+def _score_pairs(tmp_path, tag, *extra):
+    """``score-pairs --strategy tag`` on :func:`_fit_inputs`' CSV under ``_FIT_FLAGS``."""
+    return cli.main(["score-pairs", "--data", str(tmp_path / "data.csv"), "--strategy", tag,
+                     *_FIT_FLAGS, *extra])
+
+
+@pytest.mark.parametrize("tag", sorted(STRATEGIES))
+def test_score_pairs_follows_the_table(tag, tmp_path, capsys, monkeypatch):
+    # score-pairs writes the written-out fit's model and its scorer's scores, most uncertain
+    # first, ties to the lowest (i, j), with the fit looked up on its module at call time;
+    # the written-out fits are the table's, the rows score-pairs does not offer included
+    assert {name: fit for name, (fit, _) in _ONE_PROBLEM.items()} == {
+        name: row.fit for name, row in STRATEGY_TABLE.items()}
+    data, basis, pool = _fit_inputs(tmp_path)
     prior = vb.PriorConfig(gamma0=0.5, delta=2.0)
-    sol = mle.mle_fit(constraints, data, basis, reg=0.3)
-    post = vb.fit(constraints, data, basis, prior)
-    expected = {
-        "RANDOM": (None, Scorer.random()),
-        "RANDOM_MLE": (metric.from_mle(sol, basis), Scorer.random()),
-        "MLE_ACT": (metric.from_mle(sol, basis), Scorer.mle_act(data, basis, sol.gamma)),
-        "BAYES_ACT": (metric.from_posterior(post, basis),
-                      Scorer.bayes_act(data, basis, post)),
-        "BAYES_VAR": (metric.from_posterior(post, basis),
-                      Scorer.bayes_var(data, basis, post)),
-        "EUCLID": (None, None),
-    }
-    assert set(expected) == set(STRATEGY_TABLE)
+    fit = _ONE_PROBLEM[tag][0]
+    model, scorer, estimate = _fit_one(tag, pool.labeled, data, basis, prior, 0.3)
+    ranked = sorted(score_pairs(scorer, pool.unlabeled), key=lambda s: (-s.entropy, s.pair))
+    want = "i,j,p_plus,entropy,strategy\r\n" + "".join(
+        f"{i},{j},{s.p_plus!r},{s.entropy!r},{tag}\r\n" for s in ranked for i, j in [s.pair])
 
-    # the fits are looked up on their modules at call time
     calls = []
     for module in (mle, vb):
         def counted(*args, _fn=module.fit_many, _name=module.__name__, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, "fit_many", counted)
-    model, scorer, estimate = fit_strategy(name, constraints, data, basis, prior, 0.3)
-    fit = STRATEGY_TABLE[name].fit
+    out, saved = tmp_path / "scores.csv", tmp_path / "model.json"
+    assert _score_pairs(tmp_path, tag, "--out", str(out),
+                        *(["--save-model", str(saved)] if fit else [])) == 0
     assert calls == ([f"bdml.{fit}"] if fit else [])
-    want_estimate = {"mle": sol, "vb": post}.get(fit)
-    if want_estimate is None:
-        assert estimate is None
-    else:
-        assert type(estimate) is type(want_estimate)
-        assert estimate.iterations == want_estimate.iterations
-        assert estimate.converged == want_estimate.converged
-
-    want_model, want_scorer = expected[name]
-    if want_model is None:
-        assert model is None
-    else:
-        assert model.to_dict() == want_model.to_dict()
-    if want_scorer is None:
-        assert scorer is None
-        return
-    assert scorer.strategy == want_scorer.strategy == STRATEGY_TABLE[name].scorer
-    got = rank_pairs(scorer, pool.unlabeled)
-    want = rank_pairs(want_scorer, pool.unlabeled)
-    for a, b in zip(got, want):
-        npt.assert_array_equal(a, b)
+    assert out.read_bytes().decode("utf-8") == want
+    if fit:
+        assert json.loads(saved.read_text(encoding="utf-8")) == model.to_dict()
+    assert capsys.readouterr().err == ("" if estimate is None or estimate.converged else
+                                       f"warning: {fit} fit did not converge after "
+                                       f"{estimate.iterations} iterations\n")
 
 
-def test_random_mle_fits_an_mle_model_and_scores_every_pair_indifferently():
-    data, basis, pool = _fit_inputs()
-    constraints = pool.labeled
-    model, scorer, _ = fit_strategy("RANDOM_MLE", constraints, data, basis, None, 0.3)
-    sol = mle.mle_fit(constraints, data, basis, reg=0.3)
-    assert model.to_dict() == metric.from_mle(sol, basis).to_dict()
-    pairs, p_plus, h = rank_pairs(scorer, pool.unlabeled)
-    assert pairs.shape[0] == len(pool.candidates) - 8
-    assert np.all(p_plus == 0.5)
-    assert np.all(h == np.log(2.0))
+def test_random_mle_fits_an_mle_model_and_scores_every_pair_indifferently(tmp_path, capsys):
+    # the loop's RANDOM_MLE predicts by the MLE model; RANDOM, its rule, scores every open
+    # pair at 0.5 and log 2, through score_pairs and through score-pairs in canonical order
+    config = _small_config(strategies=("RANDOM_MLE",), iterations=0, repeats=1)
+    fit_tally = Counter()
+    [record] = run_active_loop(config, fit_tally)
+    state = _prepared(config, 0)
+    sol = mle.mle_fit(state.pool.labeled, state.pool_data, state.basis, reg=config.reg)
+    predictions = metric.knn_classify(metric.from_mle(sol, state.basis), state.train, state.test)
+    assert record.accuracy == metric.accuracy(predictions, state.test.labels)
+    assert fit_tally == Counter({("mle", sol.converged): 1})
+
+    _, _, pool = _fit_inputs(tmp_path)
+    log2 = float(np.log(2.0))
+    scores = score_pairs(Scorer.random(), pool.unlabeled)
+    assert [s.pair for s in scores] == list(map(tuple, pool.unlabeled.tolist()))
+    assert {(s.p_plus, s.entropy) for s in scores} == {(0.5, log2)}
+    assert _score_pairs(tmp_path, "RANDOM") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{i},{j},0.5,{log2!r},RANDOM" for i, j in pool.unlabeled.tolist()]
 
 
 def test_label_initial_pairs_draws_without_replacement_and_asks_the_oracle():
@@ -707,9 +737,9 @@ def test_loop_fits_each_iterations_mle_runs_as_one_stack(monkeypatch):
     assert stacks == [((40, m, 3), (40, m), 5.0) for m in (10, 30, 50)]
 
 
-def test_the_loop_builds_no_per_run_posterior_or_solution(monkeypatch):
+def test_the_loop_builds_no_per_run_posterior_or_solution(monkeypatch, tmp_path, capsys):
     # the README bdml run builds one checked stack per fit group and iteration and
-    # reads no row of it; fit_strategy builds one stack of one and reads its row 0
+    # reads no row of it; score-pairs builds one stack of one and reads no row either
     config = ExperimentConfig(
         synth=SynthSpec(classes=3, per_class=20, dim=10, spread=0.3),
         pool_size=40, n_test=20, initial_pairs=10, batch_size=20, iterations=5,
@@ -733,16 +763,15 @@ def test_the_loop_builds_no_per_run_posterior_or_solution(monkeypatch):
     assert built == Counter({"MleSolution": 6, "VariationalPosterior": 6})  # one per iteration
     assert rows == Counter()
 
-    state = _prepared(config, 0)
-    prior = vb.PriorConfig()
-    for name in ("MLE_ACT", "BAYES_VAR", "EUCLID"):
-        fit_strategy(name, state.pool.labeled, state.pool_data, state.basis, prior, config.reg)
+    _fit_inputs(tmp_path)  # writes the CSV that score-pairs reads
+    for tag in ("MLE_ACT", "BAYES_VAR", "RANDOM"):
+        assert _score_pairs(tmp_path, tag) == 0
     assert built == Counter({"MleSolution": 7, "VariationalPosterior": 7})
-    assert rows == Counter({"MleSolution": 1, "VariationalPosterior": 1})
+    assert rows == Counter()
 
 
-def test_covariances_reach_only_the_rules_that_read_them(monkeypatch):
-    # both hand-offs, the loop's stacked selections and fit_strategy's scorer
+def test_covariances_reach_only_the_rules_that_read_them(monkeypatch, tmp_path, capsys):
+    # both hand-offs, the loop's stacked selections and score-pairs' scoring
     seen = []
 
     def select_many(strategy, labels, features, gamma, sigma, *args, _fn=harness.select_many):
@@ -754,14 +783,22 @@ def test_covariances_reach_only_the_rules_that_read_them(monkeypatch):
     run_active_loop(config)
     assert sorted(set(seen)) == [("BAYES_ACT", True), ("BAYES_VAR", (2, 3, 3)),
                                  ("MLE_ACT", True), ("RANDOM", True)]
-    state = _prepared(config, 0)
-    prior = vb.PriorConfig(gamma0=config.gamma0, delta=config.delta)
-    for name in ("BAYES_ACT", "BAYES_VAR"):
-        _, scorer, post = fit_strategy(name, state.pool.labeled, state.pool_data, state.basis,
-                                       prior, config.reg)
-        assert (scorer.sigma is not None) == (name in READS_SIGMA)
-        if scorer.sigma is not None:
-            assert np.array_equal(scorer.sigma, post.sigma)
+    scored = []
+
+    def score_rows(strategy, gamma, sigma, w, _fn=active._score_rows):
+        scored.append((strategy, sigma))
+        return _fn(strategy, gamma, sigma, w)
+
+    monkeypatch.setattr(active, "_score_rows", score_rows)
+    data, basis, pool = _fit_inputs(tmp_path)
+    post = vb.fit(pool.labeled, data, basis, vb.PriorConfig(gamma0=0.5, delta=2.0))
+    for tag in ("BAYES_ACT", "BAYES_VAR"):
+        assert _score_pairs(tmp_path, tag) == 0
+    assert [strategy for strategy, _ in scored] == ["BAYES_ACT", "BAYES_VAR"]
+    for strategy, sigma in scored:
+        assert (sigma is not None) == (strategy in READS_SIGMA)
+        if sigma is not None:
+            assert np.array_equal(sigma, post.sigma)
 
 
 def test_a_one_run_stack_selects_from_its_table_itself(monkeypatch):
@@ -794,11 +831,11 @@ def test_a_one_run_stack_selects_from_its_table_itself(monkeypatch):
 
 def _reference_advance(config, run, t, prior) -> None:
     """Iteration ``t`` of one run alone, as the loop took its runs before it
-    stacked them: fit, model and scorer through :func:`fit_strategy`, then
+    stacked them: fit, model and scorer by :data:`_ONE_PROBLEM`, then
     ``knn_classify``, ``select``, ``oracle_label`` and ``with_labels_at``."""
     state = run.state
-    model, scorer, _ = fit_strategy(run.strategy, run.pool.labeled, state.pool_data,
-                                    state.basis, prior, config.reg)
+    model, scorer, _ = _fit_one(run.strategy, run.pool.labeled, state.pool_data, state.basis,
+                                prior, config.reg)
     if model is not None:
         run.predictions = metric.knn_classify(model, state.train, state.test)
     elif t == 0:  # no model, so every iteration has the same Euclidean 1NN
