@@ -8,7 +8,9 @@
 # quoted field, an underscored number) and one on a copy whose header names
 # are quoted, each of which must print the plain file's accuracy, one eval of
 # a model file without its threshold, which must exit 1 naming the missing
-# entry (its stderr goes to a file), and one eval large enough (4,000 x 1,000
+# entry (its stderr goes to a file), one MLE_ACT score-pairs at --reg 0 on
+# train.csv, separable there, which must exit 0 and warn (to a file) that its
+# fit did not converge, and one eval large enough (4,000 x 1,000
 # rows, K=5) for a multi-leaf 1NN search.  Then one `bdml run` on
 # big_train.csv, whose 3,950 training rows, more than LEAF_ROWS, send EUCLID's
 # raw search and the fit groups' searches through the kd leaves end to end,
@@ -85,6 +87,13 @@ bdml eval --model no_threshold.json --train train.csv --test test.csv \
     2> no_threshold.err || status=$?
 if [ "$status" -ne 1 ] || ! grep -q "no 'threshold' entry" no_threshold.err; then
   echo "eval of no_threshold.json exits $status: $(cat no_threshold.err)" >&2
+  exit 1
+fi
+status=0
+bdml score-pairs --data train.csv --strategy MLE_ACT --k 2 --no-standardize --reg 0 \
+    --out scores_reg0.csv 2> reg0.err || status=$?
+if [ "$status" -ne 0 ] || ! grep -q "mle fit did not converge" reg0.err; then
+  echo "score-pairs at --reg 0 exits $status: $(cat reg0.err)" >&2
   exit 1
 fi
 bdml score-pairs --data train.csv --strategy BAYES_ACT --k 5 \

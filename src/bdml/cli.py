@@ -151,7 +151,7 @@ def cmd_score_pairs(args) -> int:
     if fit is not None:
         labeled = pool.labels != 0
         w = feature_matrix(data, basis, pool.candidates[labeled])
-        fitted = harness._fit_all(fit, w[None], pool.labels[labeled][None], prior, args.reg)
+        fitted = harness._fit_all(fit, [w], pool.labels[labeled][None], prior, args.reg)
         if not fitted.converged[0]:
             print(f"warning: {fit} fit did not converge after "
                   f"{fitted.iterations[0]} iterations", file=sys.stderr)

@@ -147,8 +147,11 @@ class ExperimentConfig:
         if not strategies:
             raise ValueError("at least one strategy required")
         for s in strategies:
-            if s not in run_strategies():
+            if s not in STRATEGY_TABLE:
                 raise ValueError(f"unknown strategy {s!r}")
+            if s not in run_strategies():  # the one kind of row run refuses
+                raise ValueError(f"run cannot use strategy {s!r}: it acquires pairs without "
+                                 f"fitting a model; choose from {', '.join(run_strategies())}")
         if len(set(strategies)) != len(strategies):
             raise ValueError("duplicate strategies")
         object.__setattr__(self, "strategies", strategies)

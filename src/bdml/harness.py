@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import zlib
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -129,13 +128,17 @@ def label_initial_pairs(pool: PairPool, data: DataMatrix, n: int, seed) -> PairP
     return pool.with_labels_at(picks, oracle_label(data, *pool.candidates[picks].T))
 
 
-def _fit_all(fit, features, labels, prior, reg):
-    """The checked stacked fit of (r, m, k+1) ``features`` and (r, m) ``labels``
-    by ``"mle"``'s :func:`mle.fit_many` or ``"vb"``'s :func:`vb.fit_many`, looked
-    up on their modules at call time, so a wrapped one is the one that runs."""
+def _fit_all(fit, tables, labels, prior, reg):
+    """The checked stacked fit of each (m, k+1) feature table of ``tables`` on the rows its
+    row of the (r, m) ``labels`` marks labeled, with those ±1 labels, in candidate order, by
+    ``"mle"``'s :func:`mle.fit_many` or ``"vb"``'s :func:`vb.fit_many`, looked up on their
+    modules at call time, so a wrapped one is the one that runs."""
+    labeled = labels != 0
+    w = np.stack([table[a] for table, a in zip(tables, labeled)])
+    y = labels[labeled].reshape(len(tables), -1).astype(np.float64)
     if fit == "mle":
-        return mle.fit_many(features, labels, reg=reg)
-    return vb.fit_many(features, labels, prior)
+        return mle.fit_many(w, y, reg=reg)
+    return vb.fit_many(w, y, prior)
 
 
 @dataclass(frozen=True)
@@ -197,17 +200,6 @@ class _Run:
     seed: int
 
 
-@contextmanager
-def _blamed_on(run: _Run, t: int):
-    """Re-raise any error as a RuntimeError naming the run and iteration."""
-    try:
-        yield
-    except Exception as exc:
-        raise RuntimeError(
-            f"strategy={run.strategy} repeat={run.repeat} iteration={t}: {exc}"
-        ) from exc
-
-
 def _groups(keys):
     """Positions of ``keys`` grouped by key, in first-seen order; a None key joins no group."""
     groups = {}
@@ -217,7 +209,9 @@ def _groups(keys):
     return groups
 
 
-# elements of one stacked temporary of an iteration step (runs x rows x columns), 128 kB
+# elements of one stacked temporary of an iteration step (runs x rows x columns), 128 kB.  The
+# cut pays in the 1NN stacks too: at the README shapes one 40-run knn_many (256 kB of distances)
+# took 396-428 us and two 20-run halves 220-244 us (2 shared vCPUs, one BLAS thread)
 STACK_ELEMS = 1 << 14
 
 
@@ -233,9 +227,8 @@ def _step(config, runs, labels, t, prior, previous):
     iteration t-1 are the rows of ``labels`` and ``previous``.
 
     Runs sharing the fit kind and basis size form a fit group, and the step
-    takes each group in one pass.  One :func:`_fit_all` call fits it on the
-    rows of its members' feature tables that their rows of ``labels`` mark
-    labeled, with those labels, in candidate order (every run has labeled
+    takes each group in one pass.  One :func:`_fit_all` call fits it on its
+    members' feature tables and rows of ``labels`` (every run has labeled
     ``initial_pairs + t * batch_size``).  Its ``weights`` rows replace the
     members' predictions by stacked 1NN searches and, before the last
     iteration, the members sharing an acquisition rule pass their feature
@@ -259,11 +252,8 @@ def _step(config, runs, labels, t, prior, previous):
     groups = _groups([kind.fit and (kind.fit, run.state.features.shape[1])
                       for kind, run in zip(kinds, runs)])
     for (fit, _), members in groups.items():
-        labeled = labels[members] != 0
-        w = np.stack([runs[n].state.features[a] for n, a in zip(members, labeled)])
-        y = labels[members][labeled].reshape(len(members), -1).astype(np.float64)
-        fitted = _fit_all(fit, w, y, prior, config.reg)
-        del labeled, w, y  # freed before the selections, where the step peaks in memory
+        fitted = _fit_all(fit, [runs[n].state.features for n in members], labels[members],
+                          prior, config.reg)
         fits.append((fit, fitted))
         first = runs[members[0]].state
         for part in _stacks(len(members), first.train.n * first.test.n):
@@ -344,8 +334,12 @@ def run_active_loop(config: ExperimentConfig, fit_tally: Counter | None = None) 
             fits, predictions, at, relabeled = _step(config, runs, labels, t, prior, predictions)
         except Exception:
             for n, run in enumerate(runs):  # retake it run by run, so the error names its run
-                with _blamed_on(run, t):
+                try:
                     _step(config, [run], labels[n : n + 1], t, prior, predictions[n : n + 1])
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"strategy={run.strategy} repeat={run.repeat} iteration={t}: {exc}"
+                    ) from exc
             raise
         accuracies.append(np.mean(predictions == truth, axis=1))
         for fit, fitted in fits:

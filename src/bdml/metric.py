@@ -59,14 +59,10 @@ class MetricModel:
     def from_dict(cls, doc: dict) -> "MetricModel":
         threshold, weights, b = _entries(doc, "model", "threshold", "weights", "basis")
         names = ("vectors", "eigenvalues", "center", "scale")
-        arrays = _entries(b, "model basis", *names)
-        for name, value in zip(names, arrays):
-            _check_numbers(value, f"basis {name!r}", nested=True)
-        # the constructors convert the lists to float64 arrays
-        basis = EigenBasis(*arrays)
+        basis = EigenBasis(*(_check_numbers(value, f"basis {name!r}", nested=True)
+                             for name, value in zip(names, _entries(b, "model basis", *names))))
         _check_numbers(threshold, "'threshold'")
-        _check_numbers(weights, "'weights'", nested=True)
-        return cls(basis, weights, float(threshold))
+        return cls(basis, _check_numbers(weights, "'weights'", nested=True), float(threshold))
 
 
 def _entries(doc, what: str, *names) -> list:
@@ -78,10 +74,10 @@ def _entries(doc, what: str, *names) -> list:
     return [doc[name] for name in names]
 
 
-def _check_numbers(value, entry: str, nested: bool = False) -> None:
-    """Refuse a model ``entry`` that is not a JSON number or, if ``nested``, not nested
-    lists of numbers: a string, a bool or null is refused, not converted by numpy, and
-    an integer past float's range is named (a float that far parses as inf)."""
+def _check_numbers(value, entry: str, nested: bool = False) -> np.ndarray:
+    """A model ``entry`` as a float64 array, once it is a JSON number or, if ``nested``, nested
+    lists of numbers of one shape: a string, a bool or null is refused, not converted by numpy,
+    and a ragged array or an integer past float's range (a float that far is inf) is named."""
     leaves = [value]
     while leaves:
         leaf = leaves.pop()
@@ -96,6 +92,10 @@ def _check_numbers(value, entry: str, nested: bool = False) -> None:
             except OverflowError:
                 raise ValueError(f"model {entry} entry {'holds' if nested else 'is'} "
                                  "an integer too large for a float") from None
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"model {entry} entry is ragged") from None
 
 
 def check_weights(weights, threshold) -> None:

@@ -120,11 +120,6 @@ def _derivatives(g, w, y, reg):
     return grad, s * (1.0 - s)
 
 
-def _projected_gradient(gamma, grad):
-    # at the boundary only directions pointing inward count
-    return np.where(gamma > 0, grad, np.maximum(grad, 0.0))
-
-
 def _newton_direction(gamma, grad, neg_hess) -> np.ndarray:
     """Ascent direction of one projected Newton iteration for each problem of an (r, k+1) stack.
 
@@ -228,7 +223,9 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
     while the full step promised a gain below its rounding
     (``STALL_ULPS``), which happens where the curvature is large.  Any
     other stalled or failed line search, or ``max_iters`` iterations,
-    return the last iterate with ``converged=False``.
+    return the last iterate with ``converged=False``.  So does, at ``reg=0``, a problem with
+    a constraint whose every margin y*(gamma.w) is negative at the last iterate: 2*gamma
+    scores strictly higher, so gamma is no maximum but a point on an unbounded ascent.
 
     The problems advance in lockstep.  Each keeps its own start point,
     stop test, iteration cap and line search and is frozen once it stops,
@@ -253,7 +250,7 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
         w_l, y_l = (w, y) if live.size == r else (w[live], y[live])
         g_l, v_l = gamma[live], value[live]
         grad, curvature = _derivatives(g_l, w_l, y_l, reg)
-        pg = _projected_gradient(g_l, grad)
+        pg = np.where(g_l > 0, grad, np.maximum(grad, 0.0))  # at 0 only inward directions count
         done = np.sqrt(_dot(pg, pg)) < tol
         converged[live[done]] = True
         going = ~done & (iterations[live] < max_iters)
@@ -270,5 +267,6 @@ def fit_many(features, labels, reg: float = DEFAULT_REG, tol: float = DEFAULT_TO
         moved = ~stalled
         gamma[live[moved]], value[live[moved]] = trial[moved], trial_value[moved]
         live = live[moved]
-
+    if reg == 0 and w.shape[1]:
+        converged &= ~(y * kernels.mat_vec(w, gamma) < 0).all(axis=-1)
     return MleSolution(*map(_freeze, (gamma, value, converged, iterations)))

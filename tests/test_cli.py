@@ -504,6 +504,26 @@ def test_eval_refuses_a_model_array_holding_a_string_or_bool(entry, kind, tmp_pa
         f"error: model {where} entry must hold only numbers, got {leaf!r}\n")
 
 
+@pytest.mark.parametrize("entry", ["weights", "vectors", "eigenvalues", "center", "scale"])
+def test_eval_names_a_ragged_model_array(entry, tmp_path, data_csv, capsys):
+    # a basis row one entry short, or a vector's last number nested in a list
+    model_path = tmp_path / "model.json"
+    main(["score-pairs", "--data", data_csv, "--strategy", "BAYES_ACT", "--k", "2",
+          "--save-model", str(model_path), "--out", str(tmp_path / "s.csv")])
+    doc = json.loads(model_path.read_text())
+    holder = doc if entry == "weights" else doc["basis"]
+    if entry == "vectors":
+        holder[entry][-1].pop()
+    else:
+        holder[entry][-1] = [holder[entry][-1]]
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_path), "--train", data_csv, "--test", data_csv])
+    assert code == 1
+    where = "'weights'" if entry == "weights" else f"basis {entry!r}"
+    assert capsys.readouterr().err == f"error: model {where} entry is ragged\n"
+
+
 def test_eval_names_a_threshold_too_large_for_a_float(tmp_path, data_csv, capsys):
     model_path = tmp_path / "model.json"
     main([

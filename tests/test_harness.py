@@ -272,7 +272,9 @@ def test_config_validates_budget_and_strategies():
                          batch_size=10, iterations=1)
     with pytest.raises(ValueError, match="^pool_size must be at least 2$"):
         ExperimentConfig(synth=spec, pool_size=1, initial_pairs=1, iterations=0)
-    with pytest.raises(ValueError, match="unknown strategy"):
+    with pytest.raises(ValueError, match="^unknown strategy 'NOPE'$"):
+        ExperimentConfig(synth=spec, strategies=("EUCLID", "NOPE"))
+    with pytest.raises(ValueError, match="^run cannot use strategy 'RANDOM': "):
         ExperimentConfig(synth=spec, strategies=("RANDOM",))
     with pytest.raises(ValueError, match="duplicate"):
         ExperimentConfig(synth=spec, strategies=("EUCLID", "EUCLID"))
@@ -369,7 +371,9 @@ def test_a_new_table_row_joins_run_without_joining_the_default(monkeypatch, tmp_
     assert "RANDOM_VB" in (tmp_path / "out" / "results.csv").read_text(encoding="utf-8")
     assert ExperimentConfig(synth=SynthSpec()).strategies == (
         "RANDOM_MLE", "MLE_ACT", "BAYES_ACT", "BAYES_VAR", "EUCLID")
-    with pytest.raises(ValueError, match="unknown strategy 'RANDOM'"):
+    with pytest.raises(ValueError, match="^run cannot use strategy 'RANDOM': it acquires pairs "
+                       "without fitting a model; choose from RANDOM_MLE, MLE_ACT, BAYES_ACT, "
+                       "BAYES_VAR, EUCLID, RANDOM_VB$"):
         ExperimentConfig(synth=SynthSpec(), strategies=("RANDOM",))
 
 
@@ -865,8 +869,12 @@ def _reference_loop(config):
         )
     for t in range(config.iterations + 1):
         for run in runs:
-            with harness._blamed_on(run, t):
+            try:
                 _reference_advance(config, run, t, prior)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"strategy={run.strategy} repeat={run.repeat} iteration={t}: {exc}"
+                ) from exc
     return runs
 
 

@@ -336,8 +336,7 @@ def test_fit_at_reg_zero_with_fewer_constraints_than_weights_stays_finite(
 
 
 def test_fit_at_reg_zero_on_a_separable_instance_stops_early():
-    # the supremum 0 is not attained; the fit must stop, and claim
-    # convergence only where it has come within 1e-6 of the supremum
+    # the supremum 0 is not attained; the fit must stop, and not claim convergence
     basis = EigenBasis(
         vectors=np.array([[1.0]]),
         eigenvalues=np.array([1.0]),
@@ -347,7 +346,24 @@ def test_fit_at_reg_zero_on_a_separable_instance_stops_early():
     data = DataMatrix([[0.0], [0.1], [5.0]])
     sol = mle_fit(ConstraintSet(((0, 1, 1), (0, 2, -1))), data, basis, reg=0.0)
     assert sol.iterations <= DEFAULT_MAX_ITERS // 10
-    assert not sol.converged or sol.objective > -1e-6
+    assert not sol.converged
+
+
+def test_fit_at_reg_zero_never_claims_a_maximum_on_separable_constraints():
+    # labels planted as -sign(w.g) make every margin negative at g, so the objective
+    # climbs along 2g, 4g, ... toward its unattained supremum 0, and no point is a maximum
+    rng = np.random.default_rng(0)
+    w = np.concatenate([-np.ones((40, 12, 1)), rng.gamma(1.5, size=(40, 12, 3))], axis=-1)
+    planted = rng.uniform(0.5, 2.0, size=(40, 4)) * [4.0, 1.0, 1.0, 1.0]
+    y = -np.sign(kernels.mat_vec(w, planted))
+    sol = fit_many(w, y, reg=0.0)
+    assert not sol.converged.any()
+    assert np.all(sol.iterations < DEFAULT_MAX_ITERS)
+    # with no constraint there is nothing to ascend: the origin is the maximum
+    empty = fit_many(w[:, :0], y[:, :0], reg=0.0)
+    assert empty.converged.all() and not empty.iterations.any() and not empty.gamma.any()
+    # a ridge bounds the ascent, and every fit reaches its finite maximum
+    assert fit_many(w, y, reg=5.0).converged.all()
 
 
 def test_fit_validation(clusters, clusters_basis):
