@@ -81,9 +81,8 @@ def make_inputs(rng):
     s = SIZES
     proj = kernels.as_f64(rng.normal(size=(s["pair_sq_proj"]["n"],
                                            s["pair_sq_proj"]["k"])))
-    ii = kernels.as_i64(rng.integers(0, proj.shape[0], size=s["pair_sq_proj"]["m"]))
-    jj = kernels.as_i64((ii + 1 + rng.integers(0, proj.shape[0] - 1,
-                                               size=ii.size)) % proj.shape[0])
+    ii = rng.integers(0, proj.shape[0], size=s["pair_sq_proj"]["m"])
+    jj = (ii + 1 + rng.integers(0, proj.shape[0] - 1, size=ii.size)) % proj.shape[0]
     train = kernels.as_f64(rng.normal(size=(1, s["nn1_many"]["n_train"], s["nn1_many"]["k"])))
     queries = kernels.as_f64(rng.normal(size=(1, s["nn1_many"]["n_query"], s["nn1_many"]["k"])))
     r, m, k = (s["mat_vec"][key] for key in ("r", "m", "k"))

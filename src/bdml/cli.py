@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metric
-from .config import STRATEGY_TABLE, ExperimentConfig, SynthSpec, model_prior, run_strategies
+from .config import (STRATEGY_TABLE, ExperimentConfig, SynthSpec, check_basis, model_prior,
+                     run_strategies)
 from .spectral import _write_rows, eigen_basis, feature_matrix, load_csv
 
 
@@ -136,6 +137,7 @@ def cmd_score_pairs(args) -> int:
     if args.save_model and fit is None:
         raise ValueError(f"{args.strategy} fits no model, nothing to save")
     prior = model_prior(args.gamma0, args.delta, args.reg, args.seed)
+    check_basis(args.k, args.energy)
     data = load_csv(args.data_csv)
     if data.labels is None:
         raise ValueError("score-pairs needs a labeled CSV (oracle labels)")

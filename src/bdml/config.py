@@ -57,6 +57,14 @@ def model_prior(gamma0, delta, reg, seed):
     return prior
 
 
+def check_basis(k, energy) -> None:
+    """Refuse ``k`` below 1, or with no ``k`` an ``energy`` outside (0, 1], before data is read."""
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k is None and not 0 < energy <= 1:
+        raise ValueError(f"energy fraction must be in (0, 1], got {energy}")
+
+
 def _check_counts(obj, *names) -> None:
     """Name the first field of ``names`` that is a bool or not an integer, and store
     each as a Python int: a numpy integer passes and is written to JSON as an int."""
@@ -155,4 +163,5 @@ class ExperimentConfig:
         if len(set(strategies)) != len(strategies):
             raise ValueError("duplicate strategies")
         object.__setattr__(self, "strategies", strategies)
+        check_basis(self.k, self.energy)
         model_prior(self.gamma0, self.delta, self.reg, self.seed)

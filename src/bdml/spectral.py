@@ -384,10 +384,8 @@ def feature_matrix(data: DataMatrix, basis: EigenBasis, pairs) -> np.ndarray:
     idx = np.asarray(pairs)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("pairs must be (i, j) rows")
-    ii, jj = kernels.as_i64(idx[:, 0]), kernels.as_i64(idx[:, 1])
     _check_pairs(idx[:, 0], idx[:, 1], data.n, "constraint semantics")
-    proj = kernels.as_f64(basis.project(data.x))
-    return kernels.pair_sq_proj(proj, ii, jj)
+    return kernels.pair_sq_proj(basis.project(data.x), idx[:, 0], idx[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,23 @@ def test_score_pairs_names_a_negative_seed_before_reading_the_csv(tmp_path, caps
     assert not out.exists() and not model.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "score-pairs"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", "0", "k must be at least 1, got 0"),
+    ("--energy", "1.5", "energy fraction must be in (0, 1], got 1.5"),
+])
+def test_basis_options_are_named_before_reading_the_csv(command, flag, value, message,
+                                                        tmp_path, capsys):
+    # the CSV does not exist, so any read of it would fail with another message
+    out = tmp_path / "out"
+    code = main([command, "--data", str(tmp_path / "missing.csv"), flag, value, "--out", str(out)])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: {message}\n"
+    assert printed.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("strategy, module, attr, tag", [
     ("MLE_ACT", mle, "fit_many", "mle"),
     ("BAYES_VAR", vb, "fit_many", "vb"),

@@ -307,6 +307,21 @@ def test_config_validates_budget_and_strategies():
         ExperimentConfig(synth=spec, strategies=("EUCLID",), delta=0.0)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(k=0), "k must be at least 1, got 0"),
+    (dict(k=-3), "k must be at least 1, got -3"),
+    (dict(energy=1.5), "energy fraction must be in (0, 1], got 1.5"),
+    (dict(energy=0.0), "energy fraction must be in (0, 1], got 0.0"),
+    (dict(energy=np.nan), "energy fraction must be in (0, 1], got nan"),
+])
+def test_config_refuses_a_basis_no_data_allows(overrides, message):
+    # refused when built, as seed and pool_size are, not by the first repeat's eigen_basis
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(synth=SynthSpec(), **overrides)
+    # energy is unread once k is given
+    assert ExperimentConfig(synth=SynthSpec(), k=2, energy=7.0).energy == 7.0
+
+
 @pytest.mark.parametrize("source, overrides", [
     ("csv", dict(seed=5)),
     ("synth", dict(seed=np.int64(3))),

@@ -34,7 +34,7 @@ def _instance(seed, m=14, n=11, k=4):
     proj = rng.normal(size=(n, k))
     ii = rng.integers(0, n, size=m)
     jj = (ii + rng.integers(1, n, size=m)) % n
-    return proj, kernels.as_i64(ii), kernels.as_i64(jj)
+    return proj, ii, jj
 
 
 def _brute_nn1(train, queries):
@@ -362,5 +362,3 @@ def test_sigmoid_kernels_keep_shape_and_return_scalars_for_scalars(kernel):
 def test_coercion_helpers():
     f = kernels.as_f64([[1, 2], [3, 4]])
     assert f.dtype == np.float64 and f.flags["C_CONTIGUOUS"]
-    i = kernels.as_i64([1.0, 2.0])
-    assert i.dtype == np.int64 and i.flags["C_CONTIGUOUS"]

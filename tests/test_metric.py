@@ -373,6 +373,15 @@ def test_every_exported_name_is_its_home_modules_object():
     assert out.stdout == "True True\n"
 
 
+def test_dir_lists_exactly_the_exported_names_and_loads_no_numpy():
+    # dir() sorts what the package's __dir__ lists, which puts __version__ first
+    assert dir(bdml) == sorted(bdml.__all__)
+    out = _fresh_python("import sys\nimport bdml\n"
+                        "print(dir(bdml) == sorted(bdml.__all__), 'numpy' in sys.modules)\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True False\n"
+
+
 def test_an_unknown_name_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="module 'bdml' has no attribute 'no_such_name'"):
         bdml.no_such_name

@@ -484,6 +484,19 @@ def test_feature_matrix_names_the_first_bad_pair_out_of_bounds_before_self_pairs
         pair_feature(clusters, clusters_basis, 2.0, 3)
 
 
+def test_feature_matrix_rows_do_not_depend_on_the_index_dtype_or_layout(clusters, clusters_basis):
+    pairs = [(0, 5), (7, 3), (2, 21), (23, 0)]
+    want = feature_matrix(clusters, clusters_basis, np.ascontiguousarray(pairs, dtype=np.int64))
+    wide = np.zeros((len(pairs), 5), dtype=np.int64)
+    wide[:, [1, 3]] = pairs
+    for given in (pairs, np.array(pairs, dtype=np.int32), np.array(pairs, dtype=np.uint16),
+                  np.asfortranarray(pairs), wide[:, 1::2]):
+        npt.assert_array_equal(feature_matrix(clusters, clusters_basis, given), want)
+    for bad in (np.array(pairs, dtype=np.float64), np.array([(True, False)])):
+        with pytest.raises(IndexError, match="^pair indices must be integers$"):
+            feature_matrix(clusters, clusters_basis, bad)
+
+
 def test_feature_matrix_checks_constraint_pairs_against_the_rows():
     cs = ConstraintSet(((5, 2, 1), (0, 3, -1)))
     data = DataMatrix(np.arange(12.0).reshape(6, 2) ** 2)
